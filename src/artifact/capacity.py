@@ -30,7 +30,6 @@ from .domain.lattice import (
     enclosing_center_radius,
 )
 from .domain.shapes import Ball
-from .monotone import reflect
 from .solver import ObstacleConstraint, residual_breakdown, solve_dirichlet, solve_obstacle
 
 __all__ = [
@@ -174,17 +173,18 @@ class WienerProbeConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        # stacklevel 3: the caller of the dataclass's generated __init__.
         if self.K < 3:
             warnings.warn(
                 "probe ladder has fewer than three steps; trend verdicts "
                 "rest on little data",
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.r0 > self.cap_radius / 2:
             warnings.warn(
                 "largest observation radius exceeds half the cap radius; "
                 "the outer oscillation window sees past the clamped set",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

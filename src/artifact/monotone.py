@@ -10,7 +10,9 @@ kinds with exact potentials:
 
 plus ``custom`` (a user callable, optionally with a potential).  The built-in
 kinds are isotropic (A is a scalar profile times p), odd-symmetric, and the
-p_laplace kind is (t-1)-homogeneous.
+p_laplace kind is (t-1)-homogeneous.  ``profile`` is their one
+implementation: it gives phi, phi'/g and W from the squared magnitude
+|p|^2, for the energy, the residual and the solver's local Newton solve.
 
 Discrete energy on a labeled grid: per lattice cell, average the integrand
 over the 2^N cell corners, where the gradient at a corner collects the N edge
@@ -29,6 +31,7 @@ for custom fields without a potential); for potential kinds it is exactly the
 gradient of ``energy``, and the tests pin that equality by finite differences.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -98,45 +101,84 @@ class OperatorSpec:
         }
 
 
-def profile(spec, mag):
-    """Scalar profile phi with A(p) = phi(|p|) * p, for isotropic kinds.
+# Smallest positive double: lifts g2 = 0 off the pole of phi at t < 2, so
+# that W(0) = phi * 0 = 0 exactly while every g2 > 0 keeps the exact law.
+_TINY = np.nextafter(0.0, 1.0)
+# Smallest normal double: bounds the slope's divisor, so phi / base stays
+# finite however small the gradient.
+_NORMAL = np.finfo(float).tiny
 
-    For p_laplace with t < 2, phi(r) = r^{t-2} is singular at r = 0 although
-    A is not; ``apply_A`` evaluates A without phi there.
+
+def profile(spec, g2):
+    """The isotropic law from the squared gradient magnitude g2 = |p|^2.
+
+    Returns (phi, base) with phi = base^{(t-2)/2}, base = g2 for p_laplace
+    and 1 + g2 for regularized.  One power then gives all three quantities
+    that the energy, the residual and the solver's local Newton solve use:
+
+        A(p) = phi p,   W(p) = phi base / t,   phi'(|p|)/|p| = (t-2) phi / base
+
+    (see ``integrand`` and ``profile_slope``).  For p_laplace with t < 2,
+    phi is singular at g2 = 0 although A and W are not; there phi is taken
+    at the smallest positive double, which leaves W(0) = 0 exact.
     """
-    mag = np.asarray(mag, dtype=float)
+    t = spec.t
     if spec.kind == "p_laplace":
-        return mag ** (spec.t - 2.0)
+        lifted = np.maximum(g2, _TINY) if t < 2.0 else g2
+        return lifted ** ((t - 2.0) / 2.0), g2
     if spec.kind == "regularized":
-        return (1.0 + mag * mag) ** ((spec.t - 2.0) / 2.0)
+        base = 1.0 + g2
+        return base ** ((t - 2.0) / 2.0), base
     raise ValueError("custom operators have no scalar profile")
 
 
-def integrand(spec, mag):
-    """Potential W as a function of gradient magnitude."""
-    mag = np.asarray(mag, dtype=float)
-    if spec.kind == "p_laplace":
-        return mag**spec.t / spec.t
-    if spec.kind == "regularized":
-        return (1.0 + mag * mag) ** (spec.t / 2.0) / spec.t
-    raise ValueError("energy undefined; use weak_residual")
+def profile_slope(spec, phi, base):
+    """phi'(|p|)/|p| = (t-2) phi / base from a ``profile`` pair.
+
+    Where base = 0 (p_laplace, t > 2, zero gradient) phi is 0 too and the
+    slope is taken as 0.
+    """
+    return (spec.t - 2.0) * phi / np.maximum(base, _NORMAL)
+
+
+def integrand(spec, g2):
+    """Potential W from the squared gradient magnitude g2 = |p|^2."""
+    phi, base = profile(spec, g2)
+    return phi * base / spec.t
+
+
+def _squared_norm(p):
+    """|p|^2 over the last axis, kept as an axis of length 1.
+
+    Summed component by component: elementwise passes are several times
+    faster than a reduction over the short last axis.
+    """
+    comps = np.moveaxis(p, -1, 0)
+    total = comps[0] * comps[0]
+    for c in comps[1:]:
+        total += c * c
+    return total[..., None]
 
 
 def apply_A(spec, p):
     """Evaluate the vector field on gradients of shape (..., N).
 
-    p_laplace with t < 2 is evaluated as |p|^{t-1} p/|p|, unfloored, with
-    A(0) = 0 exactly: the field stays exactly (t-1)-homogeneous down to the
-    smallest gradients, and no power of a tiny |p| can overflow.
+    p_laplace with t < 2 is evaluated unfloored, with A(0) = 0 exactly, on
+    p rescaled by its largest component: |p|^{t-2} p = c^{t-1} |u|^{t-2} u
+    with c = max_i |p_i| and u = p / c.  So |u| lies in [1, sqrt(N)], and
+    the field stays exactly (t-1)-homogeneous down to subnormal gradients,
+    where |p|^2 itself would underflow to 0.
     """
     p = np.asarray(p, dtype=float)
     if spec.kind == "custom":
         return np.asarray(spec.A_fn(p), dtype=float)
-    mag = np.sqrt(np.sum(p * p, axis=-1))[..., None]
     if spec.kind == "p_laplace" and spec.t < 2.0:
-        unit = np.divide(p, mag, out=np.zeros_like(p), where=mag > 0)
-        return mag ** (spec.t - 1.0) * unit
-    return profile(spec, mag) * p
+        c = functools.reduce(np.maximum, np.moveaxis(np.abs(p), -1, 0))[..., None]
+        u = p / np.maximum(c, _TINY)
+        phi, _ = profile(spec, _squared_norm(u))
+        return (c ** (spec.t - 1.0) * phi) * u
+    phi, _ = profile(spec, _squared_norm(p))
+    return phi * p
 
 
 def potential(spec, p):
@@ -146,8 +188,7 @@ def potential(spec, p):
         if spec.W_fn is None:
             raise ValueError("energy undefined; use weak_residual")
         return np.asarray(spec.W_fn(p), dtype=float)
-    mag = np.sqrt(np.sum(p * p, axis=-1))
-    return integrand(spec, mag)
+    return integrand(spec, _squared_norm(p)[..., 0])
 
 
 def reflect(spec):
@@ -328,8 +369,7 @@ def energy(spec, fld):
             g = np.stack(comps, axis=-1)
             w = potential(spec, g)
         else:
-            mag = np.sqrt(sum(c * c for c in comps))
-            w = integrand(spec, mag)
+            w = integrand(spec, sum(c * c for c in comps))
         total += float(np.sum(w[active]))
     return total * h**ndim / 2.0**ndim
 

@@ -12,14 +12,21 @@ corner gradients at that neighbor inside the shared cells (12 terms in 2D, 32
 in 3D).  The slice is convex, its minimizer lies inside the face-neighbor
 value range, and a bracketed Newton/bisection iteration finds it to ~1e-14;
 at t = 2 the minimizer is just the face-neighbor mean and no iteration runs.
+The 2N face differences are formed once per Newton step and shared by all
+terms; each term's phi, phi'/g and W come from ``monotone.profile`` as
+functions of the squared gradient magnitude, one power per term.  Newton
+stops per node: a node leaves the batch once its own step is below 1e-15 of
+its bracket scale (60 iterations at most, counted in the report notes as
+``newton_node_iterations`` and ``newton_cap_hits``).
 
 Over-relaxation is on by default with the classical spacing-based factor.
 Every relaxed proposal is clipped into the neighbor bracket and, for t != 2,
-kept only when it lowers the local energy slice versus the plain update, so
-the sweep energy is non-increasing by construction for every t.  Because
-every accepted value stays inside the neighbor range (or at the obstacle
-height), iterates obey the discrete comparison principle exactly, not just
-within tolerance.
+kept only when it lowers the local energy slice versus the current value,
+so the sweep energy is non-increasing by construction for every t.  The
+first Newton pass, taken at the clipped current value, supplies that
+comparison value.  Because every accepted value stays inside the neighbor
+range (or at the obstacle height), iterates obey the discrete comparison
+principle exactly, not just within tolerance.
 
 Obstacle problems project each update onto the constraint (u >= m on the
 marked nodes for sign +1, u <= -m for sign -1, mirroring the reflected
@@ -36,7 +43,14 @@ import numpy as np
 
 from ._expr import Expression
 from .domain.lattice import BOUNDARY, INTERIOR
-from .monotone import Field, energy as energy_of, weak_residual
+from .monotone import (
+    Field,
+    energy as energy_of,
+    integrand,
+    profile,
+    profile_slope,
+    weak_residual,
+)
 
 __all__ = [
     "BoundaryData",
@@ -134,154 +148,200 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _profile_pair(spec, g):
-    """phi(g) and phi'(g)/g for the local Newton iteration."""
-    t = spec.t
-    if spec.kind == "p_laplace":
-        gf = np.maximum(g, spec.eps_floor if t < 2.0 else 1e-300)
-        phi = gf ** (t - 2.0)
-        dr = (t - 2.0) * gf ** (t - 4.0)
-        dr = np.where(g > 0, dr, 0.0)
-        if t >= 2.0:
-            phi = np.where(g > 0, phi, 0.0 if t > 2.0 else 1.0)
-        return phi, dr
-    s2 = 1.0 + g * g
-    phi = s2 ** ((t - 2.0) / 2.0)
-    dr = (t - 2.0) * s2 ** ((t - 4.0) / 2.0)
-    return phi, dr
+def _curvature_floor(spec):
+    """Lower bound on g2 = |G|^2 in the Newton curvature.
+
+    For p_laplace at t < 2, phi(g) = g^{t-2} is singular at g = 0, so the
+    Newton pair is taken at g2 >= eps_floor^2; slice values never are.
+    """
+    if spec.kind == "p_laplace" and spec.t < 2.0:
+        return spec.eps_floor * spec.eps_floor
+    return 0.0
 
 
-def _integrand_mag(spec, g):
-    t = spec.t
-    if spec.kind == "p_laplace":
-        return g**t / t
-    return (1.0 + g * g) ** (t / 2.0) / t
+def _newton_pair(spec, g2, floor):
+    """phi and phi'(|G|)/|G| of ``monotone.profile`` at g2, floored."""
+    phi, base = profile(spec, np.maximum(g2, floor) if floor else g2)
+    return phi, profile_slope(spec, phi, base)
+
+
+def _row_sum(arr, rows):
+    total = arr[rows[0]]
+    for r in rows[1:]:
+        total = total + arr[r]
+    return total
 
 
 class _ColorWorkspace:
-    """Per-parity gather indices and the local slice evaluators."""
+    """Per-parity gather indices and the local slice of the parity's nodes.
+
+    The slice terms of a node are its own 2^N corner gradients, one per
+    orthant, each built from N face differences s - nb; and, for each face
+    neighbour, the 2^{N-1} corner gradients at that neighbour inside the
+    shared cells, each one face difference plus fixed edges that do not
+    involve s.  The face values of a batch are the rows of one (2N, n)
+    array, row 2d + j holding the neighbour at offset (+1, -1)[j] along axis
+    d; the fixed parts are the rows of one array too, one per neighbour term.
+    """
 
     def __init__(self, grid, idx):
         self.idx = idx
         dims = grid.dims
         ndim = grid.dim
-        strides = np.array(
-            [int(np.prod(dims[k + 1 :])) for k in range(ndim)], dtype=np.int64
-        )
+        strides = [int(np.prod(dims[k + 1 :])) for k in range(ndim)]
         self.ndim = ndim
-        self.h2 = grid.h * grid.h
-        self.face_offsets = [
-            (d, sgn, sgn * strides[d]) for d in range(ndim) for sgn in (1, -1)
+        self.inv_h2 = 1.0 / (grid.h * grid.h)
+        self.face_offsets = np.array(
+            [sgn * strides[d] for d in range(ndim) for sgn in (1, -1)]
+        )
+        # Face rows of each own term.
+        self.orthants = [
+            [2 * d + j for d, j in enumerate(orth)]
+            for orth in np.ndindex(*([2] * ndim))
         ]
-        # Orthants as sign tuples; partner corners as sign tuples over the
-        # complementary axes.
-        self.orthants = list(np.ndindex(*([2] * ndim)))
-        self.partner_corners = {
-            d: list(np.ndindex(*([2] * (ndim - 1)))) for d in range(ndim)
-        }
-        self.strides = strides
+        # Per neighbour term: its face row, and the offsets from that
+        # neighbour to the far ends of its fixed edges.
+        self.partners = []
+        for d in range(ndim):
+            others = [k for k in range(ndim) if k != d]
+            for j in range(2):
+                for corner in np.ndindex(*([2] * (ndim - 1))):
+                    offs = [(1, -1)[c] * strides[k] for c, k in zip(corner, others)]
+                    self.partners.append((2 * d + j, offs))
+        # Newton work over the solve: node-iterations, and nodes that ran
+        # into the iteration cap.
+        self.node_iterations = 0
+        self.cap_hits = 0
 
     def gather(self, uflat, need_fixed=True):
-        """Fresh neighbor values: faces nb[(d, sgn)] and partner fixed parts."""
+        """Fresh neighbour values: the face rows and, per neighbour term, the
+        fixed part of its g2 = |G|^2."""
         idx = self.idx
-        nb = {}
-        for d, sgn, off in self.face_offsets:
-            nb[(d, sgn)] = uflat[idx + off]
-        fixed = {}
+        faces = np.take(uflat, idx + self.face_offsets[:, None])
         if not need_fixed:
-            return nb, fixed
-        for d, sgn, off in self.face_offsets:
-            base = idx + off
-            nbv = nb[(d, sgn)]
-            others = [k for k in range(self.ndim) if k != d]
-            for corner in self.partner_corners[d]:
-                fs = 0.0
-                for j, dp in enumerate(others):
-                    sgn2 = 1 if corner[j] == 0 else -1
-                    diff = uflat[base + sgn2 * self.strides[dp]] - nbv
-                    fs = fs + diff * diff
-                fixed[(d, sgn, corner)] = fs
-        return nb, fixed
+            return faces, None
+        fixed = np.zeros((len(self.partners), idx.size))
+        for m, (k, offs) in enumerate(self.partners):
+            base = idx + self.face_offsets[k]
+            for off in offs:
+                diff = uflat[base + off] - faces[k]
+                fixed[m] += diff * diff
+        fixed *= self.inv_h2
+        return faces, fixed
 
-    def slice_derivatives(self, spec, s, nb, fixed):
-        """f'(s) and f''(s) of the local energy slice (constants dropped)."""
-        h2 = self.h2
+    def _face_slopes(self, s, faces):
+        """Face differences e = s - nb, e^2, and e^2 / h^2, shared by all terms."""
+        e = s - faces
+        e2 = e * e
+        return e, e2, e2 * self.inv_h2
+
+    def _own_terms(self, g2_face):
+        """(face rows, g2) of each own corner gradient."""
+        for rows in self.orthants:
+            yield rows, _row_sum(g2_face, rows)
+
+    def _neighbour_terms(self, g2_face, fixed):
+        """(face row, g2) of each neighbour corner gradient."""
+        for m, (k, _) in enumerate(self.partners):
+            yield k, g2_face[k] + fixed[m]
+
+    def derivatives(self, spec, s, faces, fixed, with_value=False):
+        """f'(s) and f''(s) of the local energy slice, and f(s) if asked.
+
+        With g2 = |G|^2 of a term and s1 the sum of its face differences,
+        the term adds phi s1 / h^2 to f' and phi n / h^2 + (phi'/g) s1^2 /
+        h^4 to f'', n being the number of its edges that involve s.  The
+        curvature floor applies to phi and phi'/g only, so the value is the
+        same, bit for bit, as ``slice_value(s)``.
+        """
+        floor = _curvature_floor(spec)
+        e, e2, g2_face = self._face_slopes(s, faces)
         fp = np.zeros_like(s)
-        fpp = np.zeros_like(s)
-        for orth in self.orthants:
-            q = np.zeros_like(s)
-            s1 = np.zeros_like(s)
-            for d in range(self.ndim):
-                sgn = 1 if orth[d] == 0 else -1
-                diff = s - nb[(d, sgn)]
-                q += diff * diff
-                s1 += diff
-            g = np.sqrt(q / h2)
-            phi, dr = _profile_pair(spec, g)
-            s1 = s1 / h2
+        own_phi = np.zeros_like(s)
+        nb_phi = np.zeros_like(s)
+        curv = np.zeros_like(s)
+        fv = np.zeros_like(s) if with_value else None
+        for rows, g2 in self._own_terms(g2_face):
+            phi, dphi = _newton_pair(spec, g2, floor)
+            s1 = _row_sum(e, rows)
             fp += phi * s1
-            fpp += phi * (self.ndim / h2) + dr * s1 * s1
-        for d, sgn, _ in self.face_offsets:
-            diff = s - nb[(d, sgn)]
-            for corner in self.partner_corners[d]:
-                q = diff * diff + fixed[(d, sgn, corner)]
-                g = np.sqrt(q / h2)
-                phi, dr = _profile_pair(spec, g)
-                s1 = diff / h2
-                fp += phi * s1
-                fpp += phi / h2 + dr * s1 * s1
-        return fp, fpp
+            own_phi += phi
+            curv += dphi * (s1 * s1)
+            if with_value:
+                fv += integrand(spec, g2)
+        for k, g2 in self._neighbour_terms(g2_face, fixed):
+            phi, dphi = _newton_pair(spec, g2, floor)
+            fp += phi * e[k]
+            nb_phi += phi
+            curv += dphi * e2[k]
+            if with_value:
+                fv += integrand(spec, g2)
+        inv_h2 = self.inv_h2
+        fpp = (self.ndim * own_phi + nb_phi) * inv_h2 + curv * (inv_h2 * inv_h2)
+        return fp * inv_h2, fpp, fv
 
-    def slice_value(self, spec, s, nb, fixed):
-        """Local energy slice f(s) up to the constant cell factor."""
-        h2 = self.h2
+    def slice_value(self, spec, s, faces, fixed):
+        """Local energy slice f(s): W summed over the terms touching s."""
+        _, _, g2_face = self._face_slopes(s, faces)
         fv = np.zeros_like(s)
-        for orth in self.orthants:
-            q = np.zeros_like(s)
-            for d in range(self.ndim):
-                sgn = 1 if orth[d] == 0 else -1
-                diff = s - nb[(d, sgn)]
-                q += diff * diff
-            fv += _integrand_mag(spec, np.sqrt(q / h2))
-        for d, sgn, _ in self.face_offsets:
-            diff = s - nb[(d, sgn)]
-            for corner in self.partner_corners[d]:
-                q = diff * diff + fixed[(d, sgn, corner)]
-                fv += _integrand_mag(spec, np.sqrt(q / h2))
+        for _, g2 in self._own_terms(g2_face):
+            fv += integrand(spec, g2)
+        for _, g2 in self._neighbour_terms(g2_face, fixed):
+            fv += integrand(spec, g2)
         return fv
 
-    def minimize(self, spec, s0, nb, fixed):
-        """Bracketed Newton/bisection for the slice minimizer, vectorized."""
-        lo = None
-        hi = None
-        for key in nb:
-            v = nb[key]
-            lo = v.copy() if lo is None else np.minimum(lo, v)
-            hi = v.copy() if hi is None else np.maximum(hi, v)
+    def minimize(self, spec, s0, faces, fixed, with_value=False):
+        """Bracketed Newton/bisection for the slice minimizers, vectorized.
+
+        Returns (s, lo, hi, f0): the minimizers, the face-neighbour bracket,
+        and f at the start point clip(s0, lo, hi) when ``with_value`` (else
+        None).  A node leaves the batch as soon as its own step is at most
+        1e-15 * (1 + max(|lo|, |hi|)), so each node takes as many
+        iterations as it needs, at most 60.
+        """
+        lo = faces.min(axis=0)
+        hi = faces.max(axis=0)
         if spec.t == 2.0:
             # Both built-in kinds are linear at t = 2: the slice minimizer is
             # the face-neighbor mean.
-            total = np.zeros_like(s0)
-            for key in nb:
-                total += nb[key]
-            return total / (2.0 * self.ndim), lo, hi
+            return faces.sum(axis=0) / (2.0 * self.ndim), lo, hi, None
         s = np.clip(s0, lo, hi)
+        out = np.empty_like(s)
+        live = np.arange(s.size)
         blo = lo.copy()
         bhi = hi.copy()
-        scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
-        for _ in range(60):
-            fp, fpp = self.slice_derivatives(spec, s, nb, fixed)
-            bhi = np.where(fp > 0, np.minimum(bhi, s), bhi)
-            blo = np.where(fp < 0, np.maximum(blo, s), blo)
+        stop = 1e-15 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        f0 = None
+        for it in range(60):
+            fp, fpp, fv = self.derivatives(
+                spec, s, faces, fixed, with_value=with_value and it == 0
+            )
+            if fv is not None:
+                f0 = fv
+            self.node_iterations += s.size
+            # s always lies inside [blo, bhi], so it is the new bound.
+            np.copyto(bhi, s, where=fp > 0)
+            np.copyto(blo, s, where=fp < 0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = s - fp / fpp
-            ok = np.isfinite(newton) & (newton >= blo) & (newton <= bhi)
+            # NaN and infinite steps fail both tests: the bracket is finite.
+            ok = (newton >= blo) & (newton <= bhi)
             s_next = np.where(ok, newton, 0.5 * (blo + bhi))
-            moved = np.abs(s_next - s)
+            done = np.abs(s_next - s) <= stop
             s = s_next
-            if float(np.max(moved / scale)) <= 1e-15:
+            n_done = np.count_nonzero(done)
+            if n_done == s.size:
                 break
-        return s, lo, hi
+            if n_done:
+                out[live] = s
+                keep = np.flatnonzero(~done)
+                live, s, blo, bhi, stop = (a[keep] for a in (live, s, blo, bhi, stop))
+                faces = faces[:, keep]
+                fixed = fixed[:, keep]
+        else:
+            self.cap_hits += s.size
+        out[live] = s
+        return out, lo, hi, f0
 
 
 def _build_colors(grid, order):
@@ -393,8 +453,10 @@ def _relax(
         for ci, ws in enumerate(workspaces):
             idx = ws.idx
             s_old = uflat[idx]
-            nb, fixed = ws.gather(uflat, need_fixed=spec.t != 2.0)
-            s_gs, lo, hi = ws.minimize(spec, s_old, nb, fixed)
+            faces, fixed = ws.gather(uflat, need_fixed=spec.t != 2.0)
+            s_gs, lo, hi, f_old = ws.minimize(
+                spec, s_old, faces, fixed, with_value=guard
+            )
             if omega != 1.0:
                 cand = np.clip(s_old + omega * (s_gs - s_old), lo, hi)
             else:
@@ -415,9 +477,15 @@ def _relax(
                 # sweep energy non-increasing, but comparing against the
                 # minimizer instead would reject nearly every relaxed step
                 # (the minimizer always wins locally) and silently disable
-                # over-relaxation.
-                f_cand = ws.slice_value(spec, cand, nb, fixed)
-                f_old = ws.slice_value(spec, s_old, nb, fixed)
+                # over-relaxation.  The first Newton pass gave f at
+                # clip(s_old, lo, hi); only where the clip moved s_old is
+                # f(s_old) evaluated afresh.
+                f_cand = ws.slice_value(spec, cand, faces, fixed)
+                moved = np.flatnonzero((s_old < lo) | (s_old > hi))
+                if moved.size:
+                    f_old[moved] = ws.slice_value(
+                        spec, s_old[moved], faces[:, moved], fixed[:, moved]
+                    )
                 s_new = np.where(f_cand <= f_old, cand, s_gs)
             else:
                 s_new = cand
@@ -459,6 +527,8 @@ def _relax(
             "energy_first": energy_hist[0],
             "energy_last": final_energy,
             "energy_checks": len(energy_hist),
+            "newton_node_iterations": sum(ws.node_iterations for ws in workspaces),
+            "newton_cap_hits": sum(ws.cap_hits for ws in workspaces),
         },
     )
     return report

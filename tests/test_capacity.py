@@ -175,10 +175,14 @@ def test_probe_config_validation():
 
 
 def test_probe_config_warnings_and_overrides():
-    with pytest.warns(UserWarning, match="fewer than three steps"):
+    with pytest.warns(UserWarning, match="fewer than three steps") as short:
         WienerProbeConfig(y=(0.0, 0.0), cap_radius=0.2, r0=0.1, K=1, h_levels=(0.05,))
-    with pytest.warns(UserWarning, match="half the cap radius"):
+    with pytest.warns(UserWarning, match="half the cap radius") as wide:
         WienerProbeConfig(y=(0.0, 0.0), cap_radius=0.2, r0=0.15, K=3, h_levels=(0.05,))
+    # Both warnings name the line that built the config, not the
+    # dataclass's generated __init__.
+    for record in (short, wide):
+        assert [w.filename for w in record] == [__file__]
     cfg = WienerProbeConfig(
         y=(0.0, 0.0), cap_radius=0.2, r0=0.1, K=3, h_levels=(0.05, 0.1, 0.05),
         fixed_radius=0.07,

@@ -45,12 +45,27 @@ def test_p_laplace_field_is_exactly_zero_at_zero(t):
 )
 # Tiny gradient at t < 2: homogeneity holds only if A is not floored there.
 @example(t=1.5, lam=2.0, px=2.2e-16, py=0.0)
+# Subnormal gradient: |p|^2 underflows to 0 unless p is rescaled first.
+@example(t=1.5, lam=2.0, px=5e-324, py=0.0)
 def test_p_laplace_field_is_homogeneous(t, lam, px, py):
     spec = OperatorSpec(kind="p_laplace", t=t)
     p = np.array([[px, py]])
     left = apply_A(spec, lam * p)
     right = lam ** (t - 1.0) * apply_A(spec, p)
     assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p", [[5e-324, 0.0], [-1e-200, 1e-200], [0.0, 3e-170], [1e-160, -2e-160]]
+)
+def test_p_laplace_field_below_squaring_underflow(p):
+    # |p|^{t-2} p at t = 1.5 for gradients whose |p|^2 is 0 or subnormal in
+    # double precision; the law still has a normal-range value there.
+    p = np.array(p)
+    mag = math.hypot(*p)
+    got = apply_A(OperatorSpec(kind="p_laplace", t=1.5), p[None, :])[0]
+    want = mag**-0.5 * p
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", ["p_laplace", "regularized"])

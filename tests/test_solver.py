@@ -27,6 +27,7 @@ from artifact import (
     verify_comparison,
 )
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
+from artifact.solver import _auto_omega, _build_colors, _ColorWorkspace, _relax
 
 from oracles import quadratic_minimizer
 
@@ -275,3 +276,147 @@ def test_generalized_solution_affine_data_is_fixed_point(small_disk):
     target = 0.3 * pts[:, 0] - pts[:, 1]
     live = (grid.labels != EXTERIOR).ravel()
     assert np.max(np.abs(fld.values.ravel() - target)[live]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The local slice of the nonlinear Gauss-Seidel sweep.
+# ---------------------------------------------------------------------------
+
+SLICE_LAWS = [("p_laplace", 1.5), ("p_laplace", 3.0), ("regularized", 3.0)]
+
+
+def _color_slices(grid, values):
+    """(workspace, faces, fixed) of every parity class for a field."""
+    uflat = values.ravel()
+    for idx in _build_colors(grid, "forward"):
+        ws = _ColorWorkspace(grid, idx)
+        faces, fixed = ws.gather(uflat)
+        yield ws, faces, fixed
+
+
+def _central_differences(ws, spec, s, faces, fixed, step):
+    f = lambda x: ws.slice_value(spec, x, faces, fixed)  # noqa: E731
+    up, mid, down = f(s + step), f(s), f(s - step)
+    return (up - down) / (2 * step), (up - 2 * mid + down) / step**2
+
+
+@pytest.mark.parametrize("kind,t", SLICE_LAWS)
+def test_slice_derivatives_match_central_differences(small_disk, kind, t):
+    spec = OperatorSpec(kind=kind, t=t)
+    rng = np.random.default_rng(11)
+    values = rng.uniform(-1.0, 1.0, small_disk.dims)
+    for ws, faces, fixed in _color_slices(small_disk, values):
+        lo, hi = faces.min(axis=0), faces.max(axis=0)
+        inner = lo + rng.uniform(0.1, 0.9, lo.size) * (hi - lo)
+        # A zero face difference: s sits exactly on a neighbour value.
+        on_face = faces[rng.integers(0, faces.shape[0])]
+        for s in (inner, on_face):
+            fp, fpp, _ = ws.derivatives(spec, s, faces, fixed)
+            d1, d2 = _central_differences(ws, spec, s, faces, fixed, 1e-4)
+            assert np.max(np.abs(fp - d1)) <= 1e-6 * np.max(np.abs(d1))
+            assert np.all(fpp > 0)
+            assert np.max(np.abs(fpp - d2) / fpp) <= 1e-5
+
+
+def test_slice_curvature_is_floored_on_flat_data(small_disk):
+    # On constant data every term has g = 0: the slope is 0, the value is
+    # W(0) = 0, and at t < 2 the curvature is the eps_floor one,
+    # phi(eps_floor) (N 2^N + 2N 2^{N-1}) / h^2, finite and positive.
+    spec = OperatorSpec(kind="p_laplace", t=1.5)
+    values = np.full(small_disk.dims, 0.3)
+    h = small_disk.h
+    for ws, faces, fixed in _color_slices(small_disk, values):
+        s = np.full(faces.shape[1], 0.3)
+        fp, fpp, fv = ws.derivatives(spec, s, faces, fixed, with_value=True)
+        assert np.all(fp == 0.0)
+        assert np.all(fv == 0.0)
+        want = 16 * spec.eps_floor ** (spec.t - 2.0) / h**2
+        assert fpp == pytest.approx(np.full_like(fpp, want), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind,t", SLICE_LAWS)
+def test_first_newton_pass_gives_the_guard_value(small_disk, kind, t):
+    spec = OperatorSpec(kind=kind, t=t)
+    rng = np.random.default_rng(12)
+    values = rng.uniform(-1.0, 1.0, small_disk.dims)
+    for ws, faces, fixed in _color_slices(small_disk, values):
+        lo, hi = faces.min(axis=0), faces.max(axis=0)
+        s_old = rng.uniform(lo - 0.2, hi + 0.2)
+        _, _, _, f0 = ws.minimize(spec, s_old, faces, fixed, with_value=True)
+        start = np.clip(s_old, lo, hi)
+        assert np.array_equal(f0, ws.slice_value(spec, start, faces, fixed))
+        kept = start == s_old
+        assert kept.any() and not kept.all()
+        direct = ws.slice_value(spec, s_old, faces, fixed)
+        assert np.array_equal(f0[kept], direct[kept])
+
+
+def _bisection_minimizer(ws, spec, faces, fixed):
+    lo, hi = faces.min(axis=0), faces.max(axis=0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fp, _, _ = ws.derivatives(spec, mid, faces, fixed)
+        hi = np.where(fp > 0, mid, hi)
+        lo = np.where(fp > 0, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind,t", SLICE_LAWS)
+def test_compacted_newton_matches_bisection(small_disk, kind, t):
+    spec = OperatorSpec(kind=kind, t=t)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        values = rng.uniform(-1.0, 1.0, small_disk.dims)
+        for ws, faces, fixed in _color_slices(small_disk, values):
+            lo, hi = faces.min(axis=0), faces.max(axis=0)
+            s_old = rng.uniform(lo - 0.2, hi + 0.2)
+            s, _, _, _ = ws.minimize(spec, s_old, faces, fixed)
+            scale = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+            ref = _bisection_minimizer(ws, spec, faces, fixed)
+            assert np.max(np.abs(s - ref) / scale) <= 1e-13
+            assert ws.cap_hits == 0
+            # Every node takes at least one iteration and, once compacted,
+            # the batch does not run each node to the slowest one's count.
+            assert s.size <= ws.node_iterations < 60 * s.size
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_t3_obstacle_solve_keeps_invariants(sign):
+    grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 0.8, sign=sign)
+    fld, rep = solve_obstacle(grid, spec, cons)
+    assert rep.converged
+    assert rep.notes["energy_monotone"] is True
+    assert np.all(fld.values.ravel()[cons.indices] == sign * 0.8)
+    interior = int(np.count_nonzero(grid.labels == INTERIOR))
+    assert rep.notes["newton_cap_hits"] == 0
+    assert rep.notes["newton_node_iterations"] >= rep.iterations * interior
+
+
+@pytest.fixture(scope="module")
+def sweep_problem():
+    grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
+    return grid, cons
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+def test_one_sweep_benchmark(benchmark, sweep_problem, t):
+    # One nonlinear Gauss-Seidel sweep (plus _relax's energy and residual
+    # reads) on the h = 1/32 disk, from a field 20 sweeps into the solve.
+    grid, cons = sweep_problem
+    spec = OperatorSpec(kind="p_laplace", t=t)
+    omega = _auto_omega(grid)
+    start = np.zeros(grid.dims)
+    start.ravel()[cons.indices] = 1.0
+    _relax(grid, spec, start, cons, 1e-8, 1e-8, 20, omega, "forward", 1)
+
+    def one_sweep(values):
+        return _relax(grid, spec, values, cons, 1e-8, 1e-8, 1, omega, "forward", 1)
+
+    rep = benchmark.pedantic(
+        one_sweep, setup=lambda: ((start.copy(),), {}), rounds=5, iterations=1
+    )
+    assert rep.iterations == 1
+    assert rep.notes["energy_monotone"] is True
