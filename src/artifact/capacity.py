@@ -30,7 +30,12 @@ from .domain.lattice import (
     enclosing_center_radius,
 )
 from .domain.shapes import Ball
-from .solver import ObstacleConstraint, residual_breakdown, solve_dirichlet, solve_obstacle
+from .solver import (
+    ObstacleConstraint,
+    obstacle_verification,
+    solve_dirichlet,
+    solve_obstacle,
+)
 
 __all__ = [
     "radial_profile",
@@ -84,7 +89,6 @@ def capacitary_potential(
     sign=1,
     height=1.0,
     tol=1e-8,
-    verify=True,
     **solve_kw,
 ):
     """Obstacle solve holding the cap nodes at sign*height inside the big grid.
@@ -109,24 +113,10 @@ def capacitary_potential(
         "sign": sign,
         "height": height,
     }
-    if verify:
-        split = residual_breakdown(spec, sigma_grid, fld.values, constraint)
-        vals = sign * fld.values.ravel()
-        on_cap = vals[indices]
-        report["verification"] = {
-            "off_obstacle_residual": split["free_max"],
-            "on_obstacle_violation": split["pinned_violation"],
-            "residual_ok": bool(
-                split["free_max"] <= tol and split["pinned_violation"] <= tol
-            ),
-            "equals_height_on_cap": bool(np.all(on_cap == height)),
-            "min_value": float(vals[interior].min(initial=0.0)),
-            "max_value": float(vals[interior].max(initial=0.0)),
-            "bounds_ok": bool(
-                vals[interior].min(initial=0.0) >= -tol
-                and vals[interior].max(initial=0.0) <= height + tol
-            ),
-        }
+    ver = obstacle_verification(spec, sigma_grid, fld.values, constraint, tol)
+    # Probe levels name the exact-clamp check after the cap.
+    ver["equals_height_on_cap"] = ver.pop("equals_m_on_obstacle")
+    report["verification"] = ver
     return fld, report
 
 
@@ -252,7 +242,7 @@ def _finite(x):
     return x is not None and isinstance(x, float) and math.isfinite(x)
 
 
-def _probe_level(config, region_shape, spec, h, tol, with_density, solve_kw):
+def _probe_level(config, region_shape, spec, h, tol, solve_kw):
     """One grid level: solve the cap potential and read the ladders."""
     sigma = sigma_grid_for(region_shape, h)
     region_labels = sigma.classify(region_shape)
@@ -317,13 +307,12 @@ def _probe_level(config, region_shape, spec, h, tol, with_density, solve_kw):
     level["potential_max_near_y"] = (
         float(w[near].max()) if near.size else math.nan
     )
-    if with_density:
-        level["cap_density"] = density(cap)
-    level["verification"] = cap_report.get("verification", {})
+    level["cap_density"] = density(cap)
+    level["verification"] = cap_report["verification"]
     return level
 
 
-def wiener_probe(config, region_shape, spec, tol=1e-8, with_density=True, **solve_kw):
+def wiener_probe(config, region_shape, spec, tol=1e-8, **solve_kw):
     """Run the boundary-point probe across the configured grid ladder.
 
     Returns a RegularityReport whose verdict is one of ``regular-trend``
@@ -337,9 +326,7 @@ def wiener_probe(config, region_shape, spec, tol=1e-8, with_density=True, **solv
     failed = False
     for h in config.h_levels:
         try:
-            level = _probe_level(
-                config, region_shape, spec, h, tol, with_density, solve_kw
-            )
+            level = _probe_level(config, region_shape, spec, h, tol, solve_kw)
         except (ValueError, RuntimeError) as exc:
             levels.append({"h": h, "error": str(exc)})
             notes.append(f"level h={h}: {exc}")
@@ -402,10 +389,7 @@ def wiener_probe(config, region_shape, spec, tol=1e-8, with_density=True, **solv
     report.criteria["decay_ok"] = bool(decay_ok)
     report.criteria["shrink_ok"] = bool(shrink_ok)
     report.criteria["stagnant"] = bool(stagnant)
-    if with_density:
-        report.criteria["cap_density_by_level"] = [
-            lev.get("cap_density") for lev in levels
-        ]
+    report.criteria["cap_density_by_level"] = [lev.get("cap_density") for lev in levels]
     return report
 
 

@@ -4,7 +4,7 @@ A scenario is one JSON file naming a region, an operator, a task, and the
 task's parameters.  ``run`` executes one scenario and writes a directory of
 artifacts: report.json (every computed number, deterministically serialized),
 one CSV per table (projections of report.json for plotting), and
-manifest.json (config hash, seed, versions, wall time — everything volatile
+manifest.json (config hash, versions, wall time — everything volatile
 lives here so report.json stays byte-identical across reruns).  ``suite``
 runs every scenario in a directory and writes a one-row-per-scenario
 summary.csv.
@@ -49,7 +49,7 @@ from .levelsets import (
 from .monotone import OperatorSpec
 from .solver import (
     ObstacleConstraint,
-    residual_breakdown,
+    obstacle_verification,
     solve_dirichlet,
     solve_obstacle,
 )
@@ -156,7 +156,6 @@ def validate_scenario(raw):
         "h": h,
         "h_levels": h_levels,
         "tol": tol,
-        "seed": int(raw.get("seed", 0)),
         "params": params,
         "assertions": assertions,
     }
@@ -219,29 +218,6 @@ def _run_dirichlet(scn):
         else f"energy={rep.energy:.6g}"
     )
     return report, {"metrics": rows}, key, rep.converged
-
-
-def _obstacle_verification(grid, spec, fld, constraint, tol):
-    split = residual_breakdown(spec, grid, fld.values, constraint)
-    inside = (grid.labels == INTERIOR).ravel()
-    vals = constraint.sign * fld.values.ravel()
-    on_e = vals[constraint.indices]
-    m = constraint.height
-    ver = {
-        "min_value": float(vals[inside].min()),
-        "max_value": float(vals[inside].max()),
-        "equals_m_on_obstacle": bool(np.all(on_e == m)),
-        "off_obstacle_residual": split["free_max"],
-        "on_obstacle_violation": split["pinned_violation"],
-    }
-    ver["bounds_ok"] = ver["min_value"] >= -tol and ver["max_value"] <= m + tol
-    ver["residual_ok"] = (
-        split["free_max"] <= tol and split["pinned_violation"] <= tol
-    )
-    ver["passed"] = bool(
-        ver["bounds_ok"] and ver["residual_ok"] and ver["equals_m_on_obstacle"]
-    )
-    return ver
 
 
 def _radial_oracle_block(scn, grid, fld, m):
@@ -309,6 +285,8 @@ def _run_obstacle(scn):
     sign = int(params.get("sign", 1))
     con = ObstacleConstraint.from_shape(grid, obstacle_shape, m, sign)
     fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
+    ver = obstacle_verification(scn["spec"], grid, fld.values, con, scn["tol"])
+    ver["passed"] = ver["bounds_ok"] and ver["residual_ok"] and ver["equals_m_on_obstacle"]
     report = {
         "task": "obstacle",
         "h": grid.h,
@@ -318,7 +296,7 @@ def _run_obstacle(scn):
         "obstacle_nodes": int(con.indices.size),
         "solve": rep.to_dict(),
         "field": _field_stats(grid, fld.values),
-        "verification": _obstacle_verification(grid, scn["spec"], fld, con, scn["tol"]),
+        "verification": ver,
     }
     tables = {}
     if "radial_oracle" in params:
@@ -328,8 +306,7 @@ def _run_obstacle(scn):
         key = f"rel_err={block['max_rel_error_pointwise']:.3%}"
     else:
         key = f"energy={rep.energy:.6g}"
-    ok = rep.converged and report["verification"]["passed"]
-    return report, tables, key, ok
+    return report, tables, key, rep.converged and ver["passed"]
 
 
 def _probe_config(scn, params, where="params"):
@@ -427,9 +404,35 @@ def _instrument_solve(scn, grid):
     return fld, rep
 
 
+# Instrumentation blocks of a degiorgi-instrument scenario: the container
+# type and the keys each block needs.
+_DEGIORGI_BLOCKS = {
+    "level_sets": (list, ("level", "radius")),
+    "caccioppoli": (list, ("level", "rho", "R")),
+    "psi_recursion": (dict, ("r0", "k0")),
+    "oscillation": (dict, ("r0", "K")),
+}
+
+
+def _check_degiorgi_blocks(params):
+    """Name a missing block key before any solve starts."""
+    for name, (kind, keys) in _DEGIORGI_BLOCKS.items():
+        if name not in params:
+            continue
+        value = _require(params, name, kind)
+        blocks = enumerate(value) if kind is list else [(None, value)]
+        for i, block in blocks:
+            where = f"params.{name}" if i is None else f"params.{name}[{i}]"
+            if not isinstance(block, dict):
+                raise ScenarioError(where, "expected an object")
+            for key in keys:
+                _require(block, key, where=where)
+
+
 def _run_degiorgi(scn):
     params = scn["params"]
     y = _require(params, "y", list)
+    _check_degiorgi_blocks(params)
     t = scn["spec"].t
     h_levels = scn["h_levels"] or [scn["h"]]
     report = {"task": "degiorgi-instrument", "levels": []}
@@ -614,7 +617,7 @@ def _csv_cell(value):
     return value
 
 
-def run_scenario(path, out_root=None, seed=None):
+def run_scenario(path, out_root=None):
     """Execute one scenario file.  Returns (exit code, summary row dict)."""
     try:
         scn, text = load_scenario(path)
@@ -622,8 +625,6 @@ def run_scenario(path, out_root=None, seed=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2, {"scenario": str(path), "task": "?", "result": "config-error",
                    "key_metric": str(exc), "wall_time_s": 0.0}
-    if seed is not None:
-        scn["seed"] = seed
     out_root = Path(out_root) if out_root else Path("out")
     out_dir = out_root / scn["name"]
     t0 = time.perf_counter()
@@ -642,7 +643,6 @@ def run_scenario(path, out_root=None, seed=None):
                    "key_metric": str(exc), "wall_time_s": wall}
     wall = time.perf_counter() - t0
     report["scenario"] = scn["name"]
-    report["seed"] = scn["seed"]
     assertion_rows, asserts_ok = _check_assertions(report, scn["assertions"])
     if assertion_rows:
         report["assertions"] = assertion_rows
@@ -652,7 +652,6 @@ def run_scenario(path, out_root=None, seed=None):
         _write_csv(out_dir / f"{name}.csv", rows)
     manifest = {
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "seed": scn["seed"],
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
@@ -672,7 +671,7 @@ def run_scenario(path, out_root=None, seed=None):
     }
 
 
-def run_suite(directory, out_root=None, seed=None, threads=1):
+def run_suite(directory, out_root=None, threads=1):
     directory = Path(directory)
     files = sorted(directory.glob("*.json"))
     if not files:
@@ -695,10 +694,10 @@ def run_suite(directory, out_root=None, seed=None, threads=1):
     worst = 0
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run_scenario, f, out_root, seed): f for f in files}
+            futures = {pool.submit(run_scenario, f, out_root): f for f in files}
             results = [fut.result() for fut in futures]
     else:
-        results = [run_scenario(f, out_root, seed) for f in files]
+        results = [run_scenario(f, out_root) for f in files]
     for code, row in results:
         worst = max(worst, min(code, 1))
         rows.append(row)
@@ -720,11 +719,9 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("file")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
     p_suite = sub.add_parser("suite", help="run every scenario in a directory")
     p_suite.add_argument("dir")
     p_suite.add_argument("--out", default="out")
-    p_suite.add_argument("--seed", type=int, default=None)
     p_suite.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     if args.list_tasks:
@@ -732,11 +729,11 @@ def main(argv=None):
             print(f"{name:22s} {TASKS[name]}")
         return 0
     if args.command == "run":
-        code, row = run_scenario(args.file, args.out, args.seed)
+        code, row = run_scenario(args.file, args.out)
         print(f"{row['scenario']}: {row['result']} ({row['key_metric']})")
         return code
     if args.command == "suite":
-        return run_suite(args.dir, args.out, args.seed, args.threads)
+        return run_suite(args.dir, args.out, args.threads)
     parser.print_help()
     return 2
 

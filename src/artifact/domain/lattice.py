@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .shapes import Shape, shape_from_dict
+from .shapes import Shape
 
 __all__ = [
     "INTERIOR",
@@ -195,20 +195,16 @@ class ComplementCap:
     """Nodes of the domain complement inside a closed probe ball.
 
     ``indices`` are flat node indices on the grid's lattice; ``volume`` is
-    the node-count volume count * h^dim.  The cap remembers which labeling it
-    was computed against so enclosing-region solves can reuse it.
+    the node-count volume count * h^dim.
     """
 
-    def __init__(self, grid, center, radius, indices, shape=None):
+    def __init__(self, grid, center, radius, indices):
         self.grid = grid
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.count = int(self.indices.size)
         self.volume = self.count * grid.h**grid.dim
-        # The region whose complement the cap samples (defaults to the grid's
-        # own shape; enclosing-region grids pass the inner domain explicitly).
-        self.shape = shape if shape is not None else grid.shape
 
     def is_empty(self):
         return self.count == 0
@@ -255,7 +251,7 @@ def complement_cap(grid, center, radius, labels=None, shape=None):
     labels = grid.labels if labels is None else labels
     mask = labels.ravel() != INTERIOR
     indices = grid.nodes_within(center, radius, mask)
-    return ComplementCap(grid, center, radius, indices, shape=region)
+    return ComplementCap(grid, center, radius, indices)
 
 
 def density(cap):
@@ -263,7 +259,3 @@ def density(cap):
     ball_vol = unit_ball_volume(cap.grid.dim) * cap.radius**cap.grid.dim
     sigma = cap.volume / ball_vol
     return float(min(1.0, max(0.0, sigma)))
-
-
-def domain_from_dict(data, h, pad=1):
-    return build_grid(shape_from_dict(data), h, pad=pad)

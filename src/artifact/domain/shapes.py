@@ -1,26 +1,18 @@
-"""Constructive solid geometry for lattice domain classification and ray probes.
+"""Constructive solid geometry for lattice domain classification.
 
 Shapes are closed-form regions of R^N (N = 2 or 3 in practice) built from a
 small set of primitives plus union / intersection / complement / difference.
-Every shape answers three questions, all vectorized over numpy point arrays:
+Every shape answers three questions:
 
 * ``inside_open(points)``  -- strictly interior points of the region,
 * ``inside_closed(points)`` -- points of the closure,
-* ``line_closed(x, dirs)`` / ``line_co_closed(x, dirs)`` -- for the full line
-  ``{x + t*d : t in R}``, the parameter set hitting the closure of the shape
-  (respectively the closure of its complement), as unions of closed intervals.
+* ``bbox()`` -- an axis-aligned bounding box, or None when unbounded.
 
-The open/closed split matters: lattice classification treats points *on* a
-surface as outside the open region, while ray probes against thin obstacles
-(a slit, a folded sheet) must see the sheet exactly even though it has zero
-measure.  Interval arithmetic keeps degenerate single-point hits ``[t*, t*]``,
-so a line piercing a slit reports the hit that any sampling scheme would miss.
-
-Complements are pushed down to primitives (De Morgan), where the closure of
-the complement has a closed form: for a solid primitive it flips each defining
-inequality, and for a measure-zero sheet it is the whole space.  Unions of
-closures are exact; intersections of closures may overreport by boundary
-touching sets, which is harmless for measure estimates.
+Membership is vectorized over numpy point arrays.  The open/closed split
+matters: lattice classification treats points *on* a surface as outside the
+open region, while obstacles and caps use the closure.  Zero-thickness sheets
+(a slit, a folded cone) have an empty interior, and their closure holds the
+points within ``SHEET_TOL`` of the sheet.
 
 Shapes serialize to plain dicts (``to_dict`` / ``shape_from_dict``) so
 scenario files can describe geometry in JSON.
@@ -51,173 +43,6 @@ __all__ = [
 # comfortably above float noise and far below any grid spacing in use.
 SHEET_TOL = 1e-12
 
-_INF = np.inf
-
-
-# ---------------------------------------------------------------------------
-# Interval sets along a line, vectorized over rays.
-#
-# A set is a pair of float arrays (lo, hi) of shape (nrays, nslots); slot j of
-# row i is the closed interval [lo[i,j], hi[i,j]], empty when lo > hi.  Slots
-# need not be sorted except where noted.  All operations are closed-set
-# algebra: touching intervals merge under union.
-# ---------------------------------------------------------------------------
-
-
-def iv_empty(n):
-    return np.full((n, 1), _INF), np.full((n, 1), -_INF)
-
-
-def iv_full(n):
-    return np.full((n, 1), -_INF), np.full((n, 1), _INF)
-
-
-def iv_nonempty(iv):
-    lo, hi = iv
-    return np.any(lo <= hi, axis=1)
-
-
-def iv_union(a, b):
-    """Union of two interval sets, merged and sorted by lower endpoint."""
-    lo = np.concatenate([a[0], b[0]], axis=1)
-    hi = np.concatenate([a[1], b[1]], axis=1)
-    # Empty slots sort to the end because their lo is +inf.
-    lo = np.where(lo <= hi, lo, _INF)
-    hi = np.where(lo <= hi, hi, -_INF)
-    order = np.argsort(lo, axis=1)
-    lo = np.take_along_axis(lo, order, axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
-    n, m = lo.shape
-    # Assign a component id to every slot: a new component starts where the
-    # slot's lo exceeds the running max of previous hi's (closed sets merge
-    # when touching, hence strict >).
-    run_hi = np.full(n, -_INF)
-    seen = np.zeros(n, dtype=bool)
-    cid = np.zeros((n, m), dtype=np.int64)
-    comp = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        slot_lo = lo[:, j]
-        slot_hi = hi[:, j]
-        nonempty = slot_lo <= slot_hi
-        # The first nonempty slot always starts a component, even when its
-        # lower end is -inf and cannot exceed the running maximum.
-        starts = nonempty & (~seen | (slot_lo > run_hi))
-        comp = comp + starts
-        cid[:, j] = comp
-        run_hi = np.where(nonempty, np.maximum(run_hi, slot_hi), run_hi)
-        seen = seen | nonempty
-    out_lo = np.full((n, m + 1), _INF)
-    out_hi = np.full((n, m + 1), -_INF)
-    rows = np.repeat(np.arange(n), m)
-    flat_cid = cid.ravel()
-    keep = (lo <= hi).ravel()
-    np.minimum.at(out_lo, (rows[keep], flat_cid[keep]), lo.ravel()[keep])
-    np.maximum.at(out_hi, (rows[keep], flat_cid[keep]), hi.ravel()[keep])
-    return _iv_trim((out_lo[:, 1:], out_hi[:, 1:]))
-
-
-def iv_intersect(a, b):
-    """Intersection of two interval sets (pairwise slot intersections)."""
-    lo = np.maximum(a[0][:, :, None], b[0][:, None, :])
-    hi = np.minimum(a[1][:, :, None], b[1][:, None, :])
-    n = lo.shape[0]
-    lo = lo.reshape(n, -1)
-    hi = hi.reshape(n, -1)
-    return _iv_trim((lo, hi))
-
-
-def iv_intersect_many(sets):
-    out = sets[0]
-    for s in sets[1:]:
-        out = iv_intersect(out, s)
-    return out
-
-
-def _iv_trim(iv):
-    """Drop slots that are empty in every row (keep at least one slot)."""
-    lo, hi = iv
-    used = np.any(lo <= hi, axis=0)
-    if not used.any():
-        return iv_empty(lo.shape[0])
-    return lo[:, used], hi[:, used]
-
-
-def _halfspace_iv(alpha, beta):
-    """Interval set of {t : alpha*t <= beta}, per-row coefficients."""
-    n = alpha.shape[0]
-    lo = np.full((n, 1), -_INF)
-    hi = np.full((n, 1), _INF)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = beta / alpha
-    pos = alpha > 0
-    neg = alpha < 0
-    zero = ~pos & ~neg
-    hi[pos, 0] = bound[pos]
-    lo[neg, 0] = bound[neg]
-    # alpha == 0: whole line when the constant satisfies the inequality.
-    infeasible = zero & (beta < 0)
-    lo[infeasible, 0] = _INF
-    hi[infeasible, 0] = -_INF
-    return lo, hi
-
-
-def _quad_le_iv(a, b, c):
-    """Interval set of {t : a*t^2 + b*t + c <= 0}, per-row coefficients."""
-    n = a.shape[0]
-    lo = np.full((n, 2), _INF)
-    hi = np.full((n, 2), -_INF)
-    tiny = 1e-300
-    quad = np.abs(a) > tiny
-    disc = b * b - 4.0 * a * c
-    has_roots = quad & (disc >= 0.0)
-    sq = np.sqrt(np.where(has_roots, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = (-b - sq) / (2.0 * a)
-        r2 = (-b + sq) / (2.0 * a)
-    rlo = np.minimum(r1, r2)
-    rhi = np.maximum(r1, r2)
-    # Opens upward: solution is [rlo, rhi] (empty without real roots).
-    up = has_roots & (a > 0)
-    lo[up, 0] = rlo[up]
-    hi[up, 0] = rhi[up]
-    # Opens downward: solution is (-inf, rlo] U [rhi, inf); without real
-    # roots the parabola is everywhere negative.
-    down = quad & (a < 0)
-    down_roots = down & has_roots
-    lo[down_roots, 0] = -_INF
-    hi[down_roots, 0] = rlo[down_roots]
-    lo[down_roots, 1] = rhi[down_roots]
-    hi[down_roots, 1] = _INF
-    down_all = down & ~has_roots
-    lo[down_all, 0] = -_INF
-    hi[down_all, 0] = _INF
-    # Degenerate linear case.
-    lin = ~quad
-    if lin.any():
-        llo, lhi = _halfspace_iv(np.where(lin, b, 1.0), np.where(lin, -c, 1.0))
-        lo[lin, 0] = llo[lin, 0]
-        hi[lin, 0] = lhi[lin, 0]
-    return lo, hi
-
-
-def _plane_iv(alpha, beta, tol):
-    """Interval set of {t : |alpha*t - beta| <= tol} (sheet crossing)."""
-    n = alpha.shape[0]
-    lo = np.full((n, 1), _INF)
-    hi = np.full((n, 1), -_INF)
-    moving = np.abs(alpha) > 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (beta - tol) / alpha
-        t2 = (beta + tol) / alpha
-    tlo = np.minimum(t1, t2)
-    thi = np.maximum(t1, t2)
-    lo[moving, 0] = tlo[moving]
-    hi[moving, 0] = thi[moving]
-    inplane = ~moving & (np.abs(beta) <= tol)
-    lo[inplane, 0] = -_INF
-    hi[inplane, 0] = _INF
-    return lo, hi
-
 
 # ---------------------------------------------------------------------------
 # Shape base class and primitives.
@@ -234,7 +59,7 @@ def _as_points(points, dim):
 
 
 class Shape:
-    """Base class: a region of R^N with open/closed membership and ray casts."""
+    """Base class: a region of R^N with open/closed membership."""
 
     dim = None
 
@@ -242,14 +67,6 @@ class Shape:
         raise NotImplementedError
 
     def inside_closed(self, points):
-        raise NotImplementedError
-
-    def line_closed(self, x, dirs):
-        """Closed parameter intervals where the line x + t*d meets closure(self)."""
-        raise NotImplementedError
-
-    def line_co_closed(self, x, dirs):
-        """Closed parameter intervals where the line meets closure(complement)."""
         raise NotImplementedError
 
     def bbox(self):
@@ -298,20 +115,6 @@ class Ball(Shape):
         d2 = np.sum((pts - self.center) ** 2, axis=1)
         return d2 <= self.radius**2
 
-    def _quad_coeffs(self, x, dirs):
-        rel = np.asarray(x, dtype=float) - self.center
-        a = np.sum(dirs * dirs, axis=1)
-        b = 2.0 * dirs @ rel
-        c = np.full(dirs.shape[0], rel @ rel - self.radius**2)
-        return a, b, c
-
-    def line_closed(self, x, dirs):
-        return _quad_le_iv(*self._quad_coeffs(x, dirs))
-
-    def line_co_closed(self, x, dirs):
-        a, b, c = self._quad_coeffs(x, dirs)
-        return _quad_le_iv(-a, -b, -c)
-
     def bbox(self):
         return self.center - self.radius, self.center + self.radius
 
@@ -336,27 +139,6 @@ class Box(Shape):
     def inside_closed(self, points):
         pts = _as_points(points, self.dim)
         return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-
-    def line_closed(self, x, dirs):
-        x = np.asarray(x, dtype=float)
-        parts = []
-        for k in range(self.dim):
-            # x_k + t*d_k <= hi_k and -(x_k + t*d_k) <= -lo_k
-            parts.append(_halfspace_iv(dirs[:, k], np.full(dirs.shape[0], self.hi[k] - x[k])))
-            parts.append(_halfspace_iv(-dirs[:, k], np.full(dirs.shape[0], x[k] - self.lo[k])))
-        return iv_intersect_many(parts)
-
-    def line_co_closed(self, x, dirs):
-        x = np.asarray(x, dtype=float)
-        out = None
-        for k in range(self.dim):
-            for alpha, beta in (
-                (-dirs[:, k], np.full(dirs.shape[0], -(self.hi[k] - x[k]))),
-                (dirs[:, k], np.full(dirs.shape[0], -(x[k] - self.lo[k]))),
-            ):
-                part = _halfspace_iv(alpha, beta)
-                out = part if out is None else iv_union(out, part)
-        return out
 
     def bbox(self):
         return self.lo.copy(), self.hi.copy()
@@ -384,16 +166,6 @@ class Halfspace(Shape):
     def inside_closed(self, points):
         pts = _as_points(points, self.dim)
         return pts @ self.normal <= self.offset
-
-    def line_closed(self, x, dirs):
-        x = np.asarray(x, dtype=float)
-        beta = np.full(dirs.shape[0], self.offset - x @ self.normal)
-        return _halfspace_iv(dirs @ self.normal, beta)
-
-    def line_co_closed(self, x, dirs):
-        x = np.asarray(x, dtype=float)
-        beta = np.full(dirs.shape[0], -(self.offset - x @ self.normal))
-        return _halfspace_iv(-(dirs @ self.normal), beta)
 
     def bbox(self):
         return None
@@ -437,36 +209,6 @@ class SolidCone(Shape):
         s, q2 = self._conditions(points)
         return (s >= 0) & (q2 <= self.radius**2) & (q2 <= (1.0 + self.opening) * s * s)
 
-    def _cone_quads(self, x, dirs):
-        """Quadratic coefficients of the three defining inequalities (as <= 0)."""
-        rel = np.asarray(x, dtype=float) - self.vertex
-        dd = np.sum(dirs * dirs, axis=1)
-        dr = dirs @ rel
-        rr = np.full(dirs.shape[0], rel @ rel)
-        da = dirs @ self.axis
-        ra = np.full(dirs.shape[0], rel @ self.axis)
-        k = 1.0 + self.opening
-        # |q|^2 - (1+w)(q.a)^2 <= 0
-        cone = (dd - k * da * da, 2.0 * (dr - k * da * ra), rr - k * ra * ra)
-        # |q|^2 - radius^2 <= 0
-        ball = (dd, 2.0 * dr, rr - self.radius**2)
-        # -(q.a) <= 0, i.e. -da*t <= ra
-        axis = (-da, ra)
-        return cone, ball, axis
-
-    def line_closed(self, x, dirs):
-        cone, ball, axis = self._cone_quads(x, dirs)
-        return iv_intersect_many(
-            [_quad_le_iv(*cone), _quad_le_iv(*ball), _halfspace_iv(*axis)]
-        )
-
-    def line_co_closed(self, x, dirs):
-        cone, ball, axis = self._cone_quads(x, dirs)
-        out = _quad_le_iv(-cone[0], -cone[1], -cone[2])
-        out = iv_union(out, _quad_le_iv(-ball[0], -ball[1], -ball[2]))
-        out = iv_union(out, _halfspace_iv(-axis[0], -axis[1]))
-        return out
-
     def bbox(self):
         return self.vertex - self.radius, self.vertex + self.radius
 
@@ -487,7 +229,7 @@ class FlatCone(Shape):
     |q|^2 <= (1 + opening) (q.axis)^2}, with ``axis`` a unit vector orthogonal
     to e_N.  In R^2 with opening >= 0 this degenerates to the segment from the
     vertex of length ``radius`` along ``axis`` (a slit).  The open interior is
-    empty; ray casts report degenerate [t*, t*] hits.
+    empty.
     """
 
     def __init__(self, vertex, axis, opening, radius):
@@ -520,34 +262,6 @@ class FlatCone(Shape):
             & (q2 <= self.radius**2 + SHEET_TOL)
             & (q2 <= (1.0 + self.opening) * s * s + SHEET_TOL)
         )
-
-    def line_closed(self, x, dirs):
-        x = np.asarray(x, dtype=float)
-        rel = x - self.vertex
-        n = dirs.shape[0]
-        plane = _plane_iv(dirs[:, -1], np.full(n, -rel[-1]), SHEET_TOL)
-        dd = np.sum(dirs * dirs, axis=1)
-        dr = dirs @ rel
-        rr = np.full(n, rel @ rel)
-        da = dirs @ self.axis
-        ra = np.full(n, rel @ self.axis)
-        k = 1.0 + self.opening
-        parts = [
-            plane,
-            _halfspace_iv(-da, ra + SHEET_TOL),
-            _quad_le_iv(dd, 2.0 * dr, rr - self.radius**2 - SHEET_TOL),
-            _quad_le_iv(
-                dd - k * da * da,
-                2.0 * (dr - k * da * ra),
-                rr - k * ra * ra - SHEET_TOL,
-            ),
-        ]
-        return iv_intersect_many(parts)
-
-    def line_co_closed(self, x, dirs):
-        # The sheet has empty interior, so the closure of its complement is
-        # all of R^N.
-        return iv_full(dirs.shape[0])
 
     def bbox(self):
         return self.vertex - self.radius, self.vertex + self.radius
@@ -637,87 +351,6 @@ class TwistedCone(Shape):
             hit = mask if hit is None else (hit | mask)
         return hit
 
-    def line_closed(self, x, dirs):
-        x = np.asarray(x, dtype=float)
-        rel = x - self.vertex
-        n = dirs.shape[0]
-
-        def affine(coef_d, coef_r):
-            """Coefficients (alpha, beta) of a coordinate along the ray."""
-            return coef_d, np.full(n, coef_r)
-
-        out = None
-        # Each piece: plane crossing * linear/quadratic conditions in t.
-        # Coordinates along the ray: x_i(t) = rel_i + t * d_i.
-        d1, d2, d3 = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-        r1, r2, r3 = rel
-        for plane_a, plane_b, s_lin, w_lin, extras in (
-            # Floor: |x3| <= tol; s = x1, w = x2; s <= c1.
-            (
-                d3,
-                -r3,
-                (d1, r1),
-                (d2, r2),
-                [("le", (d1, r1), self.c1)],
-            ),
-            # Wall: |x1 - c1| <= tol; s = c1 + x3, w = x2; s >= c1, |w| <= w0.
-            (
-                d1,
-                self.c1 - r1,
-                (d3, self.c1 + r3),
-                (d2, r2),
-                [
-                    ("ge", (d3, self.c1 + r3), self.c1),
-                    ("le", (d2, r2), self.w0),
-                    ("ge", (d2, r2), -self.w0),
-                ],
-            ),
-            # Flap: |x2 - w0| <= tol; s = c1 + x3, w = w0 + c1 - x1;
-            # s >= c1, w >= w0.
-            (
-                d2,
-                self.w0 - r2,
-                (d3, self.c1 + r3),
-                (-d1, self.w0 + self.c1 - r1),
-                [
-                    ("ge", (d3, self.c1 + r3), self.c1),
-                    ("ge", (-d1, self.w0 + self.c1 - r1), self.w0),
-                ],
-            ),
-        ):
-            sa, sb = affine(*s_lin)
-            wa, wb = affine(*w_lin)
-            parts = [_plane_iv(plane_a, np.full(n, plane_b), SHEET_TOL)]
-            # Base-cone conditions on (s, w): s >= 0, s^2 + w^2 <= rho^2,
-            # w^2 <= opening * s^2, each quadratic in t.
-            parts.append(_halfspace_iv(-sa, sb + SHEET_TOL))
-            parts.append(
-                _quad_le_iv(
-                    sa * sa + wa * wa,
-                    2.0 * (sa * sb + wa * wb),
-                    sb * sb + wb * wb - self.radius**2 - SHEET_TOL,
-                )
-            )
-            parts.append(
-                _quad_le_iv(
-                    wa * wa - self.opening * sa * sa,
-                    2.0 * (wa * wb - self.opening * sa * sb),
-                    wb * wb - self.opening * sb * sb - SHEET_TOL,
-                )
-            )
-            for kind, (aa, ab), bound in extras:
-                ab_full = np.full(n, ab)
-                if kind == "le":
-                    parts.append(_halfspace_iv(aa, bound - ab_full + SHEET_TOL))
-                else:
-                    parts.append(_halfspace_iv(-aa, ab_full - bound + SHEET_TOL))
-            piece = iv_intersect_many(parts)
-            out = piece if out is None else iv_union(out, piece)
-        return out
-
-    def line_co_closed(self, x, dirs):
-        return iv_full(dirs.shape[0])
-
     def bbox(self):
         # Floor reaches x1 in [0, c1]; the flap walks back to
         # c1 - (w_max - w0) with w_max <= sqrt(opening) * radius.
@@ -744,12 +377,7 @@ class PowerCusp(Shape):
     ``axis`` is a signed 1-based coordinate index (e.g. +1 means the cusp
     opens along +x1).  With exponent > 1 the tip at the vertex is sharper
     than every cone, the classic thin-complement counterexample geometry.
-    Line casting has no closed form for general exponent and uses a
-    deterministic sampled chord scan with bisection refinement.
     """
-
-    SCAN_SAMPLES = 257
-    BISECT_ITERS = 60
 
     def __init__(self, vertex, axis, exponent, length):
         self.vertex = np.asarray(vertex, dtype=float)
@@ -784,99 +412,6 @@ class PowerCusp(Shape):
         with np.errstate(invalid="ignore"):
             ok &= perp2 <= np.where(s > 0, s, 0.0) ** (2.0 * self.exponent)
         return ok
-
-    def _chord_range(self, x, dirs):
-        """Parameter window guaranteed to contain the cusp along each ray."""
-        center = self.vertex.copy()
-        k = abs(self.axis) - 1
-        center[k] += (0.5 * self.length) * (1.0 if self.axis > 0 else -1.0)
-        # Enclosing radius: axial half-length plus the widest cross-section.
-        radius = math.hypot(0.5 * self.length, self.length**self.exponent) * 1.001
-        rel = np.asarray(x, dtype=float) - center
-        a = np.sum(dirs * dirs, axis=1)
-        b = 2.0 * dirs @ rel
-        c = rel @ rel - radius**2
-        disc = b * b - 4.0 * a * c
-        ok = disc > 0
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-b - sq) / (2.0 * a)
-            t2 = (-b + sq) / (2.0 * a)
-        return ok, t1, t2
-
-    def line_closed(self, x, dirs):
-        x = np.asarray(x, dtype=float)
-        n = dirs.shape[0]
-        ok, t1, t2 = self._chord_range(x, dirs)
-        m = self.SCAN_SAMPLES
-        lo_out = []
-        hi_out = []
-        ts = np.linspace(0.0, 1.0, m)
-        # Sampled membership along each candidate chord.
-        tgrid = t1[:, None] + (t2 - t1)[:, None] * ts[None, :]
-        pts = x[None, None, :] + tgrid[:, :, None] * dirs[:, None, :]
-        inside = self.inside_closed(pts.reshape(-1, self.dim)).reshape(n, m)
-        inside &= ok[:, None]
-        # Convert sample runs to intervals, refining edges by bisection.
-        changes = np.diff(inside.astype(np.int8), axis=1)
-        max_runs = 4
-        lo_arr = np.full((n, max_runs), _INF)
-        hi_arr = np.full((n, max_runs), -_INF)
-        for row in range(n):
-            if not inside[row].any():
-                continue
-            idx = np.flatnonzero(inside[row])
-            starts = [idx[0]]
-            ends = []
-            gaps = np.flatnonzero(np.diff(idx) > 1)
-            for g in gaps:
-                ends.append(idx[g])
-                starts.append(idx[g + 1])
-            ends.append(idx[-1])
-            for run, (a_i, b_i) in enumerate(zip(starts, ends)):
-                if run >= max_runs:
-                    break
-                t_lo = self._refine(x, dirs[row], tgrid[row, max(a_i - 1, 0)], tgrid[row, a_i])
-                t_hi = self._refine(
-                    x, dirs[row], tgrid[row, min(b_i + 1, m - 1)], tgrid[row, b_i]
-                )
-                lo_arr[row, run] = min(t_lo, t_hi)
-                hi_arr[row, run] = max(t_lo, t_hi)
-        lo_out, hi_out = lo_arr, hi_arr
-        return lo_out, hi_out
-
-    def _refine(self, x, d, t_out, t_in):
-        """Bisect between an outside and an inside parameter."""
-        if t_out == t_in:
-            return t_in
-        for _ in range(self.BISECT_ITERS):
-            mid = 0.5 * (t_out + t_in)
-            if self.inside_closed((x + mid * d).reshape(1, -1))[0]:
-                t_in = mid
-            else:
-                t_out = mid
-        return t_in
-
-    def line_co_closed(self, x, dirs):
-        lo, hi = self.line_closed(x, dirs)
-        # Complement of the union of [lo_j, hi_j]: rays to +-inf plus gaps.
-        n = lo.shape[0]
-        order = np.argsort(lo, axis=1)
-        lo = np.take_along_axis(lo, order, axis=1)
-        hi = np.take_along_axis(hi, order, axis=1)
-        m = lo.shape[1]
-        out_lo = np.full((n, m + 1), _INF)
-        out_hi = np.full((n, m + 1), -_INF)
-        cur = np.full(n, -_INF)
-        for j in range(m):
-            seg_lo, seg_hi = lo[:, j], hi[:, j]
-            has = seg_lo <= seg_hi
-            out_lo[:, j] = np.where(has, cur, _INF)
-            out_hi[:, j] = np.where(has, seg_lo, -_INF)
-            cur = np.where(has, np.maximum(cur, seg_hi), cur)
-        out_lo[:, m] = cur
-        out_hi[:, m] = _INF
-        return out_lo, out_hi
 
     def bbox(self):
         k = abs(self.axis) - 1
@@ -927,18 +462,6 @@ class Union(Shape):
             out = out | p.inside_closed(points)
         return out
 
-    def line_closed(self, x, dirs):
-        out = self.parts[0].line_closed(x, dirs)
-        for p in self.parts[1:]:
-            out = iv_union(out, p.line_closed(x, dirs))
-        return out
-
-    def line_co_closed(self, x, dirs):
-        out = self.parts[0].line_co_closed(x, dirs)
-        for p in self.parts[1:]:
-            out = iv_intersect(out, p.line_co_closed(x, dirs))
-        return out
-
     def bbox(self):
         boxes = [p.bbox() for p in self.parts]
         if any(b is None for b in boxes):
@@ -972,18 +495,6 @@ class Intersection(Shape):
             out = out & p.inside_closed(points)
         return out
 
-    def line_closed(self, x, dirs):
-        out = self.parts[0].line_closed(x, dirs)
-        for p in self.parts[1:]:
-            out = iv_intersect(out, p.line_closed(x, dirs))
-        return out
-
-    def line_co_closed(self, x, dirs):
-        out = self.parts[0].line_co_closed(x, dirs)
-        for p in self.parts[1:]:
-            out = iv_union(out, p.line_co_closed(x, dirs))
-        return out
-
     def bbox(self):
         lo = None
         hi = None
@@ -1012,12 +523,6 @@ class Complement(Shape):
     def inside_closed(self, points):
         return ~self.part.inside_open(points)
 
-    def line_closed(self, x, dirs):
-        return self.part.line_co_closed(x, dirs)
-
-    def line_co_closed(self, x, dirs):
-        return self.part.line_closed(x, dirs)
-
     def bbox(self):
         return None
 
@@ -1040,12 +545,6 @@ class Difference(Shape):
 
     def inside_closed(self, points):
         return self.a.inside_closed(points) & ~self.b.inside_open(points)
-
-    def line_closed(self, x, dirs):
-        return iv_intersect(self.a.line_closed(x, dirs), self.b.line_co_closed(x, dirs))
-
-    def line_co_closed(self, x, dirs):
-        return iv_union(self.a.line_co_closed(x, dirs), self.b.line_closed(x, dirs))
 
     def bbox(self):
         return self.a.bbox()

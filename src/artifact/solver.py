@@ -61,20 +61,18 @@ __all__ = [
     "generalized_solution",
     "verify_comparison",
     "residual_breakdown",
+    "obstacle_verification",
 ]
 
 
 class BoundaryData:
-    """Dirichlet data: a callable, an expression string, or a constant."""
+    """Dirichlet data: a callable, an expression string, a constant, or a 1-D
+    array of values at a grid's boundary nodes in grid order."""
 
     def __init__(self, source=0.0, r_center=None):
         if isinstance(source, BoundaryData):
             self._eval = source._eval
             self.describe = source.describe
-            return
-        if hasattr(source, "evaluate") and not isinstance(source, str):
-            self._eval = source.evaluate
-            self.describe = getattr(source, "describe", {"object": type(source).__name__})
             return
         if isinstance(source, str):
             expr = Expression(source, r_center=r_center)
@@ -83,6 +81,10 @@ class BoundaryData:
         elif callable(source):
             self._eval = source
             self.describe = {"callable": getattr(source, "__name__", "fn")}
+        elif np.ndim(source) == 1:
+            values = np.asarray(source, dtype=float)
+            self._eval = lambda pts: _at_boundary_nodes(values, pts)
+            self.describe = {"tabulated": int(values.size)}
         else:
             const = float(source)
             self._eval = lambda pts: np.full(np.asarray(pts).shape[0], const)
@@ -90,6 +92,14 @@ class BoundaryData:
 
     def evaluate(self, points):
         return np.asarray(self._eval(points), dtype=float)
+
+
+def _at_boundary_nodes(values, points):
+    if len(points) != values.size:
+        raise ValueError(
+            f"boundary data holds {values.size} values for {len(points)} boundary nodes"
+        )
+    return values
 
 
 @dataclass
@@ -411,6 +421,30 @@ def residual_breakdown(spec, grid, values, constraint=None):
     }
 
 
+def obstacle_verification(spec, grid, values, constraint, tol):
+    """Checks that an obstacle field solves its problem, with v = sign * values.
+
+    Over the interior nodes v stays within [-tol, m + tol] (``bounds_ok``), it
+    equals m exactly on the constrained nodes (``equals_m_on_obstacle``), and
+    the normalized residual is within tol off the obstacle and one-sided
+    within tol on it (``residual_ok``).
+    """
+    split = residual_breakdown(spec, grid, values, constraint)
+    interior = (grid.labels == INTERIOR).ravel()
+    vals = constraint.sign * values.ravel()
+    m = constraint.height
+    ver = {
+        "min_value": float(vals[interior].min()),
+        "max_value": float(vals[interior].max()),
+        "equals_m_on_obstacle": bool(np.all(vals[constraint.indices] == m)),
+        "off_obstacle_residual": split["free_max"],
+        "on_obstacle_violation": split["pinned_violation"],
+        "residual_ok": split["free_max"] <= tol and split["pinned_violation"] <= tol,
+    }
+    ver["bounds_ok"] = ver["min_value"] >= -tol and ver["max_value"] <= m + tol
+    return ver
+
+
 def _scaled_residual(spec, grid, values, constraint):
     """Convergence functional: normalized residual, one-sided at pinned nodes."""
     return residual_breakdown(spec, grid, values, constraint)["combined"]
@@ -555,7 +589,6 @@ def solve_dirichlet(
     max_sweeps=100_000,
     omega=None,
     order="forward",
-    presolve=None,
 ):
     """Minimize the discrete energy over interior nodes with Dirichlet data.
 
@@ -576,9 +609,8 @@ def solve_dirichlet(
     init = float(np.mean(bvals)) if bvals.size else 0.0
     values[grid.labels == INTERIOR] = init
     stride = _energy_stride(grid)
-    do_presolve = spec.t != 2.0 if presolve is None else presolve
     notes_pre = None
-    if do_presolve and spec.t != 2.0:
+    if spec.t != 2.0:
         pre_spec = replace(spec, t=2.0)
         pre = _relax(
             grid,
@@ -725,9 +757,7 @@ def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8, **solve_kw):
     for k in range(1, n_levels + 1):
         width = diam * 2.0**-k
         bvals = _mollify(data, bpoints, width, grid.dim, "sphere")
-        fld, rep = solve_dirichlet(
-            grid, spec, _TabulatedData(bpoints, bvals), tol=tol, **solve_kw
-        )
+        fld, rep = solve_dirichlet(grid, spec, bvals, tol=tol, **solve_kw)
         if not rep.converged:
             raise RuntimeError(f"inner solve at mollification level {k} did not converge")
         levels.append(
@@ -756,9 +786,7 @@ def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8, **solve_kw):
             )
     final_bvals, final = solved[-1]
     ball_bvals = _mollify(data, bpoints, diam * 2.0**-n_levels, grid.dim, "ball")
-    ball_field, _ = solve_dirichlet(
-        grid, spec, _TabulatedData(bpoints, ball_bvals), tol=tol, **solve_kw
-    )
+    ball_field, _ = solve_dirichlet(grid, spec, ball_bvals, tol=tol, **solve_kw)
     family_gap = float(np.max(np.abs(final.values - ball_field.values)[interior]))
     boundary_family_gap = float(np.max(np.abs(final_bvals - ball_bvals)))
     report = {
@@ -771,24 +799,6 @@ def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8, **solve_kw):
         "cauchy_ok": all(p["cauchy_ok"] for p in pairs),
     }
     return final, report
-
-
-class _TabulatedData:
-    """Boundary data known at fixed points (nearest-point lookup)."""
-
-    def __init__(self, points, values):
-        self.points = points
-        self.values = values
-        self.describe = {"tabulated": int(values.size)}
-
-    def evaluate(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        # Boundary evaluation only ever queries the tabulated points in grid
-        # order; fall back to nearest neighbor for robustness.
-        if pts.shape == self.points.shape and np.allclose(pts, self.points):
-            return self.values
-        d2 = np.sum((pts[:, None, :] - self.points[None, :, :]) ** 2, axis=2)
-        return self.values[np.argmin(d2, axis=1)]
 
 
 def verify_comparison(grid, spec, data_low, data_high, tol=1e-8, **solve_kw):

@@ -118,16 +118,6 @@ def brute_level_stats(values, coords, labels, y, level, radius, t, h):
     return vol, integral * h**dim, count
 
 
-def halfspace_solid_angle(dim):
-    """Exact solid-angle fraction subtended by a halfspace: one half."""
-    return 0.5
-
-
-def sphere_surface_measure(dim):
-    """Surface measure of the unit sphere S^{dim-1}."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
 def de_giorgi_theta(t, dim):
     """Positive root of theta^2 - theta - t/dim = 0 via the quadratic formula."""
     return 0.5 + math.sqrt(0.25 + t / dim)

@@ -238,6 +238,26 @@ def test_wiener_probe_level_structure():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_probe_level_min_value_is_the_interior_minimum():
+    # The cap potential vanishes only on the enclosing sphere, so its
+    # minimum over the interior nodes is positive, and the level reports it.
+    region = Difference(Ball([0.0, 0.0], 0.5), Ball([0.5, 0.0], 0.15625))
+    h = 1 / 16
+    cfg = WienerProbeConfig(
+        y=(0.34375, 0.0), cap_radius=0.25, r0=0.125, K=1, h_levels=(h,)
+    )
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    (level,) = wiener_probe(cfg, region, spec, tol=1e-8).levels
+    sigma = sigma_grid_for(region, h)
+    labels = sigma.classify(region)
+    cap = complement_cap(sigma, cfg.y, cfg.cap_radius, labels=labels, shape=region)
+    fld, _ = capacitary_potential(sigma, cap, spec, tol=1e-8)
+    interior_min = float(fld.values[sigma.labels == INTERIOR].min())
+    assert level["verification"]["min_value"] == interior_min
+    assert interior_min > 0.0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_wiener_probe_failed_level_withholds_verdict():
     # Cap radius beyond what the precondition allows: the level errors out,
     # the report keeps the message and refuses a verdict.

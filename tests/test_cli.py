@@ -6,6 +6,7 @@ tests.
 """
 
 import csv
+import importlib
 import json
 import math
 import subprocess
@@ -108,7 +109,7 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert all(a["ok"] for a in report["assertions"])
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {
-        "config_sha256", "seed", "package_version", "numpy_version",
+        "config_sha256", "package_version", "numpy_version",
         "python_version", "wall_time_s",
     }
     # Volatile data stays out of the report.
@@ -247,9 +248,59 @@ def test_degiorgi_scenario_envelope_blocks(tmp_path):
         assert (tmp_path / "out" / "mini-instrument" / f"{name}.csv").exists()
 
 
+def instrument_doc(name, **blocks):
+    """A small degiorgi-instrument scenario with the given blocks."""
+    return {
+        "name": name,
+        "task": "degiorgi-instrument",
+        "shape": {"type": "ball", "center": [0.0, 0.0], "radius": 0.5},
+        "operator": {"kind": "p_laplace", "t": 2.0},
+        "h": 1.0 / 8.0,
+        "params": {"solve": {"kind": "dirichlet", "data": "x1"}, "y": [0.0, 0.0], **blocks},
+    }
+
+
+@pytest.mark.parametrize(
+    "blocks, field",
+    [
+        ({"level_sets": [{"radius": 0.2}]}, "params.level_sets[0].level"),
+        ({"caccioppoli": [{"level": 0.5, "rho": 0.1}]}, "params.caccioppoli[0].R"),
+        ({"psi_recursion": {"r0": 0.25}}, "params.psi_recursion.k0"),
+        ({"oscillation": {"r0": 0.25}}, "params.oscillation.K"),
+        ({"level_sets": {"level": 0.5, "radius": 0.2}}, "params.level_sets"),
+    ],
+)
+def test_degiorgi_block_keys_checked_before_any_solve(tmp_path, monkeypatch, blocks, field):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the block keys were checked")
+
+    monkeypatch.setattr("artifact.cli.solve_dirichlet", no_solve)
+    p = write_doc(tmp_path, instrument_doc("bad-instrument", **blocks))
+    code, row = run_scenario(p, out_root=tmp_path / "out")
+    assert code == 2
+    assert row["result"] == "config-error"
+    assert row["key_metric"].startswith(field + ":")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Suite.
 # ---------------------------------------------------------------------------
+
+
+def test_suite_survives_a_missing_degiorgi_key(tmp_path):
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    bad = instrument_doc("bad-instrument", level_sets=[{"radius": 0.2}])
+    write_doc(sdir, bad, "bad.json")
+    write_doc(sdir, scenario_doc(name="good"), "good.json")
+    code = run_suite(sdir, out_root=tmp_path / "out")
+    assert code == 1  # worst row wins
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+    assert rows["bad-instrument"]["result"] == "config-error"
+    assert "params.level_sets[0].level" in rows["bad-instrument"]["key_metric"]
+    assert rows["good"]["result"] == "pass"
 
 
 def test_suite_runs_and_summarizes(tmp_path, capsys):
@@ -304,6 +355,12 @@ def test_main_run_and_help(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tiny-dirichlet: pass" in out
     assert main([]) == 2  # no command: help + error exit
+
+
+@pytest.mark.parametrize("module", ["artifact", "artifact.domain"])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_console_script_wiring():

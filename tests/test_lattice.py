@@ -17,8 +17,9 @@ from artifact import (
     complement_cap,
     density,
     enclosing_center_radius,
+    shape_from_dict,
 )
-from artifact.domain.lattice import domain_from_dict, unit_ball_volume
+from artifact.domain.lattice import unit_ball_volume
 
 
 def brute_force_labels(shape, grid):
@@ -165,7 +166,7 @@ def test_enclosing_radius_covers_shape():
 def test_domain_round_trip():
     grid = build_grid(Ball([0.0, 0.0], 0.4), 1.0 / 8.0)
     meta = grid.meta()
-    clone = domain_from_dict(meta["shape"], meta["h"])
+    clone = build_grid(shape_from_dict(meta["shape"]), meta["h"])
     assert clone.dims == grid.dims
     assert np.array_equal(clone.labels, grid.labels)
     assert np.allclose(clone.origin, grid.origin)

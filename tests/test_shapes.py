@@ -1,4 +1,4 @@
-"""Geometry primitives: membership, CSG algebra, line casting, round trips."""
+"""Geometry primitives: membership, CSG algebra, bounding boxes, round trips."""
 
 import math
 
@@ -19,7 +19,6 @@ from artifact.domain.shapes import (
     SolidCone,
     TwistedCone,
     Union,
-    iv_nonempty,
     shape_from_dict,
 )
 
@@ -71,33 +70,6 @@ def test_complement_involution(rng):
     assert np.array_equal(shape.inside_open(pts), twice.inside_open(pts))
 
 
-def row_intervals(iv, row=0):
-    """Extract one ray's interval set as a list of (lo, hi) pairs."""
-    lo, hi = iv
-    return [(a, b) for a, b in zip(lo[row], hi[row]) if a <= b]
-
-
-@pytest.mark.parametrize("shape", sample_shapes(), ids=lambda s: type(s).__name__)
-def test_line_casting_matches_membership(shape, rng):
-    """Interval hits along random lines agree with pointwise membership."""
-    for _ in range(20):
-        origin = rng.uniform(-1.5, 1.5, size=2)
-        direction = rng.standard_normal(2)
-        direction /= np.linalg.norm(direction)
-        intervals = row_intervals(shape.line_closed(origin, direction[None, :]))
-        samples = np.linspace(-3.0, 3.0, 241)
-        pts = origin[None, :] + samples[:, None] * direction[None, :]
-        member = shape.inside_closed(pts)
-        for s, inside in zip(samples, member):
-            near_endpoint = any(
-                min(abs(s - a), abs(s - b)) < 1e-9 for a, b in intervals
-            )
-            if near_endpoint:
-                continue
-            covered = any(a - 1e-12 <= s <= b + 1e-12 for a, b in intervals)
-            assert covered == bool(inside)
-
-
 @pytest.mark.parametrize("shape", sample_shapes(), ids=lambda s: type(s).__name__)
 def test_bbox_contains_members(shape, rng):
     box = shape.bbox()
@@ -123,27 +95,6 @@ def test_dict_round_trip_preserves_membership(rng):
         )
 
 
-def test_union_keeps_left_unbounded_rays():
-    # Regression: a slot starting at -inf must survive interval union.
-    from artifact.domain.shapes import iv_union
-
-    left = (np.array([[-np.inf]]), np.array([[0.0]]))
-    right = (np.array([[2.0]]), np.array([[np.inf]]))
-    lo, hi = iv_union(left, right)
-    got = sorted((a, b) for a, b in zip(lo[0], hi[0]) if a <= b)
-    assert got == [(-np.inf, 0.0), (2.0, np.inf)]
-
-
-def test_complement_line_cast_covers_far_points():
-    comp = Complement(Box([-0.5, -0.25], [0.75, 0.5]))
-    origin = np.array([0.0, 0.0])
-    d = np.array([[1.0, 0.0]])
-    ivs = row_intervals(comp.line_closed(origin, d))
-    assert any(a <= -2.0 <= b for a, b in ivs)
-    assert any(a <= 3.0 <= b for a, b in ivs)
-    assert not any(a <= 0.0 <= b for a, b in ivs)
-
-
 def test_slit_is_a_segment_in_2d():
     slit = FlatCone([0.0, 0.0], [1.0, 0.0], 0.0, 0.5)
     pts = np.array(
@@ -151,16 +102,6 @@ def test_slit_is_a_segment_in_2d():
     )
     assert list(slit.inside_closed(pts)) == [True, True, True, False, False, False]
     assert not slit.inside_open(pts).any()
-
-
-def test_slit_line_cast_degenerate_hit():
-    slit = FlatCone([0.0, 0.0], [1.0, 0.0], 0.0, 0.5)
-    # A vertical line through the middle of the slit pierces it at one param.
-    hits = slit.line_closed(np.array([0.25, -1.0]), np.array([[0.0, 1.0]]))
-    assert iv_nonempty(hits)[0]
-    (a, b), = row_intervals(hits)
-    assert a == pytest.approx(1.0, abs=1e-9)
-    assert b == pytest.approx(1.0, abs=1e-9)
 
 
 def test_flat_cone_3d_fan_membership():

@@ -119,6 +119,24 @@ def test_boundary_data_sources():
     assert "expr" in BoundaryData("x1").describe
 
 
+def test_boundary_data_at_boundary_nodes(small_disk):
+    grid = small_disk
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    bpts = grid.points()[(grid.labels == BOUNDARY).ravel()]
+    vals = BoundaryData("x1 - 0.5*x2").evaluate(bpts)
+    # A 1-D array holds the values at the boundary nodes in grid order.
+    assert np.array_equal(BoundaryData(vals).evaluate(bpts), vals)
+    from_array, _ = solve_dirichlet(grid, spec, vals)
+    from_expr, _ = solve_dirichlet(grid, spec, "x1 - 0.5*x2")
+    assert np.array_equal(from_array.values, from_expr.values)
+    # A 0-d array stays a constant.
+    assert BoundaryData(np.array(2.5)).evaluate(bpts[:2]) == pytest.approx([2.5, 2.5])
+    with pytest.raises(ValueError, match="boundary nodes"):
+        BoundaryData(vals[:-1]).evaluate(bpts)
+    with pytest.raises(ValueError, match="boundary nodes"):
+        solve_dirichlet(grid, spec, np.append(vals, 0.0))
+
+
 def test_obstacle_constraint_validation(small_disk):
     grid = small_disk
     with pytest.raises(ValueError):
