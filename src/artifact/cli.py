@@ -699,7 +699,7 @@ def run_suite(directory, out_root=None, threads=1):
     else:
         results = [run_scenario(f, out_root) for f in files]
     for code, row in results:
-        worst = max(worst, min(code, 1))
+        worst = max(worst, code)
         rows.append(row)
     rows.sort(key=lambda r: r["scenario"])
     out_root.mkdir(parents=True, exist_ok=True)

@@ -69,6 +69,7 @@ class GridDomain:
         self.labels = labels
         self.dim = len(self.dims)
         self._points = None
+        self._active = None
 
     # -- geometry ------------------------------------------------------------
 
@@ -121,25 +122,29 @@ class GridDomain:
             close &= label_mask.ravel()
         return np.flatnonzero(close)
 
-    def active_cell_mask(self, labels=None):
+    def active_cell_mask(self):
         """Cells (lower-corner indexed) owning at least one interior corner.
 
         Grid invariant: such cells have no exterior corner, because every
         non-interior Moore neighbor of an interior node is labeled boundary.
+        Computed (and the invariant checked) once per grid; the mask is
+        returned read-only.
         """
-        labels = self.labels if labels is None else labels
-        interior = labels == INTERIOR
-        non_ext = labels != EXTERIOR
-        any_int = np.zeros(tuple(d - 1 for d in self.dims), dtype=bool)
-        all_ok = np.ones_like(any_int)
-        for corner in np.ndindex(*([2] * self.dim)):
-            sl = tuple(slice(c, c + d - 1) for c, d in zip(corner, self.dims))
-            any_int |= interior[sl]
-            all_ok &= non_ext[sl]
-        if np.any(any_int & ~all_ok):
-            raise ValueError("grid invariant violated: interior corner in a cell "
-                             "with an exterior corner")
-        return any_int
+        if self._active is None:
+            interior = self.labels == INTERIOR
+            non_ext = self.labels != EXTERIOR
+            any_int = np.zeros(tuple(d - 1 for d in self.dims), dtype=bool)
+            all_ok = np.ones_like(any_int)
+            for corner in np.ndindex(*([2] * self.dim)):
+                sl = tuple(slice(c, c + d - 1) for c, d in zip(corner, self.dims))
+                any_int |= interior[sl]
+                all_ok &= non_ext[sl]
+            if np.any(any_int & ~all_ok):
+                raise ValueError("grid invariant violated: interior corner in a cell "
+                                 "with an exterior corner")
+            any_int.flags.writeable = False
+            self._active = any_int
+        return self._active
 
     # -- serialization helpers ------------------------------------------------
 

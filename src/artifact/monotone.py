@@ -147,38 +147,47 @@ def integrand(spec, g2):
     return phi * base / spec.t
 
 
-def _squared_norm(p):
-    """|p|^2 over the last axis, kept as an axis of length 1.
+def _squared_norm(comps):
+    """|p|^2 from the N component arrays of p.
 
     Summed component by component: elementwise passes are several times
-    faster than a reduction over the short last axis.
+    faster than a reduction over a short last axis.
     """
-    comps = np.moveaxis(p, -1, 0)
     total = comps[0] * comps[0]
     for c in comps[1:]:
         total += c * c
-    return total[..., None]
+    return total
+
+
+def _field_components(spec, comps):
+    """A(p) as N component arrays, from the N component arrays of p.
+
+    The one implementation of every field: ``apply_A`` stacks its result,
+    ``weak_residual`` takes it per cell corner without stacking.  p_laplace
+    with t < 2 is evaluated unfloored, with A(0) = 0 exactly, on p rescaled
+    by its largest component: |p|^{t-2} p = c^{t-1} |u|^{t-2} u with
+    c = max_i |p_i| and u = p / c.  So |u| lies in [1, sqrt(N)], and the
+    field stays exactly (t-1)-homogeneous down to subnormal gradients,
+    where |p|^2 itself would underflow to 0.
+    """
+    if spec.kind == "custom":
+        a_val = np.asarray(spec.A_fn(np.stack(comps, axis=-1)), dtype=float)
+        return [a_val[..., d] for d in range(len(comps))]
+    if spec.kind == "p_laplace" and spec.t < 2.0:
+        c = functools.reduce(np.maximum, [np.abs(x) for x in comps])
+        c_safe = np.maximum(c, _TINY)
+        u = [x / c_safe for x in comps]
+        phi, _ = profile(spec, _squared_norm(u))
+        scale = c ** (spec.t - 1.0) * phi
+        return [scale * x for x in u]
+    phi, _ = profile(spec, _squared_norm(comps))
+    return [phi * x for x in comps]
 
 
 def apply_A(spec, p):
-    """Evaluate the vector field on gradients of shape (..., N).
-
-    p_laplace with t < 2 is evaluated unfloored, with A(0) = 0 exactly, on
-    p rescaled by its largest component: |p|^{t-2} p = c^{t-1} |u|^{t-2} u
-    with c = max_i |p_i| and u = p / c.  So |u| lies in [1, sqrt(N)], and
-    the field stays exactly (t-1)-homogeneous down to subnormal gradients,
-    where |p|^2 itself would underflow to 0.
-    """
+    """Evaluate the vector field on gradients of shape (..., N)."""
     p = np.asarray(p, dtype=float)
-    if spec.kind == "custom":
-        return np.asarray(spec.A_fn(p), dtype=float)
-    if spec.kind == "p_laplace" and spec.t < 2.0:
-        c = functools.reduce(np.maximum, np.moveaxis(np.abs(p), -1, 0))[..., None]
-        u = p / np.maximum(c, _TINY)
-        phi, _ = profile(spec, _squared_norm(u))
-        return (c ** (spec.t - 1.0) * phi) * u
-    phi, _ = profile(spec, _squared_norm(p))
-    return phi * p
+    return np.stack(_field_components(spec, np.moveaxis(p, -1, 0)), axis=-1)
 
 
 def potential(spec, p):
@@ -188,7 +197,7 @@ def potential(spec, p):
         if spec.W_fn is None:
             raise ValueError("energy undefined; use weak_residual")
         return np.asarray(spec.W_fn(p), dtype=float)
-    return integrand(spec, _squared_norm(p)[..., 0])
+    return integrand(spec, _squared_norm(np.moveaxis(p, -1, 0)))
 
 
 def reflect(spec):
@@ -346,17 +355,26 @@ def _corner_slices(dims, corner):
     return out
 
 
-def corner_gradients(values, h, dims):
-    """Iterate (corner, [component arrays over cells]) for all 2^N corners."""
-    diffs = edge_differences(values, h)
+def _corner_views(diffs, dims):
+    """Iterate (corner, [cell-indexed views of diffs]) for all 2^N corners."""
     ndim = len(dims)
     for corner in np.ndindex(*([2] * ndim)):
         slices = _corner_slices(dims, corner)
         yield corner, [diffs[d][slices[d]] for d in range(ndim)]
 
 
+def corner_gradients(values, h, dims):
+    """Iterate (corner, [component arrays over cells]) for all 2^N corners."""
+    return _corner_views(edge_differences(values, h), dims)
+
+
 def energy(spec, fld):
-    """Discrete energy over active cells (corner-quadrature average)."""
+    """Discrete energy over active cells (corner-quadrature average).
+
+    For the built-in kinds each edge difference is squared once; per corner
+    the N squared views are added into one cell buffer, which is compacted
+    to the active cells before the integrand's power.
+    """
     if not spec.has_potential():
         raise ValueError("energy undefined; use weak_residual")
     grid = fld.grid
@@ -364,13 +382,20 @@ def energy(spec, fld):
     h = grid.h
     ndim = grid.dim
     total = 0.0
-    for _, comps in corner_gradients(fld.values, h, grid.dims):
-        if spec.kind == "custom":
-            g = np.stack(comps, axis=-1)
-            w = potential(spec, g)
-        else:
-            w = integrand(spec, sum(c * c for c in comps))
-        total += float(np.sum(w[active]))
+    if spec.kind == "custom":
+        for _, comps in corner_gradients(fld.values, h, grid.dims):
+            w = potential(spec, np.stack(comps, axis=-1))
+            total += float(np.sum(w[active]))
+        return total * h**ndim / 2.0**ndim
+    squares = edge_differences(fld.values, h)
+    for sq in squares:
+        np.multiply(sq, sq, out=sq)
+    g2 = np.empty(active.shape)
+    for _, views in _corner_views(squares, grid.dims):
+        np.copyto(g2, views[0])
+        for v in views[1:]:
+            g2 += v
+        total += float(np.sum(integrand(spec, g2[active])))
     return total * h**ndim / 2.0**ndim
 
 
@@ -387,10 +412,10 @@ def weak_residual(spec, fld):
     res = np.zeros(grid.dims)
     coeff = h ** (ndim - 1) / 2.0**ndim
     for corner, comps in corner_gradients(fld.values, h, grid.dims):
-        g = np.stack(comps, axis=-1)
-        a_val = apply_A(spec, g)
+        a_comps = _field_components(spec, comps)
         for d in range(ndim):
-            contrib = np.where(active, a_val[..., d], 0.0) * coeff
+            contrib = np.where(active, a_comps[d], 0.0)
+            contrib *= coeff
             head = []
             tail = []
             for k in range(ndim):

@@ -198,3 +198,103 @@ def quadratic_minimizer(grid, spec, boundary_values):
     out = base.copy()
     out.ravel()[cols] = np.linalg.solve(stiff, -rhs)
     return out
+
+
+def _stacked_corner_gradients(values, h):
+    """(corner, (..., N) stacked corner gradient over cells) for all corners."""
+    ndim = values.ndim
+    dims = values.shape
+    diffs = []
+    for k in range(ndim):
+        lead = tuple(slice(1, None) if j == k else slice(None) for j in range(ndim))
+        lag = tuple(slice(0, -1) if j == k else slice(None) for j in range(ndim))
+        diffs.append((values[lead] - values[lag]) / h)
+    for corner in itertools.product(range(2), repeat=ndim):
+        comps = []
+        for d in range(ndim):
+            sl = tuple(
+                slice(0, dims[k] - 1) if k == d else slice(corner[k], corner[k] + dims[k] - 1)
+                for k in range(ndim)
+            )
+            comps.append(diffs[d][sl])
+        yield corner, comps
+
+
+def stacked_energy(spec, fld):
+    """Reference corner-quadrature energy: per corner, the integrand over
+    every cell from the summed squares of that corner's N differences
+    (custom kinds: the potential of the stacked gradient), then the sum
+    over the active cells.  Fixes the order of every floating-point
+    addition that ``energy`` must reproduce bit for bit."""
+    from artifact.monotone import integrand, potential
+
+    grid = fld.grid
+    active = grid.active_cell_mask()
+    total = 0.0
+    for _, comps in _stacked_corner_gradients(fld.values, grid.h):
+        if spec.kind == "custom":
+            w = potential(spec, np.stack(comps, axis=-1))
+        else:
+            w = integrand(spec, sum(c * c for c in comps))
+        total += float(np.sum(w[active]))
+    return total * grid.h**grid.dim / 2.0**grid.dim
+
+
+def stacked_field(spec, p):
+    """Reference field on stacked (..., N) gradients.
+
+    |p|^2 is summed over the last axis in index order; p_laplace with t < 2
+    is rescaled by c = max_i |p_i| first, A(p) = c^{t-1} |u|^{t-2} u with
+    u = p / c.  The scalar law comes from ``monotone.profile``.
+    """
+    from artifact.monotone import _TINY, profile
+
+    if spec.kind == "custom":
+        return np.asarray(spec.A_fn(p), dtype=float)
+
+    def squared_norm(q):
+        total = q[..., 0] * q[..., 0]
+        for k in range(1, q.shape[-1]):
+            total += q[..., k] * q[..., k]
+        return total[..., None]
+
+    if spec.kind == "p_laplace" and spec.t < 2.0:
+        c = np.abs(p[..., 0])
+        for k in range(1, p.shape[-1]):
+            c = np.maximum(c, np.abs(p[..., k]))
+        c = c[..., None]
+        u = p / np.maximum(c, _TINY)
+        phi, _ = profile(spec, squared_norm(u))
+        return (c ** (spec.t - 1.0) * phi) * u
+    phi, _ = profile(spec, squared_norm(p))
+    return phi * p
+
+
+def stacked_weak_residual(spec, fld):
+    """Reference energy gradient: per corner, A of the stacked (..., N)
+    gradient, masked to active cells and scattered to the head and tail
+    node of each edge, in the order ``weak_residual`` must reproduce."""
+    from artifact.domain.lattice import INTERIOR
+
+    grid = fld.grid
+    dims = grid.dims
+    ndim = grid.dim
+    active = grid.active_cell_mask()
+    res = np.zeros(dims)
+    coeff = grid.h ** (ndim - 1) / 2.0**ndim
+    for corner, comps in _stacked_corner_gradients(fld.values, grid.h):
+        a_val = stacked_field(spec, np.stack(comps, axis=-1))
+        for d in range(ndim):
+            contrib = np.where(active, a_val[..., d], 0.0) * coeff
+            head = tuple(
+                slice(1, dims[k]) if k == d else slice(corner[k], corner[k] + dims[k] - 1)
+                for k in range(ndim)
+            )
+            tail = tuple(
+                slice(0, dims[k] - 1) if k == d else slice(corner[k], corner[k] + dims[k] - 1)
+                for k in range(ndim)
+            )
+            res[head] += contrib
+            res[tail] -= contrib
+    res[grid.labels != INTERIOR] = 0.0
+    return res

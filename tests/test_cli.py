@@ -295,12 +295,39 @@ def test_suite_survives_a_missing_degiorgi_key(tmp_path):
     write_doc(sdir, bad, "bad.json")
     write_doc(sdir, scenario_doc(name="good"), "good.json")
     code = run_suite(sdir, out_root=tmp_path / "out")
-    assert code == 1  # worst row wins
+    assert code == 2  # worst row wins: a config error outranks a pass
     with open(tmp_path / "out" / "summary.csv", newline="") as fh:
         rows = {r["scenario"]: r for r in csv.DictReader(fh)}
     assert rows["bad-instrument"]["result"] == "config-error"
     assert "params.level_sets[0].level" in rows["bad-instrument"]["key_metric"]
     assert rows["good"]["result"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "results,worst",
+    [
+        (["pass"], 0),
+        (["pass", "assert-fail"], 1),
+        (["pass", "config-error"], 2),
+        (["config-error", "assert-fail", "pass"], 2),
+    ],
+)
+def test_suite_returns_the_worst_scenario_code(tmp_path, monkeypatch, results, worst):
+    import artifact.cli as cli
+
+    codes = {"pass": 0, "assert-fail": 1, "config-error": 2}
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    for i, result in enumerate(results):
+        write_doc(sdir, scenario_doc(name=f"s{i}-{result}"))
+
+    def fake_run(path, out_root):
+        result = path.stem.split("-", 1)[1]
+        row = {"scenario": path.stem, "task": "dirichlet", "result": result, "key_metric": ""}
+        return codes[result], row
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    assert run_suite(sdir, out_root=tmp_path / "out") == worst
 
 
 def test_suite_runs_and_summarizes(tmp_path, capsys):

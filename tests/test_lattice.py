@@ -13,10 +13,14 @@ from artifact import (
     Ball,
     Box,
     Difference,
+    Field,
+    GridDomain,
+    OperatorSpec,
     build_grid,
     complement_cap,
     density,
     enclosing_center_radius,
+    energy,
     shape_from_dict,
 )
 from artifact.domain.lattice import unit_ball_volume
@@ -176,3 +180,26 @@ def test_classify_agrees_with_own_labels():
     shape = Ball([0.0, 0.0], 0.4)
     grid = build_grid(shape, 1.0 / 8.0)
     assert np.array_equal(grid.classify(shape), grid.labels)
+
+
+def test_active_cell_mask_checks_the_invariant_and_is_cached():
+    # Interior node (1, 1) with an exterior diagonal neighbour (2, 2): the
+    # cell (1, 1) has an interior and an exterior corner.
+    labels = np.full((4, 4), BOUNDARY, dtype=np.int8)
+    labels[1, 1] = INTERIOR
+    labels[2, 2] = EXTERIOR
+    bad = GridDomain(None, 0.25, [0.0, 0.0], (4, 4), labels)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="grid invariant"):
+            bad.active_cell_mask()
+    with pytest.raises(ValueError, match="grid invariant"):
+        energy(OperatorSpec(kind="p_laplace", t=2.0), Field.zeros(bad))
+
+    grid = build_grid(Ball([0.0, 0.0], 0.4), 1.0 / 8.0)
+    mask = grid.active_cell_mask()
+    assert grid.active_cell_mask() is mask
+    assert mask.shape == tuple(d - 1 for d in grid.dims)
+    assert mask.any() and not mask.all()
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = True

@@ -25,6 +25,7 @@ from artifact import (
     solve_dirichlet,
     solve_obstacle,
     verify_comparison,
+    weak_residual,
 )
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
 from artifact.solver import _auto_omega, _build_colors, _ColorWorkspace, _relax
@@ -438,3 +439,20 @@ def test_one_sweep_benchmark(benchmark, sweep_problem, t):
     )
     assert rep.iterations == 1
     assert rep.notes["energy_monotone"] is True
+
+
+def test_energy_residual_benchmark(benchmark):
+    # One energy and one weak residual at t = 2 on a 3D ball grid of
+    # 39^3 = 59,319 nodes, the checks _relax runs between sweeps.
+    grid = build_grid(Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 18.0)
+    assert grid.node_count() == 39**3
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    rng = np.random.default_rng(2)
+    fld = Field(grid, rng.standard_normal(grid.dims))
+
+    def checks():
+        return energy(spec, fld), weak_residual(spec, fld)
+
+    e, res = benchmark.pedantic(checks, rounds=3, iterations=1, warmup_rounds=1)
+    assert math.isfinite(e) and e > 0.0
+    assert np.all(res.values[grid.labels != INTERIOR] == 0.0)
