@@ -10,9 +10,9 @@ and evaluated with numpy, never ``eval``:
     power  := atom ('^' factor)?          (right associative)
     atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
-Names: ``x1``..``x3`` (coordinates), ``r`` (distance to a configurable
-center, default the origin), ``pi``, ``e``, plus any extra constants passed
-at evaluation time (scenarios use this for parameters like ``m``).
+Names: ``x1``..``x3`` (coordinates), ``r`` (distance to the origin), ``pi``,
+``e``, plus any extra constants passed at evaluation time (scenarios use this
+for parameters like ``m``).
 Functions: abs, sqrt, log, exp, sin, cos, min, max.
 """
 
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Expression", "parse_expression"]
+__all__ = ["Expression"]
 
 _FUNCTIONS = {
     "abs": (1, np.abs),
@@ -157,10 +157,9 @@ class _Parser:
 class Expression:
     """A parsed scalar expression evaluated over point arrays."""
 
-    def __init__(self, text, r_center=None):
+    def __init__(self, text):
         self.text = text
         self.node = _Parser(_tokenize(text)).parse()
-        self.r_center = None if r_center is None else np.asarray(r_center, dtype=float)
 
     def __call__(self, points, **constants):
         points = np.asarray(points, dtype=float)
@@ -170,10 +169,7 @@ class Expression:
         env.update({k: float(v) for k, v in constants.items()})
         for k in range(points.shape[1]):
             env[f"x{k + 1}"] = points[:, k]
-        center = self.r_center
-        if center is None:
-            center = np.zeros(points.shape[1])
-        env["r"] = np.linalg.norm(points - center, axis=1)
+        env["r"] = np.linalg.norm(points, axis=1)
         out = self._eval(self.node, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
 
@@ -205,7 +201,3 @@ class Expression:
             args = [self._eval(arg, env) for arg in node[2]]
             return fn(*args)
         raise ValueError(f"corrupt expression node {op!r}")
-
-
-def parse_expression(text, r_center=None):
-    return Expression(text, r_center=r_center)

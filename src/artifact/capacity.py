@@ -77,20 +77,12 @@ def sigma_ball(region_shape):
     return Ball(center, 2.0 * radius)
 
 
-def sigma_grid_for(region_shape, h, pad=1):
+def sigma_grid_for(region_shape, h):
     """Grid over the enclosing sphere, on the absolute lattice of spacing h."""
-    return build_grid(sigma_ball(region_shape), h, pad=pad)
+    return build_grid(sigma_ball(region_shape), h)
 
 
-def capacitary_potential(
-    sigma_grid,
-    cap,
-    spec,
-    sign=1,
-    height=1.0,
-    tol=1e-8,
-    **solve_kw,
-):
+def capacitary_potential(sigma_grid, cap, spec, sign=1, height=1.0, tol=1e-8):
     """Obstacle solve holding the cap nodes at sign*height inside the big grid.
 
     ``cap`` must be a ComplementCap computed on ``sigma_grid``'s lattice
@@ -106,7 +98,7 @@ def capacitary_potential(
     if indices.size == 0:
         raise ValueError("cap nodes all fall outside the solve region interior")
     constraint = ObstacleConstraint(indices, height, sign)
-    fld, rep = solve_obstacle(sigma_grid, spec, constraint, tol=tol, **solve_kw)
+    fld, rep = solve_obstacle(sigma_grid, spec, constraint, tol=tol)
     report = {
         "solve": rep.to_dict(),
         "cap_nodes": int(indices.size),
@@ -242,7 +234,7 @@ def _finite(x):
     return x is not None and isinstance(x, float) and math.isfinite(x)
 
 
-def _probe_level(config, region_shape, spec, h, tol, solve_kw):
+def _probe_level(config, region_shape, spec, h, tol):
     """One grid level: solve the cap potential and read the ladders."""
     sigma = sigma_grid_for(region_shape, h)
     region_labels = sigma.classify(region_shape)
@@ -255,13 +247,13 @@ def _probe_level(config, region_shape, spec, h, tol, solve_kw):
         # positive-sign potential of the reflected operator, and for an
         # odd-symmetric operator the reflection is the operator itself.
         fld, cap_report = capacitary_potential(
-            sigma, cap, spec, sign=1, height=config.height, tol=tol, **solve_kw
+            sigma, cap, spec, sign=1, height=config.height, tol=tol
         )
         w_field = fld.values
         cap_report["derived_by_reflection"] = True
     else:
         fld, cap_report = capacitary_potential(
-            sigma, cap, spec, sign=sign, height=config.height, tol=tol, **solve_kw
+            sigma, cap, spec, sign=sign, height=config.height, tol=tol
         )
         w_field = sign * fld.values
     inside = (region_labels == INTERIOR).ravel()
@@ -312,7 +304,7 @@ def _probe_level(config, region_shape, spec, h, tol, solve_kw):
     return level
 
 
-def wiener_probe(config, region_shape, spec, tol=1e-8, **solve_kw):
+def wiener_probe(config, region_shape, spec, tol=1e-8):
     """Run the boundary-point probe across the configured grid ladder.
 
     Returns a RegularityReport whose verdict is one of ``regular-trend``
@@ -326,7 +318,7 @@ def wiener_probe(config, region_shape, spec, tol=1e-8, **solve_kw):
     failed = False
     for h in config.h_levels:
         try:
-            level = _probe_level(config, region_shape, spec, h, tol, solve_kw)
+            level = _probe_level(config, region_shape, spec, h, tol)
         except (ValueError, RuntimeError) as exc:
             levels.append({"h": h, "error": str(exc)})
             notes.append(f"level h={h}: {exc}")
@@ -393,26 +385,17 @@ def wiener_probe(config, region_shape, spec, tol=1e-8, **solve_kw):
     return report
 
 
-def barrier_build(
-    grid,
-    spec,
-    y,
-    rho,
-    height,
-    tol=1e-8,
-    jj_factor=0.5,
-    deltas=None,
-    **solve_kw,
-):
+def barrier_build(grid, spec, y, rho, height, tol=1e-8, jj_factor=0.5):
     """Barrier pair at a boundary node: solves with data +-height*|x-y|^2/rho^2.
 
     The upper barrier V uses the paraboloid data, which is at least
     ``height`` on every boundary node at distance rho or more from y, so the
     away-from-y condition holds by construction and is checked on the data
     directly.  The vanishing-at-y condition is a trend: the maximum of V
-    over interior nodes within delta of y must drop below ``jj_factor``
-    times its value at the widest delta.  The lower barrier U solves the
-    negated data; for an odd-symmetric operator it must equal -V.
+    over interior nodes within delta of y, for delta = rho, rho/2, rho/4 and
+    rho/8, must drop below ``jj_factor`` times its value at delta = rho.
+    The lower barrier U solves the negated data; for an odd-symmetric
+    operator it must equal -V.
 
     Returns (V field, U field, report dict).
     """
@@ -431,8 +414,8 @@ def barrier_build(
     def data_minus(pts):
         return -data_plus(pts)
 
-    V, rep_v = solve_dirichlet(grid, spec, data_plus, tol=tol, **solve_kw)
-    U, rep_u = solve_dirichlet(grid, spec, data_minus, tol=tol, **solve_kw)
+    V, rep_v = solve_dirichlet(grid, spec, data_plus, tol=tol)
+    U, rep_u = solve_dirichlet(grid, spec, data_minus, tol=tol)
     boundary = (grid.labels == 1).ravel()
     bpts = grid.points()[boundary]
     bdist = np.sqrt(np.sum((bpts - yarr) ** 2, axis=1))
@@ -442,8 +425,7 @@ def barrier_build(
 
     interior = (grid.labels == INTERIOR).ravel()
     vflat = V.values.ravel()
-    if deltas is None:
-        deltas = [rho, rho / 2, rho / 4, rho / 8]
+    deltas = [rho, rho / 2, rho / 4, rho / 8]
     ladder = []
     for delta in deltas:
         nodes = grid.nodes_within(y, delta)
@@ -471,7 +453,7 @@ def barrier_build(
     return V, U, report
 
 
-def locality_check(region_a, region_b, y, r, config, spec, tol=1e-8, **solve_kw):
+def locality_check(region_a, region_b, y, r, config, spec, tol=1e-8):
     """Probe the same point in two regions that agree inside I(y, r).
 
     Raises if the regions' node labels differ anywhere inside the window
@@ -502,8 +484,8 @@ def locality_check(region_a, region_b, y, r, config, spec, tol=1e-8, **solve_kw)
                 )
     if checked == 0:
         raise ValueError("locality window holds no shared nodes")
-    rep_a = wiener_probe(config, region_a, spec, tol=tol, **solve_kw)
-    rep_b = wiener_probe(config, region_b, spec, tol=tol, **solve_kw)
+    rep_a = wiener_probe(config, region_a, spec, tol=tol)
+    rep_b = wiener_probe(config, region_b, spec, tol=tol)
     return {
         "verdict_a": rep_a.verdict,
         "verdict_b": rep_b.verdict,

@@ -113,13 +113,10 @@ class GridDomain:
         """Labels of another shape on this grid's lattice (same node set)."""
         return _classify(other_shape, self.points(), self.dims)
 
-    def nodes_within(self, center, radius, label_mask=None):
-        """Flat indices of nodes with |x - center| <= radius, optionally
-        restricted to nodes where ``label_mask`` (bool, flattened) holds."""
+    def nodes_within(self, center, radius):
+        """Flat indices of nodes with |x - center| <= radius."""
         delta = self.points() - np.asarray(center, dtype=float)
         close = np.sum(delta * delta, axis=1) <= radius * radius * (1 + 1e-12)
-        if label_mask is not None:
-            close &= label_mask.ravel()
         return np.flatnonzero(close)
 
     def active_cell_mask(self):
@@ -175,11 +172,11 @@ def _classify(shape, points, dims):
     return labels
 
 
-def build_grid(shape, h, pad=1):
+def build_grid(shape, h):
     """Classify ``shape`` on a lattice of spacing ``h``.
 
     The lattice covers the shape's bounding box, aligned outward to absolute
-    multiples of ``h`` and padded by ``pad`` extra nodes on every side.
+    multiples of ``h`` and padded by one extra node on every side.
     """
     if h <= 0:
         raise ValueError("grid spacing must be positive")
@@ -187,8 +184,8 @@ def build_grid(shape, h, pad=1):
     if box is None:
         raise ValueError("cannot grid an unbounded shape")
     lo, hi = box
-    i_lo = np.floor(lo / h + 1e-9).astype(int) - pad
-    i_hi = np.ceil(hi / h - 1e-9).astype(int) + pad
+    i_lo = np.floor(lo / h + 1e-9).astype(int) - 1
+    i_hi = np.ceil(hi / h - 1e-9).astype(int) + 1
     dims = tuple(int(b - a + 1) for a, b in zip(i_lo, i_hi))
     origin = i_lo * h
     grid = GridDomain(shape, h, origin, dims, None)
@@ -254,8 +251,8 @@ def complement_cap(grid, center, radius, labels=None, shape=None):
     if np.any(center - radius < lo - 1e-12) or np.any(center + radius > hi + 1e-12):
         raise ValueError("cap ball is not covered by the grid")
     labels = grid.labels if labels is None else labels
-    mask = labels.ravel() != INTERIOR
-    indices = grid.nodes_within(center, radius, mask)
+    indices = grid.nodes_within(center, radius)
+    indices = indices[labels.ravel()[indices] != INTERIOR]
     return ComplementCap(grid, center, radius, indices)
 
 

@@ -89,25 +89,18 @@ class LevelSetStats:
         }
 
 
-def _region_mask(grid, labels):
-    use = grid.labels if labels is None else labels
-    return (use != EXTERIOR).ravel()
+def level_stats(field, y, level, radius, t):
+    """Sublevel-set statistics of the field around y, over the non-exterior
+    nodes of its grid.
 
-
-def level_stats(field, y, level, radius, t, labels=None):
-    """Sublevel-set statistics of the field around y.
-
-    ``labels`` restricts the region when the field lives on a larger grid
-    than the region of interest (pass the region's own labels on the same
-    lattice); by default the field's grid labels are used.  Node quadrature
-    throughout, so an independent node scan reproduces every number exactly.
+    Node quadrature throughout, so an independent node scan reproduces every
+    number exactly.
     """
     grid = field.grid
     if radius <= 0:
         raise ValueError("radius must be positive")
-    mask = _region_mask(grid, labels)
     nodes = grid.nodes_within(y, radius)
-    nodes = nodes[mask[nodes]]
+    nodes = nodes[grid.labels.ravel()[nodes] != EXTERIOR]
     w = field.values.ravel()[nodes]
     sub = w <= level
     count = int(sub.sum())
@@ -126,7 +119,12 @@ def level_stats(field, y, level, radius, t, labels=None):
     )
 
 
-def check_caccioppoli(field, y, level, rho, R, t, tol=1e-12, labels=None):
+# Caccioppoli left-hand sides up to this size count as zero when the
+# right-hand side vanishes.
+_VACUOUS_LHS = 1e-12
+
+
+def check_caccioppoli(field, y, level, rho, R, t):
     """Empirical constant of the truncation energy estimate.
 
     With the radial cutoff phi (1 inside rho, 0 outside R, linear between,
@@ -137,7 +135,7 @@ def check_caccioppoli(field, y, level, rho, R, t, tol=1e-12, labels=None):
         RHS = node sum of (level - u)^t over B(k, R) * h^N
 
     and c_emp = LHS * (R - rho)^t / RHS.  Both sides zero gives 0; a zero
-    RHS with LHS above tol is flagged as a violation (the estimate would be
+    RHS with LHS above 1e-12 is flagged as a violation (the estimate would be
     vacuously false).
     """
     if not 0 < rho < R:
@@ -146,9 +144,8 @@ def check_caccioppoli(field, y, level, rho, R, t, tol=1e-12, labels=None):
     dims = grid.dims
     h = grid.h
     yarr = np.asarray(y, dtype=float)
-    mask = _region_mask(grid, labels).reshape(dims)
     w = field.values
-    member = mask.copy()
+    member = grid.labels != EXTERIOR
     pts = grid.points().reshape(dims + (grid.dim,))
     dist = np.sqrt(np.sum((pts - yarr) ** 2, axis=-1))
     member &= dist <= R * (1 + 1e-12)
@@ -184,7 +181,7 @@ def check_caccioppoli(field, y, level, rho, R, t, tol=1e-12, labels=None):
         "violation": False,
     }
     if rhs == 0.0:
-        if lhs > tol:
+        if lhs > _VACUOUS_LHS:
             report["violation"] = True
             report["c_emp"] = math.inf
         else:
@@ -222,7 +219,7 @@ class IterationSchedule:
         return [self.k0 - self.d + self.d / 2**m for m in range(self.n_levels + 1)]
 
 
-def check_psi_recursion(field, schedule, t, labels=None):
+def check_psi_recursion(field, schedule, t):
     """Measure psi along the schedule and fit the recursion constant.
 
     Fits the smallest c_hat with
@@ -236,7 +233,7 @@ def check_psi_recursion(field, schedule, t, labels=None):
     radii = schedule.radii()
     levs = schedule.levels()
     stats = [
-        level_stats(field, schedule.y, levs[m], radii[m], t, labels=labels)
+        level_stats(field, schedule.y, levs[m], radii[m], t)
         for m in range(schedule.n_levels + 1)
     ]
     psis = [s.psi for s in stats]
@@ -297,7 +294,7 @@ def threshold_level_gap(c_hat, t, dim, r0, psi0):
     ) ** (1.0 / t) * r0 ** (-dim * con.theta / t)
 
 
-def oscillation_sequence(field, y, r0, K, labels=None):
+def oscillation_sequence(field, y, r0, K):
     """Inf, sup, and oscillation of the field over shrinking balls at y.
 
     Radii follow r_k = r0 / 4^k for k = 0..K, over non-exterior nodes.
@@ -312,13 +309,13 @@ def oscillation_sequence(field, y, r0, K, labels=None):
             "tail entries may be skipped or noisy",
             stacklevel=2,
         )
-    mask = _region_mask(grid, labels)
+    live = (grid.labels != EXTERIOR).ravel()
     w = field.values.ravel()
     rows = []
     for k in range(K + 1):
         r = r0 / 4.0**k
         nodes = grid.nodes_within(y, r)
-        nodes = nodes[mask[nodes]]
+        nodes = nodes[live[nodes]]
         if nodes.size == 0:
             rows.append(
                 {"k": k, "r": r, "inf": math.nan, "sup": math.nan,

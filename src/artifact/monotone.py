@@ -168,11 +168,14 @@ def _field_components(spec, comps):
     by its largest component: |p|^{t-2} p = c^{t-1} |u|^{t-2} u with
     c = max_i |p_i| and u = p / c.  So |u| lies in [1, sqrt(N)], and the
     field stays exactly (t-1)-homogeneous down to subnormal gradients,
-    where |p|^2 itself would underflow to 0.
+    where |p|^2 itself would underflow to 0.  At t = 2 both built-in kinds
+    have phi = 1, so A(p) is p itself, bit for bit.
     """
     if spec.kind == "custom":
         a_val = np.asarray(spec.A_fn(np.stack(comps, axis=-1)), dtype=float)
         return [a_val[..., d] for d in range(len(comps))]
+    if spec.t == 2.0:
+        return list(comps)
     if spec.kind == "p_laplace" and spec.t < 2.0:
         c = functools.reduce(np.maximum, [np.abs(x) for x in comps])
         c_safe = np.maximum(c, _TINY)
@@ -368,6 +371,11 @@ def corner_gradients(values, h, dims):
     return _corner_views(edge_differences(values, h), dims)
 
 
+# Exterior values are inert and may be anything: ±inf neighbours there give
+# inf - inf in the edge differences of dead cells (and inf / inf in the t < 2
+# field), which the active-cell mask then drops.  numpy's "invalid value"
+# warning for those cells is silenced in the two kernels below.
+@np.errstate(invalid="ignore")
 def energy(spec, fld):
     """Discrete energy over active cells (corner-quadrature average).
 
@@ -399,6 +407,7 @@ def energy(spec, fld):
     return total * h**ndim / 2.0**ndim
 
 
+@np.errstate(invalid="ignore")
 def weak_residual(spec, fld):
     """Gradient of the energy, r_i = dE/du_i, assembled directly from A.
 

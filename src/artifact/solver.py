@@ -33,10 +33,13 @@ marked nodes for sign +1, u <= -m for sign -1, mirroring the reflected
 field).  Convergence requires both a small max update and a small normalized
 residual: |dE/du_i| / h^{N-2} below tolerance at free nodes, one-sided at
 pinned nodes.
+
+Dirichlet and obstacle problems share one solve path.  Every t != 2 solve,
+of either kind, first solves the same problem (same data, same constraint)
+at t = 2 to a looser tolerance and starts its own iteration from there.
 """
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -69,26 +72,19 @@ class BoundaryData:
     """Dirichlet data: a callable, an expression string, a constant, or a 1-D
     array of values at a grid's boundary nodes in grid order."""
 
-    def __init__(self, source=0.0, r_center=None):
+    def __init__(self, source=0.0):
         if isinstance(source, BoundaryData):
             self._eval = source._eval
-            self.describe = source.describe
-            return
-        if isinstance(source, str):
-            expr = Expression(source, r_center=r_center)
-            self._eval = expr
-            self.describe = {"expr": source}
+        elif isinstance(source, str):
+            self._eval = Expression(source)
         elif callable(source):
             self._eval = source
-            self.describe = {"callable": getattr(source, "__name__", "fn")}
         elif np.ndim(source) == 1:
             values = np.asarray(source, dtype=float)
             self._eval = lambda pts: _at_boundary_nodes(values, pts)
-            self.describe = {"tabulated": int(values.size)}
         else:
             const = float(source)
             self._eval = lambda pts: np.full(np.asarray(pts).shape[0], const)
-            self.describe = {"const": const}
 
     def evaluate(self, points):
         return np.asarray(self._eval(points), dtype=float)
@@ -136,11 +132,10 @@ class SolveReport:
     max_update: float = math.inf
     max_residual: float = math.inf
     converged: bool = False
-    wall_time_s: float = 0.0
     notes: dict = dc_field(default_factory=dict)
 
-    def to_dict(self, include_wall_time=False):
-        out = {
+    def to_dict(self):
+        return {
             "iterations": self.iterations,
             "energy": self.energy,
             "max_update": self.max_update,
@@ -148,9 +143,6 @@ class SolveReport:
             "converged": self.converged,
             "notes": self.notes,
         }
-        if include_wall_time:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +346,7 @@ class _ColorWorkspace:
         return out, lo, hi, f0
 
 
-def _build_colors(grid, order):
+def _build_colors(grid):
     dims = grid.dims
     interior = grid.labels == INTERIOR
     multi = np.indices(dims)
@@ -367,14 +359,11 @@ def _build_colors(grid, order):
         idx = np.flatnonzero(mask.ravel())
         if idx.size:
             colors.append(idx)
-    if order == "reverse":
-        colors = [idx[::-1].copy() for idx in reversed(colors)]
-    elif order == "lex":
-        flat = np.flatnonzero(interior.ravel())
-        colors = [flat[i : i + 1] for i in range(flat.size)]
-    elif order != "forward":
-        raise ValueError(f"unknown sweep order {order!r}")
     return colors
+
+
+# Sweep bound of every solve; converged solves stop long before it.
+_MAX_SWEEPS = 100_000
 
 
 def _auto_omega(grid):
@@ -445,25 +434,15 @@ def obstacle_verification(spec, grid, values, constraint, tol):
     return ver
 
 
-def _scaled_residual(spec, grid, values, constraint):
-    """Convergence functional: normalized residual, one-sided at pinned nodes."""
-    return residual_breakdown(spec, grid, values, constraint)["combined"]
+def _energy_stride(grid):
+    return 1 if grid.node_count() <= 150_000 else 8
 
 
-def _relax(
-    grid,
-    spec,
-    values,
-    constraint,
-    tol_update,
-    tol_residual,
-    max_sweeps,
-    omega,
-    order,
-    energy_stride,
-):
+def _relax(grid, spec, values, constraint, tol, max_sweeps, omega):
+    """Relax ``values`` in place until both the max update and the normalized
+    residual (one-sided at pinned nodes) are within tol, or max_sweeps."""
     uflat = values.ravel()
-    colors = _build_colors(grid, order)
+    colors = _build_colors(grid)
     workspaces = [_ColorWorkspace(grid, idx) for idx in colors]
     pinned_sets = []
     if constraint is not None:
@@ -472,6 +451,7 @@ def _relax(
         for idx in colors:
             pinned_sets.append(member[idx])
     guard = spec.t != 2.0 and omega != 1.0
+    energy_stride = _energy_stride(grid)
     fld = Field(grid, values)
     energy_hist = [energy_of(spec, fld)]
     worst_uptick = 0.0
@@ -480,7 +460,6 @@ def _relax(
     converged = False
     sweeps = 0
     last_res_check = -10
-    t0 = time.perf_counter()
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         max_upd = 0.0
@@ -527,22 +506,21 @@ def _relax(
             if step > max_upd:
                 max_upd = step
             uflat[idx] = s_new
-        if sweep % energy_stride == 0 or max_upd <= tol_update:
+        if sweep % energy_stride == 0 or max_upd <= tol:
             e_now = energy_of(spec, fld)
             uptick = e_now - energy_hist[-1]
             if uptick > worst_uptick:
                 worst_uptick = uptick
             energy_hist.append(e_now)
-        if max_upd <= tol_update and sweep - last_res_check >= 4:
+        if max_upd <= tol and sweep - last_res_check >= 4:
             last_res_check = sweep
-            max_res = _scaled_residual(spec, grid, values, constraint)
-            if max_res <= tol_residual:
+            max_res = residual_breakdown(spec, grid, values, constraint)["combined"]
+            if max_res <= tol:
                 converged = True
                 break
-    wall = time.perf_counter() - t0
     if not converged:
-        max_res = _scaled_residual(spec, grid, values, constraint)
-        converged = max_upd <= tol_update and max_res <= tol_residual
+        max_res = residual_breakdown(spec, grid, values, constraint)["combined"]
+        converged = max_upd <= tol and max_res <= tol
     final_energy = energy_of(spec, fld)
     report = SolveReport(
         iterations=sweeps,
@@ -550,10 +528,8 @@ def _relax(
         max_update=max_upd,
         max_residual=max_res,
         converged=converged,
-        wall_time_s=wall,
         notes={
             "omega": omega,
-            "order": order,
             "colors": len(colors),
             "energy_monotone": worst_uptick
             <= 1e-14 * (1.0 + abs(energy_hist[0])),
@@ -576,92 +552,60 @@ def _require_potential(spec):
         )
 
 
-def _energy_stride(grid):
-    return 1 if grid.node_count() <= 150_000 else 8
+def _solve(grid, spec, values, constraint, tol):
+    """Minimize the energy from the start ``values`` (overwritten with the
+    solution), under ``constraint`` when it is not None.
+
+    For t != 2 the same problem is first solved at t = 2 to the looser
+    tolerance max(100 tol, 1e-6); its cheap linear sweeps leave a start close
+    to the answer.  Returns (Field, SolveReport).
+    """
+    omega = _auto_omega(grid)
+    presolve = None
+    if spec.t != 2.0:
+        pre = _relax(
+            grid,
+            replace(spec, t=2.0),
+            values,
+            constraint,
+            max(tol * 100, 1e-6),
+            _MAX_SWEEPS,
+            omega,
+        )
+        presolve = {"iterations": pre.iterations, "converged": pre.converged}
+    report = _relax(grid, spec, values, constraint, tol, _MAX_SWEEPS, omega)
+    if presolve is not None:
+        report.notes["presolve"] = presolve
+    report.notes["task"] = "dirichlet" if constraint is None else "obstacle"
+    fld = Field(grid, values)
+    fld.validate_finite()
+    return fld, report
 
 
-def solve_dirichlet(
-    grid,
-    spec,
-    data,
-    tol=1e-8,
-    tol_residual=None,
-    max_sweeps=100_000,
-    omega=None,
-    order="forward",
-):
+def solve_dirichlet(grid, spec, data, tol=1e-8):
     """Minimize the discrete energy over interior nodes with Dirichlet data.
 
     ``data`` is a BoundaryData (or anything it accepts).  Returns
-    (Field, SolveReport).  For t != 2 the iteration starts from the t = 2
-    solution of the same data (a cheap harmonic interpolant).
+    (Field, SolveReport).  The iteration starts from the mean of the data.
     """
     _require_potential(spec)
     data = BoundaryData(data)
-    tol_residual = tol if tol_residual is None else tol_residual
-    omega = _auto_omega(grid) if omega is None else float(omega)
     boundary = (grid.labels == BOUNDARY).ravel()
     values = np.zeros(grid.dims)
     bvals = data.evaluate(grid.points()[boundary])
     if not np.all(np.isfinite(bvals)):
         raise ValueError("boundary data evaluated to non-finite values")
     values.ravel()[boundary] = bvals
-    init = float(np.mean(bvals)) if bvals.size else 0.0
-    values[grid.labels == INTERIOR] = init
-    stride = _energy_stride(grid)
-    notes_pre = None
-    if spec.t != 2.0:
-        pre_spec = replace(spec, t=2.0)
-        pre = _relax(
-            grid,
-            pre_spec,
-            values,
-            None,
-            max(tol * 100, 1e-6),
-            max(tol_residual * 100, 1e-6),
-            max_sweeps,
-            omega,
-            order,
-            stride,
-        )
-        notes_pre = {"iterations": pre.iterations, "converged": pre.converged}
-    report = _relax(
-        grid,
-        spec,
-        values,
-        None,
-        tol,
-        tol_residual,
-        max_sweeps,
-        omega,
-        order,
-        stride,
-    )
-    if notes_pre is not None:
-        report.notes["presolve"] = notes_pre
-    report.notes["task"] = "dirichlet"
-    fld = Field(grid, values)
-    fld.validate_finite()
-    return fld, report
+    values[grid.labels == INTERIOR] = float(np.mean(bvals)) if bvals.size else 0.0
+    return _solve(grid, spec, values, None, tol)
 
 
-def solve_obstacle(
-    grid,
-    spec,
-    constraint,
-    tol=1e-8,
-    tol_residual=None,
-    max_sweeps=100_000,
-    omega=None,
-    order="forward",
-):
+def solve_obstacle(grid, spec, constraint, tol=1e-8):
     """Minimize the energy over fields with zero boundary data above (below)
     the obstacle: u >= m on the constrained nodes for sign +1, u <= -m for
     sign -1.  Returns (Field, SolveReport)."""
     _require_potential(spec)
     constraint.validate_on(grid)
-    tol_residual = tol if tol_residual is None else tol_residual
-    omega = _auto_omega(grid) if omega is None else float(omega)
     values = np.zeros(grid.dims)
     if constraint.indices.size == 0:
         # Nothing to hold up: the unconstrained minimizer with zero data is
@@ -673,27 +617,12 @@ def solve_obstacle(
             max_update=0.0,
             max_residual=0.0,
             converged=True,
-            wall_time_s=0.0,
             notes={"task": "obstacle", "obstacle_nodes": 0, "empty_obstacle": True},
         )
         return fld, report
     values.ravel()[constraint.indices] = constraint.sign * constraint.height
-    report = _relax(
-        grid,
-        spec,
-        values,
-        constraint,
-        tol,
-        tol_residual,
-        max_sweeps,
-        omega,
-        order,
-        _energy_stride(grid),
-    )
-    report.notes["task"] = "obstacle"
+    fld, report = _solve(grid, spec, values, constraint, tol)
     report.notes["obstacle_nodes"] = int(constraint.indices.size)
-    fld = Field(grid, values)
-    fld.validate_finite()
     return fld, report
 
 
@@ -737,7 +666,7 @@ def _mollify(data, points, width, dim, family):
     return out
 
 
-def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8, **solve_kw):
+def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8):
     """Solve against progressively less mollified data and track the Cauchy tail.
 
     Level k uses data averaged at width 2^-k * diam(domain).  The comparison
@@ -757,7 +686,7 @@ def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8, **solve_kw):
     for k in range(1, n_levels + 1):
         width = diam * 2.0**-k
         bvals = _mollify(data, bpoints, width, grid.dim, "sphere")
-        fld, rep = solve_dirichlet(grid, spec, bvals, tol=tol, **solve_kw)
+        fld, rep = solve_dirichlet(grid, spec, bvals, tol=tol)
         if not rep.converged:
             raise RuntimeError(f"inner solve at mollification level {k} did not converge")
         levels.append(
@@ -786,7 +715,7 @@ def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8, **solve_kw):
             )
     final_bvals, final = solved[-1]
     ball_bvals = _mollify(data, bpoints, diam * 2.0**-n_levels, grid.dim, "ball")
-    ball_field, _ = solve_dirichlet(grid, spec, ball_bvals, tol=tol, **solve_kw)
+    ball_field, _ = solve_dirichlet(grid, spec, ball_bvals, tol=tol)
     family_gap = float(np.max(np.abs(final.values - ball_field.values)[interior]))
     boundary_family_gap = float(np.max(np.abs(final_bvals - ball_bvals)))
     report = {
@@ -801,7 +730,7 @@ def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8, **solve_kw):
     return final, report
 
 
-def verify_comparison(grid, spec, data_low, data_high, tol=1e-8, **solve_kw):
+def verify_comparison(grid, spec, data_low, data_high, tol=1e-8):
     """Order and contraction checks for two Dirichlet solves.
 
     Verifies: solutions stay inside their data ranges; ordered data produce
@@ -810,8 +739,8 @@ def verify_comparison(grid, spec, data_low, data_high, tol=1e-8, **solve_kw):
     """
     data_low = BoundaryData(data_low)
     data_high = BoundaryData(data_high)
-    u, rep_u = solve_dirichlet(grid, spec, data_low, tol=tol, **solve_kw)
-    v, rep_v = solve_dirichlet(grid, spec, data_high, tol=tol, **solve_kw)
+    u, rep_u = solve_dirichlet(grid, spec, data_low, tol=tol)
+    v, rep_v = solve_dirichlet(grid, spec, data_high, tol=tol)
     boundary = (grid.labels == BOUNDARY).ravel()
     interior = grid.labels == INTERIOR
     phi = data_low.evaluate(grid.points()[boundary])

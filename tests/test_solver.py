@@ -27,8 +27,16 @@ from artifact import (
     verify_comparison,
     weak_residual,
 )
+from artifact import solver
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
-from artifact.solver import _auto_omega, _build_colors, _ColorWorkspace, _relax
+from artifact.solver import (
+    _MAX_SWEEPS,
+    _auto_omega,
+    _build_colors,
+    _ColorWorkspace,
+    _relax,
+    obstacle_verification,
+)
 
 from oracles import quadratic_minimizer
 
@@ -77,20 +85,28 @@ def test_harmonic_quadratic_on_box_is_discrete_exact():
     assert np.max(np.abs(fld.values.ravel() - target)[live]) < 1e-7
 
 
-def test_sweep_order_does_not_change_answer(small_disk):
-    grid = small_disk
-    spec = OperatorSpec(kind="p_laplace", t=3.0)
-    tol = 1e-9
-    results = {}
-    for order in ("forward", "reverse", "lex"):
-        fld, rep = solve_dirichlet(grid, spec, "x1*x2", tol=tol, order=order)
-        assert rep.converged, order
-        results[order] = fld.values
-    for order in ("reverse", "lex"):
-        gap = np.max(np.abs(results[order] - results["forward"]))
-        assert gap < 10 * tol, order
-    with pytest.raises(ValueError):
-        solve_dirichlet(grid, spec, 0.5, order="spiral")
+@pytest.mark.parametrize("t", [1.5, 3.0])
+def test_parity_batch_is_exactly_sequential_relaxation(small_disk, monkeypatch, t):
+    # Nodes of one parity share no cell, so one vectorized update of a
+    # parity class must equal visiting its nodes one at a time, in order:
+    # the same field bit for bit, the same sweeps and Newton work.
+    spec = OperatorSpec(kind="p_laplace", t=t)
+    batched, rep_b = solve_dirichlet(small_disk, spec, "x1*x2", tol=1e-9)
+    parity_classes = solver._build_colors
+    monkeypatch.setattr(
+        solver,
+        "_build_colors",
+        lambda grid: [idx[i : i + 1] for idx in parity_classes(grid) for i in range(idx.size)],
+    )
+    single, rep_s = solve_dirichlet(small_disk, spec, "x1*x2", tol=1e-9)
+    assert rep_b.converged and rep_b.notes["colors"] == 4
+    assert rep_s.notes["colors"] == np.count_nonzero(small_disk.labels == INTERIOR)
+    assert np.array_equal(single.values, batched.values)
+    assert rep_s.iterations == rep_b.iterations
+    assert rep_s.energy == rep_b.energy
+    assert rep_s.notes["presolve"] == rep_b.notes["presolve"]
+    for key in ("newton_node_iterations", "energy_checks"):
+        assert rep_s.notes[key] == rep_b.notes[key], key
 
 
 def test_solution_respects_data_range(small_disk):
@@ -117,7 +133,6 @@ def test_boundary_data_sources():
     assert BoundaryData(lambda p: p[:, 0]).evaluate(pts) == pytest.approx([0.0, 1.0])
     wrapped = BoundaryData(BoundaryData("x1"))
     assert wrapped.evaluate(pts) == pytest.approx([0.0, 1.0])
-    assert "expr" in BoundaryData("x1").describe
 
 
 def test_boundary_data_at_boundary_nodes(small_disk):
@@ -217,6 +232,7 @@ def test_obstacle_energy_grows_with_obstacle_set(small_disk):
         cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], radius), 1.0)
         _, rep = solve_obstacle(grid, spec, cons, tol=1e-9)
         assert rep.converged
+        assert "presolve" not in rep.notes
         reps.append(rep.energy)
     assert reps[0] <= reps[1] + 1e-12 <= reps[2] + 2e-12
     assert reps[0] > 0.0
@@ -228,7 +244,6 @@ def test_solve_report_serialization(small_disk):
     out = rep.to_dict()
     assert "wall_time_s" not in out
     assert out["converged"] is True
-    assert rep.to_dict(include_wall_time=True)["wall_time_s"] >= 0.0
 
 
 @pytest.mark.parametrize("t", [1.5, 3.0])
@@ -307,7 +322,7 @@ SLICE_LAWS = [("p_laplace", 1.5), ("p_laplace", 3.0), ("regularized", 3.0)]
 def _color_slices(grid, values):
     """(workspace, faces, fixed) of every parity class for a field."""
     uflat = values.ravel()
-    for idx in _build_colors(grid, "forward"):
+    for idx in _build_colors(grid):
         ws = _ColorWorkspace(grid, idx)
         faces, fixed = ws.gather(uflat)
         yield ws, faces, fixed
@@ -404,13 +419,24 @@ def test_t3_obstacle_solve_keeps_invariants(sign):
     grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
     spec = OperatorSpec(kind="p_laplace", t=3.0)
     cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 0.8, sign=sign)
-    fld, rep = solve_obstacle(grid, spec, cons)
+    tol = 1e-8
+    fld, rep = solve_obstacle(grid, spec, cons, tol=tol)
     assert rep.converged
     assert rep.notes["energy_monotone"] is True
     assert np.all(fld.values.ravel()[cons.indices] == sign * 0.8)
     interior = int(np.count_nonzero(grid.labels == INTERIOR))
     assert rep.notes["newton_cap_hits"] == 0
     assert rep.notes["newton_node_iterations"] >= rep.iterations * interior
+    # The t = 2 presolve only moves the start: the answer is the cold
+    # solve's from the +-m start, to solver tolerance.
+    assert rep.notes["presolve"]["converged"] and rep.notes["presolve"]["iterations"] > 0
+    ver = obstacle_verification(spec, grid, fld.values, cons, tol)
+    assert ver["residual_ok"] and ver["bounds_ok"] and ver["equals_m_on_obstacle"]
+    cold = np.zeros(grid.dims)
+    cold.ravel()[cons.indices] = sign * 0.8
+    cold_rep = _relax(grid, spec, cold, cons, tol, _MAX_SWEEPS, _auto_omega(grid))
+    assert cold_rep.converged
+    assert np.max(np.abs(fld.values - cold)) <= 10 * tol
 
 
 @pytest.fixture(scope="module")
@@ -429,10 +455,10 @@ def test_one_sweep_benchmark(benchmark, sweep_problem, t):
     omega = _auto_omega(grid)
     start = np.zeros(grid.dims)
     start.ravel()[cons.indices] = 1.0
-    _relax(grid, spec, start, cons, 1e-8, 1e-8, 20, omega, "forward", 1)
+    _relax(grid, spec, start, cons, 1e-8, 20, omega)
 
     def one_sweep(values):
-        return _relax(grid, spec, values, cons, 1e-8, 1e-8, 1, omega, "forward", 1)
+        return _relax(grid, spec, values, cons, 1e-8, 1, omega)
 
     rep = benchmark.pedantic(
         one_sweep, setup=lambda: ((start.copy(),), {}), rounds=5, iterations=1
