@@ -258,13 +258,18 @@ def _probe_level(config, region_shape, spec, h, tol):
         w_field = sign * fld.values
     inside = (region_labels == INTERIOR).ravel()
     w = w_field.ravel()
-    y = np.asarray(config.y)
+    solve = cap_report["solve"]
     level = {
         "h": h,
         "grid_nodes": sigma.node_count(),
         "cap_nodes": cap_report["cap_nodes"],
-        "converged": cap_report["solve"]["converged"],
-        "iterations": cap_report["solve"]["iterations"],
+        "converged": solve["converged"],
+        "iterations": solve["iterations"],
+        # The t = 2 presolve of a t != 2 solve (None at t = 2) and the
+        # solve's Newton work.
+        "presolve": solve["notes"].get("presolve"),
+        "newton_node_iterations": solve["notes"]["newton_node_iterations"],
+        "guard_fallbacks": solve["notes"]["guard_fallbacks"],
         "radii": config.radii,
         "omega": [],
         "counts": [],

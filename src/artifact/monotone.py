@@ -142,7 +142,13 @@ def profile_slope(spec, phi, base):
 
 
 def integrand(spec, g2):
-    """Potential W from the squared gradient magnitude g2 = |p|^2."""
+    """Potential W from the squared gradient magnitude g2 = |p|^2.
+
+    At t = 2 both built-in kinds have phi = 1, so W is base / 2 itself, bit
+    for bit (phi = base ** 0 is 1 for every input, NaN and inf included).
+    """
+    if spec.t == 2.0:
+        return (g2 if spec.kind == "p_laplace" else 1.0 + g2) / spec.t
     phi, base = profile(spec, g2)
     return phi * base / spec.t
 

@@ -5,28 +5,34 @@ never move.  One sweep visits the 2^N lattice parities in fixed order; nodes
 of one parity never share a cell, so a whole parity class updates in a single
 vectorized step that is exactly equivalent to sequential relaxation.
 
-Each node update minimizes the global energy along its own coordinate.  The
+Each node update lowers the global energy along its own coordinate.  The
 local slice collects every integrand term that touches the node's value: its
 own 2^N corner gradients plus, for each of the 2N face neighbors, the 2^{N-1}
 corner gradients at that neighbor inside the shared cells (12 terms in 2D, 32
-in 3D).  The slice is convex, its minimizer lies inside the face-neighbor
-value range, and a bracketed Newton/bisection iteration finds it to ~1e-14;
-at t = 2 the minimizer is just the face-neighbor mean and no iteration runs.
-The 2N face differences are formed once per Newton step and shared by all
-terms; each term's phi, phi'/g and W come from ``monotone.profile`` as
-functions of the squared gradient magnitude, one power per term.  Newton
-stops per node: a node leaves the batch once its own step is below 1e-15 of
-its bracket scale (60 iterations at most, counted in the report notes as
-``newton_node_iterations`` and ``newton_cap_hits``).
+in 3D).  The slice is convex and its minimizer lies inside the face-neighbor
+value range [lo, hi].  At t = 2 the minimizer is just the face-neighbor mean.
+Otherwise an update takes one bracketed Newton-or-bisection step from the
+current value clipped into [lo, hi] (one-step SOR-Newton: Ortega &
+Rheinboldt, Iterative Solution of Nonlinear Equations in Several Variables,
+1970, section 10.3, show that it converges as fast asymptotically as exact
+nonlinear SOR).  The 2N face differences are formed once per Newton step and
+shared by all terms; each term's phi, phi'/g and W come from
+``monotone.profile`` as functions of the squared gradient magnitude, one
+power per term.
 
-Over-relaxation is on by default with the classical spacing-based factor.
-Every relaxed proposal is clipped into the neighbor bracket and, for t != 2,
-kept only when it lowers the local energy slice versus the current value,
-so the sweep energy is non-increasing by construction for every t.  The
-first Newton pass, taken at the clipped current value, supplies that
-comparison value.  Because every accepted value stays inside the neighbor
-range (or at the obstacle height), iterates obey the discrete comparison
-principle exactly, not just within tolerance.
+Over-relaxation is on with the classical spacing-based factor omega.  The
+proposed value (the mean, or the Newton step) is relaxed by omega from the
+current one, clipped into [lo, hi] and projected onto the obstacle.  For
+t != 2 it is kept only where it does not raise the local energy slice above
+its value at the current point, which the Newton step supplies; at every other
+node (``guard_fallbacks`` in the report notes) the exact slice minimizer,
+found by iterating the same Newton step until it moves less than 1e-15 of the
+bracket scale (60 iterations at most), is projected and taken instead.  So the
+sweep energy is non-increasing by construction for every t.  Newton work is
+counted in the notes as ``newton_node_iterations`` (fallback iterations
+included) and ``newton_cap_hits``.  Because every accepted value stays inside
+the neighbor range (or at the obstacle height), iterates obey the discrete
+comparison principle exactly, not just within tolerance.
 
 Obstacle problems project each update onto the constraint (u >= m on the
 marked nodes for sign +1, u <= -m for sign -1, mirroring the reflected
@@ -186,7 +192,7 @@ class _ColorWorkspace:
     d; the fixed parts are the rows of one array too, one per neighbour term.
     """
 
-    def __init__(self, grid, idx):
+    def __init__(self, grid, idx, constraint=None):
         self.idx = idx
         dims = grid.dims
         ndim = grid.dim
@@ -210,10 +216,20 @@ class _ColorWorkspace:
                 for corner in np.ndindex(*([2] * (ndim - 1))):
                     offs = [(1, -1)[c] * strides[k] for c, k in zip(corner, others)]
                     self.partners.append((2 * d + j, offs))
-        # Newton work over the solve: node-iterations, and nodes that ran
-        # into the iteration cap.
+        # The batch's obstacle nodes, or None when it has none.
+        self.pinned = None
+        if constraint is not None:
+            pinned = np.isin(idx, constraint.indices)
+            if pinned.any():
+                self.pinned = pinned
+                self.target = constraint.sign * constraint.height
+                self.bound = np.maximum if constraint.sign > 0 else np.minimum
+        # Newton work over the solve: node-iterations, nodes that ran into
+        # the iteration cap, and node updates where the guard rejected the
+        # relaxed step.
         self.node_iterations = 0
         self.cap_hits = 0
+        self.guard_fallbacks = 0
 
     def gather(self, uflat, need_fixed=True):
         """Fresh neighbour values: the face rows and, per neighbour term, the
@@ -292,6 +308,23 @@ class _ColorWorkspace:
             fv += integrand(spec, g2)
         return fv
 
+    def _newton_step(self, spec, s, faces, fixed, blo, bhi, with_value=False):
+        """One bracketed Newton-or-bisection step from s inside [blo, bhi].
+
+        Moves the bracket end on the uphill side of s to s, in place, and
+        returns (s_next, f(s) when ``with_value`` else None): the Newton
+        iterate where it falls inside the new bracket, its midpoint elsewhere.
+        """
+        fp, fpp, fv = self.derivatives(spec, s, faces, fixed, with_value=with_value)
+        self.node_iterations += s.size
+        np.copyto(bhi, s, where=fp > 0)
+        np.copyto(blo, s, where=fp < 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = s - fp / fpp
+        # NaN and infinite steps fail both tests: the bracket is finite.
+        ok = (newton >= blo) & (newton <= bhi)
+        return np.where(ok, newton, 0.5 * (blo + bhi)), fv
+
     def minimize(self, spec, s0, faces, fixed, with_value=False):
         """Bracketed Newton/bisection for the slice minimizers, vectorized.
 
@@ -303,10 +336,6 @@ class _ColorWorkspace:
         """
         lo = faces.min(axis=0)
         hi = faces.max(axis=0)
-        if spec.t == 2.0:
-            # Both built-in kinds are linear at t = 2: the slice minimizer is
-            # the face-neighbor mean.
-            return faces.sum(axis=0) / (2.0 * self.ndim), lo, hi, None
         s = np.clip(s0, lo, hi)
         out = np.empty_like(s)
         live = np.arange(s.size)
@@ -315,20 +344,11 @@ class _ColorWorkspace:
         stop = 1e-15 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
         f0 = None
         for it in range(60):
-            fp, fpp, fv = self.derivatives(
-                spec, s, faces, fixed, with_value=with_value and it == 0
+            s_next, fv = self._newton_step(
+                spec, s, faces, fixed, blo, bhi, with_value=with_value and it == 0
             )
             if fv is not None:
                 f0 = fv
-            self.node_iterations += s.size
-            # s always lies inside [blo, bhi], so it is the new bound.
-            np.copyto(bhi, s, where=fp > 0)
-            np.copyto(blo, s, where=fp < 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = s - fp / fpp
-            # NaN and infinite steps fail both tests: the bracket is finite.
-            ok = (newton >= blo) & (newton <= bhi)
-            s_next = np.where(ok, newton, 0.5 * (blo + bhi))
             done = np.abs(s_next - s) <= stop
             s = s_next
             n_done = np.count_nonzero(done)
@@ -344,6 +364,60 @@ class _ColorWorkspace:
             self.cap_hits += s.size
         out[live] = s
         return out, lo, hi, f0
+
+    def project(self, s, at=None):
+        """s projected onto the obstacle at the batch's pinned nodes; ``at``
+        selects the batch nodes that s holds (default: all of them)."""
+        if self.pinned is None:
+            return s
+        mask = self.pinned if at is None else self.pinned[at]
+        return np.where(mask, self.bound(s, self.target), s)
+
+    def update(self, spec, s_old, faces, fixed, omega):
+        """New values of the batch's nodes, from their current values s_old.
+
+        The proposal s1 is relaxed by omega from s_old, clipped into the
+        face-neighbour bracket [lo, hi] and projected onto the obstacle.  At
+        t = 2, s1 is the exact slice minimizer, the face-neighbour mean.
+        Otherwise s1 is one Newton step from clip(s_old, lo, hi), and the
+        proposal is kept only where the slice there does not exceed f(s_old);
+        the other nodes get the exact minimizer of ``minimize``, projected.
+        """
+        lo = faces.min(axis=0)
+        hi = faces.max(axis=0)
+        if spec.t == 2.0:
+            # Both built-in kinds are linear at t = 2: the slice minimizer is
+            # the face-neighbor mean.
+            s1 = faces.sum(axis=0) / (2.0 * self.ndim)
+            f_old = None
+        else:
+            # That step's Newton pass gives f at clip(s_old, lo, hi); only
+            # where the clip moved s_old is f(s_old) evaluated afresh.
+            start = np.clip(s_old, lo, hi)
+            s1, f_old = self._newton_step(
+                spec, start, faces, fixed, lo.copy(), hi.copy(), with_value=True
+            )
+            moved = np.flatnonzero((s_old < lo) | (s_old > hi))
+            if moved.size:
+                f_old[moved] = self.slice_value(
+                    spec, s_old[moved], faces[:, moved], fixed[:, moved]
+                )
+        cand = s1 if omega == 1.0 else np.clip(s_old + omega * (s1 - s_old), lo, hi)
+        cand = self.project(cand)
+        if f_old is None:
+            return cand
+        # Compare against the CURRENT value, not the minimizer: the minimizer
+        # always wins locally, so that test would reject nearly every relaxed
+        # step.  Either branch keeps the sweep energy non-increasing.
+        f_cand = self.slice_value(spec, cand, faces, fixed)
+        reject = np.flatnonzero(~(f_cand <= f_old))
+        if reject.size:
+            self.guard_fallbacks += reject.size
+            exact, _, _, _ = self.minimize(
+                spec, s_old[reject], faces[:, reject], fixed[:, reject]
+            )
+            cand[reject] = self.project(exact, reject)
+        return cand
 
 
 def _build_colors(grid):
@@ -443,14 +517,7 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, omega):
     residual (one-sided at pinned nodes) are within tol, or max_sweeps."""
     uflat = values.ravel()
     colors = _build_colors(grid)
-    workspaces = [_ColorWorkspace(grid, idx) for idx in colors]
-    pinned_sets = []
-    if constraint is not None:
-        member = np.zeros(uflat.size, dtype=bool)
-        member[constraint.indices] = True
-        for idx in colors:
-            pinned_sets.append(member[idx])
-    guard = spec.t != 2.0 and omega != 1.0
+    workspaces = [_ColorWorkspace(grid, idx, constraint) for idx in colors]
     energy_stride = _energy_stride(grid)
     fld = Field(grid, values)
     energy_hist = [energy_of(spec, fld)]
@@ -463,49 +530,14 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, omega):
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         max_upd = 0.0
-        for ci, ws in enumerate(workspaces):
-            idx = ws.idx
-            s_old = uflat[idx]
+        for ws in workspaces:
+            s_old = uflat[ws.idx]
             faces, fixed = ws.gather(uflat, need_fixed=spec.t != 2.0)
-            s_gs, lo, hi, f_old = ws.minimize(
-                spec, s_old, faces, fixed, with_value=guard
-            )
-            if omega != 1.0:
-                cand = np.clip(s_old + omega * (s_gs - s_old), lo, hi)
-            else:
-                cand = s_gs
-            if constraint is not None and pinned_sets[ci].any():
-                mask = pinned_sets[ci]
-                target = constraint.sign * constraint.height
-                if constraint.sign > 0:
-                    cand = np.where(mask, np.maximum(cand, target), cand)
-                    s_gs = np.where(mask, np.maximum(s_gs, target), s_gs)
-                else:
-                    cand = np.where(mask, np.minimum(cand, target), cand)
-                    s_gs = np.where(mask, np.minimum(s_gs, target), s_gs)
-            if guard:
-                # Accept the relaxed value whenever it does not raise the
-                # local slice versus the CURRENT value; otherwise fall back
-                # to the exact slice minimizer.  Either branch keeps the
-                # sweep energy non-increasing, but comparing against the
-                # minimizer instead would reject nearly every relaxed step
-                # (the minimizer always wins locally) and silently disable
-                # over-relaxation.  The first Newton pass gave f at
-                # clip(s_old, lo, hi); only where the clip moved s_old is
-                # f(s_old) evaluated afresh.
-                f_cand = ws.slice_value(spec, cand, faces, fixed)
-                moved = np.flatnonzero((s_old < lo) | (s_old > hi))
-                if moved.size:
-                    f_old[moved] = ws.slice_value(
-                        spec, s_old[moved], faces[:, moved], fixed[:, moved]
-                    )
-                s_new = np.where(f_cand <= f_old, cand, s_gs)
-            else:
-                s_new = cand
+            s_new = ws.update(spec, s_old, faces, fixed, omega)
             step = float(np.max(np.abs(s_new - s_old), initial=0.0))
             if step > max_upd:
                 max_upd = step
-            uflat[idx] = s_new
+            uflat[ws.idx] = s_new
         if sweep % energy_stride == 0 or max_upd <= tol:
             e_now = energy_of(spec, fld)
             uptick = e_now - energy_hist[-1]
@@ -539,6 +571,7 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, omega):
             "energy_checks": len(energy_hist),
             "newton_node_iterations": sum(ws.node_iterations for ws in workspaces),
             "newton_cap_hits": sum(ws.cap_hits for ws in workspaces),
+            "guard_fallbacks": sum(ws.guard_fallbacks for ws in workspaces),
         },
     )
     return report

@@ -222,11 +222,12 @@ def _stacked_corner_gradients(values, h):
 
 def stacked_energy(spec, fld):
     """Reference corner-quadrature energy: per corner, the integrand over
-    every cell from the summed squares of that corner's N differences
-    (custom kinds: the potential of the stacked gradient), then the sum
+    every cell from the summed squares of that corner's N differences, as
+    phi * base / t of ``monotone.profile`` at every t (custom kinds: the
+    potential of the stacked gradient), then the sum
     over the active cells.  Fixes the order of every floating-point
     addition that ``energy`` must reproduce bit for bit."""
-    from artifact.monotone import integrand, potential
+    from artifact.monotone import potential, profile
 
     grid = fld.grid
     active = grid.active_cell_mask()
@@ -235,7 +236,8 @@ def stacked_energy(spec, fld):
         if spec.kind == "custom":
             w = potential(spec, np.stack(comps, axis=-1))
         else:
-            w = integrand(spec, sum(c * c for c in comps))
+            phi, base = profile(spec, sum(c * c for c in comps))
+            w = phi * base / spec.t
         total += float(np.sum(w[active]))
     return total * grid.h**grid.dim / 2.0**grid.dim
 

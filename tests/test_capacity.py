@@ -258,6 +258,31 @@ def test_probe_level_min_value_is_the_interior_minimum():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("t", [2.0, 3.0])
+def test_probe_level_carries_the_solve_counters(t):
+    # Each level reports its solve's t = 2 presolve and Newton work, the
+    # same numbers as the cap potential's own solve notes.
+    region = Difference(Ball([0.0, 0.0], 0.5), Ball([0.5, 0.0], 0.15625))
+    h = 1 / 16
+    cfg = WienerProbeConfig(
+        y=(0.34375, 0.0), cap_radius=0.25, r0=0.125, K=1, h_levels=(h,)
+    )
+    spec = OperatorSpec(kind="p_laplace", t=t)
+    (level,) = wiener_probe(cfg, region, spec, tol=1e-8).levels
+    sigma = sigma_grid_for(region, h)
+    labels = sigma.classify(region)
+    cap = complement_cap(sigma, cfg.y, cfg.cap_radius, labels=labels, shape=region)
+    notes = capacitary_potential(sigma, cap, spec, tol=1e-8)[1]["solve"]["notes"]
+    assert level["presolve"] == notes.get("presolve")
+    assert level["newton_node_iterations"] == notes["newton_node_iterations"]
+    assert level["guard_fallbacks"] == notes["guard_fallbacks"]
+    if t == 2.0:
+        assert level["presolve"] is None and level["newton_node_iterations"] == 0
+    else:
+        assert level["presolve"]["iterations"] > 0 and level["newton_node_iterations"] > 0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_wiener_probe_failed_level_withholds_verdict():
     # Cap radius beyond what the precondition allows: the level errors out,
     # the report keeps the message and refuses a verdict.

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact import Ball, EXTERIOR, Field, OperatorSpec, build_grid, energy, weak_residual
-from artifact.monotone import apply_A, check_assumptions, potential, reflect
+from artifact.monotone import (
+    apply_A,
+    check_assumptions,
+    integrand,
+    potential,
+    profile,
+    reflect,
+)
 
 from oracles import corner_energy, five_point_residual, stacked_energy, stacked_weak_residual
 
@@ -176,6 +183,17 @@ def test_kernels_match_stacked_reference_bit_for_bit(ball_field, spec):
     assert np.array_equal(
         weak_residual(spec, ball_field).values, stacked_weak_residual(spec, ball_field)
     )
+
+
+@pytest.mark.parametrize("kind", ["p_laplace", "regularized"])
+def test_t2_integrand_is_the_general_law_bit_for_bit(kind):
+    # At t = 2 the integrand skips phi = base ** 0; the general law
+    # phi * base / t must come out the same at every input, edge values too.
+    spec = OperatorSpec(kind=kind, t=2.0)
+    edges = [0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e308, math.inf, math.nan]
+    g2 = np.concatenate([edges, np.random.default_rng(5).exponential(1.0, 10_000)])
+    phi, base = profile(spec, g2)
+    assert np.array_equal(integrand(spec, g2), phi * base / spec.t, equal_nan=True)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -414,6 +414,95 @@ def test_compacted_newton_matches_bisection(small_disk, kind, t):
             assert s.size <= ws.node_iterations < 60 * s.size
 
 
+def _spy_newton_steps(ws):
+    """Record the (s_next, f) pair of every Newton step the workspace takes."""
+    steps = []
+    step = ws._newton_step
+
+    def spy(*args, **kwargs):
+        out = step(*args, **kwargs)
+        steps.append(out)
+        return out
+
+    ws._newton_step = spy
+    return steps
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1])
+@pytest.mark.parametrize("kind,t", SLICE_LAWS)
+def test_guarded_single_newton_step(small_disk, kind, t, sign):
+    # A node update is one Newton step from clip(s_old, lo, hi): the first
+    # iterate of the exact solve.  Relaxed, clipped and projected, it stays
+    # where the slice does not rise above f(s_old); every other node gets
+    # the exact minimizer, projected.
+    spec = OperatorSpec(kind=kind, t=t)
+    omega = 1.9
+    rng = np.random.default_rng(14)
+    bound = np.maximum if sign > 0 else np.minimum
+    rejected = updated = 0
+    for _ in range(4):
+        uflat = rng.uniform(-1.0, 1.0, small_disk.dims).ravel()
+        for idx in _build_colors(small_disk):
+            cons = ObstacleConstraint(idx[::3], 0.3, sign) if sign else None
+            ws = _ColorWorkspace(small_disk, idx, cons)
+            faces, fixed = ws.gather(uflat)
+            lo, hi = faces.min(axis=0), faces.max(axis=0)
+            s_old = rng.uniform(lo - 0.2, hi + 0.2)
+            start = np.clip(s_old, lo, hi)
+            s1, f0 = ws._newton_step(
+                spec, start, faces, fixed, lo.copy(), hi.copy(), with_value=True
+            )
+            assert np.all((lo <= s1) & (s1 <= hi))
+            assert np.array_equal(f0, ws.slice_value(spec, start, faces, fixed))
+            steps = _spy_newton_steps(ws)
+            exact, _, _, _ = ws.minimize(spec, s_old, faces, fixed)
+            assert np.array_equal(steps[0][0], s1)
+
+            cand = np.clip(s_old + omega * (s1 - s_old), lo, hi)
+            pinned = np.zeros(idx.size, dtype=bool)
+            if sign:
+                pinned[::3] = True
+                cand = np.where(pinned, bound(cand, 0.3 * sign), cand)
+                exact = np.where(pinned, bound(exact, 0.3 * sign), exact)
+            f_cand = ws.slice_value(spec, cand, faces, fixed)
+            reject = ~(f_cand <= ws.slice_value(spec, s_old, faces, fixed))
+            fresh = _ColorWorkspace(small_disk, idx, cons)
+            out = fresh.update(spec, s_old, faces, fixed, omega)
+            assert np.array_equal(out[~reject], cand[~reject])
+            assert np.array_equal(out[reject], exact[reject])
+            assert fresh.guard_fallbacks == np.count_nonzero(reject)
+            assert np.all(sign * out[pinned] >= 0.3)
+            rejected += fresh.guard_fallbacks
+            updated += idx.size
+    assert 0 < rejected < updated
+
+
+@pytest.fixture(scope="module")
+def tight_t3_obstacle():
+    """The h = 1/32, t = 3, m = 1 disk obstacle and its tol = 1e-11 field."""
+    grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
+    ref, rep = solve_obstacle(grid, spec, cons, tol=1e-11)
+    assert rep.converged
+    return grid, spec, ref.values
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_single_step_obstacle_solve_is_tol_close(tight_t3_obstacle, sign):
+    # The guard rejects some one-step updates, the energy never rises, and
+    # the field is as close to a tol = 1e-11 solve as a tol = 1e-8 solve
+    # should be.  The operator is odd, so the sign -1 answer is -ref.
+    grid, spec, ref = tight_t3_obstacle
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0, sign=sign)
+    fld, rep = solve_obstacle(grid, spec, cons, tol=1e-8)
+    assert rep.converged
+    assert rep.notes["guard_fallbacks"] > 0
+    assert rep.notes["energy_monotone"] is True
+    assert np.all(fld.values.ravel()[cons.indices] == sign * 1.0)
+    assert np.max(np.abs(fld.values - sign * ref)) <= 1e-7
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_t3_obstacle_solve_keeps_invariants(sign):
     grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
