@@ -4,10 +4,11 @@ A scenario is one JSON file naming a region, an operator, a task, and the
 task's parameters.  ``run`` executes one scenario and writes a directory of
 artifacts: report.json (every computed number, deterministically serialized),
 one CSV per table (projections of report.json for plotting), and
-manifest.json (config hash, versions, wall time — everything volatile
-lives here so report.json stays byte-identical across reruns).  ``suite``
-runs every scenario in a directory and writes a one-row-per-scenario
-summary.csv.
+manifest.json (config hash, versions, wall time, solve-memo hits and
+misses — everything volatile lives here so report.json stays byte-identical
+across reruns).  ``suite`` runs every scenario in a directory and writes a
+one-row-per-scenario summary.csv; within one suite run a solve equal to an
+earlier one is served from memory instead of running again.
 
 Exit codes: 0 all good, 1 a solve failed to converge or a declared assertion
 failed (artifacts are still written), 2 the config could not be parsed or
@@ -49,6 +50,8 @@ from .levelsets import (
 from .monotone import OperatorSpec
 from .solver import (
     ObstacleConstraint,
+    _solve_counts,
+    _solve_memo,
     obstacle_verification,
     solve_dirichlet,
     solve_obstacle,
@@ -83,6 +86,14 @@ def _require(params, field, kind=None, where="params"):
     value = params[field]
     if kind is not None and not isinstance(value, kind):
         raise ScenarioError(f"{where}.{field}", f"expected {kind}")
+    return value
+
+
+def _positive_number(value, field):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(field, f"expected a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ScenarioError(field, "must be positive and finite")
     return value
 
 
@@ -126,14 +137,16 @@ def validate_scenario(raw):
     h_levels = raw.get("h_levels")
     if h is None and h_levels is None:
         raise ScenarioError("scenario.h", "need h or h_levels")
+    if h is not None:
+        _positive_number(h, "scenario.h")
     if h_levels is not None:
         if not isinstance(h_levels, list) or not h_levels:
             raise ScenarioError("scenario.h_levels", "expected a nonempty list")
+        for i, level in enumerate(h_levels):
+            _positive_number(level, f"scenario.h_levels[{i}]")
         if any(b >= a for a, b in zip(h_levels, h_levels[1:])):
             raise ScenarioError("scenario.h_levels", "must be strictly decreasing")
-    tol = float(raw.get("tolerance", 1e-8))
-    if tol <= 0:
-        raise ScenarioError("scenario.tolerance", "must be positive")
+    tol = float(_positive_number(raw.get("tolerance", 1e-8), "scenario.tolerance"))
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("scenario.params", "expected an object")
@@ -145,6 +158,8 @@ def validate_scenario(raw):
             raise ScenarioError(
                 f"scenario.assertions[{i}]", "each assertion needs path, op, value"
             )
+        if not isinstance(a["path"], str):
+            raise ScenarioError(f"scenario.assertions[{i}].path", "expected a string")
         if a["op"] not in ("<=", ">=", "==", "!=", "<", ">"):
             raise ScenarioError(f"scenario.assertions[{i}].op", f"unknown op {a['op']!r}")
     return {
@@ -629,7 +644,8 @@ def run_scenario(path, out_root=None):
     out_dir = out_root / scn["name"]
     t0 = time.perf_counter()
     try:
-        report, tables, key_metric, ok = _EXECUTORS[scn["task"]](scn)
+        with _solve_counts() as solve_memo:
+            report, tables, key_metric, ok = _EXECUTORS[scn["task"]](scn)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2, {"scenario": scn["name"], "task": scn["task"],
@@ -655,6 +671,7 @@ def run_scenario(path, out_root=None):
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
+        "solve_memo": solve_memo,
         "wall_time_s": wall,
     }
     (out_dir / "manifest.json").write_text(
@@ -681,10 +698,12 @@ def run_suite(directory, out_root=None, threads=1):
     for f in files:
         try:
             raw = json.loads(f.read_text())
-            name = raw.get("name", f.stem)
         except (OSError, json.JSONDecodeError):
-            name = f.stem
-        names.setdefault(name, []).append(f.name)
+            raw = None
+        # A file that is no object or has no string name is left for
+        # run_scenario to reject with exit 2.
+        name = raw.get("name") if isinstance(raw, dict) else None
+        names.setdefault(name if isinstance(name, str) else f.stem, []).append(f.name)
     dupes = {k: v for k, v in names.items() if len(v) > 1}
     if dupes:
         print(f"duplicate scenario names: {dupes}", file=sys.stderr)
@@ -692,12 +711,14 @@ def run_suite(directory, out_root=None, threads=1):
     out_root = Path(out_root) if out_root else Path("out")
     rows = []
     worst = 0
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run_scenario, f, out_root): f for f in files}
-            results = [fut.result() for fut in futures]
-    else:
-        results = [run_scenario(f, out_root) for f in files]
+    # Equal solves run once per suite run (see ``solver._solve_memo``).
+    with _solve_memo():
+        if threads > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = {pool.submit(run_scenario, f, out_root): f for f in files}
+                results = [fut.result() for fut in futures]
+        else:
+            results = [run_scenario(f, out_root) for f in files]
     for code, row in results:
         worst = max(worst, code)
         rows.append(row)

@@ -201,3 +201,20 @@ def test_criterion_16_deterministic_report(suite):
     assert code == 0
     second = (rerun_root / "s09-probe-regular" / "report.json").read_bytes()
     assert first == second
+    # A single run has no solve memo: the rerun solved every level afresh.
+    rerun = json.loads((rerun_root / "s09-probe-regular" / "manifest.json").read_text())
+    assert rerun["solve_memo"]["hits"] == 0 and rerun["solve_memo"]["misses"] > 0
+
+
+def test_suite_memo_serves_exactly_the_repeated_solves(suite):
+    # s08 instruments s01's h = 1/128 obstacle solve, and s14's region A
+    # re-probes s11's slit region on its two grids.  Which scenario of a
+    # pair runs the solve and which gets the hit depends on the threads.
+    hits = {
+        path.parent.name: json.loads(path.read_text())["solve_memo"]["hits"]
+        for path in suite["out"].glob("*/manifest.json")
+    }
+    assert len(hits) == len(list(SCENARIOS.glob("*.json")))
+    assert hits.pop("s01-radial-obstacle-t3") + hits.pop("s08-degiorgi-radial") == 1
+    assert hits.pop("s11-slit-tip-t3") + hits.pop("s14-locality-slit") == 2
+    assert set(hits.values()) == {0}

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from artifact import Ball, ObstacleConstraint, build_grid, solve_obstacle, solver
 from artifact.cli import (
     ScenarioError,
     load_scenario,
@@ -83,6 +84,63 @@ def test_validate_scenario_rejects(patch, field):
     assert err.value.field == field
 
 
+# Malformed top-level fields: each must exit 2 naming the field, before any
+# solve, and must not stop a suite from running the valid scenario beside it.
+MALFORMED = [
+    ({"tolerance": "abc"}, "scenario.tolerance"),
+    ({"tolerance": None}, "scenario.tolerance"),
+    ({"h": None, "h_levels": [0.1, "x"]}, "scenario.h_levels[1]"),
+    ({"h": [0.1]}, "scenario.h"),
+    ({"assertions": [{"path": 3, "op": "==", "value": 1}]}, "scenario.assertions[0].path"),
+]
+
+
+def malformed_doc(patch):
+    doc = scenario_doc(name="malformed")
+    doc.update(patch)
+    if patch.get("h", 0) is None:
+        del doc["h"]
+    return doc
+
+
+@pytest.mark.parametrize("patch,field", MALFORMED)
+def test_malformed_top_level_field_exits_two(tmp_path, patch, field):
+    p = write_doc(tmp_path, malformed_doc(patch))
+    code, row = run_scenario(p, out_root=tmp_path / "out")
+    assert code == 2
+    assert row["result"] == "config-error"
+    assert row["key_metric"].startswith(field + ":")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch,field", MALFORMED)
+def test_suite_runs_the_neighbour_of_a_malformed_scenario(tmp_path, patch, field):
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    write_doc(sdir, malformed_doc(patch), "bad.json")
+    write_doc(sdir, scenario_doc(name="good"), "good.json")
+    assert run_suite(sdir, out_root=tmp_path / "out") == 2
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+    assert rows[str(sdir / "bad.json")]["key_metric"].startswith(field + ":")
+    assert rows["good"]["result"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "text,field", [("[1, 2]", "bad.json"), ('{"name": ["x"]}', "scenario.name")]
+)
+def test_suite_runs_the_neighbour_of_a_non_scenario_file(tmp_path, text, field):
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    (sdir / "bad.json").write_text(text)
+    write_doc(sdir, scenario_doc(name="good"), "good.json")
+    assert run_suite(sdir, out_root=tmp_path / "out") == 2
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+    assert field in rows[str(sdir / "bad.json")]["key_metric"]
+    assert rows["good"]["result"] == "pass"
+
+
 def test_load_scenario_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -110,8 +168,10 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {
         "config_sha256", "package_version", "numpy_version",
-        "python_version", "wall_time_s",
+        "python_version", "solve_memo", "wall_time_s",
     }
+    # Outside a suite run there is no memo: every solve runs.
+    assert manifest["solve_memo"] == {"hits": 0, "misses": 1}
     # Volatile data stays out of the report.
     assert "wall_time_s" not in report["solve"]
     metrics = (out / "metrics.csv").read_bytes()
@@ -361,6 +421,66 @@ def test_suite_rejects_duplicates_and_empty(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run_suite(empty, out_root=tmp_path / "out") == 2
+
+
+def shared_solve_docs():
+    """An obstacle scenario and a degiorgi-instrument scenario whose solves
+    are equal: same grid, operator, obstacle, height, sign and tolerance."""
+    ball = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    obstacle = {"type": "ball", "center": [0.0, 0.0], "radius": 0.25}
+    common = {"shape": ball, "operator": {"kind": "p_laplace", "t": 3.0}, "tolerance": 1e-8}
+    b1 = {
+        "name": "b1-obstacle", "task": "obstacle", "h": 1.0 / 16.0, **common,
+        "params": {"obstacle": obstacle, "m": 0.9, "sign": 1,
+                   "radial_oracle": {"inner": 0.25, "outer": 1.0, "band": [0.375, 0.85]}},
+    }
+    b2 = {
+        "name": "b2-degiorgi", "task": "degiorgi-instrument", "h_levels": [1.0 / 16.0],
+        **common,
+        "params": {"solve": {"kind": "obstacle", "obstacle": obstacle, "m": 0.9, "sign": 1},
+                   "y": [0.0, 0.0],
+                   "level_sets": [{"level": 0.45, "radius": 0.5}]},
+    }
+    return b1, b2
+
+
+def artifact_bytes(out):
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.glob("*/*"))
+        if path.name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_suite_memo_runs_a_shared_solve_once(tmp_path, monkeypatch, threads):
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    paths = [write_doc(sdir, doc) for doc in shared_solve_docs()]
+    for path in paths:
+        assert run_scenario(path, out_root=tmp_path / "single")[0] == 0
+    calls = []
+    relax = solver._relax
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].t)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_relax", counted)
+    assert run_suite(sdir, out_root=tmp_path / "suite-out", threads=threads) == 0
+    assert calls == [2.0, 3.0]  # one presolve, one main solve
+    assert artifact_bytes(tmp_path / "suite-out") == artifact_bytes(tmp_path / "single")
+    memo = [
+        json.loads((tmp_path / "suite-out" / name / "manifest.json").read_text())["solve_memo"]
+        for name in ("b1-obstacle", "b2-degiorgi")
+    ]
+    assert sorted((m["hits"], m["misses"]) for m in memo) == [(0, 1), (1, 0)]
+    # The memo ends with the suite run: a direct solve runs again.
+    scn, _ = load_scenario(paths[0])
+    grid = build_grid(scn["shape"], scn["h"])
+    con = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 0.9)
+    solve_obstacle(grid, scn["spec"], con)
+    assert calls == [2.0, 3.0, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ maximum/comparison principles.
 """
 
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -571,3 +573,141 @@ def test_energy_residual_benchmark(benchmark):
     e, res = benchmark.pedantic(checks, rounds=3, iterations=1, warmup_rounds=1)
     assert math.isfinite(e) and e > 0.0
     assert np.all(res.values[grid.labels != INTERIOR] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Energy checks and the solve memo.
+# ---------------------------------------------------------------------------
+
+
+def test_energy_is_computed_only_for_the_checks(monkeypatch):
+    # The t = 2 presolve computes no energy, and a converged solve reuses the
+    # energy of its last checked sweep as the final energy.
+    grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 16.0)
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
+    calls = []
+
+    def counted(spec_, fld):
+        calls.append(spec_.t)
+        return energy(spec_, fld)
+
+    monkeypatch.setattr(solver, "energy_of", counted)
+    fld, rep = solve_obstacle(grid, spec, cons)
+    assert rep.converged and rep.notes["presolve"]["iterations"] > 0
+    assert calls == [3.0] * rep.notes["energy_checks"]
+    assert rep.energy == rep.notes["energy_last"] == energy(spec, fld)
+
+
+@pytest.fixture(scope="module")
+def memo_problem():
+    grid = build_grid(Ball([0.0, 0.0], 0.5), 1.0 / 8.0)
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.2), 1.0)
+    values = np.zeros(grid.dims)
+    values.ravel()[cons.indices] = 1.0
+    boundary = np.flatnonzero((grid.labels == BOUNDARY).ravel())
+    values.ravel()[boundary] = 0.25
+    return grid, spec, values, cons
+
+
+def _regrid(grid, **over):
+    other = build_grid(grid.shape, grid.h)
+    for name, value in over.items():
+        setattr(other, name, value)
+    return other
+
+
+def test_solve_key_changes_with_each_determinant(memo_problem):
+    grid, spec, values, cons = memo_problem
+    key = solver._solve_key(grid, spec, values, cons, 1e-8)
+    # A grid built separately from the same shape gives the same key.
+    assert solver._solve_key(_regrid(grid), spec, values.copy(), cons, 1e-8) == key
+    labels = grid.labels.copy()
+    labels.ravel()[0] = BOUNDARY
+    boundary = np.flatnonzero((grid.labels == BOUNDARY).ravel())
+    moved = values.copy()
+    moved.ravel()[boundary[3]] = 0.5
+    spec_changes = {
+        "kind": "regularized", "t": 3.5, "a": 2.0, "p0": 0.5,
+        "odd_symmetric": False, "homogeneous": False, "eps_floor": 1e-10,
+    }
+    assert set(spec_changes) == set(spec.to_dict())
+    variants = [
+        (_regrid(grid, labels=labels), spec, values, cons, 1e-8),
+        (_regrid(grid, origin=grid.origin + 1e-3), spec, values, cons, 1e-8),
+        (_regrid(grid, h=grid.h * (1 + 1e-12)), spec, values, cons, 1e-8),
+        (grid, spec, moved, cons, 1e-8),
+        (grid, spec, values, None, 1e-8),
+        (grid, spec, values, ObstacleConstraint(cons.indices[1:], 1.0), 1e-8),
+        (grid, spec, values, ObstacleConstraint(cons.indices, 1.5), 1e-8),
+        (grid, spec, values, ObstacleConstraint(cons.indices, 1.0, -1), 1e-8),
+        (grid, spec, values, cons, 1e-9),
+    ]
+    variants += [
+        (grid, replace(spec, **{name: value}), values, cons, 1e-8)
+        for name, value in spec_changes.items()
+    ]
+    keys = [solver._solve_key(*args) for args in variants]
+    assert key not in keys
+    assert len(set(keys)) == len(keys)
+
+
+def _counting_relax(monkeypatch):
+    calls = []
+    relax = solver._relax
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].t)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_relax", counted)
+    return calls
+
+
+def test_memo_serves_copies_and_forgets_on_exit(memo_problem, monkeypatch):
+    grid, spec, values, cons = memo_problem
+    calls = _counting_relax(monkeypatch)
+    with solver._solve_memo(), solver._solve_counts() as counts:
+        first, rep1 = solve_obstacle(grid, spec, cons)
+        second, rep2 = solve_obstacle(build_grid(grid.shape, grid.h), spec, cons)
+        assert counts == {"hits": 1, "misses": 1}
+        assert calls == [2.0, 3.0]
+        assert np.array_equal(first.values, second.values)
+        assert first.values is not second.values
+        assert rep2.to_dict() == rep1.to_dict()
+        # Caller-side writes reach neither the memo nor the other caller.
+        rep2.notes["obstacle_nodes"] = -1
+        second.values[:] = np.nan
+        third, rep3 = solve_obstacle(grid, spec, cons)
+        assert rep3.to_dict() == rep1.to_dict()
+        assert np.array_equal(third.values, first.values)
+    assert calls == [2.0, 3.0]
+    solve_obstacle(grid, spec, cons)
+    assert calls == [2.0, 3.0, 2.0, 3.0]
+
+
+def test_memo_keeps_no_failed_solve_and_releases_its_lock(memo_problem, monkeypatch):
+    grid, spec, _, cons = memo_problem
+    calls = []
+    relax = solver._relax
+
+    def fail_once(*args, **kwargs):
+        calls.append(args[1].t)
+        if len(calls) == 1:
+            raise RuntimeError("injected failure")
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_relax", fail_once)
+    results = []
+    with solver._solve_memo():
+        with pytest.raises(RuntimeError, match="injected"):
+            solve_obstacle(grid, spec, cons)
+        worker = threading.Thread(
+            target=lambda: results.append(solve_obstacle(grid, spec, cons))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    assert results and results[0][1].converged
+    assert calls == [2.0, 2.0, 3.0]
