@@ -265,9 +265,10 @@ def _probe_level(config, region_shape, spec, h, tol):
         "cap_nodes": cap_report["cap_nodes"],
         "converged": solve["converged"],
         "iterations": solve["iterations"],
-        # The t = 2 presolve of a t != 2 solve (None at t = 2) and the
-        # solve's Newton work.
+        # The t = 2 presolve of a t != 2 solve (None at t = 2), the lattices
+        # one pass of the solve works on and its Newton work.
         "presolve": solve["notes"].get("presolve"),
+        "grid_levels": solve["notes"]["grid_levels"],
         "newton_node_iterations": solve["notes"]["newton_node_iterations"],
         "guard_fallbacks": solve["notes"]["guard_fallbacks"],
         "radii": config.radii,

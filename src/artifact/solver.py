@@ -1,9 +1,11 @@
-"""Variational solver: nonlinear Gauss-Seidel on the corner-quadrature energy.
+"""Variational solver: relaxation on the corner-quadrature energy.
 
 Unknowns live at interior nodes; boundary-ring nodes carry Dirichlet data and
-never move.  One sweep visits the 2^N lattice parities in fixed order; nodes
-of one parity never share a cell, so a whole parity class updates in a single
-vectorized step that is exactly equivalent to sequential relaxation.
+never move.  A solve repeats one pass until it converges: at t = 2 a pass is
+one multilevel V-cycle, otherwise one nonlinear Gauss-Seidel sweep.  A sweep
+visits the 2^N lattice parities in fixed order; nodes of one parity never
+share a cell, so a whole parity class updates in a single vectorized step
+that is exactly equivalent to sequential relaxation.
 
 Each node update lowers the global energy along its own coordinate.  The
 local slice collects every integrand term that touches the node's value: its
@@ -20,28 +22,38 @@ shared by all terms; each term's phi, phi'/g and W come from
 ``monotone.profile`` as functions of the squared gradient magnitude, one
 power per term.
 
-Over-relaxation is on with the classical spacing-based factor omega.  The
-proposed value (the mean, or the Newton step) is relaxed by omega from the
-current one, clipped into [lo, hi] and projected onto the obstacle.  For
-t != 2 it is kept only where it does not raise the local energy slice above
-its value at the current point, which the Newton step supplies; at every other
-node (``guard_fallbacks`` in the report notes) the exact slice minimizer,
-found by iterating the same Newton step until it moves less than 1e-15 of the
-bracket scale (60 iterations at most), is projected and taken instead.  So the
-sweep energy is non-increasing by construction for every t.  Newton work is
-counted in the notes as ``newton_node_iterations`` (fallback iterations
-included) and ``newton_cap_hits``.  Because every accepted value stays inside
-the neighbor range (or at the obstacle height), iterates obey the discrete
-comparison principle exactly, not just within tolerance.
+At t != 2 over-relaxation is on with the classical spacing-based factor
+omega.  The Newton step is relaxed by omega from the current value, clipped
+into [lo, hi], projected onto the obstacle, and kept only where it does not
+raise the local energy slice above its value at the current point, which the
+Newton step supplies; at every other node (``guard_fallbacks`` in the report
+notes) the exact slice minimizer, found by iterating the same Newton step
+until it moves less than 1e-15 of the bracket scale (60 iterations at most),
+is projected and taken instead.  Newton work is counted in the notes as
+``newton_node_iterations`` (fallback iterations included) and
+``newton_cap_hits``.
 
-Obstacle problems project each update onto the constraint (u >= m on the
-marked nodes for sign +1, u <= -m for sign -1, mirroring the reflected
-field).  Convergence requires both a small max update and a small normalized
-residual: |dE/du_i| / h^{N-2} below tolerance at free nodes, one-sided at
-pinned nodes.  So tol bounds those two quantities, not the distance to the
-discrete solution, which can be larger: the h = 1/128 t = 3 obstacle field
-of scenario s01, converged at tol = 1e-8, lies 1.05e-7 from the same
-problem's tol = 1e-11 field.
+At t = 2 a V-cycle (``_Multigrid``) smooths with one plain Gauss-Seidel
+sweep (face means, no over-relaxation), corrects along multilinear hat
+functions of the 2h, 4h, ... lattices, scaled by an exact line search, and
+smooths once more: a subspace correction method in the sense of Tai & Xu
+(Math. Comp. 2002), whose line-searched steps cannot raise the energy.
+Obstacle nodes stay fixed at +-m, which is exact (see ``_Multigrid``); the
+notes report ``grid_levels`` and ``iterations`` counts cycles.
+
+So the energy is non-increasing by construction for every t, pass by pass.
+Every smoothing update stays inside its face-neighbor range (or at the
+obstacle height).  A coarse correction may leave that range in mid-cycle, so
+at t = 2 the discrete comparison principle holds at convergence, within tol,
+not iterate by iterate; every cycle ends on a fine sweep.
+
+Obstacle problems keep u >= m on the marked nodes for sign +1 and u <= -m
+for sign -1, mirroring the reflected field.  Convergence requires both a
+small max update and a small normalized residual: |dE/du_i| / h^{N-2} below
+tolerance at free nodes, one-sided at pinned nodes.  So tol bounds those two
+quantities, not the distance to the discrete solution, which can be larger:
+the h = 1/128 t = 3 obstacle field of scenario s01, converged at tol = 1e-8,
+lies 1.05e-7 from the same problem's tol = 1e-11 field.
 
 Dirichlet and obstacle problems share one solve path.  Every t != 2 solve,
 of either kind, first solves the same problem (same data, same constraint)
@@ -58,6 +70,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
@@ -207,12 +220,10 @@ class _ColorWorkspace:
         self.idx = idx
         dims = grid.dims
         ndim = grid.dim
-        strides = [int(np.prod(dims[k + 1 :])) for k in range(ndim)]
+        strides = _strides(dims)
         self.ndim = ndim
         self.inv_h2 = 1.0 / (grid.h * grid.h)
-        self.face_offsets = np.array(
-            [sgn * strides[d] for d in range(ndim) for sgn in (1, -1)]
-        )
+        self.face_offsets = _face_offsets(dims)
         # Face rows of each own term.
         self.orthants = [
             [2 * d + j for d, j in enumerate(orth)]
@@ -242,13 +253,11 @@ class _ColorWorkspace:
         self.cap_hits = 0
         self.guard_fallbacks = 0
 
-    def gather(self, uflat, need_fixed=True):
+    def gather(self, uflat):
         """Fresh neighbour values: the face rows and, per neighbour term, the
         fixed part of its g2 = |G|^2."""
         idx = self.idx
         faces = np.take(uflat, idx + self.face_offsets[:, None])
-        if not need_fixed:
-            return faces, None
         fixed = np.zeros((len(self.partners), idx.size))
         for m, (k, offs) in enumerate(self.partners):
             base = idx + self.face_offsets[k]
@@ -387,36 +396,27 @@ class _ColorWorkspace:
     def update(self, spec, s_old, faces, fixed, omega):
         """New values of the batch's nodes, from their current values s_old.
 
-        The proposal s1 is relaxed by omega from s_old, clipped into the
-        face-neighbour bracket [lo, hi] and projected onto the obstacle.  At
-        t = 2, s1 is the exact slice minimizer, the face-neighbour mean.
-        Otherwise s1 is one Newton step from clip(s_old, lo, hi), and the
-        proposal is kept only where the slice there does not exceed f(s_old);
-        the other nodes get the exact minimizer of ``minimize``, projected.
+        The proposal is one Newton step from clip(s_old, lo, hi), relaxed by
+        omega from s_old, clipped into the face-neighbour bracket [lo, hi]
+        and projected onto the obstacle.  It is kept only where the slice
+        there does not exceed f(s_old); the other nodes get the exact
+        minimizer of ``minimize``, projected.
         """
         lo = faces.min(axis=0)
         hi = faces.max(axis=0)
-        if spec.t == 2.0:
-            # Both built-in kinds are linear at t = 2: the slice minimizer is
-            # the face-neighbor mean.
-            s1 = faces.sum(axis=0) / (2.0 * self.ndim)
-            f_old = None
-        else:
-            # That step's Newton pass gives f at clip(s_old, lo, hi); only
-            # where the clip moved s_old is f(s_old) evaluated afresh.
-            start = np.clip(s_old, lo, hi)
-            s1, f_old = self._newton_step(
-                spec, start, faces, fixed, lo.copy(), hi.copy(), with_value=True
+        # That step's Newton pass gives f at clip(s_old, lo, hi); only where
+        # the clip moved s_old is f(s_old) evaluated afresh.
+        start = np.clip(s_old, lo, hi)
+        s1, f_old = self._newton_step(
+            spec, start, faces, fixed, lo.copy(), hi.copy(), with_value=True
+        )
+        moved = np.flatnonzero((s_old < lo) | (s_old > hi))
+        if moved.size:
+            f_old[moved] = self.slice_value(
+                spec, s_old[moved], faces[:, moved], fixed[:, moved]
             )
-            moved = np.flatnonzero((s_old < lo) | (s_old > hi))
-            if moved.size:
-                f_old[moved] = self.slice_value(
-                    spec, s_old[moved], faces[:, moved], fixed[:, moved]
-                )
         cand = s1 if omega == 1.0 else np.clip(s_old + omega * (s1 - s_old), lo, hi)
         cand = self.project(cand)
-        if f_old is None:
-            return cand
         # Compare against the CURRENT value, not the minimizer: the minimizer
         # always wins locally, so that test would reject nearly every relaxed
         # step.  Either branch keeps the sweep energy non-increasing.
@@ -431,23 +431,211 @@ class _ColorWorkspace:
         return cand
 
 
-def _build_colors(grid):
-    dims = grid.dims
-    interior = grid.labels == INTERIOR
-    multi = np.indices(dims)
-    parity = np.zeros(dims, dtype=np.int64)
-    for k in range(grid.dim):
-        parity = parity * 2 + (multi[k] % 2)
-    colors = []
-    for c in range(2**grid.dim):
-        mask = interior & (parity == c)
-        idx = np.flatnonzero(mask.ravel())
+def _strides(dims):
+    """Flat-index step of one node along each axis of a C-ordered array."""
+    return [int(np.prod(dims[k + 1 :])) for k in range(len(dims))]
+
+
+def _face_offsets(dims):
+    """Flat offsets to the 2N face neighbours, row 2d + j at (+1, -1)[j]
+    along axis d."""
+    return np.array([sgn * step for step in _strides(dims) for sgn in (1, -1)])
+
+
+def _parity_classes(mask):
+    """Flat indices of the nodes of ``mask``, one array per lattice parity
+    (nodes of one parity share no cell), empty classes left out."""
+    parity = np.zeros(mask.shape, dtype=np.int8)
+    for coord in np.ogrid[tuple(slice(d) for d in mask.shape)]:
+        parity = parity * 2 + (coord % 2).astype(np.int8)
+    classes = []
+    for c in range(2 ** mask.ndim):
+        idx = np.flatnonzero((mask & (parity == c)).ravel())
         if idx.size:
-            colors.append(idx)
-    return colors
+            classes.append(idx)
+    return classes
 
 
-# Sweep bound of every solve; converged solves stop long before it.
+def _build_colors(grid):
+    return _parity_classes(grid.labels == INTERIOR)
+
+
+# ---------------------------------------------------------------------------
+# Multilevel passes at t = 2.
+# ---------------------------------------------------------------------------
+
+# Coarsening stops before a level with fewer free nodes or a shorter axis;
+# the coarsest level gets this many Gauss-Seidel sweeps per cycle.
+_MIN_COARSE_NODES = 64
+_MIN_COARSE_DIM = 5
+_COARSEST_SWEEPS = 30
+
+
+def _along(axis, ndim, sl):
+    """Index tuple applying slice ``sl`` on one axis of an ndim array."""
+    return tuple(sl if k == axis else slice(None) for k in range(ndim))
+
+
+class _Level:
+    """One lattice of the t = 2 hierarchy: the free-node mask, its parity
+    classes and the face offsets of the plain 2N + 1 point stencil K, with
+    K x = 2N x_i minus the face neighbours of i on free nodes."""
+
+    def __init__(self, free):
+        self.free = free
+        self.nonfree = ~free
+        self.classes = _parity_classes(free)
+        self.offsets = _face_offsets(free.shape)
+
+    def sweep(self, flat, rhs=None):
+        """One parity Gauss-Seidel sweep on K x = rhs (rhs None: zero), in
+        place on the flat array: each free node takes the exact minimizer of
+        its slice, the face-neighbour mean (plus rhs / 2N)."""
+        denom = 2.0 * self.free.ndim
+        for idx in self.classes:
+            total = np.take(flat, idx + self.offsets[:, None]).sum(axis=0)
+            if rhs is not None:
+                total += rhs[idx]
+            flat[idx] = total / denom
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def apply(self, x, out=None):
+        """K x on the free nodes, zero elsewhere, into ``out`` if given.
+        Values at nodes no free node touches (exterior ones) may be
+        anything."""
+        out = np.multiply(x, 2.0 * x.ndim, out=out)
+        for axis in range(x.ndim):
+            head = _along(axis, x.ndim, slice(1, None))
+            tail = _along(axis, x.ndim, slice(None, -1))
+            out[tail] -= x[head]
+            out[head] -= x[tail]
+        np.copyto(out, 0.0, where=self.nonfree)
+        return out
+
+
+def _coarse_free(free):
+    """The free mask of the next coarser lattice: coarse node J sits at fine
+    node 2J and is free where that fine node is, off the box rim."""
+    coarse = free[tuple(slice(None, None, 2) for _ in free.shape)].copy()
+    for axis in range(coarse.ndim):
+        rim = [slice(None)] * coarse.ndim
+        rim[axis] = [0, -1]
+        coarse[tuple(rim)] = False
+    return coarse
+
+
+def _interpolate(coarse, axis, n):
+    """Linear interpolation along one axis onto n fine nodes: fine node 2j
+    is coarse node j, fine node 2j + 1 averages coarse nodes j and j + 1, a
+    missing j + 1 (past the end of an even axis) counting as zero."""
+    at = partial(_along, axis, coarse.ndim)
+    shape = list(coarse.shape)
+    shape[axis] = n
+    fine = np.empty(shape)
+    fine[at(slice(0, None, 2))] = coarse
+    odd = fine[at(slice(1, None, 2))]
+    odd[...] = coarse[at(slice(0, n // 2))]
+    inner = (n - 1) // 2
+    odd[at(slice(0, inner))] += coarse[at(slice(1, inner + 1))]
+    odd *= 0.5
+    return fine
+
+
+def _interpolate_transpose(fine, axis):
+    """The exact transpose of ``_interpolate`` along one axis."""
+    at = partial(_along, axis, fine.ndim)
+    n = fine.shape[axis]
+    inner = (n - 1) // 2
+    coarse = fine[at(slice(0, None, 2))].copy()
+    half = 0.5 * fine[at(slice(1, None, 2))]
+    coarse[at(slice(0, n // 2))] += half
+    coarse[at(slice(1, inner + 1))] += half[at(slice(0, inner))]
+    return coarse
+
+
+def _prolong(coarse, fine_level):
+    """P e: multilinear interpolation of a coarse field that is zero off its
+    free nodes, zeroed on the fine level's non-free nodes."""
+    fine = coarse
+    for axis, n in enumerate(fine_level.free.shape):
+        fine = _interpolate(fine, axis, n)
+    np.copyto(fine, 0.0, where=fine_level.nonfree)
+    return fine
+
+
+def _restrict(fine, coarse_level):
+    """P^T r for a fine field r that is zero off its free nodes."""
+    coarse = fine
+    for axis in range(fine.ndim):
+        coarse = _interpolate_transpose(coarse, axis)
+    np.copyto(coarse, 0.0, where=coarse_level.nonfree)
+    return coarse
+
+
+class _Multigrid:
+    """V-cycles for the t = 2 energy on the free nodes: interior nodes that
+    are not obstacle nodes.
+
+    The discrete solution of every obstacle problem here equals +-m on its
+    constraint nodes (zero boundary data and a constant height, so the
+    truncation at m is feasible and stretches no edge), so at t = 2 the
+    obstacle problem is the linear Dirichlet problem with those nodes fixed.
+    One cycle on level k is a parity Gauss-Seidel sweep, a correction c = P e
+    from the next coarser level, scaled by the exact line search
+    alpha = <rho, c> / <c, K c> of level k's own quadratic (rho its residual
+    after the sweep), and one more sweep; the coarsest level gets
+    ``_COARSEST_SWEEPS`` sweeps instead (a lattice too small to coarsen is
+    its own coarsest level).  Sweeps and line-searched
+    corrections never raise the energy, and c is zero on every fixed node.
+    """
+
+    def __init__(self, grid, constraint):
+        free = grid.labels == INTERIOR
+        if constraint is not None:
+            free.ravel()[constraint.indices] = False
+        self.levels = [_Level(free)]
+        while True:
+            free = _coarse_free(free)
+            if min(free.shape) < _MIN_COARSE_DIM or free.sum() < _MIN_COARSE_NODES:
+                break
+            self.levels.append(_Level(free))
+
+    def cycle(self, values):
+        """One V-cycle on ``values`` in place; returns the max update."""
+        free = self.levels[0].free
+        step = values[free]
+        self._cycle(0, values, None)
+        np.subtract(values[free], step, out=step)
+        return float(np.max(np.abs(step, out=step), initial=0.0))
+
+    def _cycle(self, k, x, rhs):
+        level = self.levels[k]
+        flat = x.ravel()
+        if k + 1 == len(self.levels):
+            for _ in range(_COARSEST_SWEEPS):
+                level.sweep(flat, rhs)
+            return
+        level.sweep(flat, rhs)
+        rho = level.apply(x)
+        np.negative(rho, out=rho)
+        if rhs is not None:
+            rho += rhs.reshape(x.shape)
+        coarse = self.levels[k + 1]
+        e = np.zeros(coarse.free.shape)
+        self._cycle(k + 1, e, _restrict(rho, coarse).ravel())
+        c = _prolong(e, level)
+        slope = np.vdot(rho, c)
+        curvature = np.vdot(c, level.apply(c, out=rho))
+        del rho
+        if curvature > 0.0:
+            c *= slope / curvature
+            x += c
+        # Full-size arrays go before the sweep, which allocates its own.
+        del c
+        level.sweep(flat, rhs)
+
+
+# Pass bound of every solve; converged solves stop long before it.
 _MAX_SWEEPS = 100_000
 
 
@@ -523,19 +711,51 @@ def _energy_stride(grid):
     return 1 if grid.node_count() <= 150_000 else 8
 
 
-def _relax(grid, spec, values, constraint, tol, max_sweeps, omega, check_energy=True):
-    """Relax ``values`` in place until both the max update and the normalized
-    residual (one-sided at pinned nodes) are within tol, or max_sweeps.
+def _sweep(workspaces, spec, omega, uflat):
+    """One nonlinear Gauss-Seidel sweep in place; returns the max update."""
+    max_upd = 0.0
+    for ws in workspaces:
+        s_old = uflat[ws.idx]
+        faces, fixed = ws.gather(uflat)
+        s_new = ws.update(spec, s_old, faces, fixed, omega)
+        max_upd = max(max_upd, float(np.max(np.abs(s_new - s_old), initial=0.0)))
+        uflat[ws.idx] = s_new
+    return max_upd
 
-    With ``check_energy`` false no energy is computed: the report holds the
-    sweep count, the last max update and residual, and convergence only.
+
+def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
+    """Relax ``values`` in place until both the max update and the normalized
+    residual (one-sided at pinned nodes) are within tol, or max_sweeps passes.
+
+    A pass is one ``_Multigrid`` V-cycle at t = 2 and one over-relaxed
+    nonlinear Gauss-Seidel sweep otherwise; ``iterations`` counts passes.
+    Every constraint node must start at the obstacle height.  With
+    ``check_energy`` false no energy is computed: the report holds the pass
+    count, the last max update and residual, and convergence only.
     """
     uflat = values.ravel()
-    colors = _build_colors(grid)
-    workspaces = [_ColorWorkspace(grid, idx, constraint) for idx in colors]
-    energy_stride = _energy_stride(grid)
+    if constraint is not None and np.any(
+        uflat[constraint.indices] != constraint.sign * constraint.height
+    ):
+        raise ValueError("every constraint node must start at the obstacle height")
     fld = Field(grid, values)
+    # The first energy runs before the pass's index arrays exist, so its
+    # temporaries never sit beside them.
     energy_hist = [energy_of(spec, fld)] if check_energy else None
+    workspaces = []
+    if spec.t == 2.0:
+        multigrid = _Multigrid(grid, constraint)
+        one_pass = partial(multigrid.cycle, values)
+        notes = {
+            "grid_levels": len(multigrid.levels),
+            "colors": len(multigrid.levels[0].classes),
+        }
+    else:
+        omega = _auto_omega(grid)
+        workspaces = [_ColorWorkspace(grid, idx, constraint) for idx in _build_colors(grid)]
+        one_pass = partial(_sweep, workspaces, spec, omega, uflat)
+        notes = {"omega": omega, "grid_levels": 1, "colors": len(workspaces)}
+    energy_stride = _energy_stride(grid)
     checked = False
     worst_uptick = 0.0
     max_upd = math.inf
@@ -545,15 +765,7 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, omega, check_energy=
     last_res_check = -10
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
-        max_upd = 0.0
-        for ws in workspaces:
-            s_old = uflat[ws.idx]
-            faces, fixed = ws.gather(uflat, need_fixed=spec.t != 2.0)
-            s_new = ws.update(spec, s_old, faces, fixed, omega)
-            step = float(np.max(np.abs(s_new - s_old), initial=0.0))
-            if step > max_upd:
-                max_upd = step
-            uflat[ws.idx] = s_new
+        max_upd = one_pass()
         checked = check_energy and (sweep % energy_stride == 0 or max_upd <= tol)
         if checked:
             e_now = energy_of(spec, fld)
@@ -574,20 +786,12 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, omega, check_energy=
         return SolveReport(
             iterations=sweeps, max_update=max_upd, max_residual=max_res, converged=converged
         )
-    # A checked last sweep (always so when converged: max update <= tol
+    # A checked last pass (always so when converged: max update <= tol
     # forces the check) already holds the energy of the final field.
     final_energy = energy_hist[-1] if checked else energy_of(spec, fld)
-    report = SolveReport(
-        iterations=sweeps,
-        energy=final_energy,
-        max_update=max_upd,
-        max_residual=max_res,
-        converged=converged,
-        notes={
-            "omega": omega,
-            "colors": len(colors),
-            "energy_monotone": worst_uptick
-            <= 1e-14 * (1.0 + abs(energy_hist[0])),
+    notes.update(
+        {
+            "energy_monotone": worst_uptick <= 1e-14 * (1.0 + abs(energy_hist[0])),
             "worst_energy_uptick": worst_uptick,
             "energy_first": energy_hist[0],
             "energy_last": final_energy,
@@ -595,9 +799,16 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, omega, check_energy=
             "newton_node_iterations": sum(ws.node_iterations for ws in workspaces),
             "newton_cap_hits": sum(ws.cap_hits for ws in workspaces),
             "guard_fallbacks": sum(ws.guard_fallbacks for ws in workspaces),
-        },
+        }
     )
-    return report
+    return SolveReport(
+        iterations=sweeps,
+        energy=final_energy,
+        max_update=max_upd,
+        max_residual=max_res,
+        converged=converged,
+        notes=notes,
+    )
 
 
 def _require_potential(spec):
@@ -712,7 +923,6 @@ def _solve_fresh(grid, spec, values, constraint, tol):
     tolerance max(100 tol, 1e-6); its cheap linear sweeps leave a start close
     to the answer.
     """
-    omega = _auto_omega(grid)
     presolve = None
     if spec.t != 2.0:
         pre = _relax(
@@ -722,11 +932,10 @@ def _solve_fresh(grid, spec, values, constraint, tol):
             constraint,
             max(tol * 100, 1e-6),
             _MAX_SWEEPS,
-            omega,
             check_energy=False,
         )
         presolve = {"iterations": pre.iterations, "converged": pre.converged}
-    report = _relax(grid, spec, values, constraint, tol, _MAX_SWEEPS, omega)
+    report = _relax(grid, spec, values, constraint, tol, _MAX_SWEEPS)
     if presolve is not None:
         report.notes["presolve"] = presolve
     report.notes["task"] = "dirichlet" if constraint is None else "obstacle"

@@ -33,14 +33,18 @@ from artifact import solver
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
 from artifact.solver import (
     _MAX_SWEEPS,
-    _auto_omega,
     _build_colors,
+    _coarse_free,
     _ColorWorkspace,
+    _Level,
+    _Multigrid,
+    _prolong,
     _relax,
+    _restrict,
     obstacle_verification,
 )
 
-from oracles import quadratic_minimizer
+from oracles import quadratic_minimizer, seven_point_solution
 
 
 @pytest.fixture(scope="module")
@@ -525,7 +529,7 @@ def test_t3_obstacle_solve_keeps_invariants(sign):
     assert ver["residual_ok"] and ver["bounds_ok"] and ver["equals_m_on_obstacle"]
     cold = np.zeros(grid.dims)
     cold.ravel()[cons.indices] = sign * 0.8
-    cold_rep = _relax(grid, spec, cold, cons, tol, _MAX_SWEEPS, _auto_omega(grid))
+    cold_rep = _relax(grid, spec, cold, cons, tol, _MAX_SWEEPS)
     assert cold_rep.converged
     assert np.max(np.abs(fld.values - cold)) <= 10 * tol
 
@@ -539,17 +543,17 @@ def sweep_problem():
 
 @pytest.mark.parametrize("t", [2.0, 3.0])
 def test_one_sweep_benchmark(benchmark, sweep_problem, t):
-    # One nonlinear Gauss-Seidel sweep (plus _relax's energy and residual
-    # reads) on the h = 1/32 disk, from a field 20 sweeps into the solve.
+    # One pass of _relax (plus its energy and residual reads) on the
+    # h = 1/32 disk, from a field 20 passes into the solve: a nonlinear
+    # Gauss-Seidel sweep at t = 3, a V-cycle at t = 2.
     grid, cons = sweep_problem
     spec = OperatorSpec(kind="p_laplace", t=t)
-    omega = _auto_omega(grid)
     start = np.zeros(grid.dims)
     start.ravel()[cons.indices] = 1.0
-    _relax(grid, spec, start, cons, 1e-8, 20, omega)
+    _relax(grid, spec, start, cons, 1e-8, 20)
 
     def one_sweep(values):
-        return _relax(grid, spec, values, cons, 1e-8, 1, omega)
+        return _relax(grid, spec, values, cons, 1e-8, 1)
 
     rep = benchmark.pedantic(
         one_sweep, setup=lambda: ((start.copy(),), {}), rounds=5, iterations=1
@@ -573,6 +577,133 @@ def test_energy_residual_benchmark(benchmark):
     e, res = benchmark.pedantic(checks, rounds=3, iterations=1, warmup_rounds=1)
     assert math.isfinite(e) and e > 0.0
     assert np.all(res.values[grid.labels != INTERIOR] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The multilevel t = 2 solve.
+# ---------------------------------------------------------------------------
+
+# (ball, h, Dirichlet data, obstacle ball radius) of the exact-reference cases.
+T2_CASES = {
+    "disk": (Ball([0.0, 0.0], 1.0), 1.0 / 16.0, "sin(3*x1) + x2*x2", 0.25),
+    "ball": (Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 6.0, "sin(3*x1) + x2*x2 - x3", 0.3),
+}
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1])
+@pytest.mark.parametrize("case", sorted(T2_CASES))
+def test_multilevel_t2_solve_matches_dense_seven_point_solve(case, sign):
+    # Dirichlet (sign 0) and obstacle problems of both signs against one
+    # dense solve of the 5/7-point system on the free nodes, obstacle nodes
+    # held at +-m.  The obstacle answer must also verify as one: bounds,
+    # exact +-m and a one-sided residual on the obstacle.
+    shape, h, data, radius = T2_CASES[case]
+    grid = build_grid(shape, h)
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    tol = 1e-8
+    free = grid.labels == INTERIOR
+    if sign:
+        cons = ObstacleConstraint.from_shape(grid, Ball([0.0] * grid.dim, radius), 0.7, sign)
+        fld, rep = solve_obstacle(grid, spec, cons, tol=tol)
+        start = np.zeros(grid.dims)
+        start.ravel()[cons.indices] = sign * 0.7
+        free.ravel()[cons.indices] = False
+        assert np.all(fld.values.ravel()[cons.indices] == sign * 0.7)
+        ver = obstacle_verification(spec, grid, fld.values, cons, tol)
+        assert ver["equals_m_on_obstacle"] and ver["bounds_ok"] and ver["residual_ok"]
+    else:
+        fld, rep = solve_dirichlet(grid, spec, data, tol=tol)
+        start = fld.values.copy()
+    assert rep.converged and rep.notes["energy_monotone"] is True
+    assert rep.notes["grid_levels"] >= 2 and "omega" not in rep.notes
+    exact = seven_point_solution(start, free)
+    live = grid.labels != EXTERIOR
+    assert np.max(np.abs(fld.values - exact)[live]) <= 10 * tol
+
+
+@pytest.mark.parametrize("kind", ["p_laplace", "regularized"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_multilevel_stencil_is_the_weak_residual(kind, dim):
+    # On free nodes K u is dE/du / h^(N-2) at t = 2, whatever the values at
+    # exterior nodes, which no free node's stencil reaches.
+    grid = build_grid(Ball([0.1] * dim, 0.9), 1.0 / 9.0 if dim == 3 else 1.0 / 24.0)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0] * dim, 0.3), 1.0)
+    spec = OperatorSpec(kind=kind, t=2.0)
+    rng = np.random.default_rng(21)
+    values = rng.uniform(-1.0, 1.0, grid.dims)
+    exterior = grid.labels == EXTERIOR
+    values[exterior] = rng.choice([np.inf, -np.inf, np.nan], np.count_nonzero(exterior))
+    level = _Multigrid(grid, cons).levels[0]
+    free = level.free
+    assert free.sum() == np.count_nonzero(grid.labels == INTERIOR) - cons.indices.size
+    got = level.apply(values)
+    want = weak_residual(spec, Field(grid, values)).values / grid.h ** (dim - 2)
+    scale = np.max(np.abs(want[free]))
+    assert np.max(np.abs(got - want)[free]) <= 1e-12 * scale
+    assert np.all(got[~free] == 0.0)
+
+
+@pytest.mark.parametrize("dims", [(22, 17), (9, 10, 11), (12, 12, 7)])
+def test_restriction_is_the_transpose_of_prolongation(dims):
+    # <P e, r> = <e, P^T r> on odd and even axes, free masks with holes.
+    rng = np.random.default_rng(22)
+    fine_free = np.zeros(dims, dtype=bool)
+    fine_free[tuple(slice(1, -1) for _ in dims)] = True
+    fine_free &= rng.uniform(size=dims) < 0.9
+    fine = _Level(fine_free)
+    coarse = _Level(_coarse_free(fine_free))
+    e = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
+    r = np.where(fine.free, rng.standard_normal(dims), 0.0)
+    pe = _prolong(e, fine)
+    ptr = _restrict(r, coarse)
+    assert pe.shape == dims and ptr.shape == coarse.free.shape
+    assert np.all(pe[~fine.free] == 0.0) and np.all(ptr[~coarse.free] == 0.0)
+    lhs, rhs = np.vdot(pe, r), np.vdot(e, ptr)
+    assert abs(lhs - rhs) <= 1e-12 * (np.abs(pe).sum() + np.abs(ptr).sum())
+    # A coarse node at fine node 2J carries its value there unchanged.
+    at_2j = pe[tuple(slice(None, None, 2) for _ in dims)]
+    assert np.array_equal(at_2j[coarse.free], e[coarse.free])
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+def test_relax_rejects_an_obstacle_node_off_the_obstacle(small_disk, t):
+    spec = OperatorSpec(kind="p_laplace", t=t)
+    cons = ObstacleConstraint.from_shape(small_disk, Ball([0.0, 0.0], 0.15), 0.5)
+    start = np.zeros(small_disk.dims)
+    start.ravel()[cons.indices] = 0.5
+    start.ravel()[cons.indices[0]] = 0.6
+    with pytest.raises(ValueError, match="obstacle height"):
+        _relax(small_disk, spec, start, cons, 1e-8, 10)
+
+
+def test_t2_obstacle_cycles_stay_flat_under_refinement():
+    # SOR sweeps double each time h halves; V-cycles grow by at most 2x
+    # from h = 1/32 to h = 1/128 (14 and 17 cycles when written).
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    cycles = []
+    for h in (1.0 / 32.0, 1.0 / 128.0):
+        grid = build_grid(Ball([0.0, 0.0], 1.0), h)
+        cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
+        _, rep = solve_obstacle(grid, spec, cons, tol=1e-8)
+        assert rep.converged and rep.notes["energy_monotone"] is True
+        cycles.append(rep.iterations)
+    assert cycles[1] <= 2 * cycles[0]
+
+
+def test_one_cycle_benchmark(benchmark):
+    # One V-cycle, without _relax's checks, on the 39^3-node ball with a
+    # ball obstacle, from the +-m start.
+    grid = build_grid(Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 18.0)
+    assert grid.node_count() == 39**3
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0, 0.0], 0.25), 1.0)
+    start = np.zeros(grid.dims)
+    start.ravel()[cons.indices] = 1.0
+    multigrid = _Multigrid(grid, cons)
+    assert len(multigrid.levels) >= 3
+    step = benchmark.pedantic(
+        multigrid.cycle, setup=lambda: ((start.copy(),), {}), rounds=5, iterations=1
+    )
+    assert 0.0 < step <= 1.0
 
 
 # ---------------------------------------------------------------------------
