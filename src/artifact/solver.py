@@ -1,11 +1,16 @@
 """Variational solver: relaxation on the corner-quadrature energy.
 
 Unknowns live at interior nodes; boundary-ring nodes carry Dirichlet data and
-never move.  A solve repeats one pass until it converges: at t = 2 a pass is
-one multilevel V-cycle, otherwise one nonlinear Gauss-Seidel sweep.  A sweep
-visits the 2^N lattice parities in fixed order; nodes of one parity never
-share a cell, so a whole parity class updates in a single vectorized step
-that is exactly equivalent to sequential relaxation.
+never move.  A solve repeats one pass until it converges, and at every t a
+pass is one multilevel V-cycle (``_Multigrid``): smooth on the finest
+lattice, correct along multilinear hat functions of the 2h, 4h, ...
+lattices, scaled by a line search of the energy, and smooth once more.  It
+is a subspace correction method in the sense of Tai & Xu (Math. Comp.
+2002), whose line-searched steps cannot raise the energy; ``iterations``
+counts cycles and the notes report ``grid_levels``.  A smoothing sweep
+visits the 2^N lattice parities of the free nodes in fixed order; nodes of
+one parity never share a cell, so a whole parity class updates in a single
+vectorized step that is exactly equivalent to sequential relaxation.
 
 Each node update lowers the global energy along its own coordinate.  The
 local slice collects every integrand term that touches the node's value: its
@@ -14,46 +19,44 @@ corner gradients at that neighbor inside the shared cells (12 terms in 2D, 32
 in 3D).  The slice is convex and its minimizer lies inside the face-neighbor
 value range [lo, hi].  At t = 2 the minimizer is just the face-neighbor mean.
 Otherwise an update takes one bracketed Newton-or-bisection step from the
-current value clipped into [lo, hi] (one-step SOR-Newton: Ortega &
-Rheinboldt, Iterative Solution of Nonlinear Equations in Several Variables,
-1970, section 10.3, show that it converges as fast asymptotically as exact
-nonlinear SOR).  The 2N face differences are formed once per Newton step and
-shared by all terms; each term's phi, phi'/g and W come from
-``monotone.profile`` as functions of the squared gradient magnitude, one
-power per term.
-
-At t != 2 over-relaxation is on with the classical spacing-based factor
-omega.  The Newton step is relaxed by omega from the current value, clipped
-into [lo, hi], projected onto the obstacle, and kept only where it does not
-raise the local energy slice above its value at the current point, which the
-Newton step supplies; at every other node (``guard_fallbacks`` in the report
-notes) the exact slice minimizer, found by iterating the same Newton step
-until it moves less than 1e-15 of the bracket scale (60 iterations at most),
-is projected and taken instead.  Newton work is counted in the notes as
+current value clipped into [lo, hi] (one-step SOR-Newton at omega = 1:
+Ortega & Rheinboldt, Iterative Solution of Nonlinear Equations in Several
+Variables, 1970, section 10.3, show that it converges as fast asymptotically
+as exact nonlinear Gauss-Seidel).  The 2N face differences are formed once
+per Newton step and shared by all terms; each term's phi, phi'/g and W come
+from ``monotone.profile`` as functions of the squared gradient magnitude,
+one power per term.  The step is kept only where it does not raise the
+local slice above its value at the current point, which the Newton step
+supplies; at every other node (``guard_fallbacks`` in the report notes) the
+exact slice minimizer, found by iterating the same Newton step until it
+moves less than 1e-15 of the bracket scale (60 iterations at most), is
+taken instead.  Newton work is counted in the notes as
 ``newton_node_iterations`` (fallback iterations included) and
 ``newton_cap_hits``.
 
-At t = 2 a V-cycle (``_Multigrid``) smooths with one plain Gauss-Seidel
-sweep (face means, no over-relaxation), corrects along multilinear hat
-functions of the 2h, 4h, ... lattices, scaled by an exact line search, and
-smooths once more: a subspace correction method in the sense of Tai & Xu
-(Math. Comp. 2002), whose line-searched steps cannot raise the energy.
-Obstacle nodes stay fixed at +-m, which is exact (see ``_Multigrid``); the
-notes report ``grid_levels`` and ``iterations`` counts cycles.
+At t = 2 every level of a cycle is linear and its correction takes the
+exact line search.  At t != 2 only the finest level changes
+(``_NewtonLevel``): it smooths with the guarded Newton sweeps, restricts
+the nonlinear residual to the same linear coarse levels, and scales the
+correction by a bracketed secant on the slope of the energy along it
+(``line_search_slopes`` slope evaluations; ``corrections_skipped`` where no
+step is certified).  Obstacle nodes stay fixed at +-m at every t, which is
+exact (see ``_Multigrid``).
 
-So the energy is non-increasing by construction for every t, pass by pass.
-Every smoothing update stays inside its face-neighbor range (or at the
-obstacle height).  A coarse correction may leave that range in mid-cycle, so
-at t = 2 the discrete comparison principle holds at convergence, within tol,
-not iterate by iterate; every cycle ends on a fine sweep.
+So the energy is non-increasing by construction for every t, cycle by cycle.
+Every smoothing update stays inside its face-neighbor range.  A coarse
+correction may leave that range in mid-cycle, so the discrete comparison
+principle and the obstacle bounds hold at convergence, within tol, not
+iterate by iterate; every cycle ends on a fine sweep.
 
 Obstacle problems keep u >= m on the marked nodes for sign +1 and u <= -m
 for sign -1, mirroring the reflected field.  Convergence requires both a
 small max update and a small normalized residual: |dE/du_i| / h^{N-2} below
 tolerance at free nodes, one-sided at pinned nodes.  So tol bounds those two
-quantities, not the distance to the discrete solution, which can be larger:
-the h = 1/128 t = 3 obstacle field of scenario s01, converged at tol = 1e-8,
-lies 1.05e-7 from the same problem's tol = 1e-11 field.
+quantities, not the distance to the discrete solution, which can be larger.
+Converged at tol = 1e-8, the h = 1/128 t = 3 obstacle field of scenario s01
+lies 7.9e-9 from the same problem's tol = 1e-11 field, and the h = 1/64
+field of the box region of scenario s14 lies 5.6e-8 from its own.
 
 Dirichlet and obstacle problems share one solve path.  Every t != 2 solve,
 of either kind, first solves the same problem (same data, same constraint)
@@ -216,7 +219,7 @@ class _ColorWorkspace:
     d; the fixed parts are the rows of one array too, one per neighbour term.
     """
 
-    def __init__(self, grid, idx, constraint=None):
+    def __init__(self, grid, idx):
         self.idx = idx
         dims = grid.dims
         ndim = grid.dim
@@ -238,17 +241,9 @@ class _ColorWorkspace:
                 for corner in np.ndindex(*([2] * (ndim - 1))):
                     offs = [(1, -1)[c] * strides[k] for c, k in zip(corner, others)]
                     self.partners.append((2 * d + j, offs))
-        # The batch's obstacle nodes, or None when it has none.
-        self.pinned = None
-        if constraint is not None:
-            pinned = np.isin(idx, constraint.indices)
-            if pinned.any():
-                self.pinned = pinned
-                self.target = constraint.sign * constraint.height
-                self.bound = np.maximum if constraint.sign > 0 else np.minimum
         # Newton work over the solve: node-iterations, nodes that ran into
         # the iteration cap, and node updates where the guard rejected the
-        # relaxed step.
+        # one-step update.
         self.node_iterations = 0
         self.cap_hits = 0
         self.guard_fallbacks = 0
@@ -385,29 +380,20 @@ class _ColorWorkspace:
         out[live] = s
         return out, lo, hi, f0
 
-    def project(self, s, at=None):
-        """s projected onto the obstacle at the batch's pinned nodes; ``at``
-        selects the batch nodes that s holds (default: all of them)."""
-        if self.pinned is None:
-            return s
-        mask = self.pinned if at is None else self.pinned[at]
-        return np.where(mask, self.bound(s, self.target), s)
-
-    def update(self, spec, s_old, faces, fixed, omega):
+    def update(self, spec, s_old, faces, fixed):
         """New values of the batch's nodes, from their current values s_old.
 
-        The proposal is one Newton step from clip(s_old, lo, hi), relaxed by
-        omega from s_old, clipped into the face-neighbour bracket [lo, hi]
-        and projected onto the obstacle.  It is kept only where the slice
-        there does not exceed f(s_old); the other nodes get the exact
-        minimizer of ``minimize``, projected.
+        The proposal is one Newton step from clip(s_old, lo, hi), which
+        stays in the face-neighbour bracket [lo, hi].  It is kept only where
+        the slice there does not exceed f(s_old); the other nodes get the
+        exact minimizer of ``minimize``.
         """
         lo = faces.min(axis=0)
         hi = faces.max(axis=0)
         # That step's Newton pass gives f at clip(s_old, lo, hi); only where
         # the clip moved s_old is f(s_old) evaluated afresh.
         start = np.clip(s_old, lo, hi)
-        s1, f_old = self._newton_step(
+        cand, f_old = self._newton_step(
             spec, start, faces, fixed, lo.copy(), hi.copy(), with_value=True
         )
         moved = np.flatnonzero((s_old < lo) | (s_old > hi))
@@ -415,11 +401,8 @@ class _ColorWorkspace:
             f_old[moved] = self.slice_value(
                 spec, s_old[moved], faces[:, moved], fixed[:, moved]
             )
-        cand = s1 if omega == 1.0 else np.clip(s_old + omega * (s1 - s_old), lo, hi)
-        cand = self.project(cand)
-        # Compare against the CURRENT value, not the minimizer: the minimizer
-        # always wins locally, so that test would reject nearly every relaxed
-        # step.  Either branch keeps the sweep energy non-increasing.
+        # Compare against the CURRENT value, not the minimizer: either
+        # branch keeps the sweep energy non-increasing.
         f_cand = self.slice_value(spec, cand, faces, fixed)
         reject = np.flatnonzero(~(f_cand <= f_old))
         if reject.size:
@@ -427,7 +410,7 @@ class _ColorWorkspace:
             exact, _, _, _ = self.minimize(
                 spec, s_old[reject], faces[:, reject], fixed[:, reject]
             )
-            cand[reject] = self.project(exact, reject)
+            cand[reject] = exact
         return cand
 
 
@@ -456,12 +439,8 @@ def _parity_classes(mask):
     return classes
 
 
-def _build_colors(grid):
-    return _parity_classes(grid.labels == INTERIOR)
-
-
 # ---------------------------------------------------------------------------
-# Multilevel passes at t = 2.
+# Multilevel passes.
 # ---------------------------------------------------------------------------
 
 # Coarsening stops before a level with fewer free nodes or a shorter axis;
@@ -477,7 +456,7 @@ def _along(axis, ndim, sl):
 
 
 class _Level:
-    """One lattice of the t = 2 hierarchy: the free-node mask, its parity
+    """One lattice of the hierarchy: the free-node mask, its parity
     classes and the face offsets of the plain 2N + 1 point stencil K, with
     K x = 2N x_i minus the face neighbours of i on free nodes."""
 
@@ -573,20 +552,21 @@ def _restrict(fine, coarse_level):
 
 
 class _Multigrid:
-    """V-cycles for the t = 2 energy on the free nodes: interior nodes that
-    are not obstacle nodes.
+    """V-cycles on the free nodes: interior nodes that are not obstacle nodes.
 
     The discrete solution of every obstacle problem here equals +-m on its
     constraint nodes (zero boundary data and a constant height, so the
-    truncation at m is feasible and stretches no edge), so at t = 2 the
-    obstacle problem is the linear Dirichlet problem with those nodes fixed.
-    One cycle on level k is a parity Gauss-Seidel sweep, a correction c = P e
-    from the next coarser level, scaled by the exact line search
-    alpha = <rho, c> / <c, K c> of level k's own quadratic (rho its residual
-    after the sweep), and one more sweep; the coarsest level gets
+    truncation at m is feasible and stretches no edge), so the obstacle
+    problem is the Dirichlet problem with those nodes fixed; at t = 2 it is
+    linear.  One cycle on level k is a parity Gauss-Seidel sweep, a
+    correction c = P e from the next coarser level, scaled by the exact line
+    search alpha = <rho, c> / <c, K c> of level k's own quadratic (rho its
+    residual after the sweep), and one more sweep; the coarsest level gets
     ``_COARSEST_SWEEPS`` sweeps instead (a lattice too small to coarsen is
-    its own coarsest level).  Sweeps and line-searched
-    corrections never raise the energy, and c is zero on every fixed node.
+    its own coarsest level).  At t != 2 only the finest level changes (see
+    ``_NewtonLevel``); the coarser ones serve the same plain K.  Sweeps and
+    line-searched corrections never raise the energy, and c is zero on
+    every fixed node.
     """
 
     def __init__(self, grid, constraint):
@@ -600,13 +580,28 @@ class _Multigrid:
                 break
             self.levels.append(_Level(free))
 
-    def cycle(self, values):
-        """One V-cycle on ``values`` in place; returns the max update."""
+    def cycle(self, values, newton=None):
+        """One V-cycle on ``values`` in place; returns the max update.  With
+        ``newton`` (a _NewtonLevel) the finest level is its t != 2 one."""
         free = self.levels[0].free
         step = values[free]
-        self._cycle(0, values, None)
+        if newton is None:
+            self._cycle(0, values, None)
+        else:
+            newton.sweep(values)
+            if len(self.levels) > 1:
+                rho = newton.residual(values)
+                newton.correct(values, rho, self._correction(0, rho))
+            newton.sweep(values)
         np.subtract(values[free], step, out=step)
         return float(np.max(np.abs(step, out=step), initial=0.0))
+
+    def _correction(self, k, rho):
+        """c = P e, e one cycle from zero on level k + 1 for K e = P^T rho."""
+        coarse = self.levels[k + 1]
+        e = np.zeros(coarse.free.shape)
+        self._cycle(k + 1, e, _restrict(rho, coarse).ravel())
+        return _prolong(e, self.levels[k])
 
     def _cycle(self, k, x, rhs):
         level = self.levels[k]
@@ -620,10 +615,7 @@ class _Multigrid:
         np.negative(rho, out=rho)
         if rhs is not None:
             rho += rhs.reshape(x.shape)
-        coarse = self.levels[k + 1]
-        e = np.zeros(coarse.free.shape)
-        self._cycle(k + 1, e, _restrict(rho, coarse).ravel())
-        c = _prolong(e, level)
+        c = self._correction(k, rho)
         slope = np.vdot(rho, c)
         curvature = np.vdot(c, level.apply(c, out=rho))
         del rho
@@ -635,15 +627,93 @@ class _Multigrid:
         level.sweep(flat, rhs)
 
 
+# The line search of a t != 2 coarse correction: at most this many slope
+# evaluations, stopping at a certified step whose slope is down to this
+# share of the slope at 0.
+_SECANT_STEPS = 8
+_SECANT_STOP = 0.01
+
+
+class _NewtonLevel:
+    """The finest level of a t != 2 cycle.
+
+    It smooths with guarded one-step Newton sweeps over the parity classes
+    of the free nodes (``_ColorWorkspace.update``), and scales each coarse
+    correction c by a step alpha that lowers the convex phi(alpha) =
+    E(u + alpha c).  The step comes from a bracketed secant (Illinois) on
+    phi'(alpha) = <dE(u + alpha c), c>, started at the linear estimate
+    <rho, c> / <c, K c>; it is the largest evaluated alpha whose computed
+    phi' is <= 0, so phi cannot have risen there (phi' is nondecreasing),
+    and no step at all when no evaluated alpha > 0 has phi' <= 0.  On a
+    lattice too small to coarsen a cycle is the two sweeps alone.
+    """
+
+    def __init__(self, grid, spec, level):
+        self.grid = grid
+        self.spec = spec
+        self.scale = grid.h ** (grid.dim - 2)
+        self.level = level
+        self.workspaces = [_ColorWorkspace(grid, idx) for idx in level.classes]
+        # Slope evaluations of the line search, and corrections skipped.
+        self.slope_evaluations = 0
+        self.skipped = 0
+
+    def sweep(self, values):
+        """One guarded Newton sweep over the free nodes, in place."""
+        uflat = values.ravel()
+        for ws in self.workspaces:
+            faces, fixed = ws.gather(uflat)
+            uflat[ws.idx] = ws.update(self.spec, uflat[ws.idx], faces, fixed)
+
+    def _gradient(self, values):
+        """dE/du / h^{N-2}, zero off the free nodes."""
+        grad = weak_residual(self.spec, Field(self.grid, values)).values
+        grad /= self.scale
+        np.copyto(grad, 0.0, where=self.level.nonfree)
+        return grad
+
+    def residual(self, values):
+        """rho = -dE/du / h^{N-2}, zero off the free nodes."""
+        return np.negative(self._gradient(values))
+
+    def correct(self, values, rho, c):
+        """values += alpha c, alpha from the line search (in place)."""
+        slope0 = -np.vdot(rho, c)
+        curvature = np.vdot(c, self.level.apply(c))
+        if not (slope0 < 0.0 and curvature > 0.0):
+            self.skipped += 1
+            return
+        alpha = -slope0 / curvature
+        lo, g_lo = 0.0, slope0
+        hi = g_hi = None
+        last = 0
+        for _ in range(_SECANT_STEPS):
+            self.slope_evaluations += 1
+            g = np.vdot(self._gradient(values + alpha * c), c)
+            if g <= 0.0:
+                lo, g_lo = alpha, g
+                if g >= _SECANT_STOP * slope0:
+                    break
+                # Illinois: when one end moves twice running, the secant
+                # halves the other end's slope.
+                if last < 0 and hi is not None:
+                    g_hi *= 0.5
+                last = -1
+            else:
+                hi, g_hi = alpha, g
+                if last > 0:
+                    g_lo *= 0.5
+                last = 1
+            alpha = 2.0 * alpha if hi is None else lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if lo > 0.0:
+            c *= lo
+            values += c
+        else:
+            self.skipped += 1
+
+
 # Pass bound of every solve; converged solves stop long before it.
 _MAX_SWEEPS = 100_000
-
-
-def _auto_omega(grid):
-    span = min((d - 1) * grid.h for d in grid.dims)
-    if span <= 0:
-        return 1.0
-    return min(1.99, 2.0 / (1.0 + math.sin(math.pi * grid.h / span)))
 
 
 def residual_breakdown(spec, grid, values, constraint=None):
@@ -711,25 +781,13 @@ def _energy_stride(grid):
     return 1 if grid.node_count() <= 150_000 else 8
 
 
-def _sweep(workspaces, spec, omega, uflat):
-    """One nonlinear Gauss-Seidel sweep in place; returns the max update."""
-    max_upd = 0.0
-    for ws in workspaces:
-        s_old = uflat[ws.idx]
-        faces, fixed = ws.gather(uflat)
-        s_new = ws.update(spec, s_old, faces, fixed, omega)
-        max_upd = max(max_upd, float(np.max(np.abs(s_new - s_old), initial=0.0)))
-        uflat[ws.idx] = s_new
-    return max_upd
-
-
 def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
     """Relax ``values`` in place until both the max update and the normalized
     residual (one-sided at pinned nodes) are within tol, or max_sweeps passes.
 
-    A pass is one ``_Multigrid`` V-cycle at t = 2 and one over-relaxed
-    nonlinear Gauss-Seidel sweep otherwise; ``iterations`` counts passes.
-    Every constraint node must start at the obstacle height.  With
+    A pass is one ``_Multigrid`` V-cycle, whose finest level is a
+    ``_NewtonLevel`` at t != 2; ``iterations`` counts passes.  Every
+    constraint node must start at the obstacle height.  With
     ``check_energy`` false no energy is computed: the report holds the pass
     count, the last max update and residual, and convergence only.
     """
@@ -742,19 +800,13 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
     # The first energy runs before the pass's index arrays exist, so its
     # temporaries never sit beside them.
     energy_hist = [energy_of(spec, fld)] if check_energy else None
-    workspaces = []
-    if spec.t == 2.0:
-        multigrid = _Multigrid(grid, constraint)
-        one_pass = partial(multigrid.cycle, values)
-        notes = {
-            "grid_levels": len(multigrid.levels),
-            "colors": len(multigrid.levels[0].classes),
-        }
-    else:
-        omega = _auto_omega(grid)
-        workspaces = [_ColorWorkspace(grid, idx, constraint) for idx in _build_colors(grid)]
-        one_pass = partial(_sweep, workspaces, spec, omega, uflat)
-        notes = {"omega": omega, "grid_levels": 1, "colors": len(workspaces)}
+    multigrid = _Multigrid(grid, constraint)
+    newton = None if spec.t == 2.0 else _NewtonLevel(grid, spec, multigrid.levels[0])
+    one_pass = partial(multigrid.cycle, values, newton)
+    notes = {
+        "grid_levels": len(multigrid.levels),
+        "colors": len(multigrid.levels[0].classes),
+    }
     energy_stride = _energy_stride(grid)
     checked = False
     worst_uptick = 0.0
@@ -789,6 +841,7 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
     # A checked last pass (always so when converged: max update <= tol
     # forces the check) already holds the energy of the final field.
     final_energy = energy_hist[-1] if checked else energy_of(spec, fld)
+    workspaces = [] if newton is None else newton.workspaces
     notes.update(
         {
             "energy_monotone": worst_uptick <= 1e-14 * (1.0 + abs(energy_hist[0])),
@@ -801,6 +854,9 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
             "guard_fallbacks": sum(ws.guard_fallbacks for ws in workspaces),
         }
     )
+    if newton is not None:
+        notes["line_search_slopes"] = newton.slope_evaluations
+        notes["corrections_skipped"] = newton.skipped
     return SolveReport(
         iterations=sweeps,
         energy=final_energy,

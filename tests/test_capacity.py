@@ -277,7 +277,7 @@ def test_probe_level_carries_the_solve_counters(t):
     assert level["newton_node_iterations"] == notes["newton_node_iterations"]
     assert level["guard_fallbacks"] == notes["guard_fallbacks"]
     assert level["grid_levels"] == notes["grid_levels"]
-    assert (level["grid_levels"] > 1) == (t == 2.0)
+    assert level["grid_levels"] > 1
     if t == 2.0:
         assert level["presolve"] is None and level["newton_node_iterations"] == 0
     else:

@@ -1,9 +1,10 @@
 """Solver checks: Dirichlet relaxation, obstacle clamping, comparison runs.
 
-The t = 2 case has an exact reference (dense linear solve in oracles.py);
-nonlinear cases are checked through structure that survives discretization
-exactly: affine data, scaling homogeneity, sign symmetry, and the
-maximum/comparison principles.
+The t = 2 case has an exact reference (dense linear solve in oracles.py),
+and so do small t != 2 problems (dense damped Newton in oracles.py);
+nonlinear cases are also checked through structure that survives
+discretization exactly: affine data, scaling homogeneity, sign symmetry, and
+the maximum/comparison principles.
 """
 
 import math
@@ -33,18 +34,21 @@ from artifact import solver
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
 from artifact.solver import (
     _MAX_SWEEPS,
-    _build_colors,
+    _SECANT_STEPS,
+    _SECANT_STOP,
     _coarse_free,
     _ColorWorkspace,
     _Level,
     _Multigrid,
+    _NewtonLevel,
+    _parity_classes,
     _prolong,
     _relax,
     _restrict,
     obstacle_verification,
 )
 
-from oracles import quadratic_minimizer, seven_point_solution
+from oracles import damped_newton_minimizer, quadratic_minimizer, seven_point_solution
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +99,15 @@ def test_harmonic_quadratic_on_box_is_discrete_exact():
 def test_parity_batch_is_exactly_sequential_relaxation(small_disk, monkeypatch, t):
     # Nodes of one parity share no cell, so one vectorized update of a
     # parity class must equal visiting its nodes one at a time, in order:
-    # the same field bit for bit, the same sweeps and Newton work.
+    # the same field bit for bit, the same cycles and Newton work.  The
+    # batches are the parity classes of each level's free nodes.
     spec = OperatorSpec(kind="p_laplace", t=t)
     batched, rep_b = solve_dirichlet(small_disk, spec, "x1*x2", tol=1e-9)
-    parity_classes = solver._build_colors
+    parity_classes = solver._parity_classes
     monkeypatch.setattr(
         solver,
-        "_build_colors",
-        lambda grid: [idx[i : i + 1] for idx in parity_classes(grid) for i in range(idx.size)],
+        "_parity_classes",
+        lambda mask: [idx[i : i + 1] for idx in parity_classes(mask) for i in range(idx.size)],
     )
     single, rep_s = solve_dirichlet(small_disk, spec, "x1*x2", tol=1e-9)
     assert rep_b.converged and rep_b.notes["colors"] == 4
@@ -328,7 +333,7 @@ SLICE_LAWS = [("p_laplace", 1.5), ("p_laplace", 3.0), ("regularized", 3.0)]
 def _color_slices(grid, values):
     """(workspace, faces, fixed) of every parity class for a field."""
     uflat = values.ravel()
-    for idx in _build_colors(grid):
+    for idx in _parity_classes(grid.labels == INTERIOR):
         ws = _ColorWorkspace(grid, idx)
         faces, fixed = ws.gather(uflat)
         yield ws, faces, fixed
@@ -438,22 +443,34 @@ def _spy_newton_steps(ws):
 @pytest.mark.parametrize("kind,t", SLICE_LAWS)
 def test_guarded_single_newton_step(small_disk, kind, t, sign):
     # A node update is one Newton step from clip(s_old, lo, hi): the first
-    # iterate of the exact solve.  Relaxed, clipped and projected, it stays
-    # where the slice does not rise above f(s_old); every other node gets
-    # the exact minimizer, projected.
+    # iterate of the exact solve.  It stays where the slice does not rise
+    # above f(s_old); every other node gets the exact minimizer.  Half the
+    # nodes start anywhere around their bracket, where the step is kept;
+    # half start within 1e-9 of their minimizer, where the slice is flat to
+    # rounding and the guard rejects some steps.  With an obstacle (sign
+    # +-1) the batches are the parity classes of the free nodes, and the
+    # obstacle nodes among their neighbours keep +-m.
     spec = OperatorSpec(kind=kind, t=t)
-    omega = 1.9
     rng = np.random.default_rng(14)
-    bound = np.maximum if sign > 0 else np.minimum
+    free = small_disk.labels == INTERIOR
+    cons = None
+    if sign:
+        cons = ObstacleConstraint.from_shape(small_disk, Ball([0.0, 0.0], 0.15), 0.3, sign)
+        free.ravel()[cons.indices] = False
     rejected = updated = 0
     for _ in range(4):
         uflat = rng.uniform(-1.0, 1.0, small_disk.dims).ravel()
-        for idx in _build_colors(small_disk):
-            cons = ObstacleConstraint(idx[::3], 0.3, sign) if sign else None
-            ws = _ColorWorkspace(small_disk, idx, cons)
+        if sign:
+            uflat[cons.indices] = sign * 0.3
+        for idx in _parity_classes(free):
+            ws = _ColorWorkspace(small_disk, idx)
             faces, fixed = ws.gather(uflat)
             lo, hi = faces.min(axis=0), faces.max(axis=0)
-            s_old = rng.uniform(lo - 0.2, hi + 0.2)
+            near, _, _, _ = ws.minimize(spec, 0.5 * (lo + hi), faces, fixed)
+            near += 1e-9 * (hi - lo) * rng.uniform(-1.0, 1.0, idx.size)
+            s_old = np.where(
+                rng.uniform(size=idx.size) < 0.5, rng.uniform(lo - 0.2, hi + 0.2), near
+            )
             start = np.clip(s_old, lo, hi)
             s1, f0 = ws._newton_step(
                 spec, start, faces, fixed, lo.copy(), hi.copy(), with_value=True
@@ -464,22 +481,18 @@ def test_guarded_single_newton_step(small_disk, kind, t, sign):
             exact, _, _, _ = ws.minimize(spec, s_old, faces, fixed)
             assert np.array_equal(steps[0][0], s1)
 
-            cand = np.clip(s_old + omega * (s1 - s_old), lo, hi)
-            pinned = np.zeros(idx.size, dtype=bool)
-            if sign:
-                pinned[::3] = True
-                cand = np.where(pinned, bound(cand, 0.3 * sign), cand)
-                exact = np.where(pinned, bound(exact, 0.3 * sign), exact)
-            f_cand = ws.slice_value(spec, cand, faces, fixed)
+            f_cand = ws.slice_value(spec, s1, faces, fixed)
             reject = ~(f_cand <= ws.slice_value(spec, s_old, faces, fixed))
-            fresh = _ColorWorkspace(small_disk, idx, cons)
-            out = fresh.update(spec, s_old, faces, fixed, omega)
-            assert np.array_equal(out[~reject], cand[~reject])
+            fresh = _ColorWorkspace(small_disk, idx)
+            out = fresh.update(spec, s_old, faces, fixed)
+            assert np.array_equal(out[~reject], s1[~reject])
             assert np.array_equal(out[reject], exact[reject])
             assert fresh.guard_fallbacks == np.count_nonzero(reject)
-            assert np.all(sign * out[pinned] >= 0.3)
+            uflat[idx] = out
             rejected += fresh.guard_fallbacks
             updated += idx.size
+        if sign:
+            assert np.all(uflat[cons.indices] == sign * 0.3)
     assert 0 < rejected < updated
 
 
@@ -544,8 +557,9 @@ def sweep_problem():
 @pytest.mark.parametrize("t", [2.0, 3.0])
 def test_one_sweep_benchmark(benchmark, sweep_problem, t):
     # One pass of _relax (plus its energy and residual reads) on the
-    # h = 1/32 disk, from a field 20 passes into the solve: a nonlinear
-    # Gauss-Seidel sweep at t = 3, a V-cycle at t = 2.
+    # h = 1/32 disk, from a field 20 passes into the solve: one V-cycle at
+    # either t, at t = 3 with Newton sweeps and a line-searched correction
+    # on the finest level.
     grid, cons = sweep_problem
     spec = OperatorSpec(kind="p_laplace", t=t)
     start = np.zeros(grid.dims)
@@ -690,6 +704,89 @@ def test_t2_obstacle_cycles_stay_flat_under_refinement():
     assert cycles[1] <= 2 * cycles[0]
 
 
+def test_t3_obstacle_cycles_stay_flat_under_refinement():
+    # At t = 3 the finest level smooths with Newton sweeps and the coarse
+    # levels are the t = 2 ones; cycles grow by at most 2x from h = 1/32 to
+    # h = 1/128 (17 and 28 when written, where sweeps went 174 -> 552).
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    cycles = []
+    for h in (1.0 / 32.0, 1.0 / 128.0):
+        grid = build_grid(Ball([0.0, 0.0], 1.0), h)
+        cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
+        _, rep = solve_obstacle(grid, spec, cons, tol=1e-8)
+        assert rep.converged and rep.notes["energy_monotone"] is True
+        assert rep.notes["grid_levels"] >= 3
+        cycles.append(rep.iterations)
+    assert cycles[1] <= 2 * cycles[0]
+
+
+def test_line_search_takes_a_certified_step():
+    # Each t = 3 correction moves the free nodes by alpha c with alpha > 0
+    # where the slope <dE(u + alpha c), c> is <= 0, so the energy has not
+    # risen.  The slope there is down to _SECANT_STOP of the slope at 0
+    # unless the secant ran out of steps, as it does on the first cycle
+    # from the +-m start, where the linear estimate is 18x too long.
+    grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
+    values = np.zeros(grid.dims)
+    values.ravel()[cons.indices] = 1.0
+    multigrid = _Multigrid(grid, cons)
+    newton = _NewtonLevel(grid, spec, multigrid.levels[0])
+    for _ in range(6):
+        newton.sweep(values)
+        rho = newton.residual(values)
+        c = multigrid._correction(0, rho)
+        direction = c.copy()
+        before = values.copy()
+        evaluations = newton.slope_evaluations
+        newton.correct(values, rho, c)
+        evaluations = newton.slope_evaluations - evaluations
+        step = values - before
+        alpha = np.vdot(step, direction) / np.vdot(direction, direction)
+        assert alpha > 0.0
+        assert np.max(np.abs(step - alpha * direction)) <= 1e-12 * np.max(np.abs(step))
+        slope0 = -np.vdot(rho, direction)
+        slope = np.vdot(newton._gradient(values), direction)
+        assert slope <= 0.0
+        assert slope >= _SECANT_STOP * slope0 or evaluations == _SECANT_STEPS
+        assert energy(spec, Field(grid, values)) <= energy(spec, Field(grid, before))
+        newton.sweep(values)
+    assert newton.skipped == 0
+
+
+NEWTON_CASES = [(t, sign) for t in (1.5, 3.0) for sign in (0, 1, -1)]
+
+
+@pytest.mark.parametrize("t,sign", NEWTON_CASES)
+def test_multilevel_solve_matches_dense_damped_newton(t, sign):
+    # Dirichlet data with a nowhere-vanishing gradient (sign 0) and obstacle
+    # problems of both signs on the h = 1/16 disk, against a dense damped
+    # Newton minimization of the same energy on the free nodes.
+    shape, h, _, radius = T2_CASES["disk"]
+    grid = build_grid(shape, h)
+    spec = OperatorSpec(kind="p_laplace", t=t)
+    tol = 1e-9
+    free = grid.labels == INTERIOR
+    if sign:
+        cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], radius), 0.7, sign)
+        fld, rep = solve_obstacle(grid, spec, cons, tol=tol)
+        start = np.zeros(grid.dims)
+        start.ravel()[cons.indices] = sign * 0.7
+        free.ravel()[cons.indices] = False
+        assert np.all(fld.values.ravel()[cons.indices] == sign * 0.7)
+        ver = obstacle_verification(spec, grid, fld.values, cons, tol)
+        assert ver["equals_m_on_obstacle"] and ver["bounds_ok"] and ver["residual_ok"]
+    else:
+        fld, rep = solve_dirichlet(grid, spec, "x1 + 0.5*x2*x2", tol=tol)
+        start = fld.values.copy()
+    assert rep.converged and rep.notes["energy_monotone"] is True
+    assert rep.notes["grid_levels"] >= 2
+    exact = damped_newton_minimizer(grid, spec, start, free)
+    live = grid.labels != EXTERIOR
+    assert np.max(np.abs(fld.values - exact)[live]) <= 10 * tol
+
+
 def test_one_cycle_benchmark(benchmark):
     # One V-cycle, without _relax's checks, on the 39^3-node ball with a
     # ball obstacle, from the +-m start.
@@ -712,8 +809,10 @@ def test_one_cycle_benchmark(benchmark):
 
 
 def test_energy_is_computed_only_for_the_checks(monkeypatch):
-    # The t = 2 presolve computes no energy, and a converged solve reuses the
-    # energy of its last checked sweep as the final energy.
+    # The t = 2 presolve computes no energy, the line search of each t = 3
+    # correction certifies its step by slopes (``line_search_slopes``
+    # residuals) and computes none either, and a converged solve reuses the
+    # energy of its last checked cycle as the final energy.
     grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 16.0)
     spec = OperatorSpec(kind="p_laplace", t=3.0)
     cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
@@ -727,6 +826,8 @@ def test_energy_is_computed_only_for_the_checks(monkeypatch):
     fld, rep = solve_obstacle(grid, spec, cons)
     assert rep.converged and rep.notes["presolve"]["iterations"] > 0
     assert calls == [3.0] * rep.notes["energy_checks"]
+    assert rep.notes["energy_checks"] == rep.iterations + 1
+    assert rep.notes["line_search_slopes"] >= rep.iterations
     assert rep.energy == rep.notes["energy_last"] == energy(spec, fld)
 
 
