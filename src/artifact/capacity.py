@@ -266,10 +266,10 @@ def _probe_level(config, region_shape, spec, h, tol):
         "converged": solve["converged"],
         "iterations": solve["iterations"],
         # The t = 2 presolve of a t != 2 solve (None at t = 2), the lattices
-        # one pass of the solve works on and its Newton work.
+        # one cycle of the solve works on and the smoothing updates its
+        # guard rejected.
         "presolve": solve["notes"].get("presolve"),
         "grid_levels": solve["notes"]["grid_levels"],
-        "newton_node_iterations": solve["notes"]["newton_node_iterations"],
         "guard_fallbacks": solve["notes"]["guard_fallbacks"],
         "radii": config.radii,
         "omega": [],

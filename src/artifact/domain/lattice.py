@@ -94,11 +94,6 @@ class GridDomain:
             raise ValueError(f"point {point} falls outside the grid")
         return int(np.ravel_multi_index(tuple(idx), self.dims))
 
-    def snap(self, point):
-        """Coordinates of the nearest lattice node."""
-        flat = self.index_of(point)
-        return self.points()[flat].copy()
-
     def label_counts(self):
         flat = self.labels.ravel()
         return {

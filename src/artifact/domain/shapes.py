@@ -88,9 +88,6 @@ class Shape:
     def union(self, other):
         return Union([self, other])
 
-    def intersect(self, other):
-        return Intersection([self, other])
-
     def minus(self, other):
         return Difference(self, other)
 

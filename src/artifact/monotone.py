@@ -318,11 +318,6 @@ class Field:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.dims))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        vals = np.asarray(fn(grid.points()), dtype=float).reshape(grid.dims)
-        return cls(grid, vals)
-
     def copy(self):
         return Field(self.grid, self.values.copy())
 
@@ -330,10 +325,6 @@ class Field:
         live = self.grid.labels != EXTERIOR
         if not np.all(np.isfinite(self.values[live])):
             raise ValueError("field has non-finite values at live nodes")
-
-    def interior_values(self):
-        return self.values[self.grid.labels == INTERIOR]
-
 
 def edge_differences(values, h):
     """Forward differences along each axis: D[k] = (shift_k(u) - u) / h."""

@@ -1,10 +1,10 @@
 """Variational solver: relaxation on the corner-quadrature energy.
 
 Unknowns live at interior nodes; boundary-ring nodes carry Dirichlet data and
-never move.  A solve repeats one pass until it converges, and at every t a
-pass is one multilevel V-cycle (``_Multigrid``): smooth on the finest
-lattice, correct along multilinear hat functions of the 2h, 4h, ...
-lattices, scaled by a line search of the energy, and smooth once more.  It
+never move.  At every t a solve repeats one multilevel V-cycle
+(``_Multigrid``) until it converges: smooth on the finest lattice, correct
+along multilinear hat functions of the 2h, 4h, ... lattices, scaled by a
+line search of the energy, and smooth once more.  It
 is a subspace correction method in the sense of Tai & Xu (Math. Comp.
 2002), whose line-searched steps cannot raise the energy; ``iterations``
 counts cycles and the notes report ``grid_levels``.  A smoothing sweep
@@ -23,16 +23,13 @@ current value clipped into [lo, hi] (one-step SOR-Newton at omega = 1:
 Ortega & Rheinboldt, Iterative Solution of Nonlinear Equations in Several
 Variables, 1970, section 10.3, show that it converges as fast asymptotically
 as exact nonlinear Gauss-Seidel).  The 2N face differences are formed once
-per Newton step and shared by all terms; each term's phi, phi'/g and W come
+per update and shared by all terms; each term's phi, phi'/g and W come
 from ``monotone.profile`` as functions of the squared gradient magnitude,
 one power per term.  The step is kept only where it does not raise the
-local slice above its value at the current point, which the Newton step
-supplies; at every other node (``guard_fallbacks`` in the report notes) the
-exact slice minimizer, found by iterating the same Newton step until it
-moves less than 1e-15 of the bracket scale (60 iterations at most), is
-taken instead.  Newton work is counted in the notes as
-``newton_node_iterations`` (fallback iterations included) and
-``newton_cap_hits``.
+local slice above its value at the clipped start, which the Newton pass
+supplies; every other node (``guard_fallbacks`` in the report notes) keeps
+that start.  By convexity the slice there is no higher than at the current
+value, since the minimizer lies in [lo, hi].
 
 At t = 2 every level of a cycle is linear and its correction takes the
 exact line search.  At t != 2 only the finest level changes
@@ -241,11 +238,7 @@ class _ColorWorkspace:
                 for corner in np.ndindex(*([2] * (ndim - 1))):
                     offs = [(1, -1)[c] * strides[k] for c, k in zip(corner, others)]
                     self.partners.append((2 * d + j, offs))
-        # Newton work over the solve: node-iterations, nodes that ran into
-        # the iteration cap, and node updates where the guard rejected the
-        # one-step update.
-        self.node_iterations = 0
-        self.cap_hits = 0
+        # Node updates where the guard rejected the one-step update.
         self.guard_fallbacks = 0
 
     def gather(self, uflat):
@@ -278,8 +271,8 @@ class _ColorWorkspace:
         for m, (k, _) in enumerate(self.partners):
             yield k, g2_face[k] + fixed[m]
 
-    def derivatives(self, spec, s, faces, fixed, with_value=False):
-        """f'(s) and f''(s) of the local energy slice, and f(s) if asked.
+    def derivatives(self, spec, s, faces, fixed):
+        """f'(s), f''(s) and f(s) of the local energy slice.
 
         With g2 = |G|^2 of a term and s1 the sum of its face differences,
         the term adds phi s1 / h^2 to f' and phi n / h^2 + (phi'/g) s1^2 /
@@ -293,22 +286,20 @@ class _ColorWorkspace:
         own_phi = np.zeros_like(s)
         nb_phi = np.zeros_like(s)
         curv = np.zeros_like(s)
-        fv = np.zeros_like(s) if with_value else None
+        fv = np.zeros_like(s)
         for rows, g2 in self._own_terms(g2_face):
             phi, dphi = _newton_pair(spec, g2, floor)
             s1 = _row_sum(e, rows)
             fp += phi * s1
             own_phi += phi
             curv += dphi * (s1 * s1)
-            if with_value:
-                fv += integrand(spec, g2)
+            fv += integrand(spec, g2)
         for k, g2 in self._neighbour_terms(g2_face, fixed):
             phi, dphi = _newton_pair(spec, g2, floor)
             fp += phi * e[k]
             nb_phi += phi
             curv += dphi * e2[k]
-            if with_value:
-                fv += integrand(spec, g2)
+            fv += integrand(spec, g2)
         inv_h2 = self.inv_h2
         fpp = (self.ndim * own_phi + nb_phi) * inv_h2 + curv * (inv_h2 * inv_h2)
         return fp * inv_h2, fpp, fv
@@ -323,95 +314,32 @@ class _ColorWorkspace:
             fv += integrand(spec, g2)
         return fv
 
-    def _newton_step(self, spec, s, faces, fixed, blo, bhi, with_value=False):
-        """One bracketed Newton-or-bisection step from s inside [blo, bhi].
-
-        Moves the bracket end on the uphill side of s to s, in place, and
-        returns (s_next, f(s) when ``with_value`` else None): the Newton
-        iterate where it falls inside the new bracket, its midpoint elsewhere.
-        """
-        fp, fpp, fv = self.derivatives(spec, s, faces, fixed, with_value=with_value)
-        self.node_iterations += s.size
-        np.copyto(bhi, s, where=fp > 0)
-        np.copyto(blo, s, where=fp < 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = s - fp / fpp
-        # NaN and infinite steps fail both tests: the bracket is finite.
-        ok = (newton >= blo) & (newton <= bhi)
-        return np.where(ok, newton, 0.5 * (blo + bhi)), fv
-
-    def minimize(self, spec, s0, faces, fixed, with_value=False):
-        """Bracketed Newton/bisection for the slice minimizers, vectorized.
-
-        Returns (s, lo, hi, f0): the minimizers, the face-neighbour bracket,
-        and f at the start point clip(s0, lo, hi) when ``with_value`` (else
-        None).  A node leaves the batch as soon as its own step is at most
-        1e-15 * (1 + max(|lo|, |hi|)), so each node takes as many
-        iterations as it needs, at most 60.
-        """
-        lo = faces.min(axis=0)
-        hi = faces.max(axis=0)
-        s = np.clip(s0, lo, hi)
-        out = np.empty_like(s)
-        live = np.arange(s.size)
-        blo = lo.copy()
-        bhi = hi.copy()
-        stop = 1e-15 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        f0 = None
-        for it in range(60):
-            s_next, fv = self._newton_step(
-                spec, s, faces, fixed, blo, bhi, with_value=with_value and it == 0
-            )
-            if fv is not None:
-                f0 = fv
-            done = np.abs(s_next - s) <= stop
-            s = s_next
-            n_done = np.count_nonzero(done)
-            if n_done == s.size:
-                break
-            if n_done:
-                out[live] = s
-                keep = np.flatnonzero(~done)
-                live, s, blo, bhi, stop = (a[keep] for a in (live, s, blo, bhi, stop))
-                faces = faces[:, keep]
-                fixed = fixed[:, keep]
-        else:
-            self.cap_hits += s.size
-        out[live] = s
-        return out, lo, hi, f0
-
     def update(self, spec, s_old, faces, fixed):
         """New values of the batch's nodes, from their current values s_old.
 
-        The proposal is one Newton step from clip(s_old, lo, hi), which
-        stays in the face-neighbour bracket [lo, hi].  It is kept only where
-        the slice there does not exceed f(s_old); the other nodes get the
-        exact minimizer of ``minimize``.
+        The proposal is one bracketed Newton-or-bisection step from start =
+        clip(s_old, lo, hi): the Newton iterate where it falls inside the
+        bracket narrowed to the downhill side of start, that bracket's
+        midpoint elsewhere.  It is kept only where the slice there does not
+        exceed f(start); the other nodes keep start.  Both stay in the
+        face-neighbour bracket [lo, hi], and f(start) <= f(s_old) because
+        the slice is convex with its minimizer in [lo, hi].
         """
         lo = faces.min(axis=0)
         hi = faces.max(axis=0)
-        # That step's Newton pass gives f at clip(s_old, lo, hi); only where
-        # the clip moved s_old is f(s_old) evaluated afresh.
         start = np.clip(s_old, lo, hi)
-        cand, f_old = self._newton_step(
-            spec, start, faces, fixed, lo.copy(), hi.copy(), with_value=True
-        )
-        moved = np.flatnonzero((s_old < lo) | (s_old > hi))
-        if moved.size:
-            f_old[moved] = self.slice_value(
-                spec, s_old[moved], faces[:, moved], fixed[:, moved]
-            )
-        # Compare against the CURRENT value, not the minimizer: either
-        # branch keeps the sweep energy non-increasing.
-        f_cand = self.slice_value(spec, cand, faces, fixed)
-        reject = np.flatnonzero(~(f_cand <= f_old))
-        if reject.size:
-            self.guard_fallbacks += reject.size
-            exact, _, _, _ = self.minimize(
-                spec, s_old[reject], faces[:, reject], fixed[:, reject]
-            )
-            cand[reject] = exact
-        return cand
+        fp, fpp, f_start = self.derivatives(spec, start, faces, fixed)
+        np.copyto(hi, start, where=fp > 0)
+        np.copyto(lo, start, where=fp < 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = start - fp / fpp
+        # NaN and infinite steps fail both tests: the bracket is finite.
+        inside = (newton >= lo) & (newton <= hi)
+        cand = np.where(inside, newton, 0.5 * (lo + hi))
+        # A NaN slice value fails the test too and keeps start.
+        reject = ~(self.slice_value(spec, cand, faces, fixed) <= f_start)
+        self.guard_fallbacks += int(np.count_nonzero(reject))
+        return np.where(reject, start, cand)
 
 
 def _strides(dims):
@@ -712,8 +640,8 @@ class _NewtonLevel:
             self.skipped += 1
 
 
-# Pass bound of every solve; converged solves stop long before it.
-_MAX_SWEEPS = 100_000
+# Cycle bound of every solve; converged solves stop long before it.
+_MAX_CYCLES = 100_000
 
 
 def residual_breakdown(spec, grid, values, constraint=None):
@@ -781,14 +709,14 @@ def _energy_stride(grid):
     return 1 if grid.node_count() <= 150_000 else 8
 
 
-def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
+def _relax(grid, spec, values, constraint, tol, max_cycles, check_energy=True):
     """Relax ``values`` in place until both the max update and the normalized
-    residual (one-sided at pinned nodes) are within tol, or max_sweeps passes.
+    residual (one-sided at pinned nodes) are within tol, or max_cycles cycles.
 
-    A pass is one ``_Multigrid`` V-cycle, whose finest level is a
-    ``_NewtonLevel`` at t != 2; ``iterations`` counts passes.  Every
+    A cycle is one ``_Multigrid`` V-cycle, whose finest level is a
+    ``_NewtonLevel`` at t != 2; ``iterations`` counts cycles.  Every
     constraint node must start at the obstacle height.  With
-    ``check_energy`` false no energy is computed: the report holds the pass
+    ``check_energy`` false no energy is computed: the report holds the cycle
     count, the last max update and residual, and convergence only.
     """
     uflat = values.ravel()
@@ -797,12 +725,12 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
     ):
         raise ValueError("every constraint node must start at the obstacle height")
     fld = Field(grid, values)
-    # The first energy runs before the pass's index arrays exist, so its
+    # The first energy runs before the cycle's index arrays exist, so its
     # temporaries never sit beside them.
     energy_hist = [energy_of(spec, fld)] if check_energy else None
     multigrid = _Multigrid(grid, constraint)
     newton = None if spec.t == 2.0 else _NewtonLevel(grid, spec, multigrid.levels[0])
-    one_pass = partial(multigrid.cycle, values, newton)
+    one_cycle = partial(multigrid.cycle, values, newton)
     notes = {
         "grid_levels": len(multigrid.levels),
         "colors": len(multigrid.levels[0].classes),
@@ -813,20 +741,20 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
     max_upd = math.inf
     max_res = math.inf
     converged = False
-    sweeps = 0
+    cycles = 0
     last_res_check = -10
-    for sweep in range(1, max_sweeps + 1):
-        sweeps = sweep
-        max_upd = one_pass()
-        checked = check_energy and (sweep % energy_stride == 0 or max_upd <= tol)
+    for cycle in range(1, max_cycles + 1):
+        cycles = cycle
+        max_upd = one_cycle()
+        checked = check_energy and (cycle % energy_stride == 0 or max_upd <= tol)
         if checked:
             e_now = energy_of(spec, fld)
             uptick = e_now - energy_hist[-1]
             if uptick > worst_uptick:
                 worst_uptick = uptick
             energy_hist.append(e_now)
-        if max_upd <= tol and sweep - last_res_check >= 4:
-            last_res_check = sweep
+        if max_upd <= tol and cycle - last_res_check >= 4:
+            last_res_check = cycle
             max_res = residual_breakdown(spec, grid, values, constraint)["combined"]
             if max_res <= tol:
                 converged = True
@@ -836,9 +764,9 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
         converged = max_upd <= tol and max_res <= tol
     if not check_energy:
         return SolveReport(
-            iterations=sweeps, max_update=max_upd, max_residual=max_res, converged=converged
+            iterations=cycles, max_update=max_upd, max_residual=max_res, converged=converged
         )
-    # A checked last pass (always so when converged: max update <= tol
+    # A checked last cycle (always so when converged: max update <= tol
     # forces the check) already holds the energy of the final field.
     final_energy = energy_hist[-1] if checked else energy_of(spec, fld)
     workspaces = [] if newton is None else newton.workspaces
@@ -849,8 +777,6 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
             "energy_first": energy_hist[0],
             "energy_last": final_energy,
             "energy_checks": len(energy_hist),
-            "newton_node_iterations": sum(ws.node_iterations for ws in workspaces),
-            "newton_cap_hits": sum(ws.cap_hits for ws in workspaces),
             "guard_fallbacks": sum(ws.guard_fallbacks for ws in workspaces),
         }
     )
@@ -858,7 +784,7 @@ def _relax(grid, spec, values, constraint, tol, max_sweeps, check_energy=True):
         notes["line_search_slopes"] = newton.slope_evaluations
         notes["corrections_skipped"] = newton.skipped
     return SolveReport(
-        iterations=sweeps,
+        iterations=cycles,
         energy=final_energy,
         max_update=max_upd,
         max_residual=max_res,
@@ -987,11 +913,11 @@ def _solve_fresh(grid, spec, values, constraint, tol):
             values,
             constraint,
             max(tol * 100, 1e-6),
-            _MAX_SWEEPS,
+            _MAX_CYCLES,
             check_energy=False,
         )
         presolve = {"iterations": pre.iterations, "converged": pre.converged}
-    report = _relax(grid, spec, values, constraint, tol, _MAX_SWEEPS)
+    report = _relax(grid, spec, values, constraint, tol, _MAX_CYCLES)
     if presolve is not None:
         report.notes["presolve"] = presolve
     report.notes["task"] = "dirichlet" if constraint is None else "obstacle"

@@ -85,12 +85,11 @@ def test_boundary_values_tie_goes_outside():
     assert grid.labels.ravel()[node] != INTERIOR
 
 
-def test_index_of_and_snap_round_trip():
+def test_index_of_round_trip():
     grid = build_grid(Ball([0.0, 0.0], 0.5), 1.0 / 8.0)
     p = [0.25, -0.375]
     idx = grid.index_of(p)
     assert np.allclose(grid.points()[idx], p)
-    assert np.allclose(grid.snap([0.26, -0.37]), p)
     with pytest.raises(ValueError):
         grid.index_of([5.0, 5.0])
 

@@ -281,11 +281,3 @@ def test_field_validation():
     fld.values[2, 4] = math.nan  # interior node
     with pytest.raises(ValueError):
         fld.validate_finite()
-
-
-def test_field_from_function():
-    grid = build_grid(Ball([0.0, 0.0], 0.4), 1.0 / 8.0)
-    fld = Field.from_function(grid, lambda p: p[:, 0] + 1.0)
-    assert fld.values.shape == grid.dims
-    assert fld.values[grid.index_of([0.25, 0.0]) // grid.dims[1],
-                      grid.index_of([0.25, 0.0]) % grid.dims[1]] == pytest.approx(1.25)
