@@ -12,7 +12,8 @@ plus ``custom`` (a user callable, optionally with a potential).  The built-in
 kinds are isotropic (A is a scalar profile times p), odd-symmetric, and the
 p_laplace kind is (t-1)-homogeneous.  ``profile`` is their one
 implementation: it gives phi, phi'/g and W from the squared magnitude
-|p|^2, for the energy, the residual and the solver's local Newton solve.
+|p|^2, for the energy, the residual, the Hessian and the solver's local
+Newton solve.
 
 Discrete energy on a labeled grid: per lattice cell, average the integrand
 over the 2^N cell corners, where the gradient at a corner collects the N edge
@@ -29,9 +30,12 @@ classical 5-/7-point Laplacian.
 ``weak_residual`` assembles r_i = dE/du_i directly from A (so it also works
 for custom fields without a potential); for potential kinds it is exactly the
 gradient of ``energy``, and the tests pin that equality by finite differences.
+``hessian`` assembles d^2E / du_i du_j of the built-in kinds as a symmetric
+3^N-point stencil, the solver's Newton operator.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -139,6 +143,18 @@ def profile_slope(spec, phi, base):
     slope is taken as 0.
     """
     return (spec.t - 2.0) * phi / np.maximum(base, _NORMAL)
+
+
+def curvature_pair(spec, g2):
+    """phi and phi'(|p|)/|p| at g2 = |p|^2, for a Newton curvature.
+
+    For p_laplace at t < 2, phi(g) = g^{t-2} is singular at g = 0, so the
+    pair is taken at g2 >= eps_floor^2; values of A and W never are.
+    """
+    if spec.kind == "p_laplace" and spec.t < 2.0:
+        g2 = np.maximum(g2, spec.eps_floor * spec.eps_floor)
+    phi, base = profile(spec, g2)
+    return phi, profile_slope(spec, phi, base)
 
 
 def integrand(spec, g2):
@@ -435,3 +451,80 @@ def weak_residual(spec, fld):
             res[tuple(tail)] -= contrib
     res[grid.labels != INTERIOR] = 0.0
     return Field(grid, res)
+
+
+def stencil_offsets(ndim):
+    """Offsets of a symmetric 3^N-point stencil: zero first, then the
+    (3^N - 1) / 2 offsets in {-1, 0, 1}^N whose first nonzero entry is +1,
+    one of each pair +-o."""
+    zero = (0,) * ndim
+    return [zero] + [o for o in itertools.product((-1, 0, 1), repeat=ndim) if o > zero]
+
+
+def offset_slices(offset):
+    """(lo, hi) index tuples with x[hi] the values at offset from the nodes
+    of x[lo], over every node whose neighbour at that offset exists."""
+    head, tail, every = slice(1, None), slice(None, -1), slice(None)
+    lo = tuple(head if d < 0 else tail if d > 0 else every for d in offset)
+    hi = tuple(tail if d < 0 else head if d > 0 else every for d in offset)
+    return lo, hi
+
+
+@np.errstate(invalid="ignore")
+def hessian(spec, fld):
+    """Hessian of ``energy`` in the interior values, as a 3^N-point stencil.
+
+    Returns {o: H_o} over ``stencil_offsets``, H_o[i] = d^2E / du_i du_{i+o}
+    (offset -o reads H_o[i - o]); entries that involve a non-interior node
+    are zero.  At a corner gradient G the Hessian of W is phi I + (phi'/g)
+    G G^T, from ``curvature_pair``.  A cell node n enters G as s(n) / h with
+    s(n) in {-1, 0, 1}^N: the corner c ends all N of its edges, s(c)_d =
+    2 c_d - 1, and its neighbour across axis d ends one, s = -(2 c_d - 1) e_d.
+    So each corner adds (h^{N-2} / 2^N) (phi s(a).s(b) + (phi'/g) (G.s(a))
+    (G.s(b))) to H[a, b].  At t = 2 this is h^{N-2} times the 5/7-point
+    Laplacian.  Built-in kinds only.
+    """
+    grid = fld.grid
+    dims = grid.dims
+    ndim = grid.dim
+    active = grid.active_cell_mask()
+    weight = np.where(active, grid.h ** (ndim - 2) / 2.0**ndim, 0.0)
+    stencil = {o: np.zeros(dims) for o in stencil_offsets(ndim)}
+    for corner, comps in corner_gradients(fld.values, grid.h, dims):
+        comps = [np.where(active, c, 0.0) for c in comps]
+        phi, slope = curvature_pair(spec, _squared_norm(comps))
+        phi *= weight
+        slope *= weight
+        # The corner, then its neighbour across each axis: cell positions
+        # and G.s.
+        nodes = [corner] + [
+            tuple(1 - c if k == d else c for k, c in enumerate(corner)) for d in range(ndim)
+        ]
+        for d in range(ndim):
+            if corner[d]:
+                np.negative(comps[d], out=comps[d])
+        proj = [-functools.reduce(np.add, comps)] + comps
+        for a in range(ndim + 1):
+            sloped = slope * proj[a]
+            for b in range(a, ndim + 1):
+                value = sloped * proj[b]
+                # phi s(a).s(b): N on the corner, -1 from the corner to a
+                # neighbour, 1 on a neighbour, 0 between two neighbours.
+                if a == b == 0:
+                    value += ndim * phi
+                elif a == 0:
+                    value -= phi
+                elif a == b:
+                    value += phi
+                offset = tuple(nb - na for na, nb in zip(nodes[a], nodes[b]))
+                at = nodes[a]
+                if offset not in stencil:
+                    offset = tuple(-d for d in offset)
+                    at = nodes[b]
+                cells = tuple(slice(c, c + n - 1) for c, n in zip(at, dims))
+                stencil[offset][cells] += value
+    interior = grid.labels == INTERIOR
+    for offset, entries in stencil.items():
+        lo, hi = offset_slices(offset)
+        np.copyto(entries[lo], 0.0, where=~(interior[lo] & interior[hi]))
+    return stencil

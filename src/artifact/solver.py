@@ -31,14 +31,19 @@ supplies; every other node (``guard_fallbacks`` in the report notes) keeps
 that start.  By convexity the slice there is no higher than at the current
 value, since the minimizer lies in [lo, hi].
 
-At t = 2 every level of a cycle is linear and its correction takes the
-exact line search.  At t != 2 only the finest level changes
-(``_NewtonLevel``): it smooths with the guarded Newton sweeps, restricts
-the nonlinear residual to the same linear coarse levels, and scales the
-correction by a bracketed secant on the slope of the energy along it
-(``line_search_slopes`` slope evaluations; ``corrections_skipped`` where no
-step is certified).  Obstacle nodes stay fixed at +-m at every t, which is
-exact (see ``_Multigrid``).
+At t = 2 every level of a cycle is the plain 5/7-point Laplacian K and its
+correction takes the exact line search.  At t != 2 the cycle is
+Newton-multigrid (Trottenberg, Oosterlee & Schueller, Multigrid, 2001).
+The finest level (``_NewtonLevel``) smooths with the guarded Newton sweeps
+and restricts the nonlinear residual to coarse levels that are Galerkin
+products P^T A P of the level above, starting from A = J(u), the energy's
+Hessian at the current field (``monotone.hessian``), rebuilt every cycle;
+Galerkin coarse operators hold up on holes and thin Dirichlet sets such as
+the slit caps (Alcouffe, Brandt, Dendy & Painter, SIAM J. Sci. Stat.
+Comput. 1981).  It scales the correction by a bracketed secant on the slope
+of the energy along it (``line_search_slopes`` slope evaluations;
+``corrections_skipped`` where no step is certified).  Obstacle nodes stay
+fixed at +-m at every t, which is exact (see ``_Multigrid``).
 
 So the energy is non-increasing by construction for every t, cycle by cycle.
 Every smoothing update stays inside its face-neighbor range.  A coarse
@@ -52,8 +57,8 @@ small max update and a small normalized residual: |dE/du_i| / h^{N-2} below
 tolerance at free nodes, one-sided at pinned nodes.  So tol bounds those two
 quantities, not the distance to the discrete solution, which can be larger.
 Converged at tol = 1e-8, the h = 1/128 t = 3 obstacle field of scenario s01
-lies 7.9e-9 from the same problem's tol = 1e-11 field, and the h = 1/64
-field of the box region of scenario s14 lies 5.6e-8 from its own.
+lies 1.0e-9 from the same problem's tol = 1e-11 field, and the h = 1/64
+field of the box region of scenario s14 lies 1.4e-9 from its own.
 
 Dirichlet and obstacle problems share one solve path.  Every t != 2 solve,
 of either kind, first solves the same problem (same data, same constraint)
@@ -78,10 +83,12 @@ from ._expr import Expression
 from .domain.lattice import BOUNDARY, INTERIOR
 from .monotone import (
     Field,
+    curvature_pair,
     energy as energy_of,
+    hessian,
     integrand,
-    profile,
-    profile_slope,
+    offset_slices,
+    stencil_offsets,
     weak_residual,
 )
 
@@ -180,23 +187,6 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _curvature_floor(spec):
-    """Lower bound on g2 = |G|^2 in the Newton curvature.
-
-    For p_laplace at t < 2, phi(g) = g^{t-2} is singular at g = 0, so the
-    Newton pair is taken at g2 >= eps_floor^2; slice values never are.
-    """
-    if spec.kind == "p_laplace" and spec.t < 2.0:
-        return spec.eps_floor * spec.eps_floor
-    return 0.0
-
-
-def _newton_pair(spec, g2, floor):
-    """phi and phi'(|G|)/|G| of ``monotone.profile`` at g2, floored."""
-    phi, base = profile(spec, np.maximum(g2, floor) if floor else g2)
-    return phi, profile_slope(spec, phi, base)
-
-
 def _row_sum(arr, rows):
     total = arr[rows[0]]
     for r in rows[1:]:
@@ -277,10 +267,9 @@ class _ColorWorkspace:
         With g2 = |G|^2 of a term and s1 the sum of its face differences,
         the term adds phi s1 / h^2 to f' and phi n / h^2 + (phi'/g) s1^2 /
         h^4 to f'', n being the number of its edges that involve s.  The
-        curvature floor applies to phi and phi'/g only, so the value is the
-        same, bit for bit, as ``slice_value(s)``.
+        curvature floor of ``curvature_pair`` applies to phi and phi'/g
+        only, so the value is the same, bit for bit, as ``slice_value(s)``.
         """
-        floor = _curvature_floor(spec)
         e, e2, g2_face = self._face_slopes(s, faces)
         fp = np.zeros_like(s)
         own_phi = np.zeros_like(s)
@@ -288,14 +277,14 @@ class _ColorWorkspace:
         curv = np.zeros_like(s)
         fv = np.zeros_like(s)
         for rows, g2 in self._own_terms(g2_face):
-            phi, dphi = _newton_pair(spec, g2, floor)
+            phi, dphi = curvature_pair(spec, g2)
             s1 = _row_sum(e, rows)
             fp += phi * s1
             own_phi += phi
             curv += dphi * (s1 * s1)
             fv += integrand(spec, g2)
         for k, g2 in self._neighbour_terms(g2_face, fixed):
-            phi, dphi = _newton_pair(spec, g2, floor)
+            phi, dphi = curvature_pair(spec, g2)
             fp += phi * e[k]
             nb_phi += phi
             curv += dphi * e2[k]
@@ -376,28 +365,67 @@ def _parity_classes(mask):
 _MIN_COARSE_NODES = 64
 _MIN_COARSE_DIM = 5
 _COARSEST_SWEEPS = 30
+# Galerkin probes run in batches of at most this many fine nodes in all
+# (larger batches fall out of cache; smaller ones pay numpy's call overhead).
+_PROBE_NODES = 1 << 15
+# A t != 2 cycle rebuilds J(u) and its Galerkin levels every this many
+# cycles.  Measured on the disk obstacle (t = 1.5 and 3, h = 1/32 to 1/128)
+# and on the four slit levels of s14: a lag of 2 to 6 cycles added 0 to 3
+# cycles per solve and took line-search slopes per cycle from 1.1-1.4 to
+# 1.4-2.3 on the disk and from 1.9-2.2 to 2.0-3.2 on the slit levels; the
+# time it saved, up to a fifth of a disk solve and none on s14, was within
+# run-to-run noise.
+_JACOBIAN_LAG = 1
 
 
-def _along(axis, ndim, sl):
-    """Index tuple applying slice ``sl`` on one axis of an ndim array."""
-    return tuple(sl if k == axis else slice(None) for k in range(ndim))
+def _along(axis, sl):
+    """Index tuple applying slice ``sl`` on one axis, counted from the end
+    (-1 the last), of an array of any rank."""
+    return (Ellipsis, sl) + (slice(None),) * (-1 - axis)
 
 
 class _Level:
-    """One lattice of the hierarchy: the free-node mask, its parity
-    classes and the face offsets of the plain 2N + 1 point stencil K, with
-    K x = 2N x_i minus the face neighbours of i on free nodes."""
+    """One lattice of the hierarchy: the free-node mask, its parity classes
+    and its operator A on the free nodes.  A is the plain 2N + 1 point K,
+    K x = 2N x_i minus the face neighbours of i, or, once ``set_stencil``
+    has stored one, a symmetric 3^N-point stencil (``monotone.hessian``'s
+    layout).  Either way A couples no two nodes of one parity, so a parity
+    class relaxes in one vectorized step."""
 
     def __init__(self, free):
         self.free = free
         self.nonfree = ~free
         self.classes = _parity_classes(free)
         self.offsets = _face_offsets(free.shape)
+        self.stencil = None
+        # Per parity class of a stencil operator: the node indices, the
+        # coefficient of each off-diagonal offset and the inverse diagonal.
+        self._rows = None
+
+    def set_stencil(self, stencil):
+        """Make ``stencil`` A, its couplings of non-free nodes zeroed in
+        place; None makes A the plain K again."""
+        for offset, entries in (stencil or {}).items():
+            lo, hi = offset_slices(offset)
+            np.copyto(entries[lo], 0.0, where=~(self.free[lo] & self.free[hi]))
+        self.stencil = stencil
+        self._rows = None
 
     def sweep(self, flat, rhs=None):
-        """One parity Gauss-Seidel sweep on K x = rhs (rhs None: zero), in
+        """One parity Gauss-Seidel sweep on A x = rhs (rhs None: zero), in
         place on the flat array: each free node takes the exact minimizer of
-        its slice, the face-neighbour mean (plus rhs / 2N)."""
+        its slice; under K that is the face-neighbour mean (plus rhs / 2N)."""
+        if self.stencil is not None:
+            offsets, rows = self._stencil_rows()
+            for idx, coef, inv_diag in rows:
+                nb = np.take(flat, idx + offsets, mode="clip")
+                total = np.einsum("ij,ij->j", coef, nb)
+                if rhs is not None:
+                    np.subtract(rhs[idx], total, out=total)
+                else:
+                    np.negative(total, out=total)
+                flat[idx] = total * inv_diag
+            return
         denom = 2.0 * self.free.ndim
         for idx in self.classes:
             total = np.take(flat, idx + self.offsets[:, None]).sum(axis=0)
@@ -405,24 +433,61 @@ class _Level:
                 total += rhs[idx]
             flat[idx] = total / denom
 
+    def _stencil_rows(self):
+        """Flat offsets (a column) and per-class rows of the stencil.  A
+        neighbour past the box edge has coefficient 0; its clipped index
+        reads some finite value of the level's field."""
+        if self._rows is None:
+            shape = self.free.shape
+            both = {}
+            for offset, entries in self.stencil.items():
+                if any(offset):
+                    lo, hi = offset_slices(offset)
+                    mirror = np.zeros(shape)
+                    mirror[hi] = entries[lo]
+                    both[offset] = entries.ravel()
+                    both[tuple(-d for d in offset)] = mirror.ravel()
+            strides = _strides(shape)
+            offsets = np.array([[np.dot(o, strides)] for o in both])
+            diag = self.stencil[(0,) * len(shape)].ravel()
+            rows = []
+            for idx in self.classes:
+                coef = np.stack([entries[idx] for entries in both.values()])
+                d = diag[idx]
+                rows.append((idx, coef, np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)))
+            self._rows = (offsets, rows)
+        return self._rows
+
     @np.errstate(invalid="ignore", over="ignore")
     def apply(self, x, out=None):
-        """K x on the free nodes, zero elsewhere, into ``out`` if given.
-        Values at nodes no free node touches (exterior ones) may be
-        anything."""
-        out = np.multiply(x, 2.0 * x.ndim, out=out)
-        for axis in range(x.ndim):
-            head = _along(axis, x.ndim, slice(1, None))
-            tail = _along(axis, x.ndim, slice(None, -1))
-            out[tail] -= x[head]
-            out[head] -= x[tail]
+        """A x on the free nodes, zero elsewhere, into ``out`` if given; x
+        may hold a batch of fields along leading axes.  Under K, values at
+        nodes no free node touches (exterior ones) may be anything; a
+        stencil needs them finite."""
+        ndim = self.free.ndim
+        if self.stencil is not None:
+            out = np.multiply(self.stencil[(0,) * ndim], x, out=out)
+            for offset, entries in self.stencil.items():
+                if any(offset):
+                    lo, hi = offset_slices(offset)
+                    coef = entries[lo]
+                    lo, hi = (Ellipsis,) + lo, (Ellipsis,) + hi
+                    out[lo] += coef * x[hi]
+                    out[hi] += coef * x[lo]
+        else:
+            out = np.multiply(x, 2.0 * ndim, out=out)
+            for axis in range(-ndim, 0):
+                head = _along(axis, slice(1, None))
+                tail = _along(axis, slice(None, -1))
+                out[tail] -= x[head]
+                out[head] -= x[tail]
         np.copyto(out, 0.0, where=self.nonfree)
         return out
 
 
 def _coarse_free(free):
-    """The free mask of the next coarser lattice: coarse node J sits at fine
-    node 2J and is free where that fine node is, off the box rim."""
+    """The free mask of the next coarser plain-K lattice: coarse node J sits
+    at fine node 2J and is free where that fine node is, off the box rim."""
     coarse = free[tuple(slice(None, None, 2) for _ in free.shape)].copy()
     for axis in range(coarse.ndim):
         rim = [slice(None)] * coarse.ndim
@@ -431,11 +496,27 @@ def _coarse_free(free):
     return coarse
 
 
+def _coarse_columns(free):
+    """The free mask of the next coarser Galerkin lattice: the columns of
+    the prolongation P that touch a fine free node, i.e. coarse node J is
+    free where some fine node of 2J + {-1, 0, 1}^N is."""
+    near = free
+    for axis in range(-free.ndim, 0):
+        head = _along(axis, slice(1, None))
+        tail = _along(axis, slice(None, -1))
+        grown = near.copy()
+        grown[head] |= near[tail]
+        grown[tail] |= near[head]
+        near = grown
+    return near[tuple(slice(None, None, 2) for _ in free.shape)].copy()
+
+
 def _interpolate(coarse, axis, n):
-    """Linear interpolation along one axis onto n fine nodes: fine node 2j
-    is coarse node j, fine node 2j + 1 averages coarse nodes j and j + 1, a
-    missing j + 1 (past the end of an even axis) counting as zero."""
-    at = partial(_along, axis, coarse.ndim)
+    """Linear interpolation along one axis (counted from the end) onto n
+    fine nodes: fine node 2j is coarse node j, fine node 2j + 1 averages
+    coarse nodes j and j + 1, a missing j + 1 (past the end of an even axis)
+    counting as zero."""
+    at = partial(_along, axis)
     shape = list(coarse.shape)
     shape[axis] = n
     fine = np.empty(shape)
@@ -450,7 +531,7 @@ def _interpolate(coarse, axis, n):
 
 def _interpolate_transpose(fine, axis):
     """The exact transpose of ``_interpolate`` along one axis."""
-    at = partial(_along, axis, fine.ndim)
+    at = partial(_along, axis)
     n = fine.shape[axis]
     inner = (n - 1) // 2
     coarse = fine[at(slice(0, None, 2))].copy()
@@ -462,21 +543,52 @@ def _interpolate_transpose(fine, axis):
 
 def _prolong(coarse, fine_level):
     """P e: multilinear interpolation of a coarse field that is zero off its
-    free nodes, zeroed on the fine level's non-free nodes."""
+    free nodes, zeroed on the fine level's non-free nodes.  Leading axes
+    beyond the lattice's hold a batch of fields."""
+    shape = fine_level.free.shape
     fine = coarse
-    for axis, n in enumerate(fine_level.free.shape):
+    for axis, n in enumerate(shape, start=-len(shape)):
         fine = _interpolate(fine, axis, n)
     np.copyto(fine, 0.0, where=fine_level.nonfree)
     return fine
 
 
 def _restrict(fine, coarse_level):
-    """P^T r for a fine field r that is zero off its free nodes."""
+    """P^T r for a fine field r that is zero off its free nodes (or a batch
+    of them, as in ``_prolong``)."""
     coarse = fine
-    for axis in range(fine.ndim):
+    for axis in range(-coarse_level.free.ndim, 0):
         coarse = _interpolate_transpose(coarse, axis)
     np.copyto(coarse, 0.0, where=coarse_level.nonfree)
     return coarse
+
+
+def _galerkin(fine, coarse):
+    """P^T A P, A the fine level's operator, as a stencil on the coarse level.
+
+    P is multilinear and A couples nodes at most one step apart per axis,
+    so P^T A P couples coarse nodes at most one step apart too.  Probing it
+    with the indicator v of the coarse nodes at one residue class mod 3 per
+    axis reads one entry per node: the class has exactly one node K + o
+    within that reach of node K, so (P^T A P v)[K] = (P^T A P)[K, K + o].
+    The 3^N classes give every entry; no matrix is formed.
+    """
+    shape = coarse.free.shape
+    stencil = {o: np.zeros(shape) for o in stencil_offsets(len(shape))}
+    residues = list(np.ndindex(*([3] * len(shape))))
+    batch = max(1, _PROBE_NODES // fine.free.size)
+    for first in range(0, len(residues), batch):
+        chunk = residues[first : first + batch]
+        v = np.zeros((len(chunk),) + shape)
+        for n, residue in enumerate(chunk):
+            v[(n,) + tuple(slice(r, None, 3) for r in residue)] = 1.0
+        np.copyto(v, 0.0, where=coarse.nonfree)
+        y = _restrict(fine.apply(_prolong(v, fine)), coarse)
+        for n, residue in enumerate(chunk):
+            for offset, entries in stencil.items():
+                at = tuple(slice((r - d) % 3, None, 3) for r, d in zip(residue, offset))
+                entries[at] = y[(n,) + at]
+    return stencil
 
 
 class _Multigrid:
@@ -488,25 +600,46 @@ class _Multigrid:
     problem is the Dirichlet problem with those nodes fixed; at t = 2 it is
     linear.  One cycle on level k is a parity Gauss-Seidel sweep, a
     correction c = P e from the next coarser level, scaled by the exact line
-    search alpha = <rho, c> / <c, K c> of level k's own quadratic (rho its
+    search alpha = <rho, c> / <c, A c> of level k's own quadratic (rho its
     residual after the sweep), and one more sweep; the coarsest level gets
     ``_COARSEST_SWEEPS`` sweeps instead (a lattice too small to coarsen is
-    its own coarsest level).  At t != 2 only the finest level changes (see
-    ``_NewtonLevel``); the coarser ones serve the same plain K.  Sweeps and
-    line-searched corrections never raise the energy, and c is zero on
-    every fixed node.
+    its own coarsest level).
+
+    At t = 2 every level's A is the plain K on the injected free mask of
+    ``_coarse_free``.  At t != 2 (``galerkin``) the finest level smooths
+    with Newton sweeps (see ``_NewtonLevel``) and ``linearize`` makes its A
+    J(u), the Hessian of the energy on the free nodes; every coarser A is
+    P^T A P of the level above (``_galerkin``), on the free mask of
+    ``_coarse_columns``.  Galerkin levels cost 3^N probes each to build,
+    which at t = 2 is more than the cycles they save (the 83^3-node probe
+    solve: about 0.42 s to build its first coarse level against 0.70 s for
+    all 14 of its cycles).  Sweeps and line-searched corrections never raise
+    the energy, and c is zero on every fixed node.
     """
 
-    def __init__(self, grid, constraint):
+    def __init__(self, grid, constraint, galerkin=False):
         free = grid.labels == INTERIOR
         if constraint is not None:
             free.ravel()[constraint.indices] = False
+        coarsen = _coarse_columns if galerkin else _coarse_free
+        self.newton_cycles = 0
         self.levels = [_Level(free)]
         while True:
-            free = _coarse_free(free)
+            free = coarsen(free)
             if min(free.shape) < _MIN_COARSE_DIM or free.sum() < _MIN_COARSE_NODES:
                 break
             self.levels.append(_Level(free))
+
+    def linearize(self, newton, values):
+        """Make J(u) at ``values`` (from ``newton``, a _NewtonLevel) the
+        finest level's operator and every coarser one P^T A P of the level
+        above.  The old operators go first, so they never sit beside the
+        new ones."""
+        for level in self.levels:
+            level.set_stencil(None)
+        self.levels[0].set_stencil(newton.jacobian(values))
+        for fine, coarse in zip(self.levels, self.levels[1:]):
+            coarse.set_stencil(_galerkin(fine, coarse))
 
     def cycle(self, values, newton=None):
         """One V-cycle on ``values`` in place; returns the max update.  With
@@ -519,13 +652,16 @@ class _Multigrid:
             newton.sweep(values)
             if len(self.levels) > 1:
                 rho = newton.residual(values)
+                if self.newton_cycles % _JACOBIAN_LAG == 0:
+                    self.linearize(newton, values)
+                self.newton_cycles += 1
                 newton.correct(values, rho, self._correction(0, rho))
             newton.sweep(values)
         np.subtract(values[free], step, out=step)
         return float(np.max(np.abs(step, out=step), initial=0.0))
 
     def _correction(self, k, rho):
-        """c = P e, e one cycle from zero on level k + 1 for K e = P^T rho."""
+        """c = P e, e one cycle from zero on level k + 1 for A e = P^T rho."""
         coarse = self.levels[k + 1]
         e = np.zeros(coarse.free.shape)
         self._cycle(k + 1, e, _restrict(rho, coarse).ravel())
@@ -566,14 +702,18 @@ class _NewtonLevel:
     """The finest level of a t != 2 cycle.
 
     It smooths with guarded one-step Newton sweeps over the parity classes
-    of the free nodes (``_ColorWorkspace.update``), and scales each coarse
+    of the free nodes (``_ColorWorkspace.update``), supplies J(u) for the
+    Galerkin levels below it (``jacobian``), and scales each coarse
     correction c by a step alpha that lowers the convex phi(alpha) =
     E(u + alpha c).  The step comes from a bracketed secant (Illinois) on
-    phi'(alpha) = <dE(u + alpha c), c>, started at the linear estimate
-    <rho, c> / <c, K c>; it is the largest evaluated alpha whose computed
-    phi' is <= 0, so phi cannot have risen there (phi' is nondecreasing),
-    and no step at all when no evaluated alpha > 0 has phi' <= 0.  On a
-    lattice too small to coarsen a cycle is the two sweeps alone.
+    phi'(alpha) = <dE(u + alpha c), c>, started just short of the Newton
+    estimate <rho, c> / <c, J c>; it is the largest evaluated alpha whose
+    computed phi' is <= 0, so phi cannot have risen there (phi' is
+    nondecreasing), and no step at all when no evaluated alpha > 0 has
+    phi' <= 0.  The Newton estimate itself lands within rounding of the
+    minimizer late in a solve, on its right as often as not, where the
+    secant then spent up to 7 slopes to certify a step.  On a lattice too
+    small to coarsen a cycle is the two sweeps alone.
     """
 
     def __init__(self, grid, spec, level):
@@ -604,6 +744,14 @@ class _NewtonLevel:
         """rho = -dE/du / h^{N-2}, zero off the free nodes."""
         return np.negative(self._gradient(values))
 
+    def jacobian(self, values):
+        """J(u), the Hessian of E / h^{N-2}, as a ``monotone.hessian``
+        stencil."""
+        stencil = hessian(self.spec, Field(self.grid, values))
+        for entries in stencil.values():
+            entries /= self.scale
+        return stencil
+
     def correct(self, values, rho, c):
         """values += alpha c, alpha from the line search (in place)."""
         slope0 = -np.vdot(rho, c)
@@ -611,7 +759,9 @@ class _NewtonLevel:
         if not (slope0 < 0.0 and curvature > 0.0):
             self.skipped += 1
             return
-        alpha = -slope0 / curvature
+        # A shade short of the Newton estimate: where the quadratic model is
+        # exact, the slope there sits mid-way in the accepted window.
+        alpha = -slope0 / curvature * (1.0 - 0.5 * _SECANT_STOP)
         lo, g_lo = 0.0, slope0
         hi = g_hi = None
         last = 0
@@ -728,7 +878,7 @@ def _relax(grid, spec, values, constraint, tol, max_cycles, check_energy=True):
     # The first energy runs before the cycle's index arrays exist, so its
     # temporaries never sit beside them.
     energy_hist = [energy_of(spec, fld)] if check_energy else None
-    multigrid = _Multigrid(grid, constraint)
+    multigrid = _Multigrid(grid, constraint, galerkin=spec.t != 2.0)
     newton = None if spec.t == 2.0 else _NewtonLevel(grid, spec, multigrid.levels[0])
     one_cycle = partial(multigrid.cycle, values, newton)
     notes = {
