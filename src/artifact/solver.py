@@ -35,15 +35,17 @@ At t = 2 every level of a cycle is the plain 5/7-point Laplacian K and its
 correction takes the exact line search.  At t != 2 the cycle is
 Newton-multigrid (Trottenberg, Oosterlee & Schueller, Multigrid, 2001).
 The finest level (``_NewtonLevel``) smooths with the guarded Newton sweeps
-and restricts the nonlinear residual to coarse levels that are Galerkin
-products P^T A P of the level above, starting from A = J(u), the energy's
-Hessian at the current field (``monotone.hessian``), rebuilt every cycle;
-Galerkin coarse operators hold up on holes and thin Dirichlet sets such as
-the slit caps (Alcouffe, Brandt, Dendy & Painter, SIAM J. Sci. Stat.
-Comput. 1981).  It scales the correction by a bracketed secant on the slope
-of the energy along it (``line_search_slopes`` slope evaluations;
-``corrections_skipped`` where no step is certified).  Obstacle nodes stay
-fixed at +-m at every t, which is exact (see ``_Multigrid``).
+and restricts the nonlinear residual to the coarse levels.  In 2D these
+are Galerkin products P^T A P of the level above, starting from A = J(u),
+the energy's Hessian at the current field (``monotone.hessian``), rebuilt
+every cycle; Galerkin coarse operators hold up on holes and thin Dirichlet
+sets such as the slit caps (Alcouffe, Brandt, Dendy & Painter, SIAM J. Sci.
+Stat. Comput. 1981).  In 3D they stay the plain K, whose cycles cost less
+than the Galerkin build there (see ``_Multigrid``).  The finest level
+scales the correction by a bracketed secant on the slope of the energy
+along it (``line_search_slopes`` slope evaluations; ``corrections_skipped``
+where no step is certified).  Obstacle nodes stay fixed at +-m at every t,
+which is exact (see ``_Multigrid``).
 
 So the energy is non-increasing by construction for every t, cycle by cycle.
 Every smoothing update stays inside its face-neighbor range.  A coarse
@@ -365,23 +367,11 @@ def _parity_classes(mask):
 _MIN_COARSE_NODES = 64
 _MIN_COARSE_DIM = 5
 _COARSEST_SWEEPS = 30
-# Galerkin probes run in batches of at most this many fine nodes in all
-# (larger batches fall out of cache; smaller ones pay numpy's call overhead).
-_PROBE_NODES = 1 << 15
-# A t != 2 cycle rebuilds J(u) and its Galerkin levels every this many
-# cycles.  Measured on the disk obstacle (t = 1.5 and 3, h = 1/32 to 1/128)
-# and on the four slit levels of s14: a lag of 2 to 6 cycles added 0 to 3
-# cycles per solve and took line-search slopes per cycle from 1.1-1.4 to
-# 1.4-2.3 on the disk and from 1.9-2.2 to 2.0-3.2 on the slit levels; the
-# time it saved, up to a fifth of a disk solve and none on s14, was within
-# run-to-run noise.
-_JACOBIAN_LAG = 1
 
 
-def _along(axis, sl):
-    """Index tuple applying slice ``sl`` on one axis, counted from the end
-    (-1 the last), of an array of any rank."""
-    return (Ellipsis, sl) + (slice(None),) * (-1 - axis)
+def _along(axis, ndim, sl):
+    """Index tuple applying slice ``sl`` on one axis of an ndim array."""
+    return tuple(sl if k == axis else slice(None) for k in range(ndim))
 
 
 class _Level:
@@ -460,25 +450,22 @@ class _Level:
 
     @np.errstate(invalid="ignore", over="ignore")
     def apply(self, x, out=None):
-        """A x on the free nodes, zero elsewhere, into ``out`` if given; x
-        may hold a batch of fields along leading axes.  Under K, values at
-        nodes no free node touches (exterior ones) may be anything; a
-        stencil needs them finite."""
-        ndim = self.free.ndim
+        """A x on the free nodes, zero elsewhere, into ``out`` if given.
+        Under K, values at nodes no free node touches (exterior ones) may
+        be anything; a stencil needs them finite."""
         if self.stencil is not None:
-            out = np.multiply(self.stencil[(0,) * ndim], x, out=out)
+            out = np.multiply(self.stencil[(0,) * x.ndim], x, out=out)
             for offset, entries in self.stencil.items():
                 if any(offset):
                     lo, hi = offset_slices(offset)
                     coef = entries[lo]
-                    lo, hi = (Ellipsis,) + lo, (Ellipsis,) + hi
                     out[lo] += coef * x[hi]
                     out[hi] += coef * x[lo]
         else:
-            out = np.multiply(x, 2.0 * ndim, out=out)
-            for axis in range(-ndim, 0):
-                head = _along(axis, slice(1, None))
-                tail = _along(axis, slice(None, -1))
+            out = np.multiply(x, 2.0 * x.ndim, out=out)
+            for axis in range(x.ndim):
+                head = _along(axis, x.ndim, slice(1, None))
+                tail = _along(axis, x.ndim, slice(None, -1))
                 out[tail] -= x[head]
                 out[head] -= x[tail]
         np.copyto(out, 0.0, where=self.nonfree)
@@ -501,9 +488,9 @@ def _coarse_columns(free):
     the prolongation P that touch a fine free node, i.e. coarse node J is
     free where some fine node of 2J + {-1, 0, 1}^N is."""
     near = free
-    for axis in range(-free.ndim, 0):
-        head = _along(axis, slice(1, None))
-        tail = _along(axis, slice(None, -1))
+    for axis in range(free.ndim):
+        head = _along(axis, free.ndim, slice(1, None))
+        tail = _along(axis, free.ndim, slice(None, -1))
         grown = near.copy()
         grown[head] |= near[tail]
         grown[tail] |= near[head]
@@ -512,11 +499,10 @@ def _coarse_columns(free):
 
 
 def _interpolate(coarse, axis, n):
-    """Linear interpolation along one axis (counted from the end) onto n
-    fine nodes: fine node 2j is coarse node j, fine node 2j + 1 averages
-    coarse nodes j and j + 1, a missing j + 1 (past the end of an even axis)
-    counting as zero."""
-    at = partial(_along, axis)
+    """Linear interpolation along one axis onto n fine nodes: fine node 2j
+    is coarse node j, fine node 2j + 1 averages coarse nodes j and j + 1, a
+    missing j + 1 (past the end of an even axis) counting as zero."""
+    at = partial(_along, axis, coarse.ndim)
     shape = list(coarse.shape)
     shape[axis] = n
     fine = np.empty(shape)
@@ -531,7 +517,7 @@ def _interpolate(coarse, axis, n):
 
 def _interpolate_transpose(fine, axis):
     """The exact transpose of ``_interpolate`` along one axis."""
-    at = partial(_along, axis)
+    at = partial(_along, axis, fine.ndim)
     n = fine.shape[axis]
     inner = (n - 1) // 2
     coarse = fine[at(slice(0, None, 2))].copy()
@@ -543,21 +529,18 @@ def _interpolate_transpose(fine, axis):
 
 def _prolong(coarse, fine_level):
     """P e: multilinear interpolation of a coarse field that is zero off its
-    free nodes, zeroed on the fine level's non-free nodes.  Leading axes
-    beyond the lattice's hold a batch of fields."""
-    shape = fine_level.free.shape
+    free nodes, zeroed on the fine level's non-free nodes."""
     fine = coarse
-    for axis, n in enumerate(shape, start=-len(shape)):
+    for axis, n in enumerate(fine_level.free.shape):
         fine = _interpolate(fine, axis, n)
     np.copyto(fine, 0.0, where=fine_level.nonfree)
     return fine
 
 
 def _restrict(fine, coarse_level):
-    """P^T r for a fine field r that is zero off its free nodes (or a batch
-    of them, as in ``_prolong``)."""
+    """P^T r for a fine field r that is zero off its free nodes."""
     coarse = fine
-    for axis in range(-coarse_level.free.ndim, 0):
+    for axis in range(fine.ndim):
         coarse = _interpolate_transpose(coarse, axis)
     np.copyto(coarse, 0.0, where=coarse_level.nonfree)
     return coarse
@@ -575,19 +558,14 @@ def _galerkin(fine, coarse):
     """
     shape = coarse.free.shape
     stencil = {o: np.zeros(shape) for o in stencil_offsets(len(shape))}
-    residues = list(np.ndindex(*([3] * len(shape))))
-    batch = max(1, _PROBE_NODES // fine.free.size)
-    for first in range(0, len(residues), batch):
-        chunk = residues[first : first + batch]
-        v = np.zeros((len(chunk),) + shape)
-        for n, residue in enumerate(chunk):
-            v[(n,) + tuple(slice(r, None, 3) for r in residue)] = 1.0
+    for residue in np.ndindex(*([3] * len(shape))):
+        v = np.zeros(shape)
+        v[tuple(slice(r, None, 3) for r in residue)] = 1.0
         np.copyto(v, 0.0, where=coarse.nonfree)
         y = _restrict(fine.apply(_prolong(v, fine)), coarse)
-        for n, residue in enumerate(chunk):
-            for offset, entries in stencil.items():
-                at = tuple(slice((r - d) % 3, None, 3) for r, d in zip(residue, offset))
-                entries[at] = y[(n,) + at]
+        for offset, entries in stencil.items():
+            at = tuple(slice((r - d) % 3, None, 3) for r, d in zip(residue, offset))
+            entries[at] = y[at]
     return stencil
 
 
@@ -605,24 +583,28 @@ class _Multigrid:
     ``_COARSEST_SWEEPS`` sweeps instead (a lattice too small to coarsen is
     its own coarsest level).
 
-    At t = 2 every level's A is the plain K on the injected free mask of
-    ``_coarse_free``.  At t != 2 (``galerkin``) the finest level smooths
-    with Newton sweeps (see ``_NewtonLevel``) and ``linearize`` makes its A
-    J(u), the Hessian of the energy on the free nodes; every coarser A is
-    P^T A P of the level above (``_galerkin``), on the free mask of
-    ``_coarse_columns``.  Galerkin levels cost 3^N probes each to build,
-    which at t = 2 is more than the cycles they save (the 83^3-node probe
-    solve: about 0.42 s to build its first coarse level against 0.70 s for
-    all 14 of its cycles).  Sweeps and line-searched corrections never raise
-    the energy, and c is zero on every fixed node.
+    At t != 2 the finest level smooths with Newton sweeps (see
+    ``_NewtonLevel``).  With ``galerkin`` each cycle's ``linearize`` makes
+    the finest A J(u), the Hessian of the energy on the free nodes, and
+    every coarser A P^T A P of the level above (``_galerkin``), on the free
+    mask of ``_coarse_columns``.  Otherwise every level's A is the plain K
+    on the injected free mask of ``_coarse_free``.  ``_relax`` takes
+    Galerkin levels at t != 2 in 2D only: a build costs 3^N probes of the
+    level above, which is more than the cycles it saves both at t = 2 (the
+    83^3-node probe solve: about 0.42 s to build its first coarse level
+    against 0.70 s for all 14 of its cycles) and in a 3D t = 3 obstacle
+    solve (the 83^3-node ball: 14 cycles in 73 s against 29 in 53 s on K,
+    and a peak RSS of 210 MB against 128 MB, J's 14 arrays and the probes
+    included).  Sweeps and line-searched corrections never raise the
+    energy, and c is zero on every fixed node.
     """
 
     def __init__(self, grid, constraint, galerkin=False):
         free = grid.labels == INTERIOR
         if constraint is not None:
             free.ravel()[constraint.indices] = False
+        self.galerkin = galerkin
         coarsen = _coarse_columns if galerkin else _coarse_free
-        self.newton_cycles = 0
         self.levels = [_Level(free)]
         while True:
             free = coarsen(free)
@@ -652,9 +634,16 @@ class _Multigrid:
             newton.sweep(values)
             if len(self.levels) > 1:
                 rho = newton.residual(values)
-                if self.newton_cycles % _JACOBIAN_LAG == 0:
+                if self.galerkin:
+                    # Rebuilt every cycle.  Measured on the disk obstacle (t
+                    # = 1.5 and 3, h = 1/32 to 1/128) and the four slit
+                    # levels of s14, rebuilding every 2 to 6 cycles added 0
+                    # to 3 cycles per solve and took line-search slopes per
+                    # cycle from 1.1-1.4 to 1.4-2.3 on the disk and from
+                    # 1.9-2.2 to 2.0-3.2 on the slit levels; the time it
+                    # saved, up to a fifth of a disk solve and none on s14,
+                    # was within run-to-run noise.
                     self.linearize(newton, values)
-                self.newton_cycles += 1
                 newton.correct(values, rho, self._correction(0, rho))
             newton.sweep(values)
         np.subtract(values[free], step, out=step)
@@ -702,18 +691,19 @@ class _NewtonLevel:
     """The finest level of a t != 2 cycle.
 
     It smooths with guarded one-step Newton sweeps over the parity classes
-    of the free nodes (``_ColorWorkspace.update``), supplies J(u) for the
+    of the free nodes (``_ColorWorkspace.update``), supplies J(u) for
     Galerkin levels below it (``jacobian``), and scales each coarse
     correction c by a step alpha that lowers the convex phi(alpha) =
     E(u + alpha c).  The step comes from a bracketed secant (Illinois) on
-    phi'(alpha) = <dE(u + alpha c), c>, started just short of the Newton
-    estimate <rho, c> / <c, J c>; it is the largest evaluated alpha whose
-    computed phi' is <= 0, so phi cannot have risen there (phi' is
-    nondecreasing), and no step at all when no evaluated alpha > 0 has
-    phi' <= 0.  The Newton estimate itself lands within rounding of the
-    minimizer late in a solve, on its right as often as not, where the
-    secant then spent up to 7 slopes to certify a step.  On a lattice too
-    small to coarsen a cycle is the two sweeps alone.
+    phi'(alpha) = <dE(u + alpha c), c>, started just short of <rho, c> /
+    <c, A c>, A the level's operator: the Newton estimate under A = J(u),
+    about 3x too long at t = 3 under the plain K.  It is the largest
+    evaluated alpha whose computed phi' is <= 0, so phi cannot have risen
+    there (phi' is nondecreasing), and no step at all when no evaluated
+    alpha > 0 has phi' <= 0.  The Newton estimate itself lands within
+    rounding of the minimizer late in a solve, on its right as often as
+    not, where the secant then spent up to 7 slopes to certify a step.  On
+    a lattice too small to coarsen a cycle is the two sweeps alone.
     """
 
     def __init__(self, grid, spec, level):
@@ -878,7 +868,7 @@ def _relax(grid, spec, values, constraint, tol, max_cycles, check_energy=True):
     # The first energy runs before the cycle's index arrays exist, so its
     # temporaries never sit beside them.
     energy_hist = [energy_of(spec, fld)] if check_energy else None
-    multigrid = _Multigrid(grid, constraint, galerkin=spec.t != 2.0)
+    multigrid = _Multigrid(grid, constraint, galerkin=spec.t != 2.0 and grid.dim == 2)
     newton = None if spec.t == 2.0 else _NewtonLevel(grid, spec, multigrid.levels[0])
     one_cycle = partial(multigrid.cycle, values, newton)
     notes = {

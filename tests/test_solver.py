@@ -678,7 +678,7 @@ def _galerkin_hierarchy(dim, t):
 
 @pytest.mark.parametrize("t", [1.5, 3.0])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_galerkin_stencil_is_the_product_it_probes(dim, t, monkeypatch):
+def test_galerkin_stencil_is_the_product_it_probes(dim, t):
     # Each coarse level's stencil applied to v is P^T A P v, A the operator
     # of the level above, on free masks with obstacle holes and exterior
     # nodes; its coarse free nodes are exactly the columns of P that reach
@@ -692,14 +692,7 @@ def test_galerkin_stencil_is_the_product_it_probes(dim, t, monkeypatch):
         got = coarse.apply(v)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.all(coarse.stencil[(0,) * dim][coarse.free] > 0.0)
-        # Probing one field at a time gives the same stencil bit for bit.
-        batched = _galerkin(fine, coarse)
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_PROBE_NODES", 1)
-            single = _galerkin(fine, coarse)
-        for offset, entries in batched.items():
-            assert np.array_equal(entries, single[offset])
-    # The product of the plain K, probed in one batch, is P^T K P too.
+    # The product of the plain K, probed the same way, is P^T K P too.
     plain, coarse = _Level(multigrid.levels[0].free), _Level(multigrid.levels[1].free)
     coarse.set_stencil(_galerkin(plain, coarse))
     v = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
@@ -723,6 +716,30 @@ def test_no_two_nodes_of_one_parity_couple(dim):
             x = np.zeros(level.free.shape)
             x.ravel()[idx] = 1.0
             assert np.array_equal(level.apply(x).ravel()[idx], diag[idx])
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_galerkin_levels_serve_2d_t_not_2_only(dim, t, monkeypatch):
+    # Galerkin levels are built in 2D t != 2 solves and in no others; a 3D
+    # t != 2 solve runs its Newton sweeps over the plain K levels and keeps
+    # the same invariants.
+    builds = []
+    galerkin = solver._galerkin
+
+    def counted(fine, coarse):
+        builds.append(coarse.free.shape)
+        return galerkin(fine, coarse)
+
+    monkeypatch.setattr(solver, "_galerkin", counted)
+    grid = build_grid(Ball([0.0] * dim, 1.0), 1.0 / 8.0 if dim == 3 else 1.0 / 16.0)
+    spec = OperatorSpec(kind="p_laplace", t=t)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0] * dim, 0.3), 1.0)
+    fld, rep = solve_obstacle(grid, spec, cons, tol=1e-8)
+    assert rep.converged and rep.notes["energy_monotone"] is True
+    assert rep.notes["grid_levels"] >= 2
+    assert np.all(fld.values.ravel()[cons.indices] == 1.0)
+    assert bool(builds) == (dim == 2 and t != 2.0)
 
 
 @pytest.mark.parametrize("dims", [(22, 17), (9, 10, 11), (12, 12, 7)])
