@@ -50,6 +50,7 @@ from .levelsets import (
 from .monotone import OperatorSpec
 from .solver import (
     ObstacleConstraint,
+    _memo_tag,
     _solve_counts,
     _solve_memo,
     obstacle_verification,
@@ -87,6 +88,32 @@ def _require(params, field, kind=None, where="params"):
     if kind is not None and not isinstance(value, kind):
         raise ScenarioError(f"{where}.{field}", f"expected {kind}")
     return value
+
+
+def _number(params, field, default=None, where="params", integer=False):
+    """A numeric param as a float, or with ``integer`` an int; ``default``
+    when it is absent and a default is given.  A bool, a string, a list or
+    any other non-number, and a non-integral value where an int is wanted,
+    is a ScenarioError naming the field."""
+    if default is not None and field not in params:
+        value = default
+    else:
+        value = _require(params, field, where=where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}.{field}", f"expected a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if not float(value).is_integer():
+        raise ScenarioError(f"{where}.{field}", f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boundary_data(params, where="params"):
+    """The ``data`` param: an expression string or a number."""
+    data = _require(params, "data", where=where)
+    if isinstance(data, bool) or not isinstance(data, (str, int, float)):
+        raise ScenarioError(f"{where}.data", f"expected an expression or number, got {data!r}")
+    return data
 
 
 def _positive_number(value, field):
@@ -199,7 +226,7 @@ def _field_stats(grid, values):
 
 def _run_dirichlet(scn):
     params = scn["params"]
-    data = _require(params, "data")
+    data = _boundary_data(params)
     grid = build_grid(scn["shape"], _scenario_h(scn))
     fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
     report = {
@@ -296,8 +323,8 @@ def _run_obstacle(scn):
     params = scn["params"]
     grid = build_grid(scn["shape"], _scenario_h(scn))
     obstacle_shape = shape_from_dict(_require(params, "obstacle", dict))
-    m = float(params.get("m", 1.0))
-    sign = int(params.get("sign", 1))
+    m = _number(params, "m", 1.0)
+    sign = _number(params, "sign", 1, integer=True)
     con = ObstacleConstraint.from_shape(grid, obstacle_shape, m, sign)
     fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
     ver = obstacle_verification(scn["spec"], grid, fld.values, con, scn["tol"])
@@ -327,17 +354,17 @@ def _run_obstacle(scn):
 def _probe_config(scn, params, where="params"):
     return WienerProbeConfig(
         y=_require(params, "y", list, where=where),
-        cap_radius=float(_require(params, "cap_radius", where=where)),
-        r0=float(_require(params, "r0", where=where)),
-        K=int(_require(params, "K", where=where)),
+        cap_radius=_number(params, "cap_radius", where=where),
+        r0=_number(params, "r0", where=where),
+        K=_number(params, "K", where=where, integer=True),
         h_levels=scn["h_levels"] or [scn["h"]],
-        height=float(params.get("m", 1.0)),
-        sign=int(params.get("sign", 1)),
-        decay_factor=float(params.get("decay_factor", 0.1)),
-        stagnation_floor=float(params.get("stagnation_floor", 0.25)),
-        shrink_ratio=float(params.get("shrink_ratio", 0.7)),
-        stagnation_ratio=float(params.get("stagnation_ratio", 0.9)),
-        near_radius_cells=float(params.get("near_radius_cells", 4.0)),
+        height=_number(params, "m", 1.0, where=where),
+        sign=_number(params, "sign", 1, where=where, integer=True),
+        decay_factor=_number(params, "decay_factor", 0.1, where=where),
+        stagnation_floor=_number(params, "stagnation_floor", 0.25, where=where),
+        shrink_ratio=_number(params, "shrink_ratio", 0.7, where=where),
+        stagnation_ratio=_number(params, "stagnation_ratio", 0.9, where=where),
+        near_radius_cells=_number(params, "near_radius_cells", 4.0, where=where),
         fixed_radius=params.get("fixed_radius"),
     )
 
@@ -362,10 +389,10 @@ def _run_barrier(scn):
         grid,
         scn["spec"],
         _require(params, "y", list),
-        float(_require(params, "rho")),
-        float(params.get("m", 1.0)),
+        _number(params, "rho"),
+        _number(params, "m", 1.0),
         tol=scn["tol"],
-        jj_factor=float(params.get("jj_factor", 0.5)),
+        jj_factor=_number(params, "jj_factor", 0.5),
     )
     report = {"task": "barrier", "h": grid.h, "barrier": rep}
     rows = [
@@ -388,7 +415,7 @@ def _run_locality(scn):
         scn["shape"],
         shape_b,
         _require(params, "y", list),
-        float(_require(params, "window_radius")),
+        _number(params, "window_radius"),
         config,
         scn["spec"],
         tol=scn["tol"],
@@ -407,12 +434,13 @@ def _instrument_solve(scn, grid):
     kind = _require(solve, "kind", str, where="params.solve")
     if kind == "obstacle":
         shape = shape_from_dict(_require(solve, "obstacle", dict, where="params.solve"))
-        m = float(solve.get("m", 1.0))
-        con = ObstacleConstraint.from_shape(grid, shape, m, int(solve.get("sign", 1)))
+        m = _number(solve, "m", 1.0, where="params.solve")
+        sign = _number(solve, "sign", 1, where="params.solve", integer=True)
+        con = ObstacleConstraint.from_shape(grid, shape, m, sign)
         fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
     elif kind == "dirichlet":
         fld, rep = solve_dirichlet(
-            grid, scn["spec"], _require(solve, "data", where="params.solve"), tol=scn["tol"]
+            grid, scn["spec"], _boundary_data(solve, where="params.solve"), tol=scn["tol"]
         )
     else:
         raise ScenarioError("params.solve.kind", f"unknown solve kind {kind!r}")
@@ -430,7 +458,7 @@ _DEGIORGI_BLOCKS = {
 
 
 def _check_degiorgi_blocks(params):
-    """Name a missing block key before any solve starts."""
+    """Name a missing or non-numeric block key before any solve starts."""
     for name, (kind, keys) in _DEGIORGI_BLOCKS.items():
         if name not in params:
             continue
@@ -441,13 +469,21 @@ def _check_degiorgi_blocks(params):
             if not isinstance(block, dict):
                 raise ScenarioError(where, "expected an object")
             for key in keys:
-                _require(block, key, where=where)
+                _number(block, key, where=where, integer=key == "K")
 
 
 def _run_degiorgi(scn):
     params = scn["params"]
     y = _require(params, "y", list)
     _check_degiorgi_blocks(params)
+    # The optional numbers, read before any solve starts.
+    psi = params.get("psi_recursion", {})
+    n_levels = _number(psi, "n_levels", 8, where="params.psi_recursion", integer=True)
+    gap = psi.get("d", "auto")
+    if gap != "auto":
+        gap = _number(psi, "d", where="params.psi_recursion")
+    envelope = _require(params, "envelope", dict) if "envelope" in params else {}
+    c1 = _number(envelope, "C1", 1.0, where="params.envelope")
     t = scn["spec"].t
     h_levels = scn["h_levels"] or [scn["h"]]
     report = {"task": "degiorgi-instrument", "levels": []}
@@ -472,11 +508,10 @@ def _run_degiorgi(scn):
             ok = ok and not rep_c["violation"]
         if "psi_recursion" in params:
             blk = params["psi_recursion"]
-            d = blk.get("d", "auto")
+            d = gap
             if d == "auto":
                 probe_sched = IterationSchedule(
-                    y=y, r0=blk["r0"], k0=blk["k0"], d=blk["k0"] / 4.0,
-                    n_levels=int(blk.get("n_levels", 8)),
+                    y=y, r0=blk["r0"], k0=blk["k0"], d=blk["k0"] / 4.0, n_levels=n_levels
                 )
                 fit = check_psi_recursion(fld, probe_sched, t)
                 d = threshold_level_gap(
@@ -484,8 +519,7 @@ def _run_degiorgi(scn):
                 )
                 level_report["fitted_gap"] = d
             sched = IterationSchedule(
-                y=y, r0=blk["r0"], k0=blk["k0"], d=float(d),
-                n_levels=int(blk.get("n_levels", 8)),
+                y=y, r0=blk["r0"], k0=blk["k0"], d=float(d), n_levels=n_levels
             )
             rec = check_psi_recursion(fld, sched, t)
             final = level_stats(fld, y, blk["k0"] - float(d), blk["r0"] / 2.0, t)
@@ -499,19 +533,18 @@ def _run_degiorgi(scn):
                 tables["oscillation"].append({"h": float(h), **row})
             level_report["oscillation"] = rows
             if "envelope" in params:
-                env = params["envelope"]
                 sigmas = []
                 for row in rows[1:]:
                     cap = complement_cap(grid, y, 2.0 * row["r"])
                     sigmas.append(density(cap))
                 dec = n0_and_decay(
                     sigmas,
-                    float(env.get("C1", 1.0)),
+                    c1,
                     float(blk["r0"]),
                     int(blk["K"]),
                     [row["omega"] for row in rows],
                     t,
-                    lower_order=bool(env.get("lower_order", False)),
+                    lower_order=bool(envelope.get("lower_order", False)),
                 )
                 level_report["envelope"] = dec
         report["levels"].append(level_report)
@@ -688,6 +721,19 @@ def run_scenario(path, out_root=None):
     }
 
 
+def _memo_tags(path):
+    """The ``_memo_tag`` of every solve a scenario file can ask for: its
+    operator and tolerance at each of its spacings; none if it does not
+    load."""
+    try:
+        scn, _ = load_scenario(path)
+    except ScenarioError:
+        return set()
+    spacings = [scn["h"]] if scn["h"] is not None else []
+    spacings += scn["h_levels"] or []
+    return {_memo_tag(scn["spec"], scn["tol"], h) for h in spacings}
+
+
 def run_suite(directory, out_root=None, threads=1):
     directory = Path(directory)
     files = sorted(directory.glob("*.json"))
@@ -711,14 +757,24 @@ def run_suite(directory, out_root=None, threads=1):
     out_root = Path(out_root) if out_root else Path("out")
     rows = []
     worst = 0
-    # Equal solves run once per suite run (see ``solver._solve_memo``).
-    with _solve_memo():
+    # Equal solves run once per suite run (see ``solver._solve_memo``); the
+    # memo keeps a solve only while a scenario that has not finished could
+    # ask for it again.
+    tags = {f: _memo_tags(f) for f in files}
+    with _solve_memo() as memo:
+        memo.share(tags.values())
+
+        def run(f):
+            try:
+                return run_scenario(f, out_root)
+            finally:
+                memo.release(tags[f])
+
         if threads > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {pool.submit(run_scenario, f, out_root): f for f in files}
-                results = [fut.result() for fut in futures]
+                results = list(pool.map(run, files))
         else:
-            results = [run_scenario(f, out_root) for f in files]
+            results = [run(f) for f in files]
     for code, row in results:
         worst = max(worst, code)
         rows.append(row)

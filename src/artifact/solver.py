@@ -38,10 +38,10 @@ The finest level (``_NewtonLevel``) smooths with the guarded Newton sweeps
 and restricts the nonlinear residual to the coarse levels.  In 2D these
 are Galerkin products P^T A P of the level above, starting from A = J(u),
 the energy's Hessian at the current field (``monotone.hessian``), rebuilt
-every cycle; Galerkin coarse operators hold up on holes and thin Dirichlet
-sets such as the slit caps (Alcouffe, Brandt, Dendy & Painter, SIAM J. Sci.
-Stat. Comput. 1981).  In 3D they stay the plain K, whose cycles cost less
-than the Galerkin build there (see ``_Multigrid``).  The finest level
+every cycle from the stencil arrays; Galerkin coarse operators hold up on
+holes and thin Dirichlet sets such as the slit caps (Alcouffe, Brandt,
+Dendy & Painter, SIAM J. Sci. Stat. Comput. 1981).  In 3D they stay the
+plain K (see ``_Multigrid``).  The finest level
 scales the correction by a bracketed secant on the slope of the energy
 along it (``line_search_slopes`` slope evaluations; ``corrections_skipped``
 where no step is certified).  Obstacle nodes stay fixed at +-m at every t,
@@ -70,8 +70,10 @@ hash equal to an earlier one's gets copies of that solve's field and report
 instead of running again.
 """
 
+import collections
 import copy
 import hashlib
+import itertools
 import json
 import math
 import threading
@@ -393,11 +395,14 @@ class _Level:
         self._rows = None
 
     def set_stencil(self, stencil):
-        """Make ``stencil`` A, its couplings of non-free nodes zeroed in
-        place; None makes A the plain K again."""
+        """Make ``stencil`` A, its couplings of non-free nodes and its
+        entries with no neighbour at their offset zeroed in place; None
+        makes A the plain K again."""
         for offset, entries in (stencil or {}).items():
             lo, hi = offset_slices(offset)
-            np.copyto(entries[lo], 0.0, where=~(self.free[lo] & self.free[hi]))
+            keep = np.zeros(self.free.shape, dtype=bool)
+            keep[lo] = self.free[lo] & self.free[hi]
+            np.copyto(entries, 0.0, where=~keep)
         self.stencil = stencil
         self._rows = None
 
@@ -429,14 +434,7 @@ class _Level:
         reads some finite value of the level's field."""
         if self._rows is None:
             shape = self.free.shape
-            both = {}
-            for offset, entries in self.stencil.items():
-                if any(offset):
-                    lo, hi = offset_slices(offset)
-                    mirror = np.zeros(shape)
-                    mirror[hi] = entries[lo]
-                    both[offset] = entries.ravel()
-                    both[tuple(-d for d in offset)] = mirror.ravel()
+            both = {o: e.ravel() for o, e in _full_stencil(self.stencil).items() if any(o)}
             strides = _strides(shape)
             offsets = np.array([[np.dot(o, strides)] for o in both])
             diag = self.stencil[(0,) * len(shape)].ravel()
@@ -546,27 +544,86 @@ def _restrict(fine, coarse_level):
     return coarse
 
 
-def _galerkin(fine, coarse):
-    """P^T A P, A the fine level's operator, as a stencil on the coarse level.
+def _full_stencil(stencil):
+    """Every offset of a symmetric stencil in ``stencil_offsets`` layout:
+    {o: F_o} over {-1, 0, 1}^N with F_o[i] = A[i, i + o], the -o arrays
+    mirrored from the +o ones.  Entries with no neighbour at their offset
+    must be zero already (``_Level.set_stencil`` makes them so)."""
+    full = {}
+    for offset, entries in stencil.items():
+        full[offset] = entries
+        if any(offset):
+            lo, hi = offset_slices(offset)
+            mirror = np.zeros(entries.shape)
+            mirror[hi] = entries[lo]
+            full[tuple(-d for d in offset)] = mirror
+    return full
 
-    P is multilinear and A couples nodes at most one step apart per axis,
-    so P^T A P couples coarse nodes at most one step apart too.  Probing it
-    with the indicator v of the coarse nodes at one residue class mod 3 per
-    axis reads one entry per node: the class has exactly one node K + o
-    within that reach of node K, so (P^T A P v)[K] = (P^T A P)[K, K + o].
-    The 3^N classes give every entry; no matrix is formed.
+
+def _coarsen_axis(full, axis):
+    """P_d^T A P_d for the 1D interpolation P_d along one axis, A and the
+    result full stencils (``_full_stencil``): the axis shrinks from n to m
+    = (n + 1) // 2 nodes.
+
+    Fix the steps of an offset on the other axes and let A_a be its array
+    at step a on this one.  Coarse row I gathers fine row 2I with weight 1
+    and rows 2I +- 1 with weight 1/2, and fine column 2J + s belongs to
+    coarse column J with weight 1 (s = 0) or 1/2 (s = +-1).  Fine row 2I
+    reaches columns I - 1, I, I + 1 with 1/2 A_-1, A_0 + 1/2 (A_-1 + A_1)
+    and 1/2 A_1; fine row 2k + 1, its row weight folded in, reaches column
+    k with Q_lo = 1/4 A_0 + 1/2 A_-1 and column k + 1 with Q_hi = 1/4 A_0 +
+    1/2 A_1, and it serves coarse rows k and k + 1.  Entries at offsets
+    that leave the coarse box are not zeroed here (on an even axis row m -
+    1 at step +1 collects fine column n - 1); no entry inside the box
+    reads them.
     """
-    shape = coarse.free.shape
-    stencil = {o: np.zeros(shape) for o in stencil_offsets(len(shape))}
-    for residue in np.ndindex(*([3] * len(shape))):
-        v = np.zeros(shape)
-        v[tuple(slice(r, None, 3) for r in residue)] = 1.0
-        np.copyto(v, 0.0, where=coarse.nonfree)
-        y = _restrict(fine.apply(_prolong(v, fine)), coarse)
-        for offset, entries in stencil.items():
-            at = tuple(slice((r - d) % 3, None, 3) for r, d in zip(residue, offset))
-            entries[at] = y[at]
-    return stencil
+    ndim = len(next(iter(full)))
+    at = partial(_along, axis, ndim)
+    n = next(iter(full.values())).shape[axis]
+    m = (n + 1) // 2
+    even, odd = at(slice(0, None, 2)), at(slice(1, None, 2))
+    # Odd fine row 2k + 1 serves coarse row k (``own``) and, for its first
+    # m - 1 rows (``first``), coarse row k + 1 (``next_row``).
+    own, next_row = at(slice(0, n // 2)), at(slice(1, None))
+    first = at(slice(0, m - 1))
+    out = {}
+    for perp in itertools.product((-1, 0, 1), repeat=ndim - 1):
+        steps = [perp[:axis] + (a,) + perp[axis:] for a in (-1, 0, 1)]
+        a_lo, a_0, a_hi = (full[offset] for offset in steps)
+        quarter = 0.25 * a_0[odd]
+        q_lo = np.multiply(a_lo[odd], 0.5)
+        q_lo += quarter
+        q_hi = np.multiply(a_hi[odd], 0.5)
+        q_hi += quarter
+        b_lo = np.multiply(a_lo[even], 0.5)
+        b_lo[next_row] += q_lo[first]
+        b_0 = np.add(a_lo[even], a_hi[even])
+        b_0 *= 0.5
+        b_0 += a_0[even]
+        b_0[own] += q_lo
+        b_0[next_row] += q_hi[first]
+        b_hi = np.multiply(a_hi[even], 0.5)
+        b_hi[own] += q_hi
+        out.update(zip(steps, (b_lo, b_0, b_hi)))
+    return out
+
+
+def _galerkin_product(stencil):
+    """P^T A P as a stencil on the next coarser lattice, A a fine level's
+    stencil as ``_Level.set_stencil`` leaves it.
+
+    P is the product of one 1D interpolation per axis and A couples nodes
+    at most one step apart per axis, so P^T A P = P_N^T ... P_1^T A P_1 ...
+    P_N couples coarse nodes at most one step apart too; it is built one
+    axis at a time from the stencil arrays, with no probe and no matrix.
+    The result is in ``stencil_offsets`` layout on the coarse lattice's box;
+    ``_Level.set_stencil`` keeps its free-node part and zeroes the rest.
+    """
+    full = _full_stencil(stencil)
+    ndim = len(next(iter(stencil)))
+    for axis in range(ndim):
+        full = _coarsen_axis(full, axis)
+    return {offset: full[offset] for offset in stencil_offsets(ndim)}
 
 
 class _Multigrid:
@@ -586,17 +643,19 @@ class _Multigrid:
     At t != 2 the finest level smooths with Newton sweeps (see
     ``_NewtonLevel``).  With ``galerkin`` each cycle's ``linearize`` makes
     the finest A J(u), the Hessian of the energy on the free nodes, and
-    every coarser A P^T A P of the level above (``_galerkin``), on the free
-    mask of ``_coarse_columns``.  Otherwise every level's A is the plain K
-    on the injected free mask of ``_coarse_free``.  ``_relax`` takes
-    Galerkin levels at t != 2 in 2D only: a build costs 3^N probes of the
-    level above, which is more than the cycles it saves both at t = 2 (the
-    83^3-node probe solve: about 0.42 s to build its first coarse level
-    against 0.70 s for all 14 of its cycles) and in a 3D t = 3 obstacle
-    solve (the 83^3-node ball: 14 cycles in 73 s against 29 in 53 s on K,
-    and a peak RSS of 210 MB against 128 MB, J's 14 arrays and the probes
-    included).  Sweeps and line-searched corrections never raise the
-    energy, and c is zero on every fixed node.
+    every coarser A P^T A P of the level above, built from its stencil
+    arrays (``_galerkin_product``), on the free mask of ``_coarse_columns``.
+    Otherwise every level's A is the plain K on the injected free mask of
+    ``_coarse_free``.  ``_relax`` takes Galerkin levels at t != 2 in 2D
+    only, the case that was measured end to end: the h = 1/64 t = 3 disk
+    obstacle takes 8 cycles instead of 21, and rebuilding its levels costs
+    about 3 ms a cycle.  In 3D a t = 3 obstacle solve on the 83^3-node
+    ball took 14 cycles in 73 s against 29 in 53 s on K, at a peak RSS of
+    210 MB against 128 MB (J has 14 arrays), when each level was built by
+    3^N probes; the stencil build cuts its first coarse level from about
+    2 s to 0.17 s, but that solve was not timed with it.  Sweeps and
+    line-searched corrections never raise the energy, and c is zero on
+    every fixed node.
     """
 
     def __init__(self, grid, constraint, galerkin=False):
@@ -621,7 +680,7 @@ class _Multigrid:
             level.set_stencil(None)
         self.levels[0].set_stencil(newton.jacobian(values))
         for fine, coarse in zip(self.levels, self.levels[1:]):
-            coarse.set_stencil(_galerkin(fine, coarse))
+            coarse.set_stencil(_galerkin_product(fine.stencil))
 
     def cycle(self, values, newton=None):
         """One V-cycle on ``values`` in place; returns the max update.  With
@@ -941,8 +1000,7 @@ def _require_potential(spec):
         )
 
 
-# The solve memo: None, or while ``_solve_memo`` is open, a dict from
-# ``_solve_key`` to that solve's _MemoEntry.
+# The solve memo: None, or while ``_solve_memo`` is open, its _Memo.
 _memo = None
 _memo_guard = threading.Lock()
 # Per thread: the hit/miss counts of the open ``_solve_counts`` block, if any.
@@ -950,11 +1008,50 @@ _tally = threading.local()
 
 
 class _MemoEntry:
-    """One memoized solve: its lock, then its field and report once solved."""
+    """One memoized solve: its ``_memo_tag``, its lock, then its field and
+    report once solved."""
 
-    def __init__(self):
+    def __init__(self, tag):
+        self.tag = tag
         self.lock = threading.Lock()
         self.result = None
+
+
+def _memo_tag(spec, tol, h):
+    """The operator, tolerance and spacing of a solve: a later scenario can
+    ask for that solve again only if it shares all three."""
+    return (json.dumps(spec.to_dict(), sort_keys=True), float(tol), float(h))
+
+
+class _Memo(dict):
+    """The open solve memo: each kept solve's _MemoEntry by ``_solve_key``.
+
+    It keeps every solve until ``share`` tells it which ``_memo_tag``s the
+    scenarios of a run can ask for.  From then on a solve is kept only if
+    a scenario other than the one that ran it can ask for it, and only
+    until every scenario that can has finished (``release``)."""
+
+    # Per tag, the unfinished scenarios that can ask for it; None: keep all.
+    shares = None
+
+    def share(self, tag_sets):
+        """Count the tags of every scenario, one set of tags each."""
+        with _memo_guard:
+            self.shares = collections.Counter(tag for tags in tag_sets for tag in tags)
+
+    def release(self, tags):
+        """A scenario with these tags has finished: drop the solves that no
+        unfinished scenario can ask for."""
+        with _memo_guard:
+            self.shares.subtract(tags)
+            for key in [key for key, entry in self.items() if self.shares[entry.tag] < 1]:
+                del self[key]
+
+    def keeps(self, tag):
+        """Whether a solve just run with this tag is worth keeping: the
+        scenario running it and another can ask for it.  Call it holding
+        ``_memo_guard``."""
+        return self.shares is None or self.shares[tag] >= 2
 
 
 @contextmanager
@@ -962,12 +1059,12 @@ def _solve_memo():
     """Inside the block, a solve whose inputs hash equal to an earlier one's
     gets copies of that solve's field and report instead of running again.
     Concurrent equal solves run once: the later ones wait for the first.
-    A solve that raises is not kept."""
+    A solve that raises is not kept.  The block yields the _Memo."""
     global _memo
     outer = _memo
-    _memo = {}
+    _memo = _Memo()
     try:
-        yield
+        yield _memo
     finally:
         _memo = outer
 
@@ -1025,12 +1122,18 @@ def _solve(grid, spec, values, constraint, tol):
         return _solve_fresh(grid, spec, values, constraint, tol)
     key = _solve_key(grid, spec, values, constraint, tol)
     with _memo_guard:
-        entry = memo.setdefault(key, _MemoEntry())
+        entry = memo.setdefault(key, _MemoEntry(_memo_tag(spec, tol, grid.h)))
     with entry.lock:
         if entry.result is None:
             _count("misses")
             fld, report = _solve_fresh(grid, spec, values, constraint, tol)
-            entry.result = (values.copy(), copy.deepcopy(report))
+            # Under the guard, so that no ``release`` falls between the
+            # check and the store.
+            with _memo_guard:
+                if memo.keeps(entry.tag):
+                    entry.result = (values.copy(), copy.deepcopy(report))
+                elif memo.get(key) is entry:
+                    del memo[key]
             return fld, report
     stored, report = entry.result
     np.copyto(values, stored)

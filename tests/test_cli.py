@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -364,6 +365,34 @@ def test_suite_survives_a_missing_degiorgi_key(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "task, params, field",
+    [
+        ("barrier", {"y": [0.0, 0.0], "rho": [0.1]}, "params.rho"),
+        ("dirichlet", {"data": {"a": 1}}, "params.data"),
+        (
+            "wiener-probe",
+            {"y": [0.5, 0.0], "cap_radius": 0.1, "r0": 0.2, "K": "two"},
+            "params.K",
+        ),
+    ],
+)
+def test_suite_runs_the_neighbour_of_a_retyped_param(tmp_path, task, params, field):
+    # A param of the wrong type is a config error that names it, not a
+    # traceback that ends the suite or a runtime error.
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    write_doc(sdir, scenario_doc(name="bad", task=task, params=params, assertions=[]))
+    write_doc(sdir, scenario_doc(name="good"))
+    assert run_suite(sdir, out_root=tmp_path / "out") == 2
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+    assert rows["bad"]["result"] == "config-error"
+    assert rows["bad"]["key_metric"].startswith(field + ":")
+    assert rows["good"]["result"] == "pass"
+    assert not (tmp_path / "out" / "bad").exists()
+
+
+@pytest.mark.parametrize(
     "results,worst",
     [
         (["pass"], 0),
@@ -486,6 +515,65 @@ def test_suite_memo_runs_a_shared_solve_once(tmp_path, monkeypatch, threads):
 # ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
+
+
+def test_suite_memo_keeps_a_solve_only_for_a_later_scenario_on_its_grid(
+    tmp_path, monkeypatch
+):
+    # a and c are one solve at h = 1/8; b solves at h = 1/16.  a's solve is
+    # kept for c, and it is still there when c starts; b's is never kept,
+    # since no other scenario solves at h = 1/16.
+    import artifact.cli as cli
+
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    write_doc(sdir, scenario_doc(name="a"))
+    write_doc(sdir, scenario_doc(name="b", h=1.0 / 16.0))
+    write_doc(sdir, scenario_doc(name="c"))
+    held = {}
+    run = cli.run_scenario
+
+    def recorded(path, out_root):
+        held[path.stem] = sorted(entry.tag[2] for entry in solver._memo.values())
+        return run(path, out_root)
+
+    monkeypatch.setattr(cli, "run_scenario", recorded)
+    assert run_suite(sdir, out_root=tmp_path / "out") == 0
+    assert held == {"a": [], "b": [0.125], "c": [0.125]}
+    manifest = json.loads((tmp_path / "out" / "c" / "manifest.json").read_text())
+    assert manifest["solve_memo"] == {"hits": 1, "misses": 0}
+
+
+def test_suite_memo_under_threads_runs_each_shared_solve_once(tmp_path):
+    # Three pairs of scenarios, each pair one solve on its own grid, run on
+    # more threads than cores with a short switch interval: each shared
+    # solve runs once and is served once, whatever the interleaving, and
+    # the artifacts equal those of single runs.
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    for h in (8, 10, 12):
+        for twin in "ab":
+            write_doc(sdir, scenario_doc(name=f"h{h}{twin}", h=1.0 / h))
+    for path in sorted(sdir.glob("*.json")):
+        assert run_scenario(path, out_root=tmp_path / "single")[0] == 0
+    codes = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: codes.append(run_suite(sdir, out_root=tmp_path / "out", threads=4))
+        )
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and codes == [0]
+    memo = [
+        json.loads(path.read_text())["solve_memo"]
+        for path in sorted((tmp_path / "out").glob("*/manifest.json"))
+    ]
+    assert sum(m["misses"] for m in memo) == 3 and sum(m["hits"] for m in memo) == 3
+    assert artifact_bytes(tmp_path / "out") == artifact_bytes(tmp_path / "single")
 
 
 def test_main_list_tasks(capsys):

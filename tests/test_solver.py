@@ -32,6 +32,7 @@ from artifact import (
 )
 from artifact import solver
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
+from artifact.monotone import offset_slices, stencil_offsets
 from artifact.solver import (
     _MAX_CYCLES,
     _SECANT_STEPS,
@@ -39,7 +40,7 @@ from artifact.solver import (
     _coarse_columns,
     _coarse_free,
     _ColorWorkspace,
-    _galerkin,
+    _galerkin_product,
     _Level,
     _Multigrid,
     _NewtonLevel,
@@ -692,12 +693,68 @@ def test_galerkin_stencil_is_the_product_it_probes(dim, t):
         got = coarse.apply(v)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.all(coarse.stencil[(0,) * dim][coarse.free] > 0.0)
-    # The product of the plain K, probed the same way, is P^T K P too.
-    plain, coarse = _Level(multigrid.levels[0].free), _Level(multigrid.levels[1].free)
-    coarse.set_stencil(_galerkin(plain, coarse))
+    # The product of the plain K, written out as a 2N + 1 point stencil, is
+    # P^T K P too.
+    free = multigrid.levels[0].free
+    plain, coarse = _Level(free), _Level(multigrid.levels[1].free)
+    written = _Level(free)
+    written.set_stencil(_plain_stencil(free.shape))
+    coarse.set_stencil(_galerkin_product(written.stencil))
     v = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
     want = _restrict(plain.apply(_prolong(v, plain)), coarse)
     assert np.max(np.abs(coarse.apply(v) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _plain_stencil(shape):
+    """The plain K as a stencil in ``stencil_offsets`` layout."""
+    ndim = len(shape)
+    stencil = {o: np.zeros(shape) for o in stencil_offsets(ndim)}
+    stencil[(0,) * ndim][...] = 2.0 * ndim
+    for axis in range(ndim):
+        stencil[tuple(int(k == axis) for k in range(ndim))][...] = -1.0
+    return stencil
+
+
+def _dense(shape, columns_of):
+    """The matrix whose column j is ``columns_of`` applied to the unit
+    field j of ``shape``."""
+    columns = []
+    for j in range(math.prod(shape)):
+        unit = np.zeros(shape)
+        unit.ravel()[j] = 1.0
+        columns.append(columns_of(unit).ravel())
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("dims", [(22, 17), (9, 10, 11)])
+def test_galerkin_product_matches_the_dense_product(dims):
+    # A random symmetric 3^N-point stencil on a free mask with holes and a
+    # non-free rim, and the coarse level built from it (whose free nodes
+    # reach its box rim), each coarsened once: every entry of the stencil
+    # is the entry of the dense P^T A P, its columns assembled from
+    # _prolong, and the dense product has no entry off the stencil.
+    rng = np.random.default_rng(31)
+    free = np.zeros(dims, dtype=bool)
+    free[tuple(slice(1, -1) for _ in dims)] = True
+    free &= rng.uniform(size=dims) < 0.85
+    fine = _Level(free)
+    fine.set_stencil({o: rng.standard_normal(dims) for o in stencil_offsets(len(dims))})
+    for _ in range(2):
+        coarse = _Level(_coarse_columns(fine.free))
+        assert coarse.free[tuple(slice(1, -1) for _ in dims)].sum() < coarse.free.sum()
+        coarse.set_stencil(_galerkin_product(fine.stencil))
+        shape = coarse.free.shape
+        prolong = _dense(shape, lambda e: _prolong(np.where(coarse.free, e, 0.0), fine))
+        want = prolong.T @ _dense(fine.free.shape, fine.apply) @ prolong
+        got = _dense(shape, coarse.apply)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        index = np.arange(coarse.free.size).reshape(coarse.free.shape)
+        for offset, entries in coarse.stencil.items():
+            lo, hi = offset_slices(offset)
+            rows, cols = index[lo].ravel(), index[hi].ravel()
+            assert np.max(np.abs(entries[lo].ravel() - want[rows, cols])) <= 1e-12 * scale
+        fine = coarse
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -725,13 +782,13 @@ def test_galerkin_levels_serve_2d_t_not_2_only(dim, t, monkeypatch):
     # t != 2 solve runs its Newton sweeps over the plain K levels and keeps
     # the same invariants.
     builds = []
-    galerkin = solver._galerkin
+    galerkin_product = solver._galerkin_product
 
-    def counted(fine, coarse):
-        builds.append(coarse.free.shape)
-        return galerkin(fine, coarse)
+    def counted(stencil):
+        builds.append(len(stencil))
+        return galerkin_product(stencil)
 
-    monkeypatch.setattr(solver, "_galerkin", counted)
+    monkeypatch.setattr(solver, "_galerkin_product", counted)
     grid = build_grid(Ball([0.0] * dim, 1.0), 1.0 / 8.0 if dim == 3 else 1.0 / 16.0)
     spec = OperatorSpec(kind="p_laplace", t=t)
     cons = ObstacleConstraint.from_shape(grid, Ball([0.0] * dim, 0.3), 1.0)
