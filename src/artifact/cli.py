@@ -90,22 +90,49 @@ def _require(params, field, kind=None, where="params"):
     return value
 
 
+def _as_number(value, field, integer=False):
+    """``value`` as a float, or with ``integer`` an int.  A bool, a string,
+    a list or any other non-number, and a non-integral value where an int
+    is wanted, is a ScenarioError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(field, f"expected a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if not float(value).is_integer():
+        raise ScenarioError(field, f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _number(params, field, default=None, where="params", integer=False):
-    """A numeric param as a float, or with ``integer`` an int; ``default``
-    when it is absent and a default is given.  A bool, a string, a list or
-    any other non-number, and a non-integral value where an int is wanted,
-    is a ScenarioError naming the field."""
+    """A numeric param through ``_as_number``; ``default`` when it is absent
+    and a default is given."""
     if default is not None and field not in params:
         value = default
     else:
         value = _require(params, field, where=where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{field}", f"expected a number, got {value!r}")
-    if not integer:
-        return float(value)
-    if not float(value).is_integer():
-        raise ScenarioError(f"{where}.{field}", f"expected an integer, got {value!r}")
-    return int(value)
+    return _as_number(value, f"{where}.{field}", integer)
+
+
+def _numbers(params, field, default=None, where="params"):
+    """A list param of numbers as a list of floats, each element read by
+    ``_as_number`` and named by its index (``params.y[0]``); ``default``
+    when it is absent and a default is given."""
+    if default is not None and field not in params:
+        return default
+    values = _require(params, field, list, where=where)
+    return [_as_number(v, f"{where}.{field}[{i}]") for i, v in enumerate(values)]
+
+
+def _shape(params, field, where="params"):
+    """A shape param rebuilt by ``shape_from_dict``; a missing key or a bad
+    value anywhere inside it is a ScenarioError naming the field."""
+    data = _require(params, field, dict, where=where)
+    try:
+        return shape_from_dict(data)
+    except KeyError as exc:
+        raise ScenarioError(f"{where}.{field}", f"missing key {exc}") from exc
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ScenarioError(f"{where}.{field}", str(exc)) from exc
 
 
 def _boundary_data(params, where="params"):
@@ -117,9 +144,7 @@ def _boundary_data(params, where="params"):
 
 
 def _positive_number(value, field):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(field, f"expected a number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
+    if not (math.isfinite(_as_number(value, field)) and value > 0):
         raise ScenarioError(field, "must be positive and finite")
     return value
 
@@ -146,13 +171,7 @@ def validate_scenario(raw):
     task = _require(raw, "task", str, where="scenario")
     if task not in TASKS:
         raise ScenarioError("scenario.task", f"unknown task {task!r}; known: {sorted(TASKS)}")
-    shape_dict = _require(raw, "shape", dict, where="scenario")
-    try:
-        shape = shape_from_dict(shape_dict)
-    except KeyError as exc:
-        raise ScenarioError("scenario.shape", f"missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError("scenario.shape", str(exc)) from exc
+    shape = _shape(raw, "shape", where="scenario")
     op = raw.get("operator", {"kind": "p_laplace", "t": 2.0})
     if not isinstance(op, dict):
         raise ScenarioError("scenario.operator", "expected an object")
@@ -193,7 +212,6 @@ def validate_scenario(raw):
         "name": name,
         "task": task,
         "shape": shape,
-        "shape_dict": shape_dict,
         "spec": spec,
         "h": h,
         "h_levels": h_levels,
@@ -227,6 +245,9 @@ def _field_stats(grid, values):
 def _run_dirichlet(scn):
     params = scn["params"]
     data = _boundary_data(params)
+    oracle = None
+    if "oracle" in params:
+        oracle = _require(_require(params, "oracle", dict), "expr", str, where="params.oracle")
     grid = build_grid(scn["shape"], _scenario_h(scn))
     fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
     report = {
@@ -239,12 +260,10 @@ def _run_dirichlet(scn):
     inside = grid.labels == INTERIOR
     if isinstance(data, (int, float)):
         report["constant_data_gap"] = float(np.max(np.abs(fld.values[inside] - data)))
-    if "oracle" in params:
-        oracle = params["oracle"]
-        expr = Expression(_require(oracle, "expr", str, where="params.oracle"))
-        exact = expr(grid.points()).reshape(grid.dims)
+    if oracle is not None:
+        exact = Expression(oracle)(grid.points()).reshape(grid.dims)
         err = float(np.max(np.abs(fld.values - exact)[inside]))
-        report["oracle"] = {"expr": oracle["expr"], "max_error": err}
+        report["oracle"] = {"expr": oracle, "max_error": err}
     rows = [
         {
             "metric": "energy", "value": rep.energy,
@@ -262,19 +281,33 @@ def _run_dirichlet(scn):
     return report, {"metrics": rows}, key, rep.converged
 
 
-def _radial_oracle_block(scn, grid, fld, m):
-    params = scn["params"]["radial_oracle"]
-    inner = _require(params, "inner", where="params.radial_oracle")
-    outer = _require(params, "outer", where="params.radial_oracle")
-    center = params.get("center", [0.0] * grid.dim)
-    lo, hi = params.get("band", [inner, outer])
-    t = scn["spec"].t
+def _radial_oracle(params, ndim):
+    """The numbers of the ``radial_oracle`` param, read before the solve."""
+    where = "params.radial_oracle"
+    oracle = _require(params, "radial_oracle", dict)
+    inner = _number(oracle, "inner", where=where)
+    outer = _number(oracle, "outer", where=where)
+    band = _numbers(oracle, "band", [inner, outer], where=where)
+    if len(band) != 2:
+        raise ScenarioError(f"{where}.band", f"expected [lo, hi], got {band!r}")
+    return {
+        "inner": inner,
+        "outer": outer,
+        "center": _numbers(oracle, "center", [0.0] * ndim, where=where),
+        "band": band,
+        "value_at": _numbers(oracle, "value_at", [], where=where),
+    }
+
+
+def _radial_oracle_block(oracle, t, grid, fld, m, sign):
+    inner, outer = oracle["inner"], oracle["outer"]
+    lo, hi = oracle["band"]
     pts = grid.points()
-    r = np.sqrt(np.sum((pts - np.asarray(center, dtype=float)) ** 2, axis=1))
+    r = np.sqrt(np.sum((pts - np.asarray(oracle["center"])) ** 2, axis=1))
     inside = (grid.labels == INTERIOR).ravel()
     band = inside & (r >= lo) & (r <= hi)
     exact = radial_profile(t, grid.dim, inner, outer, m, r[band])
-    got = scn["params"].get("sign", 1) * fld.values.ravel()[band]
+    got = sign * fld.values.ravel()[band]
     abs_err = np.abs(got - exact)
     block = {
         "inner": inner,
@@ -285,10 +318,10 @@ def _radial_oracle_block(scn, grid, fld, m):
         "max_rel_error_supnorm": float(np.max(abs_err) / np.max(np.abs(exact))),
         "max_abs_error": float(np.max(abs_err)),
     }
-    for v in params.get("value_at", []):
+    for v in oracle["value_at"]:
         at = inside & (np.abs(r - v) < 1e-9)
         if at.any():
-            mean = float(np.mean(scn["params"].get("sign", 1) * fld.values.ravel()[at]))
+            mean = float(np.mean(sign * fld.values.ravel()[at]))
             ex = float(radial_profile(t, grid.dim, inner, outer, m, v))
             # Report keys must stay dot-free so assertion paths can address
             # them; spell the radius with underscores ("value_at_0_5").
@@ -322,9 +355,10 @@ def _radial_oracle_block(scn, grid, fld, m):
 def _run_obstacle(scn):
     params = scn["params"]
     grid = build_grid(scn["shape"], _scenario_h(scn))
-    obstacle_shape = shape_from_dict(_require(params, "obstacle", dict))
+    obstacle_shape = _shape(params, "obstacle")
     m = _number(params, "m", 1.0)
     sign = _number(params, "sign", 1, integer=True)
+    oracle = _radial_oracle(params, grid.dim) if "radial_oracle" in params else None
     con = ObstacleConstraint.from_shape(grid, obstacle_shape, m, sign)
     fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
     ver = obstacle_verification(scn["spec"], grid, fld.values, con, scn["tol"])
@@ -341,8 +375,8 @@ def _run_obstacle(scn):
         "verification": ver,
     }
     tables = {}
-    if "radial_oracle" in params:
-        block, rows = _radial_oracle_block(scn, grid, fld, m)
+    if oracle is not None:
+        block, rows = _radial_oracle_block(oracle, scn["spec"].t, grid, fld, m, sign)
         report["oracle"] = block
         tables["profile"] = rows
         key = f"rel_err={block['max_rel_error_pointwise']:.3%}"
@@ -353,7 +387,7 @@ def _run_obstacle(scn):
 
 def _probe_config(scn, params, where="params"):
     return WienerProbeConfig(
-        y=_require(params, "y", list, where=where),
+        y=_numbers(params, "y", where=where),
         cap_radius=_number(params, "cap_radius", where=where),
         r0=_number(params, "r0", where=where),
         K=_number(params, "K", where=where, integer=True),
@@ -388,7 +422,7 @@ def _run_barrier(scn):
     V, U, rep = barrier_build(
         grid,
         scn["spec"],
-        _require(params, "y", list),
+        _numbers(params, "y"),
         _number(params, "rho"),
         _number(params, "m", 1.0),
         tol=scn["tol"],
@@ -409,12 +443,12 @@ def _run_barrier(scn):
 
 def _run_locality(scn):
     params = scn["params"]
-    shape_b = shape_from_dict(_require(params, "shape_b", dict))
+    shape_b = _shape(params, "shape_b")
     config = _probe_config(scn, _require(params, "probe", dict), where="params.probe")
     rep = locality_check(
         scn["shape"],
         shape_b,
-        _require(params, "y", list),
+        _numbers(params, "y"),
         _number(params, "window_radius"),
         config,
         scn["spec"],
@@ -433,7 +467,7 @@ def _instrument_solve(scn, grid):
     solve = _require(params, "solve", dict)
     kind = _require(solve, "kind", str, where="params.solve")
     if kind == "obstacle":
-        shape = shape_from_dict(_require(solve, "obstacle", dict, where="params.solve"))
+        shape = _shape(solve, "obstacle", where="params.solve")
         m = _number(solve, "m", 1.0, where="params.solve")
         sign = _number(solve, "sign", 1, where="params.solve", integer=True)
         con = ObstacleConstraint.from_shape(grid, shape, m, sign)
@@ -474,7 +508,7 @@ def _check_degiorgi_blocks(params):
 
 def _run_degiorgi(scn):
     params = scn["params"]
-    y = _require(params, "y", list)
+    y = _numbers(params, "y")
     _check_degiorgi_blocks(params)
     # The optional numbers, read before any solve starts.
     psi = params.get("psi_recursion", {})

@@ -30,14 +30,14 @@ classical 5-/7-point Laplacian.
 ``weak_residual`` assembles r_i = dE/du_i directly from A (so it also works
 for custom fields without a potential); for potential kinds it is exactly the
 gradient of ``energy``, and the tests pin that equality by finite differences.
-``hessian`` assembles d^2E / du_i du_j of the built-in kinds as a symmetric
-3^N-point stencil, the solver's Newton operator.
+``hessian`` assembles d^2E / du_i du_j of the built-in kinds as a 3^N-point
+stencil, the solver's Newton operator.
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class OperatorSpec:
     a: float = 1.0
     p0: float = 0.0
     odd_symmetric: bool = True
-    homogeneous: bool = dc_field(default=None)
     eps_floor: float = 1e-12
     A_fn: object = None
     W_fn: object = None
@@ -87,8 +86,6 @@ class OperatorSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == "custom" and self.A_fn is None:
             raise ValueError("custom operator needs A_fn")
-        if self.homogeneous is None:
-            self.homogeneous = self.kind == "p_laplace"
 
     def has_potential(self):
         return self.kind in ("p_laplace", "regularized") or self.W_fn is not None
@@ -100,7 +97,6 @@ class OperatorSpec:
             "a": self.a,
             "p0": self.p0,
             "odd_symmetric": self.odd_symmetric,
-            "homogeneous": self.homogeneous,
             "eps_floor": self.eps_floor,
         }
 
@@ -453,14 +449,6 @@ def weak_residual(spec, fld):
     return Field(grid, res)
 
 
-def stencil_offsets(ndim):
-    """Offsets of a symmetric 3^N-point stencil: zero first, then the
-    (3^N - 1) / 2 offsets in {-1, 0, 1}^N whose first nonzero entry is +1,
-    one of each pair +-o."""
-    zero = (0,) * ndim
-    return [zero] + [o for o in itertools.product((-1, 0, 1), repeat=ndim) if o > zero]
-
-
 def offset_slices(offset):
     """(lo, hi) index tuples with x[hi] the values at offset from the nodes
     of x[lo], over every node whose neighbour at that offset exists."""
@@ -474,22 +462,24 @@ def offset_slices(offset):
 def hessian(spec, fld):
     """Hessian of ``energy`` in the interior values, as a 3^N-point stencil.
 
-    Returns {o: H_o} over ``stencil_offsets``, H_o[i] = d^2E / du_i du_{i+o}
-    (offset -o reads H_o[i - o]); entries that involve a non-interior node
-    are zero.  At a corner gradient G the Hessian of W is phi I + (phi'/g)
-    G G^T, from ``curvature_pair``.  A cell node n enters G as s(n) / h with
-    s(n) in {-1, 0, 1}^N: the corner c ends all N of its edges, s(c)_d =
-    2 c_d - 1, and its neighbour across axis d ends one, s = -(2 c_d - 1) e_d.
-    So each corner adds (h^{N-2} / 2^N) (phi s(a).s(b) + (phi'/g) (G.s(a))
-    (G.s(b))) to H[a, b].  At t = 2 this is h^{N-2} times the 5/7-point
-    Laplacian.  Built-in kinds only.
+    Returns {o: H_o} over every o in {-1, 0, 1}^N, H_o[i] = d^2E / du_i
+    du_{i+o}, so H_-o[i + o] = H_o[i] bit for bit.  Entries that involve a
+    non-interior node are the same cell sums, not derivatives in unknowns;
+    a caller keeps the couplings it solves for (the solver's free nodes).
+    At a corner gradient G the Hessian of W is phi I + (phi'/g) G G^T, from
+    ``curvature_pair``.  A cell node n enters G as s(n) / h with s(n) in
+    {-1, 0, 1}^N: the corner c ends all N of its edges, s(c)_d = 2 c_d - 1,
+    and its neighbour across axis d ends one, s = -(2 c_d - 1) e_d.  So
+    each corner adds (h^{N-2} / 2^N) (phi s(a).s(b) + (phi'/g) (G.s(a))
+    (G.s(b))) to H[a, b] and H[b, a].  At t = 2 this is h^{N-2} times the
+    5/7-point Laplacian.  Built-in kinds only.
     """
     grid = fld.grid
     dims = grid.dims
     ndim = grid.dim
     active = grid.active_cell_mask()
     weight = np.where(active, grid.h ** (ndim - 2) / 2.0**ndim, 0.0)
-    stencil = {o: np.zeros(dims) for o in stencil_offsets(ndim)}
+    stencil = {o: np.zeros(dims) for o in itertools.product((-1, 0, 1), repeat=ndim)}
     for corner, comps in corner_gradients(fld.values, grid.h, dims):
         comps = [np.where(active, c, 0.0) for c in comps]
         phi, slope = curvature_pair(spec, _squared_norm(comps))
@@ -516,15 +506,9 @@ def hessian(spec, fld):
                     value -= phi
                 elif a == b:
                     value += phi
-                offset = tuple(nb - na for na, nb in zip(nodes[a], nodes[b]))
-                at = nodes[a]
-                if offset not in stencil:
-                    offset = tuple(-d for d in offset)
-                    at = nodes[b]
-                cells = tuple(slice(c, c + n - 1) for c, n in zip(at, dims))
-                stencil[offset][cells] += value
-    interior = grid.labels == INTERIOR
-    for offset, entries in stencil.items():
-        lo, hi = offset_slices(offset)
-        np.copyto(entries[lo], 0.0, where=~(interior[lo] & interior[hi]))
+                # H[a, b] and, off the diagonal, H[b, a].
+                for row, col in {(a, b), (b, a)}:
+                    offset = tuple(nc - nr for nr, nc in zip(nodes[row], nodes[col]))
+                    cells = tuple(slice(c, c + n - 1) for c, n in zip(nodes[row], dims))
+                    stencil[offset][cells] += value
     return stencil

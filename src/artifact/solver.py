@@ -92,7 +92,6 @@ from .monotone import (
     hessian,
     integrand,
     offset_slices,
-    stencil_offsets,
     weak_residual,
 )
 
@@ -380,9 +379,10 @@ class _Level:
     """One lattice of the hierarchy: the free-node mask, its parity classes
     and its operator A on the free nodes.  A is the plain 2N + 1 point K,
     K x = 2N x_i minus the face neighbours of i, or, once ``set_stencil``
-    has stored one, a symmetric 3^N-point stencil (``monotone.hessian``'s
-    layout).  Either way A couples no two nodes of one parity, so a parity
-    class relaxes in one vectorized step."""
+    has stored one, a 3^N-point stencil {o: F_o} over every o in {-1, 0,
+    1}^N with F_o[i] = A[i, i + o] (``monotone.hessian``'s layout).  Either
+    way A couples no two nodes of one parity, so a parity class relaxes in
+    one vectorized step."""
 
     def __init__(self, free):
         self.free = free
@@ -434,13 +434,13 @@ class _Level:
         reads some finite value of the level's field."""
         if self._rows is None:
             shape = self.free.shape
-            both = {o: e.ravel() for o, e in _full_stencil(self.stencil).items() if any(o)}
+            couplings = {o: e.ravel() for o, e in self.stencil.items() if any(o)}
             strides = _strides(shape)
-            offsets = np.array([[np.dot(o, strides)] for o in both])
+            offsets = np.array([[np.dot(o, strides)] for o in couplings])
             diag = self.stencil[(0,) * len(shape)].ravel()
             rows = []
             for idx in self.classes:
-                coef = np.stack([entries[idx] for entries in both.values()])
+                coef = np.stack([entries[idx] for entries in couplings.values()])
                 d = diag[idx]
                 rows.append((idx, coef, np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)))
             self._rows = (offsets, rows)
@@ -456,9 +456,7 @@ class _Level:
             for offset, entries in self.stencil.items():
                 if any(offset):
                     lo, hi = offset_slices(offset)
-                    coef = entries[lo]
-                    out[lo] += coef * x[hi]
-                    out[hi] += coef * x[lo]
+                    out[lo] += entries[lo] * x[hi]
         else:
             out = np.multiply(x, 2.0 * x.ndim, out=out)
             for axis in range(x.ndim):
@@ -544,26 +542,11 @@ def _restrict(fine, coarse_level):
     return coarse
 
 
-def _full_stencil(stencil):
-    """Every offset of a symmetric stencil in ``stencil_offsets`` layout:
-    {o: F_o} over {-1, 0, 1}^N with F_o[i] = A[i, i + o], the -o arrays
-    mirrored from the +o ones.  Entries with no neighbour at their offset
-    must be zero already (``_Level.set_stencil`` makes them so)."""
-    full = {}
-    for offset, entries in stencil.items():
-        full[offset] = entries
-        if any(offset):
-            lo, hi = offset_slices(offset)
-            mirror = np.zeros(entries.shape)
-            mirror[hi] = entries[lo]
-            full[tuple(-d for d in offset)] = mirror
-    return full
-
-
-def _coarsen_axis(full, axis):
+def _coarsen_axis(stencil, axis):
     """P_d^T A P_d for the 1D interpolation P_d along one axis, A and the
-    result full stencils (``_full_stencil``): the axis shrinks from n to m
-    = (n + 1) // 2 nodes.
+    result stencils in ``_Level``'s layout, A's entries with no neighbour
+    at their offset zero: the axis shrinks from n to m = (n + 1) // 2
+    nodes.
 
     Fix the steps of an offset on the other axes and let A_a be its array
     at step a on this one.  Coarse row I gathers fine row 2I with weight 1
@@ -577,9 +560,9 @@ def _coarsen_axis(full, axis):
     1 at step +1 collects fine column n - 1); no entry inside the box
     reads them.
     """
-    ndim = len(next(iter(full)))
+    ndim = len(next(iter(stencil)))
     at = partial(_along, axis, ndim)
-    n = next(iter(full.values())).shape[axis]
+    n = next(iter(stencil.values())).shape[axis]
     m = (n + 1) // 2
     even, odd = at(slice(0, None, 2)), at(slice(1, None, 2))
     # Odd fine row 2k + 1 serves coarse row k (``own``) and, for its first
@@ -589,7 +572,7 @@ def _coarsen_axis(full, axis):
     out = {}
     for perp in itertools.product((-1, 0, 1), repeat=ndim - 1):
         steps = [perp[:axis] + (a,) + perp[axis:] for a in (-1, 0, 1)]
-        a_lo, a_0, a_hi = (full[offset] for offset in steps)
+        a_lo, a_0, a_hi = (stencil[offset] for offset in steps)
         quarter = 0.25 * a_0[odd]
         q_lo = np.multiply(a_lo[odd], 0.5)
         q_lo += quarter
@@ -616,14 +599,12 @@ def _galerkin_product(stencil):
     at most one step apart per axis, so P^T A P = P_N^T ... P_1^T A P_1 ...
     P_N couples coarse nodes at most one step apart too; it is built one
     axis at a time from the stencil arrays, with no probe and no matrix.
-    The result is in ``stencil_offsets`` layout on the coarse lattice's box;
-    ``_Level.set_stencil`` keeps its free-node part and zeroes the rest.
+    The result lies on the coarse lattice's box; ``_Level.set_stencil``
+    keeps its free-node part and zeroes the rest.
     """
-    full = _full_stencil(stencil)
-    ndim = len(next(iter(stencil)))
-    for axis in range(ndim):
-        full = _coarsen_axis(full, axis)
-    return {offset: full[offset] for offset in stencil_offsets(ndim)}
+    for axis in range(len(next(iter(stencil)))):
+        stencil = _coarsen_axis(stencil, axis)
+    return stencil
 
 
 class _Multigrid:
@@ -651,10 +632,10 @@ class _Multigrid:
     obstacle takes 8 cycles instead of 21, and rebuilding its levels costs
     about 3 ms a cycle.  In 3D a t = 3 obstacle solve on the 83^3-node
     ball took 14 cycles in 73 s against 29 in 53 s on K, at a peak RSS of
-    210 MB against 128 MB (J has 14 arrays), when each level was built by
-    3^N probes; the stencil build cuts its first coarse level from about
-    2 s to 0.17 s, but that solve was not timed with it.  Sweeps and
-    line-searched corrections never raise the energy, and c is zero on
+    210 MB against 128 MB (J then held 14 arrays, 27 now), when each level
+    was built by 3^N probes; the stencil build cuts its first coarse level
+    from about 2 s to 0.17 s, but that solve was not timed with it.  Sweeps
+    and line-searched corrections never raise the energy, and c is zero on
     every fixed node.
     """
 

@@ -74,6 +74,7 @@ def test_validate_scenario_happy_path():
         ({"tolerance": -1.0}, "scenario.tolerance"),
         ({"assertions": [{"path": "x", "op": "~", "value": 1}]}, "scenario.assertions[0].op"),
         ({"assertions": [{"path": "x"}]}, "scenario.assertions[0]"),
+        ({"operator": {"kind": "p_laplace", "t": 2.0, "homogeneous": True}}, "scenario.operator"),
     ],
 )
 def test_validate_scenario_rejects(patch, field):
@@ -374,11 +375,33 @@ def test_suite_survives_a_missing_degiorgi_key(tmp_path):
             {"y": [0.5, 0.0], "cap_radius": 0.1, "r0": 0.2, "K": "two"},
             "params.K",
         ),
+        ("obstacle", {"obstacle": {"type": "ball", "radius": 0.25}}, "params.obstacle"),
+        (
+            "locality",
+            {"shape_b": {"type": "ball", "center": "x", "radius": 1.0}},
+            "params.shape_b",
+        ),
+        (
+            "degiorgi-instrument",
+            {"y": [0.0, 0.0], "solve": {"kind": "obstacle", "obstacle": {"type": "blob"}}},
+            "params.solve.obstacle",
+        ),
+        ("barrier", {"y": ["a", 0.0], "rho": 0.1}, "params.y[0]"),
+        (
+            "obstacle",
+            {
+                "obstacle": {"type": "ball", "center": [0.0, 0.0], "radius": 0.25},
+                "radial_oracle": {"inner": 0.25, "outer": 0.5, "band": [0.25, "x"]},
+            },
+            "params.radial_oracle.band[1]",
+        ),
+        ("dirichlet", {"data": "x1", "oracle": 3}, "params.oracle"),
     ],
 )
 def test_suite_runs_the_neighbour_of_a_retyped_param(tmp_path, task, params, field):
-    # A param of the wrong type is a config error that names it, not a
-    # traceback that ends the suite or a runtime error.
+    # A param of the wrong type, a list element or a nested shape among
+    # them, is a config error that names it, not a traceback that ends the
+    # suite or a runtime error.
     sdir = tmp_path / "suite"
     sdir.mkdir()
     write_doc(sdir, scenario_doc(name="bad", task=task, params=params, assertions=[]))

@@ -31,11 +31,6 @@ def test_spec_validation():
         OperatorSpec(kind="custom")
 
 
-def test_homogeneity_flag_defaults():
-    assert OperatorSpec(kind="p_laplace", t=3.0).homogeneous
-    assert not OperatorSpec(kind="regularized", t=3.0).homogeneous
-
-
 @pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
 def test_p_laplace_field_is_exactly_zero_at_zero(t):
     spec = OperatorSpec(kind="p_laplace", t=t)

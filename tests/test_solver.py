@@ -7,6 +7,7 @@ discretization exactly: affine data, scaling homogeneity, sign symmetry, and
 the maximum/comparison principles.
 """
 
+import itertools
 import math
 import threading
 from dataclasses import replace
@@ -32,7 +33,7 @@ from artifact import (
 )
 from artifact import solver
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
-from artifact.monotone import offset_slices, stencil_offsets
+from artifact.monotone import offset_slices
 from artifact.solver import (
     _MAX_CYCLES,
     _SECANT_STEPS,
@@ -634,7 +635,8 @@ def test_multilevel_stencil_is_the_weak_residual(kind, dim):
     # On free nodes K u is dE/du / h^(N-2) at t = 2, and at t in {1.5, 2, 3}
     # J(u) v is the derivative of dE/du / h^(N-2) along v (central
     # differences), whatever the values at exterior nodes, which no free
-    # node's stencil reaches.  At t = 2, J v = K v.
+    # node's stencil reaches.  At t = 2, J v = K v.  J holds every offset,
+    # and H_-o[i + o] = H_o[i] bit for bit.
     grid, cons, values, rng = _junk_exterior_problem(dim, 21)
     plain = _Multigrid(grid, cons).levels[0]
     free = plain.free
@@ -652,7 +654,12 @@ def test_multilevel_stencil_is_the_weak_residual(kind, dim):
             assert np.max(np.abs(k_u - want)[free]) <= 1e-12 * scale
             assert np.all(k_u[~free] == 0.0)
         level = _Level(free)
-        level.set_stencil(_NewtonLevel(grid, spec, level).jacobian(values))
+        jacobian = _NewtonLevel(grid, spec, level).jacobian(values)
+        assert sorted(jacobian) == _all_offsets(dim)
+        for offset, entries in jacobian.items():
+            lo, hi = offset_slices(offset)
+            assert np.array_equal(jacobian[tuple(-d for d in offset)][hi], entries[lo])
+        level.set_stencil(jacobian)
         v = np.where(free, rng.standard_normal(grid.dims), 0.0)
         got = level.apply(v)
         assert np.all(np.isfinite(got)) and np.all(got[~free] == 0.0)
@@ -705,13 +712,19 @@ def test_galerkin_stencil_is_the_product_it_probes(dim, t):
     assert np.max(np.abs(coarse.apply(v) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _all_offsets(ndim):
+    """Every offset of a 3^N-point stencil, in sorted order."""
+    return list(itertools.product((-1, 0, 1), repeat=ndim))
+
+
 def _plain_stencil(shape):
-    """The plain K as a stencil in ``stencil_offsets`` layout."""
+    """The plain K as a stencil over every offset."""
     ndim = len(shape)
-    stencil = {o: np.zeros(shape) for o in stencil_offsets(ndim)}
+    stencil = {o: np.zeros(shape) for o in _all_offsets(ndim)}
     stencil[(0,) * ndim][...] = 2.0 * ndim
     for axis in range(ndim):
-        stencil[tuple(int(k == axis) for k in range(ndim))][...] = -1.0
+        for step in (-1, 1):
+            stencil[tuple(step * int(k == axis) for k in range(ndim))][...] = -1.0
     return stencil
 
 
@@ -728,17 +741,17 @@ def _dense(shape, columns_of):
 
 @pytest.mark.parametrize("dims", [(22, 17), (9, 10, 11)])
 def test_galerkin_product_matches_the_dense_product(dims):
-    # A random symmetric 3^N-point stencil on a free mask with holes and a
-    # non-free rim, and the coarse level built from it (whose free nodes
-    # reach its box rim), each coarsened once: every entry of the stencil
-    # is the entry of the dense P^T A P, its columns assembled from
+    # A random, non-symmetric 3^N-point stencil on a free mask with holes
+    # and a non-free rim, and the coarse level built from it (whose free
+    # nodes reach its box rim), each coarsened once: every entry of the
+    # stencil is the entry of the dense P^T A P, its columns assembled from
     # _prolong, and the dense product has no entry off the stencil.
     rng = np.random.default_rng(31)
     free = np.zeros(dims, dtype=bool)
     free[tuple(slice(1, -1) for _ in dims)] = True
     free &= rng.uniform(size=dims) < 0.85
     fine = _Level(free)
-    fine.set_stencil({o: rng.standard_normal(dims) for o in stencil_offsets(len(dims))})
+    fine.set_stencil({o: rng.standard_normal(dims) for o in _all_offsets(len(dims))})
     for _ in range(2):
         coarse = _Level(_coarse_columns(fine.free))
         assert coarse.free[tuple(slice(1, -1) for _ in dims)].sum() < coarse.free.sum()
@@ -1002,7 +1015,7 @@ def test_solve_key_changes_with_each_determinant(memo_problem):
     moved.ravel()[boundary[3]] = 0.5
     spec_changes = {
         "kind": "regularized", "t": 3.5, "a": 2.0, "p0": 0.5,
-        "odd_symmetric": False, "homogeneous": False, "eps_floor": 1e-10,
+        "odd_symmetric": False, "eps_floor": 1e-10,
     }
     assert set(spec_changes) == set(spec.to_dict())
     variants = [
