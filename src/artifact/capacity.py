@@ -266,10 +266,11 @@ def _probe_level(config, region_shape, spec, h, tol):
         "converged": solve["converged"],
         "iterations": solve["iterations"],
         # The t = 2 presolve of a t != 2 solve (None at t = 2), the lattices
-        # one cycle of the solve works on and the smoothing updates its
-        # guard rejected.
+        # one cycle of the solve works on, the largest dense system of its
+        # coarsest lattice and the smoothing updates its guard rejected.
         "presolve": solve["notes"].get("presolve"),
         "grid_levels": solve["notes"]["grid_levels"],
+        "coarsest_nodes": solve["notes"]["coarsest_nodes"],
         "guard_fallbacks": solve["notes"]["guard_fallbacks"],
         "radii": config.radii,
         "omega": [],

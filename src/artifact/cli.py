@@ -135,10 +135,21 @@ def _shape(params, field, where="params"):
         raise ScenarioError(f"{where}.{field}", str(exc)) from exc
 
 
+def _expression(text, field):
+    """``text`` parsed into an ``Expression``; a parse error is a
+    ScenarioError naming ``field``."""
+    try:
+        return Expression(text)
+    except ValueError as exc:
+        raise ScenarioError(field, f"invalid expression {text!r}: {exc}") from exc
+
+
 def _boundary_data(params, where="params"):
-    """The ``data`` param: an expression string or a number."""
+    """The ``data`` param: a number, or an expression string, parsed."""
     data = _require(params, "data", where=where)
-    if isinstance(data, bool) or not isinstance(data, (str, int, float)):
+    if isinstance(data, str):
+        return _expression(data, f"{where}.data")
+    if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise ScenarioError(f"{where}.data", f"expected an expression or number, got {data!r}")
     return data
 
@@ -247,7 +258,8 @@ def _run_dirichlet(scn):
     data = _boundary_data(params)
     oracle = None
     if "oracle" in params:
-        oracle = _require(_require(params, "oracle", dict), "expr", str, where="params.oracle")
+        text = _require(_require(params, "oracle", dict), "expr", str, where="params.oracle")
+        oracle = _expression(text, "params.oracle.expr")
     grid = build_grid(scn["shape"], _scenario_h(scn))
     fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
     report = {
@@ -261,9 +273,9 @@ def _run_dirichlet(scn):
     if isinstance(data, (int, float)):
         report["constant_data_gap"] = float(np.max(np.abs(fld.values[inside] - data)))
     if oracle is not None:
-        exact = Expression(oracle)(grid.points()).reshape(grid.dims)
+        exact = oracle(grid.points()).reshape(grid.dims)
         err = float(np.max(np.abs(fld.values - exact)[inside]))
-        report["oracle"] = {"expr": oracle, "max_error": err}
+        report["oracle"] = {"expr": oracle.text, "max_error": err}
     rows = [
         {
             "metric": "energy", "value": rep.energy,

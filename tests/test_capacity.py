@@ -277,6 +277,7 @@ def test_probe_level_carries_the_solve_counters(t):
     assert level["guard_fallbacks"] == notes["guard_fallbacks"]
     assert level["grid_levels"] == notes["grid_levels"]
     assert level["grid_levels"] > 1
+    assert level["coarsest_nodes"] == notes["coarsest_nodes"] > 0
     if t == 2.0:
         assert level["presolve"] is None
     else:

@@ -345,6 +345,35 @@ def test_degiorgi_block_keys_checked_before_any_solve(tmp_path, monkeypatch, blo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (scenario_doc(params={"data": "x1 +"}), "params.data"),
+        (scenario_doc(params={"data": "x1", "oracle": {"expr": "x1 +"}}), "params.oracle.expr"),
+        (
+            {
+                **instrument_doc("bad-instrument"),
+                "params": {"solve": {"kind": "dirichlet", "data": "x1 +"}, "y": [0.0, 0.0]},
+            },
+            "params.solve.data",
+        ),
+    ],
+)
+def test_malformed_expression_exits_two_before_any_solve(tmp_path, monkeypatch, doc, field):
+    # An expression that does not parse is a config error naming its field,
+    # found before any solve runs, and no report is written for it.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve started before the expressions were parsed")
+
+    monkeypatch.setattr("artifact.cli.solve_dirichlet", no_solve)
+    code, row = run_scenario(write_doc(tmp_path, doc), out_root=tmp_path / "out")
+    assert code == 2
+    assert row["result"] == "config-error"
+    assert row["key_metric"].startswith(field + ":")
+    assert "unexpected token 'end'" in row["key_metric"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Suite.
 # ---------------------------------------------------------------------------
