@@ -68,8 +68,8 @@ class GridDomain:
         self.dims = tuple(int(d) for d in dims)
         self.labels = labels
         self.dim = len(self.dims)
-        self._points = None
         self._active = None
+        self._edge_counts = None
 
     # -- geometry ------------------------------------------------------------
 
@@ -77,12 +77,13 @@ class GridDomain:
         return self.origin[k] + self.h * np.arange(self.dims[k])
 
     def points(self):
-        """All node coordinates, flattened C-order, shape (n_nodes, dim)."""
-        if self._points is None:
-            axes = [self.axis_coords(k) for k in range(self.dim)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            self._points = np.stack([m.ravel() for m in mesh], axis=1)
-        return self._points
+        """All node coordinates, flattened C-order, shape (n_nodes, dim).
+
+        Built afresh on every call, for callers that need coordinates (n x N
+        floats, 13.7 MB on an 83^3 grid); classification and ``nodes_within``
+        read ``axis_coords`` instead.
+        """
+        return _mesh_points([self.axis_coords(k) for k in range(self.dim)])
 
     def node_count(self):
         return int(np.prod(self.dims))
@@ -106,13 +107,34 @@ class GridDomain:
 
     def classify(self, other_shape):
         """Labels of another shape on this grid's lattice (same node set)."""
-        return _classify(other_shape, self.points(), self.dims)
+        return _classify(other_shape, self)
 
     def nodes_within(self, center, radius):
-        """Flat indices of nodes with |x - center| <= radius."""
-        delta = self.points() - np.asarray(center, dtype=float)
-        close = np.sum(delta * delta, axis=1) <= radius * radius * (1 + 1e-12)
-        return np.flatnonzero(close)
+        """Flat indices of nodes with |x - center| <= radius, ascending.
+
+        Distances are measured only on the box of node indices around the
+        ball, clipped to the grid (an empty index array when the box misses
+        it), and summed axis by axis, d0^2 + d1^2 (+ d2^2), from
+        ``axis_coords``: the same bits as over the whole ``points()`` array.
+        """
+        center = np.asarray(center, dtype=float)
+        box = []
+        for k in range(self.dim):
+            lo = max(math.floor((center[k] - radius - self.origin[k]) / self.h) - 1, 0)
+            hi = min(math.ceil((center[k] + radius - self.origin[k]) / self.h) + 1,
+                     self.dims[k] - 1)
+            if lo > hi:
+                return np.empty(0, dtype=np.intp)
+            box.append(np.arange(lo, hi + 1))
+        dist2 = 0.0
+        for k, idx in enumerate(box):
+            delta = self.axis_coords(k)[idx] - center[k]
+            dist2 = dist2 + (delta * delta).reshape([-1 if j == k else 1
+                                                     for j in range(self.dim)])
+        close = np.nonzero(dist2 <= radius * radius * (1 + 1e-12))
+        return np.ravel_multi_index(
+            tuple(idx[hit] for idx, hit in zip(box, close)), self.dims
+        )
 
     def active_cell_mask(self):
         """Cells (lower-corner indexed) owning at least one interior corner.
@@ -138,6 +160,31 @@ class GridDomain:
             self._active = any_int
         return self._active
 
+    def edge_cell_counts(self):
+        """Per axis k, the number of active cells that share each axis-k
+        edge, 0 to 2^(N-1), as int8 over the edges (node (i_0, ..., i_N-1)
+        to its +1 neighbour along k: ``dims`` with axis k one shorter).
+
+        An edge with a nonzero count has no exterior end, by the invariant
+        of ``active_cell_mask``.  Cached like that mask; read-only.
+        """
+        if self._edge_counts is None:
+            active = self.active_cell_mask().view(np.int8)
+            counts = []
+            for k in range(self.dim):
+                count = np.zeros(tuple(d - (j == k) for j, d in enumerate(self.dims)),
+                                 dtype=np.int8)
+                # Cell j holds the axis-k edges at nodes j + c over the
+                # corners c with c_k = 0.
+                for corner in np.ndindex(*([2] * self.dim)):
+                    if not corner[k]:
+                        count[tuple(slice(c, c + d - 1)
+                                    for c, d in zip(corner, self.dims))] += active
+                count.flags.writeable = False
+                counts.append(count)
+            self._edge_counts = counts
+        return self._edge_counts
+
     # -- serialization helpers ------------------------------------------------
 
     def meta(self):
@@ -150,8 +197,36 @@ class GridDomain:
         }
 
 
-def _classify(shape, points, dims):
-    interior = shape.inside_open(points).reshape(dims)
+def _mesh_points(axes):
+    """Coordinates of the lattice spanned by per-axis coordinate arrays,
+    flattened C-order, shape (n_nodes, N)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+# Nodes per ``inside_open`` call of ``_classify``, in whole leading-axis
+# slabs (at least one slab a call).
+_CLASSIFY_BLOCK = 1 << 16
+
+
+def _classify(shape, grid):
+    """Labels of ``shape`` on ``grid``'s lattice.
+
+    ``inside_open`` runs on blocks of whole leading-axis slabs of at most
+    ``_CLASSIFY_BLOCK`` nodes, built from ``axis_coords``, so no full
+    coordinate array is ever held: an 83^3 grid takes 10 calls, and a 2D
+    grid of up to 2^16 nodes one.
+    """
+    dims = grid.dims
+    lead = grid.axis_coords(0)
+    rest = [grid.axis_coords(k) for k in range(1, grid.dim)]
+    step = max(1, _CLASSIFY_BLOCK // math.prod(dims[1:]))
+    interior = np.empty(dims, dtype=bool)
+    for start in range(0, dims[0], step):
+        block = _mesh_points([lead[start : start + step]] + rest)
+        interior[start : start + step] = shape.inside_open(block).reshape(
+            (-1,) + dims[1:]
+        )
     labels = np.full(dims, EXTERIOR, dtype=np.int8)
     labels[interior] = INTERIOR
     near = np.zeros(dims, dtype=bool)
@@ -184,7 +259,7 @@ def build_grid(shape, h):
     dims = tuple(int(b - a + 1) for a, b in zip(i_lo, i_hi))
     origin = i_lo * h
     grid = GridDomain(shape, h, origin, dims, None)
-    grid.labels = _classify(shape, grid.points(), dims)
+    grid.labels = _classify(shape, grid)
     return grid
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artifact import (
     BOUNDARY,
@@ -23,7 +25,19 @@ from artifact import (
     energy,
     shape_from_dict,
 )
+from artifact.domain import lattice
 from artifact.domain.lattice import unit_ball_volume
+from artifact.domain.shapes import (
+    Complement,
+    FlatCone,
+    Halfspace,
+    Intersection,
+    PowerCusp,
+    Shape,
+    SolidCone,
+    TwistedCone,
+    Union,
+)
 
 
 def brute_force_labels(shape, grid):
@@ -105,6 +119,97 @@ def test_nodes_within_matches_brute_force_and_includes_ties():
     assert got == expect
     axis_node = grid.index_of([0.25, 0.0])
     assert axis_node in got
+
+
+# Grids for the ball queries: the 2D and 3D disks at h = 1/8 and 1/6.
+QUERY_GRIDS = {
+    2: build_grid(Ball([0.0, 0.0], 0.5), 1.0 / 8.0),
+    3: build_grid(Ball([0.0, 0.0, 0.0], 0.5), 1.0 / 6.0),
+}
+
+
+@st.composite
+def ball_queries(draw):
+    """(dim, center, radius): centres at, between or off the grid's nodes,
+    inside it or beyond it; radii below h, at exact lattice distances, or
+    anywhere up to past the grid."""
+    dim = draw(st.sampled_from([2, 3]))
+    grid = QUERY_GRIDS[dim]
+    steps = [
+        draw(st.integers(-6, n + 5)) + draw(st.sampled_from([0.0, 0.5, 0.25, 0.9]))
+        for n in grid.dims
+    ]
+    center = grid.origin + grid.h * np.array(steps)
+    kind = draw(st.sampled_from(["below-h", "lattice", "any"]))
+    if kind == "below-h":
+        radius = grid.h * draw(st.floats(1e-6, 0.999))
+    elif kind == "lattice":
+        radius = grid.h * math.sqrt(sum(draw(st.integers(0, 4)) ** 2 for _ in range(dim)))
+    else:
+        radius = draw(st.floats(1e-3, 1.5))
+    return dim, center, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_queries())
+@example((2, np.array([3.0, -2.0]), 0.1))
+@example((3, np.array([0.0, 0.0, 0.0]), 0.0))
+@example((2, np.array([0.0, 0.0]), 0.25))
+def test_nodes_within_is_brute_force(query):
+    # The box-bounded query must return the indices of a distance test over
+    # every node, bit for bit (ties at exact lattice distances included),
+    # and an empty intp array when the ball holds no node.
+    dim, center, radius = query
+    grid = QUERY_GRIDS[dim]
+    delta = grid.points() - center
+    want = np.flatnonzero(np.sum(delta * delta, axis=1) <= radius * radius * (1 + 1e-12))
+    got = grid.nodes_within(center, radius)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, want)
+
+
+def _every_shape_class(dim):
+    """One instance of every shape class that exists in ``dim`` dimensions,
+    each reaching into the box [-0.5, 0.5]^dim."""
+    origin = [0.0] * dim
+    e1 = [1.0] + [0.0] * (dim - 1)
+    ball = Ball([0.1] * dim, 0.45)
+    box = Box([-0.4] * dim, [0.2] + [0.35] * (dim - 1))
+    shapes = [
+        ball,
+        box,
+        Halfspace([1.0] * dim, 0.1),
+        SolidCone(origin, e1, 0.8, 0.45),
+        FlatCone(origin, e1, 0.5, 0.45),
+        PowerCusp(origin, -1, 1.5, 0.45),
+        Union([ball, box]),
+        Intersection([ball, box]),
+        Complement(ball),
+        Difference(ball, Box([0.0] * dim, [0.3] * dim)),
+    ]
+    if dim == 3:
+        shapes.append(TwistedCone(origin, 0.5, 0.45))
+    return shapes
+
+
+@pytest.mark.parametrize("block", [lattice._CLASSIFY_BLOCK, 1000], ids=["shipped", "small"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_classification_by_blocks_is_one_full_call(dim, block, monkeypatch):
+    # Blocks of whole leading-axis slabs must label every node as one
+    # inside_open call over the full points array does, on a grid of more
+    # nodes than one block (259^2 and 43^3 against 2^16; and, with a
+    # 1000-node block, one slab a call in 3D and a short last block in 2D).
+    monkeypatch.setattr(lattice, "_CLASSIFY_BLOCK", block)
+    grid = build_grid(Box([-0.5] * dim, [0.5] * dim), 1.0 / 256.0 if dim == 2 else 1.0 / 40.0)
+    assert grid.node_count() > lattice._CLASSIFY_BLOCK
+    shapes = _every_shape_class(dim)
+    every = {cls for cls in Shape.__subclasses__() if dim == 3 or cls is not TwistedCone}
+    assert {type(shape) for shape in shapes} == every
+    pts = grid.points()
+    for shape in shapes:
+        labels = grid.classify(shape)
+        want = shape.inside_open(pts).reshape(grid.dims)
+        assert np.array_equal(labels == INTERIOR, want), type(shape).__name__
 
 
 def test_label_counts_sum_to_node_count():

@@ -170,11 +170,20 @@ def ball_field(request):
     return Field(grid, rng.standard_normal(grid.dims))
 
 
+def _corner_energy_matches(spec, fld):
+    """``energy`` against the corner-form reference: bit for bit, except
+    p_laplace at t = 2, which sums edges (within 1e-14 relative)."""
+    want = stacked_energy(spec, fld)
+    if spec.kind == "p_laplace" and spec.t == 2.0:
+        return energy(spec, fld) == pytest.approx(want, rel=1e-14, abs=0.0)
+    return energy(spec, fld) == want
+
+
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
 def test_kernels_match_stacked_reference_bit_for_bit(ball_field, spec):
     # The references add in the order the kernels must keep; a reordered
     # sum or product shows up as a last-bit difference in the residual.
-    assert energy(spec, ball_field) == stacked_energy(spec, ball_field)
+    assert _corner_energy_matches(spec, ball_field)
     assert np.array_equal(
         weak_residual(spec, ball_field).values, stacked_weak_residual(spec, ball_field)
     )
@@ -200,7 +209,29 @@ def test_energy_matches_stacked_reference_on_small_fields(spec, dim):
     grid = build_grid(Ball([0.0] * dim, 0.4), 1.0 / 4.0)
     for seed in range(32):
         fld = Field(grid, np.random.default_rng(seed).standard_normal(grid.dims))
-        assert energy(spec, fld) == stacked_energy(spec, fld), seed
+        assert _corner_energy_matches(spec, fld), seed
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_t2_edge_sum_energy_is_the_corner_form(dim):
+    # p_laplace at t = 2 sums D_k^2 over edges, weighted by the active cells
+    # that share each edge.  It must give the corner form's energy within
+    # 1e-14 relative, and +-inf at exterior nodes must change no bit.
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    grid = build_grid(Ball([0.1] * dim, 0.9), 1.0 / 24.0 if dim == 2 else 1.0 / 9.0)
+    exterior = grid.labels == EXTERIOR
+    counts = grid.edge_cell_counts()
+    assert counts is grid.edge_cell_counts()
+    assert [c.dtype for c in counts] == [np.int8] * dim
+    assert max(int(c.max()) for c in counts) == 2 ** (dim - 1)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        clean = Field(grid, np.where(exterior, 0.0, rng.standard_normal(grid.dims)))
+        want = stacked_energy(spec, clean)
+        assert energy(spec, clean) == pytest.approx(want, rel=1e-14, abs=0.0), seed
+        dirty = clean.copy()
+        dirty.values[exterior] = rng.choice([np.inf, -np.inf], np.count_nonzero(exterior))
+        assert energy(spec, dirty) == energy(spec, clean), seed
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)

@@ -52,7 +52,12 @@ from artifact.solver import (
     obstacle_verification,
 )
 
-from oracles import damped_newton_minimizer, quadratic_minimizer, seven_point_solution
+from oracles import (
+    damped_newton_minimizer,
+    quadratic_minimizer,
+    seven_point_solution,
+    stacked_weak_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -627,6 +632,39 @@ def _junk_exterior_problem(dim, seed):
     exterior = grid.labels == EXTERIOR
     values[exterior] = rng.choice([np.inf, -np.inf, np.nan], np.count_nonzero(exterior))
     return grid, cons, values, rng
+
+
+@pytest.mark.parametrize("kind", ["p_laplace", "regularized"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_t2_residual_breakdown_is_the_weak_residual(kind, dim):
+    # At t = 2 the split comes from K u; it must be the split of the
+    # reference weak residual / h^(N-2), NaN and +-inf at exterior nodes,
+    # with about half the obstacle nodes at +-m for either sign.  m = 0.5
+    # lies inside the field's range, so some pinned nodes pull away.
+    grid, cons, values, rng = _junk_exterior_problem(dim, 29)
+    spec = OperatorSpec(kind=kind, t=2.0)
+    interior = (grid.labels == INTERIOR).ravel()
+    for sign in (1, -1):
+        constraint = ObstacleConstraint(cons.indices, 0.5, sign)
+        field = values.copy()
+        pinned = cons.indices[rng.random(cons.indices.size) < 0.5]
+        field.ravel()[pinned] = sign * 0.5
+        with np.errstate(invalid="ignore"):
+            res = stacked_weak_residual(spec, Field(grid, field)).ravel()
+        res /= grid.h ** (dim - 2)
+        free = interior.copy()
+        free[pinned] = False
+        free_max = np.max(np.abs(res[free]))
+        pinned_violation = max(np.max(-sign * res[pinned]), 0.0)
+        got = residual_breakdown(spec, grid, field, constraint)
+        assert got["pinned_count"] == pinned.size > 0
+        assert pinned_violation > 0.0
+        for key, want in (
+            ("free_max", free_max),
+            ("pinned_violation", pinned_violation),
+            ("combined", max(free_max, pinned_violation)),
+        ):
+            assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (sign, key)
 
 
 @pytest.mark.parametrize("kind", ["p_laplace", "regularized"])
