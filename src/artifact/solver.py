@@ -91,6 +91,7 @@ from .monotone import (
     curvature_pair,
     energy as energy_of,
     hessian,
+    inner,
     integrand,
     offset_slices,
     weak_residual,
@@ -433,13 +434,17 @@ class _Level:
         np.negative(residual, out=residual)
         if rhs is not None:
             residual += rhs[idx]
-        x.ravel()[idx] += inverse @ residual
+        for matrix in inverse:
+            residual = np.einsum("ij,j->i", matrix, residual)
+        x.ravel()[idx] += residual
 
     def _dense_inverse(self):
-        """The flat indices of the free nodes of positive diagonal and the
-        inverse of A on them, built once per operator.  An exactly
-        singular block, a free island that no coupling ties to a fixed
-        node, gets its pseudo-inverse."""
+        """The flat indices of the free nodes of positive diagonal and A^-1
+        on them as a product of matrices, applied in turn, built once per
+        operator: M then M^T for M = L^-1, L the Cholesky factor of A
+        (``_inverse_cholesky``).  A block that is not positive definite, a
+        free island that no coupling ties to a fixed node, gets its
+        pseudo-inverse."""
         if self._inverse is None:
             shape, ndim = self.free.shape, self.free.ndim
             if self.stencil is None:
@@ -464,10 +469,11 @@ class _Level:
                 rows, cols = position[lo], position[hi]
                 both = (rows >= 0) & (cols >= 0)
                 dense[rows[both], cols[both]] = entries[lo][both]
-            try:
-                inverse = np.linalg.inv(dense)
-            except np.linalg.LinAlgError:
-                inverse = np.linalg.pinv(dense, hermitian=True)
+            factor = _inverse_cholesky(dense)
+            if factor is None:
+                inverse = (np.linalg.pinv(dense, hermitian=True),)
+            else:
+                inverse = (factor, factor.T)
             self._inverse = (np.flatnonzero(kept), inverse)
             self.dense_nodes = max(self.dense_nodes, n)
         return self._inverse
@@ -543,6 +549,28 @@ def _laplacian(x, out=None):
         out[tail] -= x[head]
         out[head] -= x[tail]
     return out
+
+
+def _inverse_cholesky(a):
+    """M = L^-1 for the Cholesky factor L of a symmetric positive definite
+    ``a`` (a = L L^T, so a^-1 = M^T M), or None at a pivot that is not
+    positive.  Built column by column with ``np.einsum``, without BLAS or
+    LAPACK, so its bits do not depend on the BLAS thread count;
+    ``np.linalg.inv``'s do from 100 nodes up (OpenBLAS, 2 threads against
+    1), and so did every report whose coarsest level was that large."""
+    n = a.shape[0]
+    low = np.zeros((n, n))
+    for j in range(n):
+        col = a[j:, j] - np.einsum("ik,k->i", low[j:, :j], low[j, :j])
+        if not col[0] > 0.0:
+            return None
+        low[j:, j] = col / math.sqrt(col[0])
+    inverse = np.zeros((n, n))
+    for i in range(n):
+        inverse[i, :i] = np.einsum("k,kj->j", low[i, :i], inverse[:i, :i])
+        inverse[i, :i] /= -low[i, i]
+        inverse[i, i] = 1.0 / low[i, i]
+    return inverse
 
 
 def _coarse_free(free, axes):
@@ -803,8 +831,8 @@ class _Multigrid:
         if rhs is not None:
             rho += rhs.reshape(x.shape)
         c = self._correction(k, rho)
-        slope = np.vdot(rho, c)
-        curvature = np.vdot(c, level.apply(c, out=rho))
+        slope = inner(rho, c)
+        curvature = inner(c, level.apply(c, out=rho))
         del rho
         if curvature > 0.0:
             c *= slope / curvature
@@ -878,8 +906,8 @@ class _NewtonLevel:
 
     def correct(self, values, rho, c):
         """values += alpha c, alpha from the line search (in place)."""
-        slope0 = -np.vdot(rho, c)
-        curvature = np.vdot(c, self.level.apply(c))
+        slope0 = -inner(rho, c)
+        curvature = inner(c, self.level.apply(c))
         if not (slope0 < 0.0 and curvature > 0.0):
             self.skipped += 1
             return
@@ -891,7 +919,7 @@ class _NewtonLevel:
         last = 0
         for _ in range(_SECANT_STEPS):
             self.slope_evaluations += 1
-            g = np.vdot(self._gradient(values + alpha * c), c)
+            g = inner(self._gradient(values + alpha * c), c)
             if g <= 0.0:
                 lo, g_lo = alpha, g
                 if g >= _SECANT_STOP * slope0:

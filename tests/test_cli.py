@@ -9,13 +9,16 @@ import csv
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artifact
 from artifact import Ball, ObstacleConstraint, build_grid, solve_obstacle, solver
 from artifact.cli import (
     ScenarioError,
@@ -25,6 +28,10 @@ from artifact.cli import (
     run_suite,
     validate_scenario,
 )
+
+
+# The thread-count variables of the BLAS builds numpy may use.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def scenario_doc(**over):
@@ -648,6 +655,25 @@ def test_main_run_and_help(tmp_path, capsys):
 def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Every reduction of a solve and its coarsest dense solve avoid the
+    # multithreaded BLAS, so one and two BLAS threads give the same bits.
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "s03-harmonic-square.json"
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update({var: threads for var in BLAS_THREAD_VARS})
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "artifact.cli", "run", str(scenario), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "s03-harmonic-square" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_console_script_wiring():
