@@ -557,7 +557,7 @@ def _inverse_cholesky(a):
     positive.  Built column by column with ``np.einsum``, without BLAS or
     LAPACK, so its bits do not depend on the BLAS thread count;
     ``np.linalg.inv``'s do from 100 nodes up (OpenBLAS, 2 threads against
-    1), and so did every report whose coarsest level was that large."""
+    1)."""
     n = a.shape[0]
     low = np.zeros((n, n))
     for j in range(n):
@@ -954,8 +954,8 @@ def residual_breakdown(spec, grid, values, constraint=None):
     works across grid sizes.  At t = 2 both built-in kinds have A(p) = p,
     and the normalized residual on the interior nodes is the five/seven-point
     K u itself, boundary values included (``_laplacian``): it agrees with
-    ``weak_residual`` to rounding at a sixteenth of the cost, with one
-    output array for temporaries.  Other t and ``custom`` take
+    ``weak_residual`` to rounding, takes 4.5 ms against 110 ms on an 83^3
+    grid, and allocates one output array.  Other t and ``custom`` take
     ``weak_residual``.  Nodes clamped at the obstacle may only push against
     it, so there the signed violation is reported: residual must be >= 0
     for a lower obstacle, <= 0 for an upper one.
