@@ -641,7 +641,11 @@ def test_t2_residual_breakdown_is_the_weak_residual(kind, dim):
     # reference weak residual / h^(N-2), NaN and +-inf at exterior nodes,
     # with about half the obstacle nodes at +-m for either sign.  m = 0.5
     # lies inside the field's range, so some pinned nodes pull away.
+    # Boundary values of 10 to 20 put the largest free residual next to
+    # them, so a split that left them out would show.
     grid, cons, values, rng = _junk_exterior_problem(dim, 29)
+    boundary = grid.labels == BOUNDARY
+    values[boundary] = rng.uniform(10.0, 20.0, np.count_nonzero(boundary))
     spec = OperatorSpec(kind=kind, t=2.0)
     interior = (grid.labels == INTERIOR).ravel()
     for sign in (1, -1):
