@@ -47,10 +47,18 @@ def unit_ball_volume(dim):
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def _moore_offsets(dim):
-    grids = np.meshgrid(*([np.array([-1, 0, 1])] * dim), indexing="ij")
-    offs = np.stack([g.ravel() for g in grids], axis=1)
-    return offs[np.any(offs != 0, axis=1)]
+def dilate(mask, axes):
+    """``mask`` grown by one node along each of ``axes`` in turn.  Over all
+    N axes, a node ends up in it when its 3^N Moore neighbourhood meets
+    ``mask``."""
+    for axis in axes:
+        head = tuple(slice(1, None) if k == axis else slice(None) for k in range(mask.ndim))
+        tail = tuple(slice(None, -1) if k == axis else slice(None) for k in range(mask.ndim))
+        grown = mask.copy()
+        grown[head] |= mask[tail]
+        grown[tail] |= mask[head]
+        mask = grown
+    return mask
 
 
 class GridDomain:
@@ -200,8 +208,11 @@ class GridDomain:
 def _mesh_points(axes):
     """Coordinates of the lattice spanned by per-axis coordinate arrays,
     flattened C-order, shape (n_nodes, N)."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    ndim = len(axes)
+    points = np.empty(tuple(a.size for a in axes) + (ndim,))
+    for k, coords in enumerate(axes):
+        points[..., k] = coords.reshape([-1 if j == k else 1 for j in range(ndim)])
+    return points.reshape(-1, ndim)
 
 
 # Nodes per ``inside_open`` call of ``_classify``, in whole leading-axis
@@ -228,17 +239,8 @@ def _classify(shape, grid):
             (-1,) + dims[1:]
         )
     labels = np.full(dims, EXTERIOR, dtype=np.int8)
+    labels[dilate(interior, range(grid.dim))] = BOUNDARY
     labels[interior] = INTERIOR
-    near = np.zeros(dims, dtype=bool)
-    for off in _moore_offsets(len(dims)):
-        src = tuple(
-            slice(max(o, 0), d + min(o, 0)) for o, d in zip(off, dims)
-        )
-        dst = tuple(
-            slice(max(-o, 0), d + min(-o, 0)) for o, d in zip(off, dims)
-        )
-        near[dst] |= interior[src]
-    labels[near & ~interior] = BOUNDARY
     return labels
 
 

@@ -85,7 +85,7 @@ from functools import partial
 import numpy as np
 
 from ._expr import Expression
-from .domain.lattice import BOUNDARY, INTERIOR
+from .domain.lattice import BOUNDARY, INTERIOR, dilate
 from .monotone import (
     Field,
     curvature_pair,
@@ -590,15 +590,7 @@ def _coarse_columns(free, axes):
     ``axes``: the columns of the prolongation P that touch a fine free
     node, i.e. coarse node J is free where some fine node of 2J + {-1, 0,
     1} along those axes is."""
-    near = free
-    for axis in axes:
-        head = _along(axis, free.ndim, slice(1, None))
-        tail = _along(axis, free.ndim, slice(None, -1))
-        grown = near.copy()
-        grown[head] |= near[tail]
-        grown[tail] |= near[head]
-        near = grown
-    return near[_halve(free.ndim, axes)].copy()
+    return dilate(free, axes)[_halve(free.ndim, axes)].copy()
 
 
 def _interpolate(coarse, axis, n):
