@@ -49,6 +49,17 @@ SHEET_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
+def _squared_norm(q):
+    """|q|^2 of each row of an (n, N) array, summed column by column in the
+    order ((q0^2 + q1^2) + q2^2), the order of ``np.sum`` over the rows:
+    elementwise passes are several times faster than a reduction over a
+    short last axis, and give the same bits."""
+    total = q[:, 0] * q[:, 0]
+    for k in range(1, q.shape[1]):
+        total += q[:, k] * q[:, k]
+    return total
+
+
 def _as_points(points, dim):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -104,12 +115,12 @@ class Ball(Shape):
 
     def inside_open(self, points):
         pts = _as_points(points, self.dim)
-        d2 = np.sum((pts - self.center) ** 2, axis=1)
+        d2 = _squared_norm(pts - self.center)
         return d2 < self.radius**2
 
     def inside_closed(self, points):
         pts = _as_points(points, self.dim)
-        d2 = np.sum((pts - self.center) ** 2, axis=1)
+        d2 = _squared_norm(pts - self.center)
         return d2 <= self.radius**2
 
     def bbox(self):
@@ -195,7 +206,7 @@ class SolidCone(Shape):
     def _conditions(self, points):
         q = _as_points(points, self.dim) - self.vertex
         s = q @ self.axis
-        q2 = np.sum(q * q, axis=1)
+        q2 = _squared_norm(q)
         return s, q2
 
     def inside_open(self, points):
@@ -252,7 +263,7 @@ class FlatCone(Shape):
         q = _as_points(points, self.dim) - self.vertex
         on_sheet = np.abs(q[:, -1]) <= SHEET_TOL
         s = q @ self.axis
-        q2 = np.sum(q * q, axis=1)
+        q2 = _squared_norm(q)
         return (
             on_sheet
             & (s >= -SHEET_TOL)
@@ -393,7 +404,7 @@ class PowerCusp(Shape):
         q = _as_points(points, self.dim) - self.vertex
         k = abs(self.axis) - 1
         s = q[:, k] * (1.0 if self.axis > 0 else -1.0)
-        perp2 = np.sum(q * q, axis=1) - q[:, k] ** 2
+        perp2 = _squared_norm(q) - q[:, k] ** 2
         return s, perp2
 
     def inside_open(self, points):

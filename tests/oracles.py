@@ -402,3 +402,77 @@ def damped_newton_minimizer(grid, spec, start, free):
             raise RuntimeError("damped Newton step found no descent")
         u, res = trial, trial_res
     raise RuntimeError("damped Newton did not converge")
+
+
+def zero_padded_laplacian(values):
+    """K u = 2N u_i minus the 2N face neighbours of i at every node, a
+    neighbour past the box edge counting as zero, node by node.
+
+    Each node subtracts its neighbours in the order +e_0, -e_0, +e_1, -e_1,
+    ..., in Python floats, so on every node its value is the same, bit for
+    bit, as any K that keeps that order; values that are not finite
+    propagate as IEEE arithmetic has them, with no warning.
+    """
+    dims = values.shape
+    n = len(dims)
+    out = np.empty(dims)
+    for idx in itertools.product(*(range(d) for d in dims)):
+        acc = float(values[idx]) * (2.0 * n)
+        for axis in range(n):
+            for step in (1, -1):
+                nb = list(idx)
+                nb[axis] += step
+                if 0 <= nb[axis] < dims[axis]:
+                    acc -= float(values[tuple(nb)])
+        out[idx] = acc
+    return out
+
+
+def gather_sum_sweep(values, free, rhs=None):
+    """One parity Gauss-Seidel sweep of the plain 5/7-point K on the nodes
+    of ``free``, node by node, returning the new field.
+
+    The 2^N lattice parities go in the order of the parity code sum_k
+    (i_k mod 2) 2^(N-1-k); each free node takes the sum of its face
+    neighbours, added in the order +e_0, -e_0, +e_1, ..., plus rhs, over
+    2N.  No two nodes of one parity are face neighbours, so the order
+    within a parity does not matter.  Every free node must lie off the
+    box rim.
+    """
+    dims = values.shape
+    n = len(dims)
+    out = np.array(values, dtype=float)
+    nodes = [idx for idx in itertools.product(*(range(d) for d in dims)) if free[idx]]
+    for parity in range(2**n):
+        for idx in nodes:
+            if sum((i % 2) << (n - 1 - k) for k, i in enumerate(idx)) != parity:
+                continue
+            total = None
+            for axis in range(n):
+                for step in (1, -1):
+                    nb = list(idx)
+                    nb[axis] += step
+                    value = float(out[tuple(nb)])
+                    total = value if total is None else total + value
+            if rhs is not None:
+                total += float(rhs[idx])
+            out[idx] = total / (2.0 * n)
+    return out
+
+
+def full_column_inverse_cholesky(a):
+    """M = L^-1 for the Cholesky factor L of ``a``, every column of L and
+    every row of M built over its full length, or None at a pivot that is
+    not positive."""
+    n = a.shape[0]
+    low = np.zeros((n, n))
+    for j in range(n):
+        col = a[j:, j] - low[j:, :j] @ low[j, :j]
+        if not col[0] > 0.0:
+            return None
+        low[j:, j] = col / math.sqrt(col[0])
+    inverse = np.zeros((n, n))
+    for i in range(n):
+        inverse[i, :i] = -(low[i, :i] @ inverse[:i, :i]) / low[i, i]
+        inverse[i, i] = 1.0 / low[i, i]
+    return inverse

@@ -19,6 +19,7 @@ from artifact.domain.shapes import (
     SolidCone,
     TwistedCone,
     Union,
+    _squared_norm,
     shape_from_dict,
 )
 
@@ -44,6 +45,17 @@ def test_ball_membership_open_vs_closed():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [1.1, 0.0]])
     assert list(ball.inside_open(pts)) == [True, False, False, False]
     assert list(ball.inside_closed(pts)) == [True, True, True, False]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_squared_norm_keeps_the_row_sum_bits(dim, rng):
+    # Column by column, |q|^2 has the bits of np.sum over each row, on
+    # random points and on lattice points at the sphere's surface, so every
+    # label of the shapes that use it is unchanged.
+    lattice = np.stack(np.meshgrid(*[np.arange(-9, 10) / 12.0] * dim), axis=-1)
+    for q in (rng.standard_normal((4000, dim)), lattice.reshape(-1, dim) - 0.1):
+        want = np.sum(q * q, axis=1)
+        assert np.array_equal(_squared_norm(q).view(np.uint64), want.view(np.uint64))
 
 
 def test_box_membership_faces_count_as_closed():

@@ -8,9 +8,11 @@ the maximum/comparison principles.
 """
 
 import itertools
+import json
 import math
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ from artifact.solver import (
     _coarse_free,
     _ColorWorkspace,
     _galerkin_product,
+    _inverse_cholesky,
+    _laplacian,
     _Level,
     _Multigrid,
     _NewtonLevel,
@@ -54,9 +58,12 @@ from artifact.solver import (
 
 from oracles import (
     damped_newton_minimizer,
+    full_column_inverse_cholesky,
+    gather_sum_sweep,
     quadratic_minimizer,
     seven_point_solution,
     stacked_weak_residual,
+    zero_padded_laplacian,
 )
 
 
@@ -881,6 +888,60 @@ def test_restriction_is_the_transpose_of_prolongation(dims):
         assert np.array_equal(pe[even][both], e[both])
 
 
+# Odd and even axes in 2D and 3D.
+KERNEL_DIMS = [(12, 9), (11, 10), (9, 10, 11), (8, 7, 6)]
+
+
+def _holed_mask(dims, rng):
+    """A free mask off the box rim, with random holes."""
+    free = np.zeros(dims, dtype=bool)
+    free[tuple(slice(1, -1) for _ in dims)] = True
+    return free & (rng.uniform(size=dims) < 0.8)
+
+
+def _off_rim(dims):
+    return tuple(slice(1, -1) for _ in dims)
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, NaN payloads aside."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+def test_flat_laplacian_is_the_zero_padded_k_off_the_rim(dims):
+    # The raveled-shift K equals the zero-padded K node by node, bit for
+    # bit, on every node off the box rim, with +-inf at the nodes off a
+    # holed mask (NaN then appears next to them); into a given array too.
+    rng = np.random.default_rng(51)
+    free = _holed_mask(dims, rng)
+    x = rng.standard_normal(dims)
+    x[~free] = rng.choice([np.inf, -np.inf], np.count_nonzero(~free))
+    want = zero_padded_laplacian(x)[_off_rim(dims)]
+    assert np.isnan(want).any() and np.isfinite(want).any()
+    assert _same_bits(_laplacian(x)[_off_rim(dims)], want)
+    out = np.empty(dims)
+    assert _laplacian(x, out) is out
+    assert _same_bits(out[_off_rim(dims)], want)
+
+
+@pytest.mark.parametrize("with_rhs", [False, True])
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+def test_plain_sweep_is_the_gather_sum_sweep(dims, with_rhs):
+    # The per-offset parity sweep equals the node-by-node sweep that adds
+    # the face neighbours in offset order, bit for bit, on a holed mask.
+    rng = np.random.default_rng(53)
+    free = _holed_mask(dims, rng)
+    x = rng.standard_normal(dims)
+    rhs = rng.standard_normal(dims) if with_rhs else None
+    want = gather_sum_sweep(x, free, rhs)
+    _Level(free).sweep(x.ravel(), None if rhs is None else rhs.ravel())
+    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+
+
 def _cold_t3_coarsest():
     """The coarsest Galerkin level of the h = 1/32 t = 3 disk obstacle,
     linearized at the cold +-m start, where J(u) has zero rows."""
@@ -960,13 +1021,94 @@ def test_coarsest_solve_survives_a_singular_block(monkeypatch):
     assert x[4, 4] == 0.5
 
 
+def _coarsest_block(operator):
+    """A coarsest level of each kind and its dense block."""
+    if operator == "plain-2d":
+        grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
+        cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
+        level = _Multigrid(grid, cons).levels[-1]
+    elif operator == "plain-3d":
+        free = np.zeros((11, 11, 11), dtype=bool)
+        free[1:-1, 1:-1, 1:-1] = True
+        level = _Level(free)
+    elif operator == "cold-galerkin":
+        level = _cold_t3_coarsest()
+    else:
+        level = _galerkin_hierarchy(int(operator[-2]), 3.0)[0].levels[-1]
+    return level, level._dense_block()[1]
+
+
 @pytest.mark.parametrize(
-    "box, h",
-    [
-        (Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0 / 16.0]), 1.0 / 64.0),
-        (Box([0.0, 0.0], [1.0, 1.0 / 32.0]), 1.0 / 256.0),
-    ],
+    "operator", ["plain-2d", "plain-3d", "galerkin-2d", "galerkin-3d", "cold-galerkin"]
 )
+def test_inverse_cholesky_matches_the_full_column_reference(operator):
+    # The envelope-bounded M = L^-1 agrees with the one built over full
+    # columns and rows, and M A M^T = I.  The cold t = 3 Galerkin block
+    # holds an exact zero at a coupling of two of its nodes, inside the
+    # envelope the lattice gives it.
+    level, dense = _coarsest_block(operator)
+    if operator == "cold-galerkin":
+        kept = level.free & (level.stencil[(0,) * level.free.ndim] > 0)
+        couplings = 0
+        for offset in level.stencil:
+            if any(offset):
+                lo, hi = offset_slices(offset)
+                couplings += np.count_nonzero(kept[lo] & kept[hi])
+        assert np.count_nonzero(dense) - dense.shape[0] < couplings
+    want = full_column_inverse_cholesky(dense)
+    got = _inverse_cholesky(dense)
+    assert want is not None and got is not None
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    identity = got @ dense @ got.T
+    assert np.max(np.abs(identity - np.eye(dense.shape[0]))) <= 1e-10
+
+
+def test_inverse_cholesky_rejects_blocks_that_are_not_positive_definite():
+    # A pivot that is not positive gives None, so the coarsest solve takes
+    # the pseudo-inverse: a singular pair with zero row sums, beside a
+    # node tied to nothing else, and an indefinite block.
+    singular = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
+    indefinite = np.array([[2.0, 0.0, 3.0], [0.0, 1.0, 0.0], [3.0, 0.0, 2.0]])
+    for block in (singular, indefinite):
+        assert full_column_inverse_cholesky(block) is None
+        assert _inverse_cholesky(block) is None
+
+
+def _shipped_grids():
+    """The grid of each shipped scenario and level spacing: the sigma grid
+    of a probe region, the scenario's own grid otherwise."""
+    from artifact.capacity import sigma_grid_for
+    from artifact.domain.shapes import shape_from_dict
+
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    for path in sorted(root.glob("*.json")):
+        scenario = json.loads(path.read_text())
+        shape = shape_from_dict(scenario["shape"])
+        probe = scenario["task"] in ("wiener-probe", "locality")
+        for h in scenario.get("h_levels") or [scenario["h"]]:
+            yield (sigma_grid_for if probe else build_grid)(shape, h)
+
+
+def test_plain_levels_keep_no_free_node_on_the_box_rim():
+    # _laplacian leaves rim nodes unspecified, so no plain-K level may have
+    # a free node there: on every shipped grid, 2D and 3D, and on the thin
+    # boxes below, whose short axes are never halved.
+    grids = list(_shipped_grids()) + [build_grid(box, h) for box, h in THIN_BOXES]
+    assert {grid.dim for grid in grids} == {2, 3}
+    for grid in grids:
+        for level in _Multigrid(grid, None).levels:
+            inner = np.zeros(level.free.shape, dtype=bool)
+            inner[_off_rim(level.free.shape)] = True
+            assert not np.any(level.free & ~inner)
+
+
+THIN_BOXES = [
+    (Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0 / 16.0]), 1.0 / 64.0),
+    (Box([0.0, 0.0], [1.0, 1.0 / 32.0]), 1.0 / 256.0),
+]
+
+
+@pytest.mark.parametrize("box, h", THIN_BOXES)
 def test_thin_boxes_coarsen_their_long_axes(box, h):
     # A level halves only the axes that stay at least _MIN_COARSE_DIM nodes
     # long; the others keep their length, and P is the identity along them.
@@ -1106,6 +1248,38 @@ def test_one_cycle_benchmark(benchmark):
         multigrid.cycle, setup=lambda: ((start.copy(),), {}), rounds=5, iterations=1
     )
     assert 0.0 < step <= 1.0
+
+
+def test_coarsest_inverse_benchmark(benchmark):
+    # The dense inverse of a plain-K coarsest level on an 11^3 box, 729
+    # free nodes, about the size of probe-3d-t2's 501- and 504-node
+    # coarsest blocks; a fresh level each round, as the inverse is cached.
+    free = np.zeros((11, 11, 11), dtype=bool)
+    free[1:-1, 1:-1, 1:-1] = True
+    idx, inverse = benchmark.pedantic(
+        _Level._dense_inverse, setup=lambda: ((_Level(free),), {}), rounds=5, iterations=1
+    )
+    assert idx.size == 729 and len(inverse) == 2
+
+
+def test_probe_region_classification_benchmark(benchmark):
+    # build_grid of the enclosing ball and classify of the probe-3d-t2
+    # region on it at h = 1/48, an 83^3 box: the grid layers of a probe
+    # level.
+    from artifact.capacity import sigma_grid_for
+    from artifact.domain.shapes import Difference, FlatCone
+
+    region = Difference(
+        Ball([0.0, 0.0, 0.0], 0.24), FlatCone([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.25, 0.24)
+    )
+
+    def build():
+        sigma = sigma_grid_for(region, 1.0 / 48.0)
+        return sigma, sigma.classify(region)
+
+    sigma, labels = benchmark.pedantic(build, rounds=3, iterations=1, warmup_rounds=1)
+    assert sigma.dims == (83, 83, 83)
+    assert 0 < np.count_nonzero(labels == INTERIOR) < np.count_nonzero(sigma.labels == INTERIOR)
 
 
 # ---------------------------------------------------------------------------
