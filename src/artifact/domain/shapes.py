@@ -49,14 +49,18 @@ SHEET_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def _squared_norm(q):
-    """|q|^2 of each row of an (n, N) array, summed column by column in the
-    order ((q0^2 + q1^2) + q2^2), the order of ``np.sum`` over the rows:
-    elementwise passes are several times faster than a reduction over a
-    short last axis, and give the same bits."""
-    total = q[:, 0] * q[:, 0]
-    for k in range(1, q.shape[1]):
-        total += q[:, k] * q[:, k]
+def squared_norm(comps):
+    """|p|^2 from the N component arrays of p; for an (n, N) point array q
+    pass ``q.T``, its columns.
+
+    Summed component by component, ((p0^2 + p1^2) + p2^2): elementwise
+    passes are several times faster than a reduction over a short last
+    axis, and ``np.sum`` over such an axis adds in the same order, so the
+    bits are the same.
+    """
+    total = comps[0] * comps[0]
+    for c in comps[1:]:
+        total += c * c
     return total
 
 
@@ -115,12 +119,12 @@ class Ball(Shape):
 
     def inside_open(self, points):
         pts = _as_points(points, self.dim)
-        d2 = _squared_norm(pts - self.center)
+        d2 = squared_norm((pts - self.center).T)
         return d2 < self.radius**2
 
     def inside_closed(self, points):
         pts = _as_points(points, self.dim)
-        d2 = _squared_norm(pts - self.center)
+        d2 = squared_norm((pts - self.center).T)
         return d2 <= self.radius**2
 
     def bbox(self):
@@ -206,7 +210,7 @@ class SolidCone(Shape):
     def _conditions(self, points):
         q = _as_points(points, self.dim) - self.vertex
         s = q @ self.axis
-        q2 = _squared_norm(q)
+        q2 = squared_norm(q.T)
         return s, q2
 
     def inside_open(self, points):
@@ -263,7 +267,7 @@ class FlatCone(Shape):
         q = _as_points(points, self.dim) - self.vertex
         on_sheet = np.abs(q[:, -1]) <= SHEET_TOL
         s = q @ self.axis
-        q2 = _squared_norm(q)
+        q2 = squared_norm(q.T)
         return (
             on_sheet
             & (s >= -SHEET_TOL)
@@ -404,7 +408,7 @@ class PowerCusp(Shape):
         q = _as_points(points, self.dim) - self.vertex
         k = abs(self.axis) - 1
         s = q[:, k] * (1.0 if self.axis > 0 else -1.0)
-        perp2 = _squared_norm(q) - q[:, k] ** 2
+        perp2 = squared_norm(q.T) - q[:, k] ** 2
         return s, perp2
 
     def inside_open(self, points):

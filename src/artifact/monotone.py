@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain.lattice import EXTERIOR, INTERIOR
+from .domain.shapes import squared_norm
 
 __all__ = [
     "OperatorSpec",
@@ -166,18 +167,6 @@ def integrand(spec, g2):
     return phi * base / spec.t
 
 
-def _squared_norm(comps):
-    """|p|^2 from the N component arrays of p.
-
-    Summed component by component: elementwise passes are several times
-    faster than a reduction over a short last axis.
-    """
-    total = comps[0] * comps[0]
-    for c in comps[1:]:
-        total += c * c
-    return total
-
-
 def _field_components(spec, comps):
     """A(p) as N component arrays, from the N component arrays of p.
 
@@ -199,10 +188,10 @@ def _field_components(spec, comps):
         c = functools.reduce(np.maximum, [np.abs(x) for x in comps])
         c_safe = np.maximum(c, _TINY)
         u = [x / c_safe for x in comps]
-        phi, _ = profile(spec, _squared_norm(u))
+        phi, _ = profile(spec, squared_norm(u))
         scale = c ** (spec.t - 1.0) * phi
         return [scale * x for x in u]
-    phi, _ = profile(spec, _squared_norm(comps))
+    phi, _ = profile(spec, squared_norm(comps))
     return [phi * x for x in comps]
 
 
@@ -219,7 +208,7 @@ def potential(spec, p):
         if spec.W_fn is None:
             raise ValueError("energy undefined; use weak_residual")
         return np.asarray(spec.W_fn(p), dtype=float)
-    return integrand(spec, _squared_norm(np.moveaxis(p, -1, 0)))
+    return integrand(spec, squared_norm(np.moveaxis(p, -1, 0)))
 
 
 def reflect(spec):
@@ -515,7 +504,7 @@ def hessian(spec, fld):
     stencil = {o: np.zeros(dims) for o in itertools.product((-1, 0, 1), repeat=ndim)}
     for corner, comps in corner_gradients(fld.values, grid.h, dims):
         comps = [np.where(active, c, 0.0) for c in comps]
-        phi, slope = curvature_pair(spec, _squared_norm(comps))
+        phi, slope = curvature_pair(spec, squared_norm(comps))
         phi *= weight
         slope *= weight
         # The corner, then its neighbour across each axis: cell positions

@@ -19,7 +19,7 @@ from artifact.domain.shapes import (
     SolidCone,
     TwistedCone,
     Union,
-    _squared_norm,
+    squared_norm,
     shape_from_dict,
 )
 
@@ -55,7 +55,7 @@ def test_squared_norm_keeps_the_row_sum_bits(dim, rng):
     lattice = np.stack(np.meshgrid(*[np.arange(-9, 10) / 12.0] * dim), axis=-1)
     for q in (rng.standard_normal((4000, dim)), lattice.reshape(-1, dim) - 0.1):
         want = np.sum(q * q, axis=1)
-        assert np.array_equal(_squared_norm(q).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(squared_norm(q.T).view(np.uint64), want.view(np.uint64))
 
 
 def test_box_membership_faces_count_as_closed():
