@@ -989,7 +989,7 @@ def residual_breakdown(spec, grid, values, constraint=None):
     works across grid sizes.  At t = 2 both built-in kinds have A(p) = p,
     and the normalized residual on the interior nodes is the five/seven-point
     K u itself, boundary values included (``_laplacian``): it agrees with
-    ``weak_residual`` to rounding, takes 4.5 ms against 110 ms on an 83^3
+    ``weak_residual`` to rounding, takes about 3 ms against 110 ms on an 83^3
     grid, and allocates one output array.  Other t and ``custom`` take
     ``weak_residual``.  Nodes clamped at the obstacle may only push against
     it, so there the signed violation is reported: residual must be >= 0

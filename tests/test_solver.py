@@ -21,13 +21,17 @@ from artifact import (
     Ball,
     BoundaryData,
     Box,
+    Difference,
     Field,
+    FlatCone,
     ObstacleConstraint,
     OperatorSpec,
     build_grid,
     energy,
     generalized_solution,
     residual_breakdown,
+    shape_from_dict,
+    sigma_grid_for,
     solve_dirichlet,
     solve_obstacle,
     verify_comparison,
@@ -895,7 +899,7 @@ KERNEL_DIMS = [(12, 9), (11, 10), (9, 10, 11), (8, 7, 6)]
 def _holed_mask(dims, rng):
     """A free mask off the box rim, with random holes."""
     free = np.zeros(dims, dtype=bool)
-    free[tuple(slice(1, -1) for _ in dims)] = True
+    free[_off_rim(dims)] = True
     return free & (rng.uniform(size=dims) < 0.8)
 
 
@@ -1022,7 +1026,8 @@ def test_coarsest_solve_survives_a_singular_block(monkeypatch):
 
 
 def _coarsest_block(operator):
-    """A coarsest level of each kind and its dense block."""
+    """A coarsest level of each kind, the mask of its block's nodes and
+    the dense block."""
     if operator == "plain-2d":
         grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
         cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
@@ -1035,7 +1040,7 @@ def _coarsest_block(operator):
         level = _cold_t3_coarsest()
     else:
         level = _galerkin_hierarchy(int(operator[-2]), 3.0)[0].levels[-1]
-    return level, level._dense_block()[1]
+    return (level,) + level._dense_block()
 
 
 @pytest.mark.parametrize(
@@ -1046,9 +1051,8 @@ def test_inverse_cholesky_matches_the_full_column_reference(operator):
     # columns and rows, and M A M^T = I.  The cold t = 3 Galerkin block
     # holds an exact zero at a coupling of two of its nodes, inside the
     # envelope the lattice gives it.
-    level, dense = _coarsest_block(operator)
+    level, kept, dense = _coarsest_block(operator)
     if operator == "cold-galerkin":
-        kept = level.free & (level.stencil[(0,) * level.free.ndim] > 0)
         couplings = 0
         for offset in level.stencil:
             if any(offset):
@@ -1077,9 +1081,6 @@ def test_inverse_cholesky_rejects_blocks_that_are_not_positive_definite():
 def _shipped_grids():
     """The grid of each shipped scenario and level spacing: the sigma grid
     of a probe region, the scenario's own grid otherwise."""
-    from artifact.capacity import sigma_grid_for
-    from artifact.domain.shapes import shape_from_dict
-
     root = Path(__file__).resolve().parent.parent / "scenarios"
     for path in sorted(root.glob("*.json")):
         scenario = json.loads(path.read_text())
@@ -1089,23 +1090,23 @@ def _shipped_grids():
             yield (sigma_grid_for if probe else build_grid)(shape, h)
 
 
-def test_plain_levels_keep_no_free_node_on_the_box_rim():
-    # _laplacian leaves rim nodes unspecified, so no plain-K level may have
-    # a free node there: on every shipped grid, 2D and 3D, and on the thin
-    # boxes below, whose short axes are never halved.
-    grids = list(_shipped_grids()) + [build_grid(box, h) for box, h in THIN_BOXES]
-    assert {grid.dim for grid in grids} == {2, 3}
-    for grid in grids:
-        for level in _Multigrid(grid, None).levels:
-            inner = np.zeros(level.free.shape, dtype=bool)
-            inner[_off_rim(level.free.shape)] = True
-            assert not np.any(level.free & ~inner)
-
-
 THIN_BOXES = [
     (Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0 / 16.0]), 1.0 / 64.0),
     (Box([0.0, 0.0], [1.0, 1.0 / 32.0]), 1.0 / 256.0),
 ]
+
+
+def test_plain_levels_keep_no_free_node_on_the_box_rim():
+    # _laplacian leaves rim nodes unspecified, so no plain-K level may have
+    # a free node there: on every shipped grid, 2D and 3D, and on both thin
+    # boxes, whose short axes are never halved.
+    grids = list(_shipped_grids()) + [build_grid(box, h) for box, h in THIN_BOXES]
+    assert {grid.dim for grid in grids} == {2, 3}
+    for grid in grids:
+        for level in _Multigrid(grid, None).levels:
+            rim = np.ones(level.free.shape, dtype=bool)
+            rim[_off_rim(level.free.shape)] = False
+            assert not np.any(level.free & rim)
 
 
 @pytest.mark.parametrize("box, h", THIN_BOXES)
@@ -1266,9 +1267,6 @@ def test_probe_region_classification_benchmark(benchmark):
     # build_grid of the enclosing ball and classify of the probe-3d-t2
     # region on it at h = 1/48, an 83^3 box: the grid layers of a probe
     # level.
-    from artifact.capacity import sigma_grid_for
-    from artifact.domain.shapes import Difference, FlatCone
-
     region = Difference(
         Ball([0.0, 0.0, 0.0], 0.24), FlatCone([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.25, 0.24)
     )
