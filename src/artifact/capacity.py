@@ -95,6 +95,8 @@ def capacitary_potential(sigma_grid, cap, spec, sign=1, height=1.0, tol=1e-8):
         raise ValueError("complement cap holds no nodes; nothing to clamp")
     interior = (sigma_grid.labels == INTERIOR).ravel()
     indices = cap.indices[interior[cap.indices]]
+    # The mask goes before the solve, which never needs it.
+    del interior
     if indices.size == 0:
         raise ValueError("cap nodes all fall outside the solve region interior")
     constraint = ObstacleConstraint(indices, height, sign)

@@ -669,21 +669,30 @@ def _check_assertions(report, assertions):
     return rows, all_ok
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+def _jsonable(obj):
+    """``obj`` with numpy scalars and arrays made plain Python values and
+    every non-finite float (NaN, +-inf) made None, so that it serializes as
+    JSON proper (RFC 8259 has no NaN or Infinity) and reads back as null."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
 
 
-def _write_report(out_dir, report):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
-    (out_dir / "report.json").write_text(text + "\n")
+def _write_json(path, obj):
+    """Write ``obj`` as sorted, indented JSON; a value that is not finite
+    or not serializable raises instead of writing a bare NaN."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path, rows):
@@ -732,7 +741,7 @@ def run_scenario(path, out_root=None):
     except (ValueError, RuntimeError) as exc:
         wall = time.perf_counter() - t0
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_report(out_dir, {"task": scn["task"], "error": str(exc)})
+        _write_json(out_dir / "report.json", {"task": scn["task"], "error": str(exc)})
         print(f"scenario {scn['name']} failed: {exc}", file=sys.stderr)
         return 1, {"scenario": scn["name"], "task": scn["task"], "result": "error",
                    "key_metric": str(exc), "wall_time_s": wall}
@@ -742,7 +751,7 @@ def run_scenario(path, out_root=None):
     if assertion_rows:
         report["assertions"] = assertion_rows
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(out_dir, report)
+    _write_json(out_dir / "report.json", report)
     for name, rows in tables.items():
         _write_csv(out_dir / f"{name}.csv", rows)
     manifest = {
@@ -753,9 +762,7 @@ def run_scenario(path, out_root=None):
         "solve_memo": solve_memo,
         "wall_time_s": wall,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out_dir / "manifest.json", manifest)
     good = ok and asserts_ok
     result = "pass" if good else ("assert-fail" if ok else "not-converged")
     return (0 if good else 1), {

@@ -417,7 +417,8 @@ def energy(spec, fld):
 
 def _edge_sum_energy(fld):
     """sum_k sum D_k^2 w_k over the edges of ``edge_cell_counts``, D_k the
-    forward differences along axis k, edges of count 0 left out."""
+    forward differences along axis k, edges of count 0 left out.  Each
+    axis's differences go before the next axis's are allocated."""
     values = fld.values
     total = 0.0
     for k, count in enumerate(fld.grid.edge_cell_counts()):
@@ -427,6 +428,7 @@ def _edge_sum_energy(fld):
         diff /= fld.grid.h
         np.multiply(diff, diff, out=diff)
         total += float(inner(diff, count))
+        del diff
     return total
 
 

@@ -535,6 +535,15 @@ class _Level:
             self._rows = (offsets, rows)
         return self._rows
 
+    def curvature(self, c):
+        """<c, A c> for a field c that is zero off the free nodes.  Under K
+        it is the sum of (c_i - c_j)^2 over the box edges, exact because no
+        free node lies on the box rim, summed by ``_edge_square_sum`` with
+        no full-size temporary; a stencil takes inner(c, A c)."""
+        if self.stencil is not None:
+            return inner(c, self.apply(c))
+        return _edge_square_sum(c)
+
     @np.errstate(invalid="ignore", over="ignore")
     def apply(self, x, out=None):
         """A x on the free nodes, zero elsewhere, into ``out`` if given.
@@ -571,6 +580,33 @@ def _laplacian(x, out=None):
         total[:-step] -= flat[step:]
         total[step:] -= flat[:-step]
     return out
+
+
+# The most nodes of one slab of ``_edge_square_sum``: the block size of the
+# lattice classification.
+_SLAB_NODES = 1 << 16
+
+
+def _edge_square_sum(x):
+    """The sum of (x_i - x_j)^2 over the edges of the box, i and j face
+    neighbours, reduced with ``inner`` over slabs of whole leading-axis
+    planes of at most ``_SLAB_NODES`` nodes (one plane if a plane holds
+    more): each slab sums its axis-0 edges to the next plane, then its
+    edges along the other axes, so no temporary outgrows a slab."""
+    n = x.shape[0]
+    planes = max(1, _SLAB_NODES // x[0].size)
+    total = 0.0
+    for a in range(0, n, planes):
+        slab = x[a : a + planes]
+        pairs = [(x[a + 1 : a + planes + 1], x[a : min(a + planes, n - 1)])]
+        for axis in range(1, x.ndim):
+            lo, hi = offset_slices(tuple(int(k == axis) for k in range(x.ndim)))
+            pairs.append((slab[hi], slab[lo]))
+        for hi, lo in pairs:
+            diff = np.subtract(hi, lo)
+            total += inner(diff, diff)
+            del diff
+    return total
 
 
 def _inverse_cholesky(a):
@@ -652,14 +688,22 @@ def _interpolate(coarse, axis, n):
 
 
 def _interpolate_transpose(fine, axis):
-    """The exact transpose of ``_interpolate`` along one axis."""
+    """The exact transpose of ``_interpolate`` along one axis, ``fine`` left
+    as it is: coarse node j takes half of fine nodes 2j - 1 and 2j + 1,
+    summed in the coarse buffer, then fine node 2j, so the only array it
+    allocates is its result."""
     at = partial(_along, axis, fine.ndim)
     n = fine.shape[axis]
     inner = (n - 1) // 2
-    coarse = fine[at(slice(0, None, 2))].copy()
-    half = 0.5 * fine[at(slice(1, None, 2))]
-    coarse[at(slice(0, n // 2))] += half
-    coarse[at(slice(1, inner + 1))] += half[at(slice(0, inner))]
+    odd = fine[at(slice(1, None, 2))]
+    shape = list(fine.shape)
+    shape[axis] = (n + 1) // 2
+    coarse = np.empty(shape)
+    coarse[at(slice(0, n // 2))] = odd
+    coarse[at(slice(n // 2, None))] = 0.0
+    coarse[at(slice(1, inner + 1))] += odd[at(slice(0, inner))]
+    coarse *= 0.5
+    coarse += fine[at(slice(0, None, 2))]
     return coarse
 
 
@@ -761,7 +805,11 @@ class _Multigrid:
     linear.  One cycle on level k is a parity Gauss-Seidel sweep, a
     correction c = P e from the next coarser level, scaled by the exact line
     search alpha = <rho, c> / <c, A c> of level k's own quadratic (rho its
-    residual after the sweep), and one more sweep.  The coarsest level is
+    residual after the sweep), and one more sweep.  The slope <rho, c> is
+    taken as <P^T rho, e> on level k + 1 (``_correction``), so rho is gone
+    before the coarse cycle, and <c, K c> is summed over the box edges
+    (``_Level.curvature``): a step holds at most one full-size temporary
+    beside the field and the cycle's start copy.  The coarsest level is
     solved exactly instead, x += A^-1 (rhs - A x) on its free nodes
     (``_Level.solve``), with a dense inverse built once per operator: once
     per solve on K levels, once per ``linearize`` on Galerkin ones.  It
@@ -831,7 +879,7 @@ class _Multigrid:
         else:
             newton.sweep(values)
             if len(self.levels) > 1:
-                rho = newton.residual(values)
+                rc = _restrict(newton.residual(values), self.levels[1])
                 if self.galerkin:
                     # Rebuilt every cycle.  Measured on the disk obstacle (t
                     # = 1.5 and 3, h = 1/32 to 1/128) and the four slit
@@ -842,17 +890,24 @@ class _Multigrid:
                     # saved, up to a fifth of a disk solve and none on s14,
                     # was within run-to-run noise.
                     self.linearize(newton, values)
-                newton.correct(values, rho, self._correction(0, rho))
+                c, slope = self._correction(0, rc)
+                del rc
+                newton.correct(values, slope, c)
             newton.sweep(values)
         np.subtract(values[free], step, out=step)
         return float(np.max(np.abs(step, out=step), initial=0.0))
 
-    def _correction(self, k, rho):
-        """c = P e, e one cycle from zero on level k + 1 for A e = P^T rho."""
+    def _correction(self, k, rc):
+        """(c, <rc, e>): c = P e, e one cycle from zero on level k + 1 for A
+        e = rc, rc = P^T rho the restricted residual of level k.  The slope
+        <rc, e> is <rho, c>, as rho is zero off level k's free nodes, e off
+        level k + 1's, and c = Z P e, Z zeroing level k's non-free nodes; so
+        the caller drops rho before the coarse cycle, and no full-size
+        residual lives beside the prolongation."""
         coarse = self.levels[k + 1]
         e = np.zeros(coarse.free.shape)
-        self._cycle(k + 1, e, _restrict(rho, coarse).ravel())
-        return _prolong(e, self.levels[k])
+        self._cycle(k + 1, e, rc.ravel())
+        return _prolong(e, self.levels[k]), inner(rc, e)
 
     def _cycle(self, k, x, rhs):
         level = self.levels[k]
@@ -865,10 +920,11 @@ class _Multigrid:
         np.negative(rho, out=rho)
         if rhs is not None:
             rho += rhs.reshape(x.shape)
-        c = self._correction(k, rho)
-        slope = inner(rho, c)
-        curvature = inner(c, level.apply(c, out=rho))
+        rc = _restrict(rho, self.levels[k + 1])
         del rho
+        c, slope = self._correction(k, rc)
+        del rc
+        curvature = level.curvature(c)
         if curvature > 0.0:
             c *= slope / curvature
             x += c
@@ -939,10 +995,11 @@ class _NewtonLevel:
             entries /= self.scale
         return stencil
 
-    def correct(self, values, rho, c):
-        """values += alpha c, alpha from the line search (in place)."""
-        slope0 = -inner(rho, c)
-        curvature = inner(c, self.level.apply(c))
+    def correct(self, values, slope, c):
+        """values += alpha c, alpha from the line search (in place); ``slope``
+        is <rho, c>, rho the residual (``_Multigrid._correction``)."""
+        slope0 = -slope
+        curvature = self.level.curvature(c)
         if not (slope0 < 0.0 and curvature > 0.0):
             self.skipped += 1
             return
@@ -1000,8 +1057,7 @@ def residual_breakdown(spec, grid, values, constraint=None):
     else:
         res = weak_residual(spec, Field(grid, values)).values.ravel()
         res /= grid.h ** (grid.dim - 2)
-    interior = (grid.labels == INTERIOR).ravel()
-    free = interior.copy()
+    free = (grid.labels == INTERIOR).ravel()
     pinned_violation = 0.0
     pinned_count = 0
     if constraint is not None and constraint.indices.size:
@@ -1010,12 +1066,13 @@ def residual_breakdown(spec, grid, values, constraint=None):
         target = constraint.sign * constraint.height
         on_obstacle = values.ravel()[at] == target
         pinned[at[on_obstacle]] = True
-        free &= ~pinned
+        free[at[on_obstacle]] = False
         pinned_count = int(pinned.sum())
         if pinned_count:
             onesided = -constraint.sign * res[pinned]
             pinned_violation = float(np.max(onesided, initial=0.0))
-    free_max = float(np.max(np.abs(res[free]))) if free.any() else 0.0
+    # In place, over the free nodes: a max is exact, so no gathered copy.
+    free_max = float(np.max(np.abs(res, out=res), where=free, initial=0.0))
     return {
         "free_max": free_max,
         "pinned_violation": pinned_violation,
@@ -1030,16 +1087,23 @@ def obstacle_verification(spec, grid, values, constraint, tol):
     Over the interior nodes v stays within [-tol, m + tol] (``bounds_ok``), it
     equals m exactly on the constrained nodes (``equals_m_on_obstacle``), and
     the normalized residual is within tol off the obstacle and one-sided
-    within tol on it (``residual_ok``).
+    within tol on it (``residual_ok``).  The extremes of v are those of the
+    values over the interior, reduced in place, the sign applied to the two
+    scalars (negation is exact).
     """
     split = residual_breakdown(spec, grid, values, constraint)
-    interior = (grid.labels == INTERIOR).ravel()
-    vals = constraint.sign * values.ravel()
+    interior = grid.labels == INTERIOR
+    low = float(np.min(values, where=interior, initial=math.inf))
+    high = float(np.max(values, where=interior, initial=-math.inf))
+    if constraint.sign < 0:
+        low, high = -high, -low
     m = constraint.height
     ver = {
-        "min_value": float(vals[interior].min()),
-        "max_value": float(vals[interior].max()),
-        "equals_m_on_obstacle": bool(np.all(vals[constraint.indices] == m)),
+        "min_value": low,
+        "max_value": high,
+        "equals_m_on_obstacle": bool(
+            np.all(values.ravel()[constraint.indices] == constraint.sign * m)
+        ),
         "off_obstacle_residual": split["free_max"],
         "on_obstacle_violation": split["pinned_violation"],
         "residual_ok": split["free_max"] <= tol and split["pinned_violation"] <= tol,
@@ -1236,21 +1300,25 @@ def _solve_key(grid, spec, values, constraint, tol):
     """sha256 of everything that determines ``_solve``'s result: the grid's
     labels, origin, spacing and dims, the spec, the whole start field (it
     carries the boundary data), the constraint and tol.  Each part is
-    length-prefixed, so no two different inputs concatenate alike."""
+    length-prefixed, so no two different inputs concatenate alike.  Arrays
+    are hashed through their C-ordered buffers (``tobytes``'s bytes) with no
+    copy unless an array is not C-contiguous."""
     parts = [
-        grid.labels.tobytes(),
-        grid.origin.tobytes(),
+        grid.labels,
+        grid.origin,
         repr((grid.h, grid.dims, tol)).encode(),
         json.dumps(spec.to_dict(), sort_keys=True).encode(),
-        values.tobytes(),
+        values,
     ]
     if constraint is None:
         parts.append(b"no constraint")
     else:
-        parts.append(constraint.indices.tobytes())
+        parts.append(constraint.indices)
         parts.append(repr((constraint.height, constraint.sign)).encode())
     digest = hashlib.sha256()
     for part in parts:
+        if isinstance(part, np.ndarray):
+            part = np.ascontiguousarray(part).reshape(-1).view(np.uint8)
         digest.update(len(part).to_bytes(8, "little"))
         digest.update(part)
     return digest.hexdigest()

@@ -5,8 +5,11 @@ loops, deliberately NOT reusing the package's vectorized code paths, so a
 bug in the package cannot cancel against the same bug in the oracle.
 """
 
+import hashlib
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -476,3 +479,81 @@ def full_column_inverse_cholesky(a):
         inverse[i, :i] = -(low[i, :i] @ inverse[:i, :i]) / low[i, i]
         inverse[i, i] = 1.0 / low[i, i]
     return inverse
+
+
+def gather_residual_split(res, interior, values, constraint):
+    """The free/pinned split of a flat normalized residual ``res`` with
+    boolean gathers: the free-node max over ``np.abs(res[free])`` and the
+    pinned part over ``res[pinned]``, pinned being the constraint nodes at
+    sign * height and free the other ``interior`` nodes."""
+    free = interior.copy()
+    pinned_violation = 0.0
+    pinned_count = 0
+    if constraint is not None and constraint.indices.size:
+        pinned = np.zeros_like(free)
+        at = constraint.indices
+        on_obstacle = values.ravel()[at] == constraint.sign * constraint.height
+        pinned[at[on_obstacle]] = True
+        free &= ~pinned
+        pinned_count = int(pinned.sum())
+        if pinned_count:
+            pinned_violation = float(np.max(-constraint.sign * res[pinned], initial=0.0))
+    free_max = float(np.max(np.abs(res[free]))) if free.any() else 0.0
+    return {
+        "free_max": free_max,
+        "pinned_violation": pinned_violation,
+        "pinned_count": pinned_count,
+        "combined": max(free_max, pinned_violation),
+    }
+
+
+def gather_obstacle_extremes(values, interior, constraint):
+    """min and max of v = sign * values over the ``interior`` nodes, and
+    whether v equals the height on every constraint node, from a signed
+    copy and boolean gathers."""
+    vals = constraint.sign * values.ravel()
+    return {
+        "min_value": float(vals[interior].min()),
+        "max_value": float(vals[interior].max()),
+        "equals_m_on_obstacle": bool(np.all(vals[constraint.indices] == constraint.height)),
+    }
+
+
+def tobytes_solve_key(grid, spec, values, constraint, tol):
+    """The solve-memo key built from ``tobytes()`` copies of the arrays:
+    sha256 over length-prefixed parts."""
+    parts = [
+        grid.labels.tobytes(),
+        grid.origin.tobytes(),
+        repr((grid.h, grid.dims, tol)).encode(),
+        json.dumps(spec.to_dict(), sort_keys=True).encode(),
+        values.tobytes(),
+    ]
+    if constraint is None:
+        parts.append(b"no constraint")
+    else:
+        parts.append(constraint.indices.tobytes())
+        parts.append(repr((constraint.height, constraint.sign)).encode())
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def peak_above_entry(fn):
+    """Run ``fn()`` under tracemalloc; return (its result, the peak of the
+    traced memory during the call minus the traced memory at its entry,
+    in bytes).  numpy reports its array buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - entry

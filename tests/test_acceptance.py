@@ -206,6 +206,23 @@ def test_criterion_16_deterministic_report(suite):
     assert rerun["solve_memo"]["hits"] == 0 and rerun["solve_memo"]["misses"] > 0
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_reports_are_strict_json(suite):
+    # Every report and manifest parses with NaN and Infinity refused (RFC
+    # 8259 has neither); a probe level whose observation window holds no
+    # nodes records its omega as null.
+    paths = sorted(suite["out"].glob("*/report.json"))
+    paths += sorted(suite["out"].glob("*/manifest.json"))
+    assert len(paths) == 2 * len(list(SCENARIOS.glob("*.json")))
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    levels = suite["reports"]["s09-probe-regular"]["probe"]["levels"]
+    assert levels[0]["omega"][2] is None
+
+
 def test_suite_memo_serves_exactly_the_repeated_solves(suite):
     # s08 instruments s01's h = 1/128 obstacle solve, and s14's region A
     # re-probes s11's slit region on its two grids.  Which scenario of a

@@ -22,6 +22,7 @@ import artifact
 from artifact import Ball, ObstacleConstraint, build_grid, solve_obstacle, solver
 from artifact.cli import (
     ScenarioError,
+    _write_json,
     load_scenario,
     main,
     run_scenario,
@@ -194,6 +195,33 @@ def test_report_is_byte_identical_across_reruns(tmp_path):
     ra = (tmp_path / "a" / "tiny-dirichlet" / "report.json").read_bytes()
     rb = (tmp_path / "b" / "tiny-dirichlet" / "report.json").read_bytes()
     assert ra == rb
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    # NaN and +-inf, plain or numpy, bare or inside arrays and tuples, are
+    # written as null; numpy scalars and arrays as plain values.
+    path = tmp_path / "out.json"
+    _write_json(
+        path,
+        {
+            "nan": math.nan,
+            "inf": -math.inf,
+            "np_nan": np.float64("nan"),
+            "array": np.array([1.5, np.inf]),
+            "pair": (np.int64(3), np.bool_(True)),
+            "plain": [0.25, None, "x", False, 7],
+        },
+    )
+    assert json.loads(path.read_text(), parse_constant=lambda token: 1 / 0) == {
+        "nan": None,
+        "inf": None,
+        "np_nan": None,
+        "array": [1.5, None],
+        "pair": [3, True],
+        "plain": [0.25, None, "x", False, 7],
+    }
+    with pytest.raises(TypeError):
+        _write_json(path, {"set": {1}})
 
 
 def test_failed_assertion_exits_one_with_artifacts(tmp_path):

@@ -47,6 +47,7 @@ from artifact.solver import (
     _coarse_columns,
     _coarse_free,
     _ColorWorkspace,
+    _edge_square_sum,
     _galerkin_product,
     _inverse_cholesky,
     _laplacian,
@@ -57,16 +58,21 @@ from artifact.solver import (
     _prolong,
     _relax,
     _restrict,
+    inner,
     obstacle_verification,
 )
 
 from oracles import (
     damped_newton_minimizer,
     full_column_inverse_cholesky,
+    gather_obstacle_extremes,
+    gather_residual_split,
     gather_sum_sweep,
+    peak_above_entry,
     quadratic_minimizer,
     seven_point_solution,
     stacked_weak_residual,
+    tobytes_solve_key,
     zero_padded_laplacian,
 )
 
@@ -946,6 +952,189 @@ def test_plain_sweep_is_the_gather_sum_sweep(dims, with_rhs):
     assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
 
 
+# Boxes with odd and even axes in 2D and 3D, holed by random obstacle nodes.
+HOLED_BOXES = [
+    (Box([0.0, 0.0], [1.0, 0.8]), 1.0 / 25.0),
+    (Box([0.0, 0.0], [0.8, 1.0]), 1.0 / 26.0),
+    (Box([0.0, 0.0, 0.0], [1.0, 0.8, 0.9]), 1.0 / 14.0),
+    (Box([0.0, 0.0, 0.0], [0.9, 1.0, 0.7]), 1.0 / 14.0),
+]
+
+
+def _holed_box(box, h, seed):
+    """A box grid, about a tenth of its interior nodes an obstacle at 1.0,
+    and a start field at 1.0 there, random elsewhere, zero off the box's
+    live nodes."""
+    grid = build_grid(box, h)
+    rng = np.random.default_rng(seed)
+    interior = np.flatnonzero((grid.labels == INTERIOR).ravel())
+    cons = ObstacleConstraint(interior[rng.random(interior.size) < 0.1], 1.0)
+    values = np.where(grid.labels == EXTERIOR, 0.0, rng.uniform(0.0, 1.0, grid.dims))
+    values.ravel()[cons.indices] = 1.0
+    return grid, cons, values, rng
+
+
+@pytest.mark.parametrize("galerkin", [False, True])
+@pytest.mark.parametrize("box, h", HOLED_BOXES)
+def test_coarse_pair_slope_is_the_fine_slope(box, h, galerkin):
+    # The slope a correction returns, <P^T rho, e> on the coarse level, is
+    # <rho, c> on the fine one, c = P e zeroed off the fine free nodes, on
+    # plain-K and Galerkin levels.
+    grid, cons, values, rng = _holed_box(box, h, 61)
+    multigrid = _Multigrid(grid, cons, galerkin=galerkin)
+    assert len(multigrid.levels) >= 2
+    assert len({n % 2 for n in grid.dims}) == 2
+    if galerkin:
+        spec = OperatorSpec(kind="p_laplace", t=3.0)
+        multigrid.linearize(_NewtonLevel(grid, spec, multigrid.levels[0]), values)
+    free = multigrid.levels[0].free
+    for _ in range(3):
+        rho = np.where(free, rng.standard_normal(grid.dims), 0.0)
+        c, slope = multigrid._correction(0, _restrict(rho, multigrid.levels[1]))
+        assert np.all(c[~free] == 0.0)
+        want = math.fsum((rho * c).ravel())
+        assert slope == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("box, h", HOLED_BOXES)
+def test_edge_curvature_is_the_operator_curvature(box, h, monkeypatch):
+    # Under K, <c, K c> summed over the box edges slab by slab equals
+    # inner(c, apply(c)) for c zero off the free nodes, whether a slab is
+    # one plane, a few planes that do not divide the box, or the box; a
+    # stencil level takes inner(c, apply(c)) itself.
+    grid, cons, _, rng = _holed_box(box, h, 67)
+    multigrid = _Multigrid(grid, cons)
+    plane = math.prod(grid.dims[1:])
+    for level in multigrid.levels:
+        c = np.where(level.free, rng.standard_normal(level.free.shape), 0.0)
+        want = inner(c, level.apply(c))
+        for slab in (1, 3 * plane - 1, solver._SLAB_NODES):
+            monkeypatch.setattr(solver, "_SLAB_NODES", slab)
+            assert level.curvature(c) == pytest.approx(want, rel=1e-12, abs=0.0)
+        monkeypatch.undo()
+    # The edge sum itself, against every edge difference squared and summed
+    # exactly.
+    x = rng.standard_normal(grid.dims)
+    squares = []
+    for axis in range(x.ndim):
+        lo, hi = offset_slices(tuple(int(k == axis) for k in range(x.ndim)))
+        squares += ((x[hi] - x[lo]) ** 2).ravel().tolist()
+    assert _edge_square_sum(x) == pytest.approx(math.fsum(squares), rel=1e-12, abs=0.0)
+    stencil_level = _Level(multigrid.levels[0].free)
+    stencil_level.set_stencil(_plain_stencil(grid.dims))
+    c = np.where(stencil_level.free, rng.standard_normal(grid.dims), 0.0)
+    assert stencil_level.curvature(c) == inner(c, stencil_level.apply(c))
+
+
+def _bits(x):
+    return np.array([x], dtype=float).view(np.uint64)[0]
+
+
+# The junk-exterior ball problem with some, all and none of its obstacle
+# nodes at the obstacle, and one whose obstacle is every interior node, all
+# at the obstacle: nothing is free.
+SPLIT_CASES = ["some", "all", "none", "nothing-free"]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+@pytest.mark.parametrize("t", [2.0, 3.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_masked_checks_are_the_gather_checks(dim, t, case):
+    # residual_breakdown's in-place split and obstacle_verification's
+    # where= extremes equal the boolean-gather versions bit for bit, for
+    # either sign.
+    grid, cons, values, rng = _junk_exterior_problem(dim, 71)
+    spec = OperatorSpec(kind="p_laplace", t=t)
+    interior = (grid.labels == INTERIOR).ravel()
+    if case == "nothing-free":
+        cons = ObstacleConstraint(np.flatnonzero(interior), 1.0)
+    for sign in (1, -1):
+        constraint = ObstacleConstraint(cons.indices, 0.5, sign)
+        field = values.copy()
+        if t != 2.0:
+            field[grid.labels == EXTERIOR] = 0.0
+        at = {
+            "some": cons.indices[rng.random(cons.indices.size) < 0.5],
+            "all": cons.indices,
+            "none": cons.indices[:0],
+            "nothing-free": cons.indices,
+        }[case]
+        field.ravel()[at] = sign * 0.5
+        if t == 2.0:
+            res = _laplacian(field).ravel()
+        else:
+            res = weak_residual(spec, Field(grid, field)).values.ravel() / grid.h ** (dim - 2)
+        want = gather_residual_split(res, interior, field, constraint)
+        got = residual_breakdown(spec, grid, field, constraint)
+        assert got["pinned_count"] == want["pinned_count"] == at.size
+        for key in ("free_max", "pinned_violation", "combined"):
+            assert _bits(got[key]) == _bits(want[key]), (sign, key)
+        if case == "nothing-free":
+            assert got["free_max"] == 0.0
+        ver = obstacle_verification(spec, grid, field, constraint, 1e-8)
+        for key, value in gather_obstacle_extremes(field, interior, constraint).items():
+            assert _bits(ver[key]) == _bits(value), (sign, key)
+        assert ver["off_obstacle_residual"] == got["free_max"]
+    assert residual_breakdown(spec, grid, values, None) == gather_residual_split(
+        _laplacian(values).ravel()
+        if t == 2.0
+        else weak_residual(spec, Field(grid, values)).values.ravel() / grid.h ** (dim - 2),
+        interior,
+        values,
+        None,
+    )
+
+
+@pytest.fixture(scope="module")
+def ball_57():
+    """The 57^3-node ball, h = 1/27, a ball obstacle of radius 1/4 at 1.0,
+    the field after two plain-K cycles from the obstacle start."""
+    grid = build_grid(Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 27.0)
+    assert grid.dims == (57, 57, 57)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0, 0.0], 0.25), 1.0)
+    values = np.zeros(grid.dims)
+    values.ravel()[cons.indices] = 1.0
+    multigrid = _Multigrid(grid, cons)
+    for _ in range(2):
+        multigrid.cycle(values)
+    return grid, cons, values, multigrid
+
+
+# A slab of _edge_square_sum in bytes; the memory pins allow one beside
+# their field sizes.
+SLAB_BYTES = 8 * (1 << 16)
+
+
+@pytest.mark.parametrize(
+    "check, fields",
+    [
+        # Measured at 57^3: 2.34, 1.20 and 1.30 field sizes (a slab is
+        # 0.35); 3.08, 1.97 and 2.26 when the residual lived through the
+        # prolongation, two difference arrays lived side by side, and the
+        # checks gathered their nodes.
+        ("cycle", 2.4),
+        ("energy", 1.25),
+        ("residual_breakdown", 1.4),
+    ],
+)
+def test_memory_above_entry_is_pinned(ball_57, check, fields):
+    # The traced peak of a steady V-cycle and of the two checks a solve
+    # runs, above what was live at entry, on the 57^3 ball.
+    grid, cons, values, multigrid = ball_57
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    field = values.copy()
+    run = {
+        "cycle": lambda: multigrid.cycle(field),
+        "energy": lambda: energy(spec, Field(grid, field)),
+        "residual_breakdown": lambda: residual_breakdown(spec, grid, field, cons),
+    }[check]
+    # Caches (the grid's edge counts, the coarsest inverse) are built
+    # outside the measured call.
+    run()
+    _, peak = peak_above_entry(run)
+    assert peak <= fields * field.nbytes + SLAB_BYTES, peak / field.nbytes
+
+
 def _cold_t3_coarsest():
     """The coarsest Galerkin level of the h = 1/32 t = 3 disk obstacle,
     linearized at the cold +-m start, where J(u) has zero rows."""
@@ -1184,11 +1373,11 @@ def test_line_search_takes_a_certified_step():
         newton.sweep(values)
         rho = newton.residual(values)
         multigrid.linearize(newton, values)
-        c = multigrid._correction(0, rho)
+        c, slope = multigrid._correction(0, _restrict(rho, multigrid.levels[1]))
         direction = c.copy()
         before = values.copy()
         evaluations = newton.slope_evaluations
-        newton.correct(values, rho, c)
+        newton.correct(values, slope, c)
         evaluations = newton.slope_evaluations - evaluations
         step = values - before
         alpha = np.vdot(step, direction) / np.vdot(direction, direction)
@@ -1325,6 +1514,17 @@ def _regrid(grid, **over):
     for name, value in over.items():
         setattr(other, name, value)
     return other
+
+
+def test_solve_key_is_the_tobytes_digest(memo_problem):
+    # Hashing the arrays through their buffers gives the digest of the
+    # tobytes() construction, for C- and Fortran-ordered start fields,
+    # with and without a constraint.
+    grid, spec, values, cons = memo_problem
+    for field in (values, np.asfortranarray(values)):
+        for constraint in (cons, None):
+            args = (grid, spec, field, constraint, 1e-8)
+            assert solver._solve_key(*args) == tobytes_solve_key(*args)
 
 
 def test_solve_key_changes_with_each_determinant(memo_problem):
