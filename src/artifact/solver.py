@@ -592,9 +592,11 @@ def _edge_square_sum(x):
     neighbours, reduced with ``inner`` over slabs of whole leading-axis
     planes of at most ``_SLAB_NODES`` nodes (one plane if a plane holds
     more): each slab sums its axis-0 edges to the next plane, then its
-    edges along the other axes, so no temporary outgrows a slab."""
+    edges along the other axes, into one slab-sized buffer, so no
+    temporary outgrows a slab and a call allocates one array."""
     n = x.shape[0]
     planes = max(1, _SLAB_NODES // x[0].size)
+    buffer = np.empty(min(planes, n) * x[0].size)
     total = 0.0
     for a in range(0, n, planes):
         slab = x[a : a + planes]
@@ -603,9 +605,8 @@ def _edge_square_sum(x):
             lo, hi = offset_slices(tuple(int(k == axis) for k in range(x.ndim)))
             pairs.append((slab[hi], slab[lo]))
         for hi, lo in pairs:
-            diff = np.subtract(hi, lo)
+            diff = np.subtract(hi, lo, out=buffer[: hi.size].reshape(hi.shape))
             total += inner(diff, diff)
-            del diff
     return total
 
 
@@ -879,7 +880,7 @@ class _Multigrid:
         else:
             newton.sweep(values)
             if len(self.levels) > 1:
-                rc = _restrict(newton.residual(values), self.levels[1])
+                rho = newton.residual(values)
                 if self.galerkin:
                     # Rebuilt every cycle.  Measured on the disk obstacle (t
                     # = 1.5 and 3, h = 1/32 to 1/128) and the four slit
@@ -890,6 +891,8 @@ class _Multigrid:
                     # saved, up to a fifth of a disk solve and none on s14,
                     # was within run-to-run noise.
                     self.linearize(newton, values)
+                rc = _restrict(rho, self.levels[1])
+                del rho
                 c, slope = self._correction(0, rc)
                 del rc
                 newton.correct(values, slope, c)
