@@ -809,8 +809,8 @@ class _Multigrid:
     residual after the sweep), and one more sweep.  The slope <rho, c> is
     taken as <P^T rho, e> on level k + 1 (``_correction``), so rho is gone
     before the coarse cycle, and <c, K c> is summed over the box edges
-    (``_Level.curvature``): a step holds at most one full-size temporary
-    beside the field and the cycle's start copy.  The coarsest level is
+    (``_Level.curvature``): no full-size residual lives beside the
+    correction.  The coarsest level is
     solved exactly instead, x += A^-1 (rhs - A x) on its free nodes
     (``_Level.solve``), with a dense inverse built once per operator: once
     per solve on K levels, once per ``linearize`` on Galerkin ones.  It
