@@ -679,7 +679,7 @@ def _jsonable(obj):
         return [_jsonable(value) for value in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None

@@ -539,7 +539,7 @@ class _Level:
         """<c, A c> for a field c that is zero off the free nodes.  Under K
         it is the sum of (c_i - c_j)^2 over the box edges, exact because no
         free node lies on the box rim, summed by ``_edge_square_sum`` with
-        no full-size temporary; a stencil takes inner(c, A c)."""
+        no temporary larger than a slab; a stencil takes inner(c, A c)."""
         if self.stencil is not None:
             return inner(c, self.apply(c))
         return _edge_square_sum(c)
@@ -1067,9 +1067,9 @@ def residual_breakdown(spec, grid, values, constraint=None):
         pinned = np.zeros_like(free)
         at = constraint.indices
         target = constraint.sign * constraint.height
-        on_obstacle = values.ravel()[at] == target
-        pinned[at[on_obstacle]] = True
-        free[at[on_obstacle]] = False
+        held = at[values.ravel()[at] == target]
+        pinned[held] = True
+        free[held] = False
         pinned_count = int(pinned.sum())
         if pinned_count:
             onesided = -constraint.sign * res[pinned]
