@@ -64,7 +64,6 @@ from .solver import (
     BoundaryData,
     ObstacleConstraint,
     SolveReport,
-    generalized_solution,
     obstacle_verification,
     residual_breakdown,
     solve_dirichlet,
@@ -111,7 +110,6 @@ __all__ = [
     "density",
     "enclosing_center_radius",
     "energy",
-    "generalized_solution",
     "level_stats",
     "locality_check",
     "n0_and_decay",

@@ -243,23 +243,17 @@ def _probe_level(config, region_shape, spec, h, tol):
     cap = complement_cap(
         sigma, config.y, config.cap_radius, labels=region_labels, shape=region_shape
     )
-    sign = config.sign
-    if sign < 0 and spec.odd_symmetric:
-        # Reflection symmetry: the negative-sign potential is minus the
-        # positive-sign potential of the reflected operator, and for an
-        # odd-symmetric operator the reflection is the operator itself.
-        fld, cap_report = capacitary_potential(
-            sigma, cap, spec, sign=1, height=config.height, tol=tol
-        )
-        w_field = fld.values
+    # Reflection symmetry: the negative-sign potential is minus the
+    # positive-sign potential of the reflected operator, and both kinds are
+    # odd, so the reflection is the operator itself.  So one solve at sign
+    # +1 serves either sign, and w is its field.
+    fld, cap_report = capacitary_potential(
+        sigma, cap, spec, sign=1, height=config.height, tol=tol
+    )
+    if config.sign < 0:
         cap_report["derived_by_reflection"] = True
-    else:
-        fld, cap_report = capacitary_potential(
-            sigma, cap, spec, sign=sign, height=config.height, tol=tol
-        )
-        w_field = sign * fld.values
     inside = (region_labels == INTERIOR).ravel()
-    w = w_field.ravel()
+    w = fld.values.ravel()
     solve = cap_report["solve"]
     level = {
         "h": h,
@@ -403,8 +397,8 @@ def barrier_build(grid, spec, y, rho, height, tol=1e-8, jj_factor=0.5):
     directly.  The vanishing-at-y condition is a trend: the maximum of V
     over interior nodes within delta of y, for delta = rho, rho/2, rho/4 and
     rho/8, must drop below ``jj_factor`` times its value at delta = rho.
-    The lower barrier U solves the negated data; for an odd-symmetric
-    operator it must equal -V.
+    The lower barrier U solves the negated data; both kinds are odd, so it
+    must equal -V (``odd_pair_gap``).
 
     Returns (V field, U field, report dict).
     """
@@ -455,10 +449,9 @@ def barrier_build(grid, spec, y, rho, height, tol=1e-8, jj_factor=0.5):
         "lower_bound_ok": bool(vflat[interior].min() >= -tol),
         "solves_converged": bool(rep_v.converged and rep_u.converged),
     }
-    if spec.odd_symmetric:
-        gap = float(np.max(np.abs(U.values + V.values)[grid.labels == INTERIOR]))
-        report["odd_pair_gap"] = gap
-        report["odd_pair_ok"] = bool(gap <= 2.0 * tol)
+    gap = float(np.max(np.abs(U.values + V.values)[grid.labels == INTERIOR]))
+    report["odd_pair_gap"] = gap
+    report["odd_pair_ok"] = bool(gap <= 2.0 * tol)
     return V, U, report
 
 

@@ -18,6 +18,7 @@ validated (nothing is written).
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -186,9 +187,15 @@ def validate_scenario(raw):
     op = raw.get("operator", {"kind": "p_laplace", "t": 2.0})
     if not isinstance(op, dict):
         raise ScenarioError("scenario.operator", "expected an object")
+    known = [f.name for f in dataclasses.fields(OperatorSpec)]
+    for key in op:
+        if key not in known:
+            raise ScenarioError(
+                "scenario.operator", f"unknown key {key!r}; known: {', '.join(known)}"
+            )
     try:
         spec = OperatorSpec(**op)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError("scenario.operator", str(exc)) from exc
     h = raw.get("h")
     h_levels = raw.get("h_levels")

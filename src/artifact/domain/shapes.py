@@ -98,14 +98,6 @@ class Shape:
         lo, hi = box
         return float(np.linalg.norm(hi - lo))
 
-    # Conveniences -----------------------------------------------------------
-
-    def union(self, other):
-        return Union([self, other])
-
-    def minus(self, other):
-        return Difference(self, other)
-
 
 class Ball(Shape):
     """Euclidean ball {|x - center| < radius} (closure: <=)."""

@@ -1,15 +1,13 @@
 """Monotone vector fields of degenerate elliptic type and their discrete energy.
 
 The continuous object is a field A : R^N -> R^N with A(0) = 0, strict
-monotonicity (A(p) - A(q)) . (p - q) > 0, and t-growth: A(p) . p >= a |p|^t
-and |A(p)| <= a^{-1} |p|^{t-1} for |p| beyond a threshold p0.  Two built-in
-kinds with exact potentials:
+monotonicity (A(p) - A(q)) . (p - q) > 0, and growth of order t.  Two
+kinds, each with an exact potential:
 
 * ``p_laplace``:    A(p) = |p|^{t-2} p,           W(p) = |p|^t / t,
-* ``regularized``:  A(p) = (1+|p|^2)^{(t-2)/2} p, W(p) = (1+|p|^2)^{t/2} / t,
+* ``regularized``:  A(p) = (1+|p|^2)^{(t-2)/2} p, W(p) = (1+|p|^2)^{t/2} / t.
 
-plus ``custom`` (a user callable, optionally with a potential).  The built-in
-kinds are isotropic (A is a scalar profile times p), odd-symmetric, and the
+Both are isotropic (A is a scalar profile times p) and odd, and the
 p_laplace kind is (t-1)-homogeneous.  ``profile`` is their one
 implementation: it gives phi, phi'/g and W from the squared magnitude
 |p|^2, for the energy, the residual, the Hessian and the solver's local
@@ -28,17 +26,17 @@ of its 2N face neighbors for every t, which is what gives the solver its
 exact discrete comparison principle; at t = 2 the scheme reduces to the
 classical 5-/7-point Laplacian.
 
-``weak_residual`` assembles r_i = dE/du_i directly from A (so it also works
-for custom fields without a potential); for potential kinds it is exactly the
-gradient of ``energy``, and the tests pin that equality by finite differences.
-``hessian`` assembles d^2E / du_i du_j of the built-in kinds as a 3^N-point
+``weak_residual`` assembles r_i = dE/du_i directly from A; it is exactly the
+gradient of ``energy``, and the tests pin that equality by finite
+differences.  ``hessian`` assembles d^2E / du_i du_j as a 3^N-point
 stencil, the solver's Newton operator.
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,59 +46,31 @@ from .domain.shapes import squared_norm
 __all__ = [
     "OperatorSpec",
     "Field",
-    "apply_A",
-    "potential",
-    "check_assumptions",
     "energy",
     "weak_residual",
-    "reflect",
 ]
+
+KINDS = ("p_laplace", "regularized")
 
 
 @dataclass
 class OperatorSpec:
-    """Parameters of a monotone field: kind, exponent t, ellipticity window.
-
-    ``a`` and ``p0`` describe the growth frame (coercivity constant and the
-    magnitude beyond which it is enforced); ``eps_floor`` regularizes the
-    Newton curvature of the solver's local solve near p = 0 when t < 2 (the
-    field itself is never floored).  Custom kinds supply ``A_fn`` (and
-    ``W_fn`` when they derive from a potential).
-    """
+    """A monotone field: its ``kind`` (one of ``KINDS``) and exponent t > 1."""
 
     kind: str = "p_laplace"
     t: float = 2.0
-    a: float = 1.0
-    p0: float = 0.0
-    odd_symmetric: bool = True
-    eps_floor: float = 1e-12
-    A_fn: object = None
-    W_fn: object = None
 
     def __post_init__(self):
-        if self.t <= 1.0:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown operator kind {self.kind!r}; known: {', '.join(KINDS)}")
+        t = self.t
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+            raise ValueError(f"exponent t must be a finite real number, not {t!r}")
+        if t <= 1.0:
             raise ValueError("exponent t must exceed 1")
-        if self.a <= 0.0:
-            raise ValueError("ellipticity constant a must be positive")
-        if self.p0 < 0.0:
-            raise ValueError("threshold p0 must be nonnegative")
-        if self.kind not in ("p_laplace", "regularized", "custom"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "custom" and self.A_fn is None:
-            raise ValueError("custom operator needs A_fn")
-
-    def has_potential(self):
-        return self.kind in ("p_laplace", "regularized") or self.W_fn is not None
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "t": self.t,
-            "a": self.a,
-            "p0": self.p0,
-            "odd_symmetric": self.odd_symmetric,
-            "eps_floor": self.eps_floor,
-        }
+        return {"kind": self.kind, "t": self.t}
 
 
 # Smallest positive double: lifts g2 = 0 off the pole of phi at t < 2, so
@@ -109,6 +79,11 @@ _TINY = np.nextafter(0.0, 1.0)
 # Smallest normal double: bounds the slope's divisor, so phi / base stays
 # finite however small the gradient.
 _NORMAL = np.finfo(float).tiny
+# Smallest gradient magnitude at which ``curvature_pair`` takes the
+# p_laplace curvature for t < 2.  A constant, not a scenario field: a floor
+# of 1.0 stalls a t = 1.5 solve, with its residual stuck at 3e-3 while its
+# updates fall below tol.
+_EPS_FLOOR = 1e-12
 
 
 def profile(spec, g2):
@@ -128,10 +103,8 @@ def profile(spec, g2):
     if spec.kind == "p_laplace":
         lifted = np.maximum(g2, _TINY) if t < 2.0 else g2
         return lifted ** ((t - 2.0) / 2.0), g2
-    if spec.kind == "regularized":
-        base = 1.0 + g2
-        return base ** ((t - 2.0) / 2.0), base
-    raise ValueError("custom operators have no scalar profile")
+    base = 1.0 + g2
+    return base ** ((t - 2.0) / 2.0), base
 
 
 def profile_slope(spec, phi, base):
@@ -147,10 +120,10 @@ def curvature_pair(spec, g2):
     """phi and phi'(|p|)/|p| at g2 = |p|^2, for a Newton curvature.
 
     For p_laplace at t < 2, phi(g) = g^{t-2} is singular at g = 0, so the
-    pair is taken at g2 >= eps_floor^2; values of A and W never are.
+    pair is taken at g2 >= _EPS_FLOOR^2; values of A and W never are.
     """
     if spec.kind == "p_laplace" and spec.t < 2.0:
-        g2 = np.maximum(g2, spec.eps_floor * spec.eps_floor)
+        g2 = np.maximum(g2, _EPS_FLOOR * _EPS_FLOOR)
     phi, base = profile(spec, g2)
     return phi, profile_slope(spec, phi, base)
 
@@ -158,7 +131,7 @@ def curvature_pair(spec, g2):
 def integrand(spec, g2):
     """Potential W from the squared gradient magnitude g2 = |p|^2.
 
-    At t = 2 both built-in kinds have phi = 1, so W is base / 2 itself, bit
+    At t = 2 both kinds have phi = 1, so W is base / 2 itself, bit
     for bit (phi = base ** 0 is 1 for every input, NaN and inf included).
     """
     if spec.t == 2.0:
@@ -170,18 +143,15 @@ def integrand(spec, g2):
 def _field_components(spec, comps):
     """A(p) as N component arrays, from the N component arrays of p.
 
-    The one implementation of every field: ``apply_A`` stacks its result,
-    ``weak_residual`` takes it per cell corner without stacking.  p_laplace
+    The one implementation of the field, which ``weak_residual`` takes per
+    cell corner without stacking.  p_laplace
     with t < 2 is evaluated unfloored, with A(0) = 0 exactly, on p rescaled
     by its largest component: |p|^{t-2} p = c^{t-1} |u|^{t-2} u with
     c = max_i |p_i| and u = p / c.  So |u| lies in [1, sqrt(N)], and the
     field stays exactly (t-1)-homogeneous down to subnormal gradients,
-    where |p|^2 itself would underflow to 0.  At t = 2 both built-in kinds
+    where |p|^2 itself would underflow to 0.  At t = 2 both kinds
     have phi = 1, so A(p) is p itself, bit for bit.
     """
-    if spec.kind == "custom":
-        a_val = np.asarray(spec.A_fn(np.stack(comps, axis=-1)), dtype=float)
-        return [a_val[..., d] for d in range(len(comps))]
     if spec.t == 2.0:
         return list(comps)
     if spec.kind == "p_laplace" and spec.t < 2.0:
@@ -193,112 +163,6 @@ def _field_components(spec, comps):
         return [scale * x for x in u]
     phi, _ = profile(spec, squared_norm(comps))
     return [phi * x for x in comps]
-
-
-def apply_A(spec, p):
-    """Evaluate the vector field on gradients of shape (..., N)."""
-    p = np.asarray(p, dtype=float)
-    return np.stack(_field_components(spec, np.moveaxis(p, -1, 0)), axis=-1)
-
-
-def potential(spec, p):
-    """Evaluate the potential W on gradients of shape (..., N)."""
-    p = np.asarray(p, dtype=float)
-    if spec.kind == "custom":
-        if spec.W_fn is None:
-            raise ValueError("energy undefined; use weak_residual")
-        return np.asarray(spec.W_fn(p), dtype=float)
-    return integrand(spec, squared_norm(np.moveaxis(p, -1, 0)))
-
-
-def reflect(spec):
-    """The reflected field B(p) = -A(-p) (an involution).
-
-    For odd-symmetric kinds the reflection is the field itself, so an
-    equivalent spec is returned; custom fields get wrapped callables.
-    """
-    if spec.kind != "custom":
-        return replace(spec)
-    a_fn = spec.A_fn
-    w_fn = spec.W_fn
-    reflected_w = None if w_fn is None else (lambda p: w_fn(-np.asarray(p)))
-    return replace(
-        spec,
-        A_fn=lambda p: -a_fn(-np.asarray(p)),
-        W_fn=reflected_w,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Structural checks.
-# ---------------------------------------------------------------------------
-
-
-def check_assumptions(spec, dim=2, n_samples=2048, seed=0):
-    """Sample-based audit of the structure assumptions.
-
-    Draws magnitude/direction samples with |p| log-uniform in
-    [max(p0, 1e-4), 1e3] and reports zero-at-zero, strict monotonicity on
-    sample pairs, coercivity A(p).p >= a|p|^t, and growth
-    |A(p)| <= |p|^{t-1}/a, each with a 1e-9 relative slack.
-    """
-    rng = np.random.default_rng(seed)
-    lo = max(spec.p0, 1e-4)
-    mags = np.exp(rng.uniform(math.log(lo), math.log(1e3), size=(2, n_samples)))
-    dirs = rng.standard_normal((2, n_samples, dim))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    p = mags[0, :, None] * dirs[0]
-    q = mags[1, :, None] * dirs[1]
-    rel = 1e-9
-
-    report = {"kind": spec.kind, "t": spec.t, "n_samples": int(n_samples), "checks": {}}
-
-    a0 = apply_A(spec, np.zeros((1, dim)))
-    zero_ok = bool(np.all(np.abs(a0) <= 1e-300 + rel))
-    report["checks"]["zero_at_zero"] = {
-        "passed": zero_ok,
-        "max_abs": float(np.max(np.abs(a0))),
-    }
-
-    ap = apply_A(spec, p)
-    aq = apply_A(spec, q)
-    inner = np.sum((ap - aq) * (p - q), axis=-1)
-    scale = np.linalg.norm(ap - aq, axis=-1) * np.linalg.norm(p - q, axis=-1) + 1e-300
-    distinct = np.linalg.norm(p - q, axis=-1) > 1e-12
-    mono_viol = int(np.sum((inner < -rel * scale) & distinct))
-    strict_viol = int(np.sum((inner <= 0) & (scale > 1e-12) & distinct))
-    report["checks"]["monotonicity"] = {
-        "passed": mono_viol == 0 and strict_viol == 0,
-        "violations": mono_viol,
-        "nonstrict": strict_viol,
-        "min_normalized": float(np.min(inner / scale)),
-    }
-
-    coercive = np.sum(ap * p, axis=-1)
-    need = spec.a * mags[0] ** spec.t
-    in_frame = mags[0] >= spec.p0
-    co_viol = int(np.sum(in_frame & (coercive < need * (1.0 - rel))))
-    report["checks"]["coercivity"] = {
-        "passed": co_viol == 0,
-        "violations": co_viol,
-        "min_ratio": float(np.min(coercive[in_frame] / need[in_frame]))
-        if in_frame.any()
-        else None,
-    }
-
-    growth = np.linalg.norm(ap, axis=-1)
-    cap = mags[0] ** (spec.t - 1.0) / spec.a
-    gr_viol = int(np.sum(in_frame & (growth > cap * (1.0 + rel))))
-    report["checks"]["growth"] = {
-        "passed": gr_viol == 0,
-        "violations": gr_viol,
-        "max_ratio": float(np.max(growth[in_frame] / cap[in_frame]))
-        if in_frame.any()
-        else None,
-    }
-
-    report["passed"] = all(c["passed"] for c in report["checks"].values())
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +248,11 @@ def energy(spec, fld):
     cells sharing each axis-k edge (``GridDomain.edge_cell_counts``).  It
     forms one axis's differences at a time, skips the edges of no active
     cell (an exterior end may hold anything) and reduces with ``inner``; it
-    agrees with the corner form to rounding.  For the other built-in kinds
+    agrees with the corner form to rounding.  For the other laws
     each edge difference is squared once; per corner the N squared views
     are added into one cell buffer, which is compacted to the active cells
     before the integrand's power.
     """
-    if not spec.has_potential():
-        raise ValueError("energy undefined; use weak_residual")
     grid = fld.grid
     h = grid.h
     ndim = grid.dim
@@ -398,11 +260,6 @@ def energy(spec, fld):
         return _edge_sum_energy(fld) * h**ndim / 2.0**ndim
     active = grid.active_cell_mask()
     total = 0.0
-    if spec.kind == "custom":
-        for _, comps in corner_gradients(fld.values, h, grid.dims):
-            w = potential(spec, np.stack(comps, axis=-1))
-            total += float(np.sum(w[active]))
-        return total * h**ndim / 2.0**ndim
     squares = edge_differences(fld.values, h)
     for sq in squares:
         np.multiply(sq, sq, out=sq)
@@ -445,7 +302,7 @@ def weak_residual(spec, fld):
     """Gradient of the energy, r_i = dE/du_i, assembled directly from A.
 
     Returns a field that is zero at boundary and exterior nodes (those carry
-    data, not unknowns).  Works for any kind, potential or not.
+    data, not unknowns).
     """
     grid = fld.grid
     active = grid.active_cell_mask()
@@ -496,7 +353,7 @@ def hessian(spec, fld):
     and its neighbour across axis d ends one, s = -(2 c_d - 1) e_d.  So
     each corner adds (h^{N-2} / 2^N) (phi s(a).s(b) + (phi'/g) (G.s(a))
     (G.s(b))) to H[a, b] and H[b, a].  At t = 2 this is h^{N-2} times the
-    5/7-point Laplacian.  Built-in kinds only.
+    5/7-point Laplacian.
     """
     grid = fld.grid
     dims = grid.dims

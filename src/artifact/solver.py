@@ -103,7 +103,6 @@ __all__ = [
     "SolveReport",
     "solve_dirichlet",
     "solve_obstacle",
-    "generalized_solution",
     "verify_comparison",
     "residual_breakdown",
     "obstacle_verification",
@@ -1046,16 +1045,16 @@ def residual_breakdown(spec, grid, values, constraint=None):
 
     The raw weak residual scales like h^N with refinement; dividing by
     h^{N-2} recovers the classical stencil normalization, so one tolerance
-    works across grid sizes.  At t = 2 both built-in kinds have A(p) = p,
-    and the normalized residual on the interior nodes is the five/seven-point
-    K u itself, boundary values included (``_laplacian``): it agrees with
+    works across grid sizes.  At t = 2 both kinds have A(p) = p, and the
+    normalized residual on the interior nodes is the five/seven-point K u
+    itself, boundary values included (``_laplacian``): it agrees with
     ``weak_residual`` to rounding, takes about 3 ms against 110 ms on an 83^3
-    grid, and allocates one output array.  Other t and ``custom`` take
-    ``weak_residual``.  Nodes clamped at the obstacle may only push against
-    it, so there the signed violation is reported: residual must be >= 0
-    for a lower obstacle, <= 0 for an upper one.
+    grid, and allocates one output array.  Other t take ``weak_residual``.
+    Nodes clamped at the obstacle may only push against it, so there the
+    signed violation is reported: residual must be >= 0 for a lower
+    obstacle, <= 0 for an upper one.
     """
-    if spec.t == 2.0 and spec.kind != "custom":
+    if spec.t == 2.0:
         res = _laplacian(values).ravel()
     else:
         res = weak_residual(spec, Field(grid, values)).values.ravel()
@@ -1202,14 +1201,6 @@ def _relax(grid, spec, values, constraint, tol, max_cycles, check_energy=True):
         converged=converged,
         notes=notes,
     )
-
-
-def _require_potential(spec):
-    if spec.kind == "custom":
-        raise ValueError(
-            "solver requires a potential-type operator spec; "
-            "custom fields remain available through weak_residual"
-        )
 
 
 # The solve memo: None, or while ``_solve_memo`` is open, its _Memo.
@@ -1391,7 +1382,6 @@ def solve_dirichlet(grid, spec, data, tol=1e-8):
     ``data`` is a BoundaryData (or anything it accepts).  Returns
     (Field, SolveReport).  The iteration starts from the mean of the data.
     """
-    _require_potential(spec)
     data = BoundaryData(data)
     boundary = (grid.labels == BOUNDARY).ravel()
     values = np.zeros(grid.dims)
@@ -1407,7 +1397,6 @@ def solve_obstacle(grid, spec, constraint, tol=1e-8):
     """Minimize the energy over fields with zero boundary data above (below)
     the obstacle: u >= m on the constrained nodes for sign +1, u <= -m for
     sign -1.  Returns (Field, SolveReport)."""
-    _require_potential(spec)
     constraint.validate_on(grid)
     values = np.zeros(grid.dims)
     if constraint.indices.size == 0:
@@ -1430,107 +1419,8 @@ def solve_obstacle(grid, spec, constraint, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# Generalized solutions and comparison checks.
+# Comparison checks.
 # ---------------------------------------------------------------------------
-
-
-def _sphere_directions(dim, count):
-    if dim == 2:
-        ang = 2.0 * math.pi * (np.arange(count) + 0.5) / count
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    # Deterministic golden-spiral points on S^2, symmetrized so that the set
-    # is exactly antipodal (affine data then mollifies to itself).
-    half = max(1, count // 2)
-    k = np.arange(half) + 0.5
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-    z = 1.0 - 2.0 * k / count
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    top = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    return np.concatenate([top, -top], axis=0)
-
-
-def _mollify(data, points, width, dim, family):
-    """Average the data over a sphere ('shell') or solid ball around points."""
-    dirs = _sphere_directions(dim, 16 if dim == 2 else 32)
-    if family == "sphere":
-        radii = np.array([width])
-        weights = np.ones(1)
-    else:
-        # Four equal-volume shells approximate the solid-ball average.
-        shells = (np.arange(4) + 0.5) / 4.0
-        radii = width * shells ** (1.0 / dim)
-        weights = np.ones(4)
-    weights = weights / weights.sum()
-    out = np.zeros(points.shape[0])
-    for r, w in zip(radii, weights):
-        shifted = points[:, None, :] + r * dirs[None, :, :]
-        vals = data.evaluate(shifted.reshape(-1, dim)).reshape(points.shape[0], -1)
-        out += w * vals.mean(axis=1)
-    return out
-
-
-def generalized_solution(grid, spec, data, n_levels=3, tol=1e-8):
-    """Solve against progressively less mollified data and track the Cauchy tail.
-
-    Level k uses data averaged at width 2^-k * diam(domain).  The comparison
-    principle bounds consecutive solutions by the boundary gap plus solver
-    slack, which is recorded per level; a second mollifier family (ball
-    averages instead of sphere averages) reruns the final level and the two
-    results are compared.  Returns (Field, report dict).
-    """
-    _require_potential(spec)
-    data = BoundaryData(data)
-    diam = grid.shape.diameter()
-    boundary = (grid.labels == BOUNDARY).ravel()
-    interior = grid.labels == INTERIOR
-    bpoints = grid.points()[boundary]
-    levels = []
-    solved = []
-    for k in range(1, n_levels + 1):
-        width = diam * 2.0**-k
-        bvals = _mollify(data, bpoints, width, grid.dim, "sphere")
-        fld, rep = solve_dirichlet(grid, spec, bvals, tol=tol)
-        if not rep.converged:
-            raise RuntimeError(f"inner solve at mollification level {k} did not converge")
-        levels.append(
-            {
-                "level": k,
-                "width": width,
-                "iterations": rep.iterations,
-                "converged": rep.converged,
-            }
-        )
-        solved.append((bvals, fld))
-    pairs = []
-    for i in range(len(solved)):
-        for j in range(i + 1, len(solved)):
-            boundary_gap = float(np.max(np.abs(solved[i][0] - solved[j][0])))
-            interior_gap = float(
-                np.max(np.abs(solved[i][1].values - solved[j][1].values)[interior])
-            )
-            pairs.append(
-                {
-                    "levels": (i + 1, j + 1),
-                    "boundary_gap": boundary_gap,
-                    "interior_gap": interior_gap,
-                    "cauchy_ok": bool(interior_gap <= boundary_gap + 2.0 * tol),
-                }
-            )
-    final_bvals, final = solved[-1]
-    ball_bvals = _mollify(data, bpoints, diam * 2.0**-n_levels, grid.dim, "ball")
-    ball_field, _ = solve_dirichlet(grid, spec, ball_bvals, tol=tol)
-    family_gap = float(np.max(np.abs(final.values - ball_field.values)[interior]))
-    boundary_family_gap = float(np.max(np.abs(final_bvals - ball_bvals)))
-    report = {
-        "levels": levels,
-        "pairs": pairs,
-        "family_gap": family_gap,
-        "boundary_family_gap": boundary_family_gap,
-        "family_bound_ok": bool(family_gap <= boundary_family_gap + 2.0 * tol),
-        "families_agree_4tol": bool(family_gap <= 4.0 * tol),
-        "cauchy_ok": all(p["cauchy_ok"] for p in pairs),
-    }
-    return final, report
 
 
 def verify_comparison(grid, spec, data_low, data_high, tol=1e-8):

@@ -259,21 +259,17 @@ def _stacked_corner_gradients(values, h):
 def stacked_energy(spec, fld):
     """Reference corner-quadrature energy: per corner, the integrand over
     every cell from the summed squares of that corner's N differences, as
-    phi * base / t of ``monotone.profile`` at every t (custom kinds: the
-    potential of the stacked gradient), then the sum
-    over the active cells.  Fixes the order of every floating-point
+    phi * base / t of ``monotone.profile`` at every t, then the sum over
+    the active cells.  Fixes the order of every floating-point
     addition that ``energy`` must reproduce bit for bit."""
-    from artifact.monotone import potential, profile
+    from artifact.monotone import profile
 
     grid = fld.grid
     active = grid.active_cell_mask()
     total = 0.0
     for _, comps in _stacked_corner_gradients(fld.values, grid.h):
-        if spec.kind == "custom":
-            w = potential(spec, np.stack(comps, axis=-1))
-        else:
-            phi, base = profile(spec, sum(c * c for c in comps))
-            w = phi * base / spec.t
+        phi, base = profile(spec, sum(c * c for c in comps))
+        w = phi * base / spec.t
         total += float(np.sum(w[active]))
     return total * grid.h**grid.dim / 2.0**grid.dim
 
@@ -286,9 +282,6 @@ def stacked_field(spec, p):
     u = p / c.  The scalar law comes from ``monotone.profile``.
     """
     from artifact.monotone import _TINY, profile
-
-    if spec.kind == "custom":
-        return np.asarray(spec.A_fn(p), dtype=float)
 
     def squared_norm(q):
         total = q[..., 0] * q[..., 0]

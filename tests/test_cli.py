@@ -102,6 +102,22 @@ MALFORMED = [
     ({"h": None, "h_levels": [0.1, "x"]}, "scenario.h_levels[1]"),
     ({"h": [0.1]}, "scenario.h"),
     ({"assertions": [{"path": 3, "op": "==", "value": 1}]}, "scenario.assertions[0].path"),
+    # Exponents that are not finite real numbers, written as the JSON
+    # tokens NaN and Infinity, a string and a bool, and a kind that is no
+    # string.
+    ({"operator": {"kind": "p_laplace", "t": math.nan}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": math.inf}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": "3"}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": True}}, "scenario.operator"),
+    ({"operator": {"kind": 3, "t": 2.0}}, "scenario.operator"),
+    # Operator fields that no longer exist, and the kind that went with them.
+    ({"operator": {"kind": "p_laplace", "t": 2.0, "a": 1.0}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": 2.0, "p0": 5.0}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": 2.0, "odd_symmetric": "no"}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": 1.5, "eps_floor": 1.0}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": 2.0, "A_fn": "x"}}, "scenario.operator"),
+    ({"operator": {"kind": "p_laplace", "t": 2.0, "W_fn": "x"}}, "scenario.operator"),
+    ({"operator": {"kind": "custom", "t": 2.0}}, "scenario.operator"),
 ]
 
 

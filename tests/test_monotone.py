@@ -1,4 +1,4 @@
-"""Operator kinds, growth frame, discrete energy, weak residual."""
+"""Operator kinds, discrete energy, weak residual."""
 
 import math
 
@@ -8,14 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact import Ball, EXTERIOR, Field, OperatorSpec, build_grid, energy, weak_residual
-from artifact.monotone import (
-    apply_A,
-    check_assumptions,
-    integrand,
-    potential,
-    profile,
-    reflect,
-)
+from artifact.monotone import _field_components, integrand, profile
 
 from oracles import corner_energy, five_point_residual, stacked_energy, stacked_weak_residual
 
@@ -23,19 +16,24 @@ from oracles import corner_energy, five_point_residual, stacked_energy, stacked_
 def test_spec_validation():
     with pytest.raises(ValueError):
         OperatorSpec(t=1.0)
-    with pytest.raises(ValueError):
-        OperatorSpec(a=0.0)
-    with pytest.raises(ValueError):
-        OperatorSpec(kind="mystery")
-    with pytest.raises(ValueError):
-        OperatorSpec(kind="custom")
+    for t in (math.nan, math.inf, "3", True):
+        with pytest.raises(ValueError, match="exponent t"):
+            OperatorSpec(t=t)
+    for kind in ("mystery", "custom", 3):
+        with pytest.raises(ValueError, match="operator kind"):
+            OperatorSpec(kind=kind)
+
+
+def apply_field(spec, p):
+    """A(p) on gradients of shape (..., N), stacked from ``_field_components``."""
+    comps = list(np.moveaxis(np.asarray(p, dtype=float), -1, 0))
+    return np.stack(_field_components(spec, comps), axis=-1)
 
 
 @pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
 def test_p_laplace_field_is_exactly_zero_at_zero(t):
     spec = OperatorSpec(kind="p_laplace", t=t)
-    assert np.array_equal(apply_A(spec, np.zeros((2, 3))), np.zeros((2, 3)))
-    assert check_assumptions(spec)["checks"]["zero_at_zero"]["max_abs"] == 0.0
+    assert np.array_equal(apply_field(spec, np.zeros((2, 3))), np.zeros((2, 3)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -52,8 +50,8 @@ def test_p_laplace_field_is_exactly_zero_at_zero(t):
 def test_p_laplace_field_is_homogeneous(t, lam, px, py):
     spec = OperatorSpec(kind="p_laplace", t=t)
     p = np.array([[px, py]])
-    left = apply_A(spec, lam * p)
-    right = lam ** (t - 1.0) * apply_A(spec, p)
+    left = apply_field(spec, lam * p)
+    right = lam ** (t - 1.0) * apply_field(spec, p)
     assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
@@ -65,7 +63,7 @@ def test_p_laplace_field_below_squaring_underflow(p):
     # double precision; the law still has a normal-range value there.
     p = np.array(p)
     mag = math.hypot(*p)
-    got = apply_A(OperatorSpec(kind="p_laplace", t=1.5), p[None, :])[0]
+    got = apply_field(OperatorSpec(kind="p_laplace", t=1.5), p[None, :])[0]
     want = mag**-0.5 * p
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -75,7 +73,7 @@ def test_p_laplace_field_below_squaring_underflow(p):
 def test_built_in_fields_are_odd(kind, t):
     spec = OperatorSpec(kind=kind, t=t)
     p = np.array([[0.3, -0.7], [2.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(apply_A(spec, -p), -apply_A(spec, p))
+    assert np.allclose(apply_field(spec, -p), -apply_field(spec, p))
 
 
 @pytest.mark.parametrize("kind", ["p_laplace", "regularized"])
@@ -88,41 +86,9 @@ def test_potential_gradient_is_field(kind):
     for k in range(2):
         dp = np.zeros(2)
         dp[k] = eps
-        grad[k] = (
-            potential(spec, (p + dp)[None, :]) - potential(spec, (p - dp)[None, :])
-        )[0] / (2 * eps)
-    assert np.allclose(grad, apply_A(spec, p[None, :])[0], rtol=1e-5)
-
-
-def test_reflect_wraps_custom_field():
-    def skew(p):
-        out = np.array(p, dtype=float)
-        out[..., 0], out[..., 1] = p[..., 1] + p[..., 0] ** 2, -p[..., 0]
-        return out
-
-    spec = OperatorSpec(kind="custom", A_fn=skew, odd_symmetric=False)
-    refl = reflect(spec)
-    p = np.array([[0.5, -0.3]])
-    assert np.allclose(apply_A(refl, p), -apply_A(spec, -p))
-    # Reflection is an involution.
-    assert np.allclose(apply_A(reflect(refl), p), apply_A(spec, p))
-
-
-def test_check_assumptions_flags_growth_violation():
-    spec = OperatorSpec(kind="p_laplace", t=3.0)
-    report = check_assumptions(spec)
-    assert report["passed"]
-    for name in ("zero_at_zero", "monotonicity", "coercivity", "growth"):
-        assert report["checks"][name]["passed"], name
-
-    def weird(p):
-        return 0.0 * p  # degenerate: no coercive lower bound
-
-    flat = OperatorSpec(kind="custom", A_fn=weird, odd_symmetric=True)
-    report = check_assumptions(flat)
-    assert not report["passed"]
-    assert not report["checks"]["coercivity"]["passed"]
-    assert report["checks"]["coercivity"]["violations"] > 0
+        up, down = np.sum((p + dp) ** 2), np.sum((p - dp) ** 2)
+        grad[k] = (integrand(spec, up) - integrand(spec, down)) / (2 * eps)
+    assert np.allclose(grad, apply_field(spec, p[None, :])[0], rtol=1e-5)
 
 
 @pytest.mark.parametrize("kind", ["p_laplace", "regularized"])
@@ -138,28 +104,14 @@ def test_energy_matches_loop_oracle(kind, t):
     assert energy(spec, fld) == pytest.approx(expect, rel=1e-12)
 
 
-def _quartic_spec():
-    """A custom kind with a potential: A(p) = (1 + |p|^2) p."""
-
-    def a_fn(p):
-        return (1.0 + np.sum(p * p, axis=-1, keepdims=True)) * p
-
-    def w_fn(p):
-        g2 = np.sum(p * p, axis=-1)
-        return 0.5 * g2 + 0.25 * g2 * g2
-
-    return OperatorSpec(kind="custom", t=4.0, A_fn=a_fn, W_fn=w_fn)
-
-
 KERNEL_SPECS = [
     OperatorSpec(kind="p_laplace", t=1.5),
     OperatorSpec(kind="p_laplace", t=2.0),
     OperatorSpec(kind="p_laplace", t=3.0),
     OperatorSpec(kind="regularized", t=2.0),
     OperatorSpec(kind="regularized", t=2.5),
-    _quartic_spec(),
 ]
-KERNEL_IDS = ["p1.5", "p2", "p3", "reg2", "reg2.5", "custom"]
+KERNEL_IDS = ["p1.5", "p2", "p3", "reg2", "reg2.5"]
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["2d", "3d"])

@@ -28,7 +28,6 @@ from artifact import (
     OperatorSpec,
     build_grid,
     energy,
-    generalized_solution,
     residual_breakdown,
     shape_from_dict,
     sigma_grid_for,
@@ -37,7 +36,7 @@ from artifact import (
     verify_comparison,
     weak_residual,
 )
-from artifact import solver
+from artifact import monotone, solver
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
 from artifact.monotone import offset_slices
 from artifact.solver import (
@@ -305,50 +304,6 @@ def test_comparison_contraction_without_order(small_disk):
     assert rep["passed"]
 
 
-def test_generalized_solution_cauchy_and_families(small_disk):
-    grid = small_disk
-    spec = OperatorSpec(kind="p_laplace", t=2.0)
-    fld, rep = generalized_solution(grid, spec, "sin(3*x1) + x2", n_levels=3, tol=1e-9)
-    assert rep["cauchy_ok"]
-    assert rep["family_bound_ok"]
-    assert len(rep["levels"]) == 3
-    assert all(lv["converged"] for lv in rep["levels"])
-    widths = [lv["width"] for lv in rep["levels"]]
-    assert widths == sorted(widths, reverse=True)
-    fld.validate_finite()
-
-
-def test_mollifier_families_agree_once_width_resolves_data(small_disk):
-    # Sphere and ball averages of curved data differ at order width^2, so the
-    # two families only collapse onto one solution once the final
-    # mollification width is small enough; the interior gap is always bounded
-    # by the boundary gap (comparison), making the crossover sharp.
-    grid = small_disk
-    spec = OperatorSpec(kind="p_laplace", t=2.0)
-    _, coarse = generalized_solution(
-        grid, spec, "sin(3*x1) + x2", n_levels=3, tol=1e-9
-    )
-    assert not coarse["families_agree_4tol"]
-    _, fine = generalized_solution(
-        grid, spec, "sin(3*x1) + x2", n_levels=15, tol=1e-9
-    )
-    assert fine["families_agree_4tol"]
-    assert fine["family_gap"] < coarse["family_gap"]
-
-
-def test_generalized_solution_affine_data_is_fixed_point(small_disk):
-    # Averaging affine data over centered spheres or balls reproduces the
-    # data, so every mollification level solves the same problem.
-    grid = small_disk
-    spec = OperatorSpec(kind="p_laplace", t=2.0)
-    fld, rep = generalized_solution(grid, spec, "0.3*x1 - x2", n_levels=2, tol=1e-9)
-    assert rep["family_gap"] < 1e-7
-    pts = grid.points()
-    target = 0.3 * pts[:, 0] - pts[:, 1]
-    live = (grid.labels != EXTERIOR).ravel()
-    assert np.max(np.abs(fld.values.ravel() - target)[live]) < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # The local slice of the nonlinear Gauss-Seidel sweep.
 # ---------------------------------------------------------------------------
@@ -391,8 +346,8 @@ def test_slice_derivatives_match_central_differences(small_disk, kind, t):
 
 def test_slice_curvature_is_floored_on_flat_data(small_disk):
     # On constant data every term has g = 0: the slope is 0, the value is
-    # W(0) = 0, and at t < 2 the curvature is the eps_floor one,
-    # phi(eps_floor) (N 2^N + 2N 2^{N-1}) / h^2, finite and positive.
+    # W(0) = 0, and at t < 2 the curvature is the floored one,
+    # phi(_EPS_FLOOR) (N 2^N + 2N 2^{N-1}) / h^2, finite and positive.
     spec = OperatorSpec(kind="p_laplace", t=1.5)
     values = np.full(small_disk.dims, 0.3)
     h = small_disk.h
@@ -401,7 +356,7 @@ def test_slice_curvature_is_floored_on_flat_data(small_disk):
         fp, fpp, fv = ws.derivatives(spec, s, faces, fixed)
         assert np.all(fp == 0.0)
         assert np.all(fv == 0.0)
-        want = 16 * spec.eps_floor ** (spec.t - 2.0) / h**2
+        want = 16 * monotone._EPS_FLOOR ** (spec.t - 2.0) / h**2
         assert fpp == pytest.approx(np.full_like(fpp, want), rel=1e-12)
 
 
@@ -1537,10 +1492,7 @@ def test_solve_key_changes_with_each_determinant(memo_problem):
     boundary = np.flatnonzero((grid.labels == BOUNDARY).ravel())
     moved = values.copy()
     moved.ravel()[boundary[3]] = 0.5
-    spec_changes = {
-        "kind": "regularized", "t": 3.5, "a": 2.0, "p0": 0.5,
-        "odd_symmetric": False, "eps_floor": 1e-10,
-    }
+    spec_changes = {"kind": "regularized", "t": 3.5}
     assert set(spec_changes) == set(spec.to_dict())
     variants = [
         (_regrid(grid, labels=labels), spec, values, cons, 1e-8),
