@@ -93,10 +93,13 @@ def _require(params, field, kind=None, where="params"):
 
 def _as_number(value, field, integer=False):
     """``value`` as a float, or with ``integer`` an int.  A bool, a string,
-    a list or any other non-number, and a non-integral value where an int
-    is wanted, is a ScenarioError naming ``field``."""
+    a list or any other non-number, NaN and +-Infinity (JSON tokens that
+    ``json.loads`` accepts), and a non-integral value where an int is
+    wanted, is a ScenarioError naming ``field``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(field, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(field, f"expected a finite number, got {value!r}")
     if not integer:
         return float(value)
     if not float(value).is_integer():
@@ -156,8 +159,8 @@ def _boundary_data(params, where="params"):
 
 
 def _positive_number(value, field):
-    if not (math.isfinite(_as_number(value, field)) and value > 0):
-        raise ScenarioError(field, "must be positive and finite")
+    if not _as_number(value, field) > 0:
+        raise ScenarioError(field, "must be positive")
     return value
 
 

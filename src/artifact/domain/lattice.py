@@ -77,7 +77,6 @@ class GridDomain:
         self.labels = labels
         self.dim = len(self.dims)
         self._active = None
-        self._edge_counts = None
 
     # -- geometry ------------------------------------------------------------
 
@@ -168,30 +167,26 @@ class GridDomain:
             self._active = any_int
         return self._active
 
-    def edge_cell_counts(self):
-        """Per axis k, the number of active cells that share each axis-k
-        edge, 0 to 2^(N-1), as int8 over the edges (node (i_0, ..., i_N-1)
-        to its +1 neighbour along k: ``dims`` with axis k one shorter).
+    def edge_cell_counts(self, k=None):
+        """The number of active cells that share each axis-k edge, 0 to
+        2^(N-1), as int8 over the edges (node (i_0, ..., i_N-1) to its +1
+        neighbour along k: ``dims`` with axis k one shorter); every axis's,
+        in a list, when k is None.
 
         An edge with a nonzero count has no exterior end, by the invariant
-        of ``active_cell_mask``.  Cached like that mask; read-only.
+        of ``active_cell_mask``.  Built afresh on every call: kept for the
+        grid's life, the three arrays of an 83^3 grid held 1.7 MB.
         """
-        if self._edge_counts is None:
-            active = self.active_cell_mask().view(np.int8)
-            counts = []
-            for k in range(self.dim):
-                count = np.zeros(tuple(d - (j == k) for j, d in enumerate(self.dims)),
-                                 dtype=np.int8)
-                # Cell j holds the axis-k edges at nodes j + c over the
-                # corners c with c_k = 0.
-                for corner in np.ndindex(*([2] * self.dim)):
-                    if not corner[k]:
-                        count[tuple(slice(c, c + d - 1)
-                                    for c, d in zip(corner, self.dims))] += active
-                count.flags.writeable = False
-                counts.append(count)
-            self._edge_counts = counts
-        return self._edge_counts
+        if k is None:
+            return [self.edge_cell_counts(j) for j in range(self.dim)]
+        active = self.active_cell_mask().view(np.int8)
+        count = np.zeros(tuple(d - (j == k) for j, d in enumerate(self.dims)), dtype=np.int8)
+        # Cell j holds the axis-k edges at nodes j + c over the corners c
+        # with c_k = 0.
+        for corner in np.ndindex(*([2] * self.dim)):
+            if not corner[k]:
+                count[tuple(slice(c, c + d - 1) for c, d in zip(corner, self.dims))] += active
+        return count
 
     # -- serialization helpers ------------------------------------------------
 

@@ -91,13 +91,6 @@ class Shape:
     def to_dict(self):
         raise NotImplementedError
 
-    def diameter(self):
-        box = self.bbox()
-        if box is None:
-            raise ValueError("shape is unbounded")
-        lo, hi = box
-        return float(np.linalg.norm(hi - lo))
-
 
 class Ball(Shape):
     """Euclidean ball {|x - center| < radius} (closure: <=)."""

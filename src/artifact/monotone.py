@@ -275,17 +275,19 @@ def energy(spec, fld):
 def _edge_sum_energy(fld):
     """sum_k sum D_k^2 w_k over the edges of ``edge_cell_counts``, D_k the
     forward differences along axis k, edges of count 0 left out.  Each
-    axis's differences go before the next axis's are allocated."""
+    axis's counts and differences are built afresh and go before the next
+    axis's are allocated."""
     values = fld.values
     total = 0.0
-    for k, count in enumerate(fld.grid.edge_cell_counts()):
+    for k in range(values.ndim):
+        count = fld.grid.edge_cell_counts(k)
         lo, hi = offset_slices(tuple(int(j == k) for j in range(values.ndim)))
         diff = np.zeros(count.shape)
         np.subtract(values[hi], values[lo], out=diff, where=count > 0)
         diff /= fld.grid.h
         np.multiply(diff, diff, out=diff)
         total += float(inner(diff, count))
-        del diff
+        del diff, count
     return total
 
 

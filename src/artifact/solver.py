@@ -337,7 +337,7 @@ class _ColorWorkspace:
 
 def _strides(dims):
     """Flat-index step of one node along each axis of a C-ordered array."""
-    return [int(np.prod(dims[k + 1 :])) for k in range(len(dims))]
+    return [math.prod(dims[k + 1 :]) for k in range(len(dims))]
 
 
 def _face_offsets(dims):
@@ -425,14 +425,11 @@ class _Level:
     def solve(self, x, rhs=None):
         """x += A^-1 (rhs - A x) on the free nodes of positive diagonal, in
         place (rhs None: zero), A^-1 the dense inverse of A on those nodes.
-        The residual is ``apply``'s, so it sees the values of x at non-free
+        The residual is ``residual``'s, so it sees the values of x at non-free
         nodes; free nodes of zero diagonal keep their values, as a sweep
         leaves them."""
         idx, inverse = self._dense_inverse()
-        residual = self.apply(x).ravel()[idx]
-        np.negative(residual, out=residual)
-        if rhs is not None:
-            residual += rhs[idx]
+        residual = self.residual(x, rhs, 0, len(x)).ravel()[idx]
         for matrix in inverse:
             residual = np.einsum("ij,j->i", matrix, residual)
         x.ravel()[idx] += residual
@@ -544,68 +541,130 @@ class _Level:
         return _edge_square_sum(c)
 
     @np.errstate(invalid="ignore", over="ignore")
-    def apply(self, x, out=None):
-        """A x on the free nodes, zero elsewhere, into ``out`` if given.
-        Under K, values at nodes no free node touches (exterior ones) may
-        be anything; a stencil needs them finite."""
+    def apply(self, x, out=None, planes=None):
+        """A x on the free nodes, zero elsewhere, into ``out`` if given, on
+        the leading-axis planes [a, b) only when ``planes`` is (a, b), with
+        the same bits.  Under K, values at nodes no free node touches
+        (exterior ones) may be anything; a stencil needs them finite."""
+        n = x.shape[0]
+        a, b = (0, n) if planes is None else planes
         if self.stencil is not None:
-            out = np.multiply(self.stencil[(0,) * x.ndim], x, out=out)
-            for offset, entries in self.stencil.items():
-                if any(offset):
-                    lo, hi = offset_slices(offset)
-                    out[lo] += entries[lo] * x[hi]
+            out = np.multiply(self.stencil[(0,) * x.ndim][a:b], x[a:b], out=out)
+            for (d, *rest), entries in self.stencil.items():
+                if d or any(rest):
+                    # Rows [r0, r1): those of offset_slices' lo in [a, b).
+                    r0, r1 = max(a, int(d < 0)), min(b, n - int(d > 0))
+                    lo, hi = offset_slices(rest)
+                    out[(slice(r0 - a, r1 - a), *lo)] += (
+                        entries[(slice(r0, r1), *lo)] * x[(slice(r0 + d, r1 + d), *hi)])
         else:
-            out = _laplacian(x, out)
-        np.copyto(out, 0.0, where=self.nonfree)
+            out = _laplacian(x, out, (a, b))
+        np.copyto(out, 0.0, where=self.nonfree[a:b])
         return out
+
+    def residual(self, x, rhs, a, b):
+        """rho = rhs - A x on planes [a, b) (rhs None: zero, else flat):
+        ``apply`` negated, so -0.0 off the free nodes, then rhs added."""
+        rho = self.apply(x, planes=(a, b))
+        np.negative(rho, out=rho)
+        if rhs is not None:
+            rho += rhs.reshape(x.shape)[a:b]
+        return rho
+
+    def correction(self, e):
+        """(c on the free nodes in flat order, <c, A c>), c = Z P e.  Under
+        K, c is made and summed over its edges slab by slab, with the bits
+        of ``_edge_square_sum``; a stencil level prolongs e whole."""
+        if self.stencil is not None:
+            c = _prolong(e, self)
+            return c[self.free], self.curvature(c)
+        values = np.empty(np.count_nonzero(self.free))
+        total, at = 0.0, 0
+        for a, b, window in _prolong_slabs(e, self):
+            total = _add_edge_squares(total, window, b - a)
+            part = window[: b - a][self.free[a:b]]
+            values[at : at + part.size] = part
+            at += part.size
+            del window, part  # before the next window is made
+        return values, total
+
+    def add_free(self, x, values):
+        """x += values on the free nodes (in flat order), slab by slab."""
+        at = 0
+        for a, b in _slabs(x.shape):
+            free = self.free[a:b]
+            count = int(np.count_nonzero(free))
+            x[a:b][free] += values[at : at + count]
+            at += count
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _laplacian(x, out=None):
+def _laplacian(x, out=None, planes=None):
     """K x = 2N x_i minus the face neighbours of i at every node off the box
-    rim, into ``out`` if given (both C-contiguous): the plain operator of
+    rim, into ``out`` if given (both C-contiguous), on the leading-axis
+    planes [a, b) only when ``planes`` is (a, b): the plain operator of
     ``_Level`` and the t = 2 residual of ``residual_breakdown``.
 
     Each neighbour is one shift of the raveled array by an axis stride,
-    +s then -s, axis by axis, so a node's sum runs in that order.  A rim
+    +s then -s, axis by axis, so a node's sum runs in that order; planes
+    [a, b) read x's planes a - 1 to b, a halo plane a side.  A rim
     node's shift wraps onto some other node, or runs off the array, so its
     value is unspecified; no caller reads it, as no free or interior node
     lies on the rim: ``build_grid`` pads the shape's box by one node, and
     ``_coarse_free`` drops the rim of every halved axis.  Values that are
     not finite (exterior junk) spoil only the nodes next to them."""
-    out = np.multiply(x, 2.0 * x.ndim, out=out)
-    flat, total = x.reshape(-1), out.reshape(-1)
+    n = x.shape[0]
+    a, b = (0, n) if planes is None else planes
+    lo = max(a - 1, 0)
+    flat = x[lo : min(b + 1, n)].reshape(-1)
+    start = (a - lo) * x[0].size
+    out = np.multiply(x[a:b], 2.0 * x.ndim, out=out)
+    total = out.reshape(-1)
     for step in _strides(x.shape):
-        total[:-step] -= flat[step:]
-        total[step:] -= flat[:-step]
+        ahead = flat[start + step : start + step + total.size]
+        total[: ahead.size] -= ahead
+        behind = max(step - start, 0)
+        total[behind:] -= flat[start + behind - step : start + total.size - step]
     return out
 
 
-# The most nodes of one slab of ``_edge_square_sum``: the block size of the
+# The most nodes of one slab of the walkers below: the block size of the
 # lattice classification.
 _SLAB_NODES = 1 << 16
 
 
+def _slabs(shape, plane=None):
+    """The slabs [a, b) of leading-axis planes of ``shape`` that the walkers
+    take in turn: ``_SLAB_NODES`` nodes at most, or one plane, counting
+    ``plane`` nodes a plane (default the array's)."""
+    plane = math.prod(shape[1:]) if plane is None else plane
+    planes = max(1, _SLAB_NODES // plane)
+    return [(a, min(a + planes, shape[0])) for a in range(0, shape[0], planes)]
+
+
+def _add_edge_squares(total, window, count):
+    """``total`` plus (x_i - x_j)^2 summed over the box edges from the first
+    ``count`` planes of ``window`` (x's planes a to a + count, the last
+    one missing at the box end): the axis-0 edges first, then the others,
+    each axis's differences in one buffer, added with ``inner``."""
+    slab = window[:count]
+    buffer = np.empty(slab.size)
+    pairs = [(window[1:], window[: len(window) - 1])]
+    for axis in range(1, window.ndim):
+        lo, hi = offset_slices(tuple(int(k == axis) for k in range(window.ndim)))
+        pairs.append((slab[hi], slab[lo]))
+    for hi, lo in pairs:
+        diff = np.subtract(hi, lo, out=buffer[: hi.size].reshape(hi.shape))
+        total += inner(diff, diff)
+    return total
+
+
 def _edge_square_sum(x):
     """The sum of (x_i - x_j)^2 over the edges of the box, i and j face
-    neighbours, reduced with ``inner`` over slabs of whole leading-axis
-    planes of at most ``_SLAB_NODES`` nodes (one plane if a plane holds
-    more): each slab sums its axis-0 edges to the next plane, then its
-    edges along the other axes, into one slab-sized buffer, so no
-    temporary outgrows a slab and a call allocates one array."""
-    n = x.shape[0]
-    planes = max(1, _SLAB_NODES // x[0].size)
-    buffer = np.empty(min(planes, n) * x[0].size)
+    neighbours, slab by slab as ``_Level.correction`` sums it."""
     total = 0.0
-    for a in range(0, n, planes):
-        slab = x[a : a + planes]
-        pairs = [(x[a + 1 : a + planes + 1], x[a : min(a + planes, n - 1)])]
-        for axis in range(1, x.ndim):
-            lo, hi = offset_slices(tuple(int(k == axis) for k in range(x.ndim)))
-            pairs.append((slab[hi], slab[lo]))
-        for hi, lo in pairs:
-            diff = np.subtract(hi, lo, out=buffer[: hi.size].reshape(hi.shape))
-            total += inner(diff, diff)
+    for a, b in _slabs(x.shape):
+        total = _add_edge_squares(total, x[a : b + 1], b - a)
     return total
 
 
@@ -626,7 +685,9 @@ def _inverse_cholesky(a):
     sums moves, by rounding.  On a lattice block in flat order the
     envelope is about one plane of the box (one row in 2D) wide, so a
     729-node 3D block takes about a fifth of the full-column work; small
-    blocks gain little, as they pay about 10 us a column in calls.
+    blocks gain little, as they pay about 10 us a column in calls.  M is
+    written over L, row by row, in the one n x n array it allocates: row i
+    reads only L[i, first[i]:i] and rows first[i] to i - 1 of M.
     """
     n = a.shape[0]
     rows = np.arange(n)
@@ -641,13 +702,13 @@ def _inverse_cholesky(a):
         if not col[0] > 0.0:
             return None
         low[j:e, j] = col / math.sqrt(col[0])
-    inverse = np.zeros((n, n))
     for i in range(n):
-        f = first[i]
-        inverse[i, :i] = np.einsum("k,kj->j", low[i, f:i], inverse[f:i, :i])
-        inverse[i, :i] /= -low[i, i]
-        inverse[i, i] = 1.0 / low[i, i]
-    return inverse
+        f, row = first[i], low[i]
+        diagonal = row[i]
+        row[:i] = np.einsum("k,kj->j", row[f:i], low[f:i, :i])
+        row[:i] /= -diagonal
+        row[i] = 1.0 / diagonal
+    return low
 
 
 def _coarse_free(free, axes):
@@ -670,28 +731,34 @@ def _coarse_columns(free, axes):
     return dilate(free, axes)[_halve(free.ndim, axes)].copy()
 
 
-def _interpolate(coarse, axis, n):
-    """Linear interpolation along one axis onto n fine nodes: fine node 2j
-    is coarse node j, fine node 2j + 1 averages coarse nodes j and j + 1, a
+def _interpolate(coarse, axis, n, start=0, stop=None):
+    """Linear interpolation along one axis onto fine nodes [start, stop) of
+    n (default all), ``coarse`` from coarse node start // 2 on: fine node
+    2j is coarse node j, 2j + 1 averages coarse nodes j and j + 1, a
     missing j + 1 (past the end of an even axis) counting as zero."""
+    stop = n if stop is None else stop
     at = partial(_along, axis, coarse.ndim)
     shape = list(coarse.shape)
-    shape[axis] = n
+    shape[axis] = stop - start
     fine = np.empty(shape)
-    fine[at(slice(0, None, 2))] = coarse
-    odd = fine[at(slice(1, None, 2))]
-    odd[...] = coarse[at(slice(0, n // 2))]
-    inner = (n - 1) // 2
+    # Odd fine nodes first sit at position 1 - p, coarse node 0 their left.
+    p = start % 2
+    evens = fine[at(slice(p, None, 2))]
+    evens[...] = coarse[at(slice(p, p + evens.shape[axis]))]
+    odd = fine[at(slice(1 - p, None, 2))]
+    odd[...] = coarse[at(slice(0, odd.shape[axis]))]
+    inner = min(odd.shape[axis], (n - 1) // 2 - start // 2)
     odd[at(slice(0, inner))] += coarse[at(slice(1, inner + 1))]
     odd *= 0.5
     return fine
 
 
-def _interpolate_transpose(fine, axis):
+def _interpolate_transpose(fine, axis, below=None):
     """The exact transpose of ``_interpolate`` along one axis, ``fine`` left
     as it is: coarse node j takes half of fine nodes 2j - 1 and 2j + 1,
     summed in the coarse buffer, then fine node 2j, so the only array it
-    allocates is its result."""
+    allocates is its result; ``below`` is fine node -1 of a window that
+    starts past node 0."""
     at = partial(_along, axis, fine.ndim)
     n = fine.shape[axis]
     inner = (n - 1) // 2
@@ -702,31 +769,65 @@ def _interpolate_transpose(fine, axis):
     coarse[at(slice(0, n // 2))] = odd
     coarse[at(slice(n // 2, None))] = 0.0
     coarse[at(slice(1, inner + 1))] += odd[at(slice(0, inner))]
+    if below is not None:
+        coarse[at(0)] += below
     coarse *= 0.5
     coarse += fine[at(slice(0, None, 2))]
     return coarse
 
 
+def _prolong_slabs(coarse, fine_level):
+    """(a, b, planes a to b of c) over the slabs of ``_slabs``, c = Z P e:
+    multilinear interpolation of e = ``coarse``, zero off its free nodes,
+    the identity along an axis it does not halve, Z zeroing the fine
+    level's non-free nodes.  Axis 0 goes last, after the others, last
+    first, so the strided pass runs on the smallest intermediate."""
+    shape = fine_level.free.shape
+    axes = _halved_axes(shape, coarse.shape)
+    first = axes[0] == 0
+    n = shape[0]
+    for a, b in _slabs(shape):
+        stop = min(b + 1, n)
+        window = coarse[a // 2 : stop // 2 + 1] if first else coarse[a:stop]
+        for axis in reversed(axes[first:]):
+            window = _interpolate(window, axis, shape[axis])
+        if first:
+            window = _interpolate(window, 0, n, a, stop)
+        np.copyto(window, 0.0, where=fine_level.nonfree[a:stop])
+        yield a, b, window
+
+
 def _prolong(coarse, fine_level):
-    """P e: multilinear interpolation of a coarse field that is zero off its
-    free nodes, zeroed on the fine level's non-free nodes.  Along an axis
-    the coarse lattice does not halve, P is the identity.  The axes go last
-    first, so the strided pass along the last axis runs on the smallest
-    intermediate array; the order moves a value by rounding only."""
-    fine = coarse
-    for axis in reversed(_halved_axes(fine_level.free.shape, coarse.shape)):
-        fine = _interpolate(fine, axis, fine_level.free.shape[axis])
-    np.copyto(fine, 0.0, where=fine_level.nonfree)
+    """Z P e as one array (``_prolong_slabs``)."""
+    fine = np.empty(fine_level.free.shape)
+    for a, b, window in _prolong_slabs(coarse, fine_level):
+        fine[a:b] = window[: b - a]
     return fine
 
 
-def _restrict(fine, coarse_level):
-    """P^T r for a fine field r that is zero off its free nodes."""
-    coarse = fine
-    for axis in _halved_axes(fine.shape, coarse_level.free.shape):
-        coarse = _interpolate_transpose(coarse, axis)
+def _restrict_slabs(source, fine_shape, coarse_level):
+    """P^T r for a fine field r, zero off its free nodes, whose planes [a, b)
+    are ``source(a, b)``, slab by slab of fine planes.  Axis 0 goes
+    first, fine plane 2J - 1 carried from the slab before, then the other
+    halved axes in ascending order."""
+    coarse = np.empty(coarse_level.free.shape)
+    axes = _halved_axes(fine_shape, coarse.shape)
+    step = 2 if axes[0] == 0 else 1
+    below = None
+    for a, b in _slabs(coarse.shape, step * math.prod(fine_shape[1:])):
+        window = source(step * a, min(step * b, fine_shape[0]))
+        slab = _interpolate_transpose(window, 0, below) if step == 2 else window
+        below = window[-1].copy()
+        for axis in axes[step - 1 :]:
+            slab = _interpolate_transpose(slab, axis)
+        coarse[a:b] = slab
     np.copyto(coarse, 0.0, where=coarse_level.nonfree)
     return coarse
+
+
+def _restrict(fine, coarse_level):
+    """P^T r for a whole fine field r that is zero off its free nodes."""
+    return _restrict_slabs(lambda a, b: fine[a:b], fine.shape, coarse_level)
 
 
 def _coarsen_axis(stencil, axis):
@@ -806,14 +907,14 @@ class _Multigrid:
     correction c = P e from the next coarser level, scaled by the exact line
     search alpha = <rho, c> / <c, A c> of level k's own quadratic (rho its
     residual after the sweep), and one more sweep.  The slope <rho, c> is
-    taken as <P^T rho, e> on level k + 1 (``_correction``), so rho is gone
-    before the coarse cycle, and <c, K c> is summed over the box edges
-    (``_Level.curvature``): no full-size residual lives beside the
-    correction.  The coarsest level is
-    solved exactly instead, x += A^-1 (rhs - A x) on its free nodes
-    (``_Level.solve``), with a dense inverse built once per operator: once
-    per solve on K levels, once per ``linearize`` on Galerkin ones.  It
-    replaced 30 parity sweeps, which cut the error by only about 0.96 a
+    taken as <P^T rho, e> on level k + 1 (``_coarse_cycle``).  rho and P^T
+    rho are made slab by slab (``_restrict_slabs``), c and <c, K c> too
+    (``_Level.correction``), and c is kept on the free nodes only, so a
+    plain-K cycle holds no full-size array beside x but its max-update
+    step and that c.  The coarsest level is solved exactly instead, x +=
+    A^-1 (rhs - A x) on its free nodes (``_Level.solve``), with a dense
+    inverse built once per operator: once per solve on K levels, once per
+    ``linearize`` on Galerkin ones.  It replaced 30 parity sweeps, which cut the error by only about 0.96 a
     sweep on a 17 x 17 level.  A lattice too small to coarsen is its own
     coarsest level.  A level halves only the axes that stay at least
     ``_MIN_COARSE_DIM`` nodes long, P being the identity along the others,
@@ -900,16 +1001,19 @@ class _Multigrid:
         return float(np.max(np.abs(step, out=step), initial=0.0))
 
     def _correction(self, k, rc):
-        """(c, <rc, e>): c = P e, e one cycle from zero on level k + 1 for A
-        e = rc, rc = P^T rho the restricted residual of level k.  The slope
-        <rc, e> is <rho, c>, as rho is zero off level k's free nodes, e off
-        level k + 1's, and c = Z P e, Z zeroing level k's non-free nodes; so
-        the caller drops rho before the coarse cycle, and no full-size
-        residual lives beside the prolongation."""
-        coarse = self.levels[k + 1]
-        e = np.zeros(coarse.free.shape)
+        """(c, <rc, e>), c = Z P e for e and the slope of ``_coarse_cycle``."""
+        e, slope = self._coarse_cycle(k, rc)
+        return _prolong(e, self.levels[k]), slope
+
+    def _coarse_cycle(self, k, rc):
+        """(e, <rc, e>): e one cycle from zero on level k + 1 for A e = rc,
+        rc = P^T rho the restricted residual of level k.  The slope <rc, e>
+        is <rho, c>, as rho is zero off level k's free nodes, e off level k
+        + 1's, and c = Z P e, Z zeroing level k's non-free nodes; so the
+        caller drops rho before the coarse cycle."""
+        e = np.zeros(self.levels[k + 1].free.shape)
         self._cycle(k + 1, e, rc.ravel())
-        return _prolong(e, self.levels[k]), inner(rc, e)
+        return e, inner(rc, e)
 
     def _cycle(self, k, x, rhs):
         level = self.levels[k]
@@ -918,19 +1022,14 @@ class _Multigrid:
             level.solve(x, rhs)
             return
         level.sweep(flat, rhs)
-        rho = level.apply(x)
-        np.negative(rho, out=rho)
-        if rhs is not None:
-            rho += rhs.reshape(x.shape)
-        rc = _restrict(rho, self.levels[k + 1])
-        del rho
-        c, slope = self._correction(k, rc)
+        rc = _restrict_slabs(partial(level.residual, x, rhs), x.shape, self.levels[k + 1])
+        e, slope = self._coarse_cycle(k, rc)
         del rc
-        curvature = level.curvature(c)
+        c, curvature = level.correction(e)
         if curvature > 0.0:
             c *= slope / curvature
-            x += c
-        # Full-size arrays go before the sweep, which allocates its own.
+            level.add_free(x, c)
+        # The correction goes before the sweep, which allocates its own.
         del c
         level.sweep(flat, rhs)
 
@@ -1048,37 +1147,39 @@ def residual_breakdown(spec, grid, values, constraint=None):
     works across grid sizes.  At t = 2 both kinds have A(p) = p, and the
     normalized residual on the interior nodes is the five/seven-point K u
     itself, boundary values included (``_laplacian``): it agrees with
-    ``weak_residual`` to rounding, takes about 3 ms against 110 ms on an 83^3
-    grid, and allocates one output array.  Other t take ``weak_residual``.
-    Nodes clamped at the obstacle may only push against it, so there the
-    signed violation is reported: residual must be >= 0 for a lower
-    obstacle, <= 0 for an upper one.
+    ``weak_residual`` to rounding, takes about 3 ms against 110 ms on an
+    83^3 grid, and is made and reduced slab by slab.  Other t take
+    ``weak_residual``.  Nodes clamped at the obstacle may only push
+    against it, so there the signed violation is reported: residual must
+    be >= 0 for a lower obstacle, <= 0 for an upper one, one max over the
+    held nodes in flat order (a max over signed zeros keeps the sign its
+    order gives).
     """
-    if spec.t == 2.0:
-        res = _laplacian(values).ravel()
-    else:
-        res = weak_residual(spec, Field(grid, values)).values.ravel()
-        res /= grid.h ** (grid.dim - 2)
-    free = (grid.labels == INTERIOR).ravel()
-    pinned_violation = 0.0
-    pinned_count = 0
-    if constraint is not None and constraint.indices.size:
-        pinned = np.zeros_like(free)
+    free = grid.labels == INTERIOR
+    if constraint is not None:
         at = constraint.indices
-        target = constraint.sign * constraint.height
-        held = at[values.ravel()[at] == target]
-        pinned[held] = True
-        free[held] = False
-        pinned_count = int(pinned.sum())
-        if pinned_count:
-            onesided = -constraint.sign * res[pinned]
-            pinned_violation = float(np.max(onesided, initial=0.0))
-    # In place, over the free nodes: a max is exact, so no gathered copy.
-    free_max = float(np.max(np.abs(res, out=res), where=free, initial=0.0))
+        free.ravel()[at[values.ravel()[at] == constraint.sign * constraint.height]] = False
+    if spec.t == 2.0:
+        residual = partial(_laplacian, values, None)
+    else:
+        weak = weak_residual(spec, Field(grid, values)).values
+        weak /= grid.h ** (grid.dim - 2)
+        residual = lambda planes: weak[slice(*planes)]
+    pinned, maxima = [], []
+    for a, b in _slabs(values.shape):
+        res = residual((a, b))
+        pinned.append(res[(grid.labels[a:b] == INTERIOR) & ~free[a:b]])
+        # In place, over the free nodes: a max is exact, so no gathered copy.
+        maxima.append(np.max(np.abs(res, out=res), where=free[a:b], initial=0.0))
+    free_max = float(np.max(maxima, initial=0.0))
+    pinned = np.concatenate(pinned)
+    pinned_violation = 0.0
+    if pinned.size:
+        pinned_violation = float(np.max(-constraint.sign * pinned, initial=0.0))
     return {
         "free_max": free_max,
         "pinned_violation": pinned_violation,
-        "pinned_count": pinned_count,
+        "pinned_count": int(pinned.size),
         "combined": max(free_max, pinned_violation),
     }
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 
@@ -550,3 +551,114 @@ def peak_above_entry(fn):
         if not tracing:
             tracemalloc.stop()
     return result, peak - entry
+
+
+# ---------------------------------------------------------------------------
+# The full-size plain-K multigrid step, as the V-cycle took it before its
+# transfers were walked slab by slab.
+# ---------------------------------------------------------------------------
+
+
+def _at(axis, ndim, sl):
+    return tuple(sl if k == axis else slice(None) for k in range(ndim))
+
+
+def _full_laplacian(x):
+    """K x over the whole raveled array: x 2N, then per axis stride s the
+    +s and the -s neighbour."""
+    out = x * (2.0 * x.ndim)
+    flat, total = x.reshape(-1), out.reshape(-1)
+    for k in range(x.ndim):
+        step = math.prod(x.shape[k + 1 :])
+        total[:-step] -= flat[step:]
+        total[step:] -= flat[:-step]
+    return out
+
+
+def _full_interpolate(coarse, axis, n):
+    at = partial(_at, axis, coarse.ndim)
+    shape = list(coarse.shape)
+    shape[axis] = n
+    fine = np.empty(shape)
+    fine[at(slice(0, None, 2))] = coarse
+    odd = fine[at(slice(1, None, 2))]
+    odd[...] = coarse[at(slice(0, n // 2))]
+    inner = (n - 1) // 2
+    odd[at(slice(0, inner))] += coarse[at(slice(1, inner + 1))]
+    odd *= 0.5
+    return fine
+
+
+def _full_interpolate_transpose(fine, axis):
+    at = partial(_at, axis, fine.ndim)
+    n = fine.shape[axis]
+    inner = (n - 1) // 2
+    odd = fine[at(slice(1, None, 2))]
+    shape = list(fine.shape)
+    shape[axis] = (n + 1) // 2
+    coarse = np.empty(shape)
+    coarse[at(slice(0, n // 2))] = odd
+    coarse[at(slice(n // 2, None))] = 0.0
+    coarse[at(slice(1, inner + 1))] += odd[at(slice(0, inner))]
+    coarse *= 0.5
+    coarse += fine[at(slice(0, None, 2))]
+    return coarse
+
+
+def _full_edge_square_sum(x, slab_nodes):
+    """The box's squared edge differences, summed with einsum over slabs
+    of whole planes of at most ``slab_nodes`` nodes: each slab's axis-0
+    edges to the next plane, then its edges along the other axes."""
+    n = x.shape[0]
+    planes = max(1, slab_nodes // x[0].size)
+    total = 0.0
+    for a in range(0, n, planes):
+        slab = x[a : a + planes]
+        pairs = [(x[a + 1 : a + planes + 1], x[a : min(a + planes, n - 1)])]
+        for axis in range(1, x.ndim):
+            pairs.append((slab[_at(axis, x.ndim, slice(1, None))],
+                          slab[_at(axis, x.ndim, slice(None, -1))]))
+        for hi, lo in pairs:
+            diff = np.ascontiguousarray(hi - lo)
+            total += np.einsum(diff, list(range(x.ndim)), diff, list(range(x.ndim)), [])
+    return total
+
+
+def full_size_cycle(multigrid, k, x, rhs, slab_nodes):
+    """One plain-K V-cycle on level k of ``multigrid`` (a ``_Multigrid``),
+    in place, with every transfer over whole arrays: rho = rhs - K x
+    zeroed off the free nodes (negated after the zeroing, rhs None:
+    zero), P^T rho one halved axis at a time in ascending order, c = P e
+    last axis first, zeroed off the free nodes, alpha = <rc, e> / <c, K c>
+    with the curvature an edge sum over slabs of ``slab_nodes``, then x +=
+    alpha c on every node.  The sweeps and the coarsest solve are the
+    levels' own."""
+    level = multigrid.levels[k]
+    if k + 1 == len(multigrid.levels):
+        level.solve(x, rhs)
+        return
+    level.sweep(x.ravel(), rhs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = _full_laplacian(x)
+    np.copyto(rho, 0.0, where=~level.free)
+    np.negative(rho, out=rho)
+    if rhs is not None:
+        rho += rhs.reshape(x.shape)
+    coarse = multigrid.levels[k + 1]
+    axes = [j for j, (n, m) in enumerate(zip(x.shape, coarse.free.shape)) if n != m]
+    rc = rho
+    for axis in axes:
+        rc = _full_interpolate_transpose(rc, axis)
+    np.copyto(rc, 0.0, where=~coarse.free)
+    e = np.zeros(coarse.free.shape)
+    full_size_cycle(multigrid, k + 1, e, rc.ravel(), slab_nodes)
+    slope = np.einsum(rc, list(range(rc.ndim)), e, list(range(e.ndim)), [])
+    c = e
+    for axis in reversed(axes):
+        c = _full_interpolate(c, axis, x.shape[axis])
+    np.copyto(c, 0.0, where=~level.free)
+    curvature = _full_edge_square_sum(c, slab_nodes)
+    if curvature > 0.0:
+        c *= slope / curvature
+        x += c
+    level.sweep(x.ravel(), rhs)

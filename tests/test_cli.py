@@ -96,6 +96,7 @@ def test_validate_scenario_rejects(patch, field):
 
 # Malformed top-level fields: each must exit 2 naming the field, before any
 # solve, and must not stop a suite from running the valid scenario beside it.
+OBSTACLE = {"type": "ball", "center": [0.0, 0.0], "radius": 0.2}
 MALFORMED = [
     ({"tolerance": "abc"}, "scenario.tolerance"),
     ({"tolerance": None}, "scenario.tolerance"),
@@ -118,6 +119,10 @@ MALFORMED = [
     ({"operator": {"kind": "p_laplace", "t": 2.0, "A_fn": "x"}}, "scenario.operator"),
     ({"operator": {"kind": "p_laplace", "t": 2.0, "W_fn": "x"}}, "scenario.operator"),
     ({"operator": {"kind": "custom", "t": 2.0}}, "scenario.operator"),
+    # A float param read by _as_number, written as the JSON tokens NaN and
+    # Infinity.
+    ({"task": "obstacle", "params": {"obstacle": OBSTACLE, "m": math.nan}}, "params.m"),
+    ({"task": "obstacle", "params": {"obstacle": OBSTACLE, "m": math.inf}}, "params.m"),
 ]
 
 
@@ -148,7 +153,11 @@ def test_suite_runs_the_neighbour_of_a_malformed_scenario(tmp_path, patch, field
     assert run_suite(sdir, out_root=tmp_path / "out") == 2
     with open(tmp_path / "out" / "summary.csv", newline="") as fh:
         rows = {r["scenario"]: r for r in csv.DictReader(fh)}
-    assert rows[str(sdir / "bad.json")]["key_metric"].startswith(field + ":")
+    # A file that fails to load is named by its path, one whose task
+    # rejects a param by its scenario name.
+    bad = rows.get(str(sdir / "bad.json")) or rows["malformed"]
+    assert bad["result"] == "config-error"
+    assert bad["key_metric"].startswith(field + ":")
     assert rows["good"]["result"] == "pass"
 
 

@@ -148,12 +148,6 @@ def test_power_cusp_rejects_blunt_exponent():
         PowerCusp([0.0, 0.0], 1, 1.0, 1.0)
 
 
-def test_ball_diameter_is_bbox_diagonal():
-    assert Ball([1.0, -2.0], 0.5).diameter() == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        Halfspace([1.0, 0.0], 0.0).diameter()
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     cx=st.floats(-1, 1),

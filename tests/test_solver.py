@@ -48,6 +48,7 @@ from artifact.solver import (
     _ColorWorkspace,
     _edge_square_sum,
     _galerkin_product,
+    _halved_axes,
     _inverse_cholesky,
     _laplacian,
     _Level,
@@ -64,6 +65,7 @@ from artifact.solver import (
 from oracles import (
     damped_newton_minimizer,
     full_column_inverse_cholesky,
+    full_size_cycle,
     gather_obstacle_extremes,
     gather_residual_split,
     gather_sum_sweep,
@@ -981,23 +983,64 @@ def test_edge_curvature_is_the_operator_curvature(box, h, monkeypatch):
     assert stencil_level.curvature(c) == inner(c, stencil_level.apply(c))
 
 
+# 3D boxes with odd and even dims: the first two halve axis 0, the thin
+# third one is too short along it to halve it.
+STREAM_BOXES = [
+    (Box([0.0, 0.0, 0.0], [1.0, 0.8, 0.9]), 1.0 / 14.0),
+    (Box([0.0, 0.0, 0.0], [0.9, 1.0, 0.7]), 1.0 / 14.0),
+    (Box([0.0, 0.0, 0.0], [0.3, 1.0, 0.9]), 1.0 / 14.0),
+]
+
+
+@pytest.mark.parametrize("with_rhs", [False, True])
+@pytest.mark.parametrize("box, h", STREAM_BOXES)
+def test_streamed_cycle_is_the_full_size_cycle(box, h, with_rhs, monkeypatch):
+    # A plain-K V-cycle that makes the residual, the restriction, the
+    # prolongation and the curvature slab by slab, and adds the correction
+    # on the free nodes only, leaves the same bits as the step over whole
+    # arrays, whether a slab is one plane, a few planes that do not divide
+    # the box, or the box; +-inf at exterior nodes stays where it is.
+    grid, cons, values, rng = _holed_box(box, h, 73)
+    exterior = grid.labels == EXTERIOR
+    values[exterior] = rng.choice([np.inf, -np.inf], np.count_nonzero(exterior))
+    multigrid = _Multigrid(grid, cons)
+    assert len(multigrid.levels) >= 2 and len({n % 2 for n in grid.dims}) == 2
+    halved = _halved_axes(grid.dims, multigrid.levels[1].free.shape)
+    assert (0 in halved) == (grid.dims[0] >= 9)
+    free = multigrid.levels[0].free
+    rhs = np.where(free, rng.standard_normal(grid.dims), 0.0).ravel() if with_rhs else None
+    plane = math.prod(grid.dims[1:])
+    for slab in (plane, 3 * plane - 1, solver._SLAB_NODES):
+        monkeypatch.setattr(solver, "_SLAB_NODES", slab)
+        want, got = values.copy(), values.copy()
+        for _ in range(2):
+            full_size_cycle(multigrid, 0, want, rhs, slab)
+            multigrid._cycle(0, got, rhs)
+            assert _same_bits(got, want), slab
+        assert np.array_equal(got[exterior], values[exterior])
+        monkeypatch.undo()
+
+
 def _bits(x):
     return np.array([x], dtype=float).view(np.uint64)[0]
 
 
 # The junk-exterior ball problem with some, all and none of its obstacle
-# nodes at the obstacle, and one whose obstacle is every interior node, all
-# at the obstacle: nothing is free.
-SPLIT_CASES = ["some", "all", "none", "nothing-free"]
+# nodes at the obstacle, one whose obstacle is every interior node, all at
+# the obstacle: nothing is free, and one settled on its obstacle, every
+# other live node at half its height, so no pinned residual is violated
+# and those amid the obstacle are signed zeros.
+SPLIT_CASES = ["some", "all", "none", "nothing-free", "settled"]
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 @pytest.mark.parametrize("t", [2.0, 3.0])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_masked_checks_are_the_gather_checks(dim, t, case):
+def test_masked_checks_are_the_gather_checks(dim, t, case, monkeypatch):
     # residual_breakdown's in-place split and obstacle_verification's
     # where= extremes equal the boolean-gather versions bit for bit, for
-    # either sign.
+    # either sign, and the split keeps its bits whether its slabs are one
+    # plane, a few planes that do not divide the box, or the box.
     grid, cons, values, rng = _junk_exterior_problem(dim, 71)
     spec = OperatorSpec(kind="p_laplace", t=t)
     interior = (grid.labels == INTERIOR).ravel()
@@ -1013,17 +1056,24 @@ def test_masked_checks_are_the_gather_checks(dim, t, case):
             "all": cons.indices,
             "none": cons.indices[:0],
             "nothing-free": cons.indices,
+            "settled": cons.indices,
         }[case]
+        if case == "settled":
+            field[grid.labels != EXTERIOR] = sign * 0.25
         field.ravel()[at] = sign * 0.5
         if t == 2.0:
             res = _laplacian(field).ravel()
         else:
             res = weak_residual(spec, Field(grid, field)).values.ravel() / grid.h ** (dim - 2)
         want = gather_residual_split(res, interior, field, constraint)
-        got = residual_breakdown(spec, grid, field, constraint)
-        assert got["pinned_count"] == want["pinned_count"] == at.size
-        for key in ("free_max", "pinned_violation", "combined"):
-            assert _bits(got[key]) == _bits(want[key]), (sign, key)
+        plane = math.prod(grid.dims[1:])
+        for slab in (plane, 3 * plane - 1, solver._SLAB_NODES):
+            monkeypatch.setattr(solver, "_SLAB_NODES", slab)
+            got = residual_breakdown(spec, grid, field, constraint)
+            assert got["pinned_count"] == want["pinned_count"] == at.size
+            for key in ("free_max", "pinned_violation", "combined"):
+                assert _bits(got[key]) == _bits(want[key]), (sign, slab, key)
+            monkeypatch.undo()
         if case == "nothing-free":
             assert got["free_max"] == 0.0
         ver = obstacle_verification(spec, grid, field, constraint, 1e-8)
@@ -1083,11 +1133,58 @@ def test_memory_above_entry_is_pinned(ball_57, check, fields):
         "energy": lambda: energy(spec, Field(grid, field)),
         "residual_breakdown": lambda: residual_breakdown(spec, grid, field, cons),
     }[check]
-    # Caches (the grid's edge counts, the coarsest inverse) are built
-    # outside the measured call.
+    # The coarsest inverse is built outside the measured call.
     run()
     _, peak = peak_above_entry(run)
     assert peak <= fields * field.nbytes + SLAB_BYTES, peak / field.nbytes
+
+
+@pytest.fixture(scope="module")
+def ball_83():
+    """The 83^3-node ball, h = 1/40, the size of probe-3d-t2's finest grid,
+    with a ball obstacle of radius 1/4 at 1.0, after two plain-K cycles."""
+    grid = build_grid(Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 40.0)
+    assert grid.dims == (83, 83, 83)
+    cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0, 0.0], 0.25), 1.0)
+    values = np.zeros(grid.dims)
+    values.ravel()[cons.indices] = 1.0
+    multigrid = _Multigrid(grid, cons)
+    for _ in range(2):
+        multigrid.cycle(values)
+    return grid, cons, values, multigrid
+
+
+@pytest.mark.parametrize(
+    "check, fields, slabs",
+    [
+        # Measured: 1.32, 1.26 and 0.36 field sizes, a slab being 0.11.  A
+        # cycle holds its step and the correction on the free nodes (0.46
+        # each) and the coarse field (0.13); energy one axis's differences
+        # and counts; the residual split its free mask.  Before the slab
+        # walkers: 2.26, 1.14 (its edge counts then cached on the grid,
+        # outside the call) and 1.27.
+        ("cycle", 1.1, 3),
+        ("energy", 1.25, 1),
+        ("residual_breakdown", 0.2, 2),
+    ],
+)
+def test_memory_above_entry_is_pinned_at_83(ball_83, check, fields, slabs):
+    # The traced peak of a steady V-cycle and of the two checks a solve
+    # runs, above what was live at entry, on the 83^3 ball: in field sizes
+    # plus whole slabs of _SLAB_NODES nodes.
+    grid, cons, values, multigrid = ball_83
+    spec = OperatorSpec(kind="p_laplace", t=2.0)
+    field = values.copy()
+    run = {
+        "cycle": lambda: multigrid.cycle(field),
+        "energy": lambda: energy(spec, Field(grid, field)),
+        "residual_breakdown": lambda: residual_breakdown(spec, grid, field, cons),
+    }[check]
+    run()
+    _, peak = peak_above_entry(run)
+    plane = math.prod(grid.dims[1:])
+    slab = 8 * plane * (solver._SLAB_NODES // plane)
+    assert peak <= fields * field.nbytes + slabs * slab, peak / field.nbytes
 
 
 def _cold_t3_coarsest():
