@@ -19,6 +19,7 @@ Every interior node keeps all 2N axis neighbors inside the stored bounding
 box because the box pads the shape's bounding box by one node.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -183,9 +184,9 @@ class GridDomain:
         count = np.zeros(tuple(d - (j == k) for j, d in enumerate(self.dims)), dtype=np.int8)
         # Cell j holds the axis-k edges at nodes j + c over the corners c
         # with c_k = 0.
-        for corner in np.ndindex(*([2] * self.dim)):
-            if not corner[k]:
-                count[tuple(slice(c, c + d - 1) for c, d in zip(corner, self.dims))] += active
+        for rest in itertools.product((0, 1), repeat=self.dim - 1):
+            corner = rest[:k] + (0,) + rest[k:]
+            count[tuple(slice(c, c + d - 1) for c, d in zip(corner, self.dims))] += active
         return count
 
     # -- serialization helpers ------------------------------------------------

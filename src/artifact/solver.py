@@ -373,7 +373,7 @@ _MIN_COARSE_DIM = 5
 
 def _along(axis, ndim, sl):
     """Index tuple applying slice ``sl`` on one axis of an ndim array."""
-    return tuple(sl if k == axis else slice(None) for k in range(ndim))
+    return (slice(None),) * axis + (sl,) + (slice(None),) * (ndim - axis - 1)
 
 
 def _halve(ndim, axes):
@@ -731,17 +731,18 @@ def _coarse_columns(free, axes):
     return dilate(free, axes)[_halve(free.ndim, axes)].copy()
 
 
-def _interpolate(coarse, axis, n, start=0, stop=None):
+def _interpolate(coarse, axis, n, start=0, stop=None, out=None):
     """Linear interpolation along one axis onto fine nodes [start, stop) of
-    n (default all), ``coarse`` from coarse node start // 2 on: fine node
-    2j is coarse node j, 2j + 1 averages coarse nodes j and j + 1, a
-    missing j + 1 (past the end of an even axis) counting as zero."""
+    n (default all), into ``out`` if given, ``coarse`` from coarse node
+    start // 2 on: fine node 2j is coarse node j, 2j + 1 averages coarse
+    nodes j and j + 1, a missing j + 1 (past the end of an even axis)
+    counting as zero."""
     stop = n if stop is None else stop
     at = partial(_along, axis, coarse.ndim)
     shape = list(coarse.shape)
     shape[axis] = stop - start
-    fine = np.empty(shape)
-    # Odd fine nodes first sit at position 1 - p, coarse node 0 their left.
+    fine = np.empty(shape) if out is None else out
+    # The window's first odd fine node sits at 1 - p, coarse node 0 its left.
     p = start % 2
     evens = fine[at(slice(p, None, 2))]
     evens[...] = coarse[at(slice(p, p + evens.shape[axis]))]
@@ -753,19 +754,18 @@ def _interpolate(coarse, axis, n, start=0, stop=None):
     return fine
 
 
-def _interpolate_transpose(fine, axis, below=None):
+def _interpolate_transpose(fine, axis, below=None, out=None):
     """The exact transpose of ``_interpolate`` along one axis, ``fine`` left
-    as it is: coarse node j takes half of fine nodes 2j - 1 and 2j + 1,
-    summed in the coarse buffer, then fine node 2j, so the only array it
-    allocates is its result; ``below`` is fine node -1 of a window that
-    starts past node 0."""
+    as it is, into ``out`` if given: coarse node j takes half of fine nodes
+    2j - 1 and 2j + 1, summed in the coarse buffer, then fine node 2j;
+    ``below`` is fine node -1 of a window that starts past node 0."""
     at = partial(_along, axis, fine.ndim)
     n = fine.shape[axis]
     inner = (n - 1) // 2
     odd = fine[at(slice(1, None, 2))]
     shape = list(fine.shape)
     shape[axis] = (n + 1) // 2
-    coarse = np.empty(shape)
+    coarse = np.empty(shape) if out is None else out
     coarse[at(slice(0, n // 2))] = odd
     coarse[at(slice(n // 2, None))] = 0.0
     coarse[at(slice(1, inner + 1))] += odd[at(slice(0, inner))]
@@ -776,23 +776,25 @@ def _interpolate_transpose(fine, axis, below=None):
     return coarse
 
 
-def _prolong_slabs(coarse, fine_level):
+def _prolong_slabs(coarse, fine_level, out=None):
     """(a, b, planes a to b of c) over the slabs of ``_slabs``, c = Z P e:
     multilinear interpolation of e = ``coarse``, zero off its free nodes,
     the identity along an axis it does not halve, Z zeroing the fine
-    level's non-free nodes.  Axis 0 goes last, after the others, last
-    first, so the strided pass runs on the smallest intermediate."""
+    level's non-free nodes; the planes are views of ``out`` if given.
+    The other halved axes go last axis first, so the strided pass runs on
+    the smallest intermediate, then axis 0."""
     shape = fine_level.free.shape
     axes = _halved_axes(shape, coarse.shape)
-    first = axes[0] == 0
     n = shape[0]
     for a, b in _slabs(shape):
         stop = min(b + 1, n)
-        window = coarse[a // 2 : stop // 2 + 1] if first else coarse[a:stop]
-        for axis in reversed(axes[first:]):
-            window = _interpolate(window, axis, shape[axis])
-        if first:
-            window = _interpolate(window, 0, n, a, stop)
+        window = coarse[a // 2 : stop // 2 + 1] if axes[0] == 0 else coarse[a:stop]
+        for axis in reversed(axes):
+            target = None if out is None or axis != axes[0] else out[a:stop]
+            if axis:
+                window = _interpolate(window, axis, shape[axis], out=target)
+            else:
+                window = _interpolate(window, 0, n, a, stop, target)
         np.copyto(window, 0.0, where=fine_level.nonfree[a:stop])
         yield a, b, window
 
@@ -800,8 +802,8 @@ def _prolong_slabs(coarse, fine_level):
 def _prolong(coarse, fine_level):
     """Z P e as one array (``_prolong_slabs``)."""
     fine = np.empty(fine_level.free.shape)
-    for a, b, window in _prolong_slabs(coarse, fine_level):
-        fine[a:b] = window[: b - a]
+    for _ in _prolong_slabs(coarse, fine_level, fine):
+        pass
     return fine
 
 
@@ -815,12 +817,11 @@ def _restrict_slabs(source, fine_shape, coarse_level):
     step = 2 if axes[0] == 0 else 1
     below = None
     for a, b in _slabs(coarse.shape, step * math.prod(fine_shape[1:])):
-        window = source(step * a, min(step * b, fine_shape[0]))
-        slab = _interpolate_transpose(window, 0, below) if step == 2 else window
+        slab = window = source(step * a, min(step * b, fine_shape[0]))
+        for axis in axes:
+            target = coarse[a:b] if axis == axes[-1] else None
+            slab = _interpolate_transpose(slab, axis, below if axis == 0 else None, target)
         below = window[-1].copy()
-        for axis in axes[step - 1 :]:
-            slab = _interpolate_transpose(slab, axis)
-        coarse[a:b] = slab
     np.copyto(coarse, 0.0, where=coarse_level.nonfree)
     return coarse
 

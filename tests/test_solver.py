@@ -1157,7 +1157,7 @@ def ball_83():
 @pytest.mark.parametrize(
     "check, fields, slabs",
     [
-        # Measured: 1.32, 1.26 and 0.36 field sizes, a slab being 0.11.  A
+        # Measured: 1.31, 1.26 and 0.35 field sizes, a slab being 0.11.  A
         # cycle holds its step and the correction on the free nodes (0.46
         # each) and the coarse field (0.13); energy one axis's differences
         # and counts; the residual split its free mask.  Before the slab
