@@ -915,9 +915,9 @@ class _Multigrid:
     step and that c.  The coarsest level is solved exactly instead, x +=
     A^-1 (rhs - A x) on its free nodes (``_Level.solve``), with a dense
     inverse built once per operator: once per solve on K levels, once per
-    ``linearize`` on Galerkin ones.  It replaced 30 parity sweeps, which cut the error by only about 0.96 a
-    sweep on a 17 x 17 level.  A lattice too small to coarsen is its own
-    coarsest level.  A level halves only the axes that stay at least
+    ``linearize`` on Galerkin ones.  It replaced 30 parity sweeps, which
+    cut the error by only about 0.96 a sweep on a 17 x 17 level.  A
+    lattice too small to coarsen is its own coarsest level.  A level halves only the axes that stay at least
     ``_MIN_COARSE_DIM`` nodes long, P being the identity along the others,
     and coarsening stops before a level of fewer than ``_MIN_COARSE_NODES``
     free nodes, which bounds the dense system: the 3D slab [0, 1]^2 x [0,
