@@ -983,6 +983,23 @@ def test_edge_curvature_is_the_operator_curvature(box, h, monkeypatch):
     assert stencil_level.curvature(c) == inner(c, stencil_level.apply(c))
 
 
+@pytest.mark.parametrize("box, h", HOLED_BOXES)
+def test_apply_on_planes_is_the_whole_apply(box, h):
+    # A x on leading-axis planes [a, b), as the residual walk takes it, has
+    # the bits of the whole-array A x there, under K and under Galerkin
+    # stencils, at either end of the box and inside it.
+    grid, cons, values, rng = _holed_box(box, h, 83)
+    multigrid = _Multigrid(grid, cons, galerkin=True)
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    multigrid.linearize(_NewtonLevel(grid, spec, multigrid.levels[0]), values)
+    for level in (_Level(multigrid.levels[0].free), *multigrid.levels):
+        x = rng.standard_normal(level.free.shape)
+        whole = level.apply(x)
+        m = x.shape[0]
+        for a, b in ((0, 1), (0, 3), (1, m - 1), (2, 5), (m - 2, m), (0, m)):
+            assert _same_bits(level.apply(x, planes=(a, b)), whole[a:b]), (a, b)
+
+
 # 3D boxes with odd and even dims: the first two halve axis 0, the thin
 # third one is too short along it to halve it.
 STREAM_BOXES = [
