@@ -1,203 +1,100 @@
-"""Tiny arithmetic expression grammar for boundary data and oracles.
+"""Scalar functions of position, written as text, for boundary data and oracles.
 
-Scenario files describe scalar functions of position as strings like
-``"m * (1 - r^2)"`` or ``"x1^2 - x2^2"``.  The grammar is deliberately small
-and evaluated with numpy, never ``eval``:
+Scenarios give Dirichlet data and exact solutions as strings such as
+``"x1^2 - x2^2"``.  The language: decimal numbers (``2``, ``.5``, ``1e-3``),
+read as floats; the names ``x1``..``x3``, ``r`` (distance to the origin),
+``pi`` and ``e``; ``+ - * /``, unary ``-``, ``^`` (power, right associative,
+so ``-2^2`` is -4; ``**`` is no operator) and parentheses; and the functions
+abs, sqrt, log, exp, sin, cos of one argument and min, max of two.
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?          (right associative)
-    atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
-
-Names: ``x1``..``x3`` (coordinates), ``r`` (distance to the origin), ``pi``,
-``e``, plus any extra constants passed at evaluation time (scenarios use this
-for parameters like ``m``).
-Functions: abs, sqrt, log, exp, sin, cos, min, max.
+Python's parser reads the text (``^`` as ``**``); every node is checked, and every
+name resolved, when the ``Expression`` is built.  Nothing goes to ``eval``.
 """
 
+import ast
 import math
+import operator
+import re
 
 import numpy as np
 
 __all__ = ["Expression"]
 
-_FUNCTIONS = {
-    "abs": (1, np.abs),
-    "sqrt": (1, np.sqrt),
-    "log": (1, np.log),
-    "exp": (1, np.exp),
-    "sin": (1, np.sin),
-    "cos": (1, np.cos),
-    "min": (2, np.minimum),
-    "max": (2, np.maximum),
-}
+_FUNCTIONS = {name: (1, getattr(np, name)) for name in ("abs", "sqrt", "log", "exp", "sin", "cos")}
+_FUNCTIONS.update(min=(2, np.minimum), max=(2, np.maximum))
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Call, ast.Name, ast.Load,
+          ast.Constant, *_BINARY)
+_NAMES = ("x1", "x2", "x3", "r", "pi", "e")
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^(),":
-            tokens.append((c, c))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_e = False
-            while j < len(text):
-                ch = text[j]
-                if ch.isdigit() or ch == ".":
-                    j += 1
-                elif ch in "eE" and not seen_e and j + 1 < len(text) and (
-                    text[j + 1].isdigit() or text[j + 1] in "+-"
-                ):
-                    seen_e = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(("num", float(text[i:j])))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        raise ValueError(f"unexpected character {c!r} in expression")
-    tokens.append(("end", None))
-    return tokens
+def _parse(text):
+    """(checked tree of ``text`` with float literals, highest coordinate it reads)."""
+    text = " ".join(text.split())
+    bad = re.search(r"[^\w .+\-*/^(),]", text, re.ASCII)  # ASCII: no NFKC-folded names
+    if bad:
+        raise ValueError(f"unexpected character {bad[0]!r} in expression")
+    if "**" in text:
+        raise ValueError("'**' is not an operator; write '^'")
+    source = text.replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        if not exc.offset:  # Python's place for an error at the end of input
+            raise ValueError("incomplete expression") from None
+        near = source[exc.offset - 1:].replace("**", "^")
+        raise ValueError(f"{exc.msg} at {near!r}") from None
+    functions, dim = set(), 0
+    for node in ast.walk(tree):
+        if not isinstance(node, _NODES):
+            raise ValueError(f"{type(node).__name__} is not part of the expression language")
+        if isinstance(node, ast.Constant):
+            literal = ast.get_source_segment(source, node)
+            if not re.fullmatch(_NUMBER, literal, re.ASCII):
+                raise ValueError(f"{literal!r} is not a decimal number")
+            node.value = float(literal)
+        elif isinstance(node, ast.Call):
+            call, name = ast.get_source_segment(source, node), getattr(node.func, "id", "")
+            if name not in _FUNCTIONS or not call.startswith(name):  # not '(sin)(x1)'
+                raise ValueError(f"unknown function in {call!r}")
+            arity = _FUNCTIONS[name][0]
+            if len(node.args) != arity or call[:-1].rstrip().endswith(","):
+                raise ValueError(f"{name} expects {arity} argument(s) in {call!r}")
+            functions.add(node.func)
+        elif isinstance(node, ast.Name) and node not in functions:
+            if node.id not in _NAMES:
+                raise ValueError(f"unknown name {node.id!r} in expression")
+            if node.id[0] == "x":
+                dim = max(dim, int(node.id[1]))
+    return tree.body, dim
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ValueError(f"expected {kind}, found {tok[0]}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ValueError(f"trailing input at token {self.peek()}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in "*/":
-            op = self.take()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            return ("pow", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return ("num", value)
-        if kind == "name":
-            self.take()
-            if self.peek()[0] == "(":
-                self.take("(")
-                args = [self.expr()]
-                while self.peek()[0] == ",":
-                    self.take(",")
-                    args.append(self.expr())
-                self.take(")")
-                if value not in _FUNCTIONS:
-                    raise ValueError(f"unknown function {value!r}")
-                arity, _ = _FUNCTIONS[value]
-                if len(args) != arity:
-                    raise ValueError(f"{value} expects {arity} argument(s)")
-                return ("call", value, args)
-            return ("var", value)
-        if kind == "(":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ValueError(f"unexpected token {kind!r}")
+def _evaluate(node, env):
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return operator.neg(_evaluate(node.operand, env))
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+    return _FUNCTIONS[node.func.id][1](*[_evaluate(arg, env) for arg in node.args])
 
 
 class Expression:
-    """A parsed scalar expression evaluated over point arrays."""
+    """An expression over (n, N) point arrays; ``dim`` is the highest coordinate it reads."""
 
     def __init__(self, text):
         self.text = text
-        self.node = _Parser(_tokenize(text)).parse()
+        self._tree, self.dim = _parse(text)
 
-    def __call__(self, points, **constants):
+    def __call__(self, points):
         points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        env = {"pi": math.pi, "e": math.e}
-        env.update({k: float(v) for k, v in constants.items()})
-        for k in range(points.shape[1]):
-            env[f"x{k + 1}"] = points[:, k]
-        env["r"] = np.linalg.norm(points, axis=1)
-        out = self._eval(self.node, env)
+        if points.shape[1] < self.dim:
+            raise ValueError(f"{self.text!r} reads x{self.dim} of {points.shape[1]}D points")
+        env = {f"x{k + 1}": points[:, k] for k in range(points.shape[1])}
+        env.update(r=np.linalg.norm(points, axis=1), pi=math.pi, e=math.e)
+        out = _evaluate(self._tree, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
-
-    def _eval(self, node, env):
-        op = node[0]
-        if op == "num":
-            return node[1]
-        if op == "var":
-            name = node[1]
-            if name not in env:
-                raise ValueError(f"unknown name {name!r} in expression")
-            return env[name]
-        if op == "neg":
-            return -self._eval(node[1], env)
-        if op in ("add", "sub", "mul", "div", "pow"):
-            a = self._eval(node[1], env)
-            b = self._eval(node[2], env)
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            if op == "div":
-                return a / b
-            return a**b
-        if op == "call":
-            _, fn = _FUNCTIONS[node[1]]
-            args = [self._eval(arg, env) for arg in node[2]]
-            return fn(*args)
-        raise ValueError(f"corrupt expression node {op!r}")

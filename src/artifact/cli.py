@@ -139,27 +139,34 @@ def _shape(params, field, where="params"):
         raise ScenarioError(f"{where}.{field}", str(exc)) from exc
 
 
-def _expression(text, field):
-    """``text`` parsed into an ``Expression``; a parse error is a
-    ScenarioError naming ``field``."""
+def _expression(text, field, dim):
+    """``text`` parsed into an ``Expression`` of at most ``dim`` coordinates;
+    a parse error or a coordinate above ``dim`` is a ScenarioError naming
+    ``field``."""
     try:
-        return Expression(text)
+        expr = Expression(text)
     except ValueError as exc:
         raise ScenarioError(field, f"invalid expression {text!r}: {exc}") from exc
+    if expr.dim > dim:
+        raise ScenarioError(field, f"invalid expression {text!r}: x{expr.dim} on a {dim}D domain")
+    return expr
 
 
-def _boundary_data(params, where="params"):
-    """The ``data`` param: a number, or an expression string, parsed."""
+def _boundary_data(params, dim, where="params"):
+    """The ``data`` param: a number, or an expression string in ``dim``
+    coordinates, parsed."""
     data = _require(params, "data", where=where)
     if isinstance(data, str):
-        return _expression(data, f"{where}.data")
+        return _expression(data, f"{where}.data", dim)
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise ScenarioError(f"{where}.data", f"expected an expression or number, got {data!r}")
     return data
 
 
 def _positive_number(value, field):
-    if not _as_number(value, field) > 0:
+    """``value`` read by ``_as_number`` as a float, which must be positive."""
+    value = _as_number(value, field)
+    if not value > 0:
         raise ScenarioError(field, "must be positive")
     return value
 
@@ -213,7 +220,7 @@ def validate_scenario(raw):
             _positive_number(level, f"scenario.h_levels[{i}]")
         if any(b >= a for a, b in zip(h_levels, h_levels[1:])):
             raise ScenarioError("scenario.h_levels", "must be strictly decreasing")
-    tol = float(_positive_number(raw.get("tolerance", 1e-8), "scenario.tolerance"))
+    tol = _positive_number(raw.get("tolerance", 1e-8), "scenario.tolerance")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("scenario.params", "expected an object")
@@ -265,11 +272,12 @@ def _field_stats(grid, values):
 
 def _run_dirichlet(scn):
     params = scn["params"]
-    data = _boundary_data(params)
+    dim = scn["shape"].dim
+    data = _boundary_data(params, dim)
     oracle = None
     if "oracle" in params:
         text = _require(_require(params, "oracle", dict), "expr", str, where="params.oracle")
-        oracle = _expression(text, "params.oracle.expr")
+        oracle = _expression(text, "params.oracle.expr", dim)
     grid = build_grid(scn["shape"], _scenario_h(scn))
     fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
     report = {
@@ -408,6 +416,9 @@ def _run_obstacle(scn):
 
 
 def _probe_config(scn, params, where="params"):
+    fixed_radius = params.get("fixed_radius")
+    if fixed_radius is not None:
+        fixed_radius = _positive_number(fixed_radius, f"{where}.fixed_radius")
     return WienerProbeConfig(
         y=_numbers(params, "y", where=where),
         cap_radius=_number(params, "cap_radius", where=where),
@@ -420,8 +431,10 @@ def _probe_config(scn, params, where="params"):
         stagnation_floor=_number(params, "stagnation_floor", 0.25, where=where),
         shrink_ratio=_number(params, "shrink_ratio", 0.7, where=where),
         stagnation_ratio=_number(params, "stagnation_ratio", 0.9, where=where),
-        near_radius_cells=_number(params, "near_radius_cells", 4.0, where=where),
-        fixed_radius=params.get("fixed_radius"),
+        near_radius_cells=_positive_number(
+            params.get("near_radius_cells", 4.0), f"{where}.near_radius_cells"
+        ),
+        fixed_radius=fixed_radius,
     )
 
 
@@ -495,9 +508,8 @@ def _instrument_solve(scn, grid):
         con = ObstacleConstraint.from_shape(grid, shape, m, sign)
         fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
     elif kind == "dirichlet":
-        fld, rep = solve_dirichlet(
-            grid, scn["spec"], _boundary_data(solve, where="params.solve"), tol=scn["tol"]
-        )
+        data = _boundary_data(solve, grid.dim, where="params.solve")
+        fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
     else:
         raise ScenarioError("params.solve.kind", f"unknown solve kind {kind!r}")
     return fld, rep
@@ -540,6 +552,11 @@ def _run_degiorgi(scn):
         gap = _number(psi, "d", where="params.psi_recursion")
     envelope = _require(params, "envelope", dict) if "envelope" in params else {}
     c1 = _number(envelope, "C1", 1.0, where="params.envelope")
+    lower_order = envelope.get("lower_order", False)
+    if not isinstance(lower_order, bool):
+        raise ScenarioError(
+            "params.envelope.lower_order", f"expected true or false, got {lower_order!r}"
+        )
     t = scn["spec"].t
     h_levels = scn["h_levels"] or [scn["h"]]
     report = {"task": "degiorgi-instrument", "levels": []}
@@ -600,7 +617,7 @@ def _run_degiorgi(scn):
                     int(blk["K"]),
                     [row["omega"] for row in rows],
                     t,
-                    lower_order=bool(envelope.get("lower_order", False)),
+                    lower_order=lower_order,
                 )
                 level_report["envelope"] = dec
         report["levels"].append(level_report)

@@ -211,29 +211,34 @@ def _mesh_points(axes):
     return points.reshape(-1, ndim)
 
 
-# Nodes per ``inside_open`` call of ``_classify``, in whole leading-axis
-# slabs (at least one slab a call).
-_CLASSIFY_BLOCK = 1 << 16
+# The most nodes of one slab: a block of the classification below, and of
+# the solver's walkers over a field.
+_SLAB_NODES = 1 << 16
+
+
+def _slabs(shape, plane=None):
+    """The slabs [a, b) of leading-axis planes of ``shape`` taken in turn:
+    ``_SLAB_NODES`` nodes at most, or one plane, counting ``plane`` nodes a
+    plane (default the array's)."""
+    plane = math.prod(shape[1:]) if plane is None else plane
+    planes = max(1, _SLAB_NODES // plane)
+    return [(a, min(a + planes, shape[0])) for a in range(0, shape[0], planes)]
 
 
 def _classify(shape, grid):
     """Labels of ``shape`` on ``grid``'s lattice.
 
-    ``inside_open`` runs on blocks of whole leading-axis slabs of at most
-    ``_CLASSIFY_BLOCK`` nodes, built from ``axis_coords``, so no full
-    coordinate array is ever held: an 83^3 grid takes 10 calls, and a 2D
-    grid of up to 2^16 nodes one.
+    ``inside_open`` runs on the ``_slabs`` of the lattice, built from
+    ``axis_coords``, so no full coordinate array is ever held: an 83^3 grid
+    takes 10 calls, and a 2D grid of up to 2^16 nodes one.
     """
     dims = grid.dims
     lead = grid.axis_coords(0)
     rest = [grid.axis_coords(k) for k in range(1, grid.dim)]
-    step = max(1, _CLASSIFY_BLOCK // math.prod(dims[1:]))
     interior = np.empty(dims, dtype=bool)
-    for start in range(0, dims[0], step):
-        block = _mesh_points([lead[start : start + step]] + rest)
-        interior[start : start + step] = shape.inside_open(block).reshape(
-            (-1,) + dims[1:]
-        )
+    for a, b in _slabs(dims):
+        block = _mesh_points([lead[a:b]] + rest)
+        interior[a:b] = shape.inside_open(block).reshape((-1,) + dims[1:])
     labels = np.full(dims, EXTERIOR, dtype=np.int8)
     labels[dilate(interior, range(grid.dim))] = BOUNDARY
     labels[interior] = INTERIOR

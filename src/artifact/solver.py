@@ -85,7 +85,7 @@ from functools import partial
 import numpy as np
 
 from ._expr import Expression
-from .domain.lattice import BOUNDARY, INTERIOR, dilate
+from .domain.lattice import BOUNDARY, INTERIOR, _slabs, dilate
 from .monotone import (
     Field,
     curvature_pair,
@@ -110,8 +110,7 @@ __all__ = [
 
 
 class BoundaryData:
-    """Dirichlet data: a callable, an expression string, a constant, or a 1-D
-    array of values at a grid's boundary nodes in grid order."""
+    """Dirichlet data: a callable, an expression string or a constant."""
 
     def __init__(self, source=0.0):
         if isinstance(source, BoundaryData):
@@ -120,23 +119,12 @@ class BoundaryData:
             self._eval = Expression(source)
         elif callable(source):
             self._eval = source
-        elif np.ndim(source) == 1:
-            values = np.asarray(source, dtype=float)
-            self._eval = lambda pts: _at_boundary_nodes(values, pts)
         else:
             const = float(source)
             self._eval = lambda pts: np.full(np.asarray(pts).shape[0], const)
 
     def evaluate(self, points):
         return np.asarray(self._eval(points), dtype=float)
-
-
-def _at_boundary_nodes(values, points):
-    if len(points) != values.size:
-        raise ValueError(
-            f"boundary data holds {values.size} values for {len(points)} boundary nodes"
-        )
-    return values
 
 
 @dataclass
@@ -626,20 +614,6 @@ def _laplacian(x, out=None, planes=None):
         behind = max(step - start, 0)
         total[behind:] -= flat[start + behind - step : start + total.size - step]
     return out
-
-
-# The most nodes of one slab of the walkers below: the block size of the
-# lattice classification.
-_SLAB_NODES = 1 << 16
-
-
-def _slabs(shape, plane=None):
-    """The slabs [a, b) of leading-axis planes of ``shape`` that the walkers
-    take in turn: ``_SLAB_NODES`` nodes at most, or one plane, counting
-    ``plane`` nodes a plane (default the array's)."""
-    plane = math.prod(shape[1:]) if plane is None else plane
-    planes = max(1, _SLAB_NODES // plane)
-    return [(a, min(a + planes, shape[0])) for a in range(0, shape[0], planes)]
 
 
 def _add_edge_squares(total, window, count):

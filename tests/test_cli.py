@@ -97,6 +97,13 @@ def test_validate_scenario_rejects(patch, field):
 # Malformed top-level fields: each must exit 2 naming the field, before any
 # solve, and must not stop a suite from running the valid scenario beside it.
 OBSTACLE = {"type": "ball", "center": [0.0, 0.0], "radius": 0.2}
+
+
+def probe_params(**over):
+    """Valid wiener-probe params, with ``over`` set."""
+    return {"y": [0.5, 0.0], "cap_radius": 0.1, "r0": 0.2, "K": 2, **over}
+
+
 MALFORMED = [
     ({"tolerance": "abc"}, "scenario.tolerance"),
     ({"tolerance": None}, "scenario.tolerance"),
@@ -123,6 +130,32 @@ MALFORMED = [
     # Infinity.
     ({"task": "obstacle", "params": {"obstacle": OBSTACLE, "m": math.nan}}, "params.m"),
     ({"task": "obstacle", "params": {"obstacle": OBSTACLE, "m": math.inf}}, "params.m"),
+    # Probe radii that are not positive numbers, read before the first
+    # level's solve, directly and under a locality scenario's probe.
+    ({"task": "wiener-probe", "params": probe_params(fixed_radius="x")}, "params.fixed_radius"),
+    ({"task": "wiener-probe", "params": probe_params(fixed_radius=-1.0)}, "params.fixed_radius"),
+    ({"task": "wiener-probe", "params": probe_params(fixed_radius=0.0)}, "params.fixed_radius"),
+    ({"task": "wiener-probe", "params": probe_params(near_radius_cells=0.0)},
+     "params.near_radius_cells"),
+    (
+        {
+            "task": "locality",
+            "params": {"shape_b": OBSTACLE, "probe": probe_params(fixed_radius="x")},
+        },
+        "params.probe.fixed_radius",
+    ),
+    # A flag that is not a JSON bool.
+    (
+        {
+            "task": "degiorgi-instrument",
+            "params": {
+                "solve": {"kind": "dirichlet", "data": "x1"},
+                "y": [0.0, 0.0],
+                "envelope": {"lower_order": "no"},
+            },
+        },
+        "params.envelope.lower_order",
+    ),
 ]
 
 
@@ -405,32 +438,47 @@ def test_degiorgi_block_keys_checked_before_any_solve(tmp_path, monkeypatch, blo
     assert not (tmp_path / "out").exists()
 
 
+def expression_doc(field, text):
+    """A 2D scenario whose expression at ``field`` is ``text``."""
+    if field == "params.data":
+        return scenario_doc(params={"data": text})
+    if field == "params.oracle.expr":
+        return scenario_doc(params={"data": "x1", "oracle": {"expr": text}})
+    return {
+        **instrument_doc("bad-instrument"),
+        "params": {"solve": {"kind": "dirichlet", "data": text}, "y": [0.0, 0.0]},
+    }
+
+
+# Each bad text in each expression field, with the cause its message names.
+EXPRESSION_CASES = [
+    (field, text, cause)
+    for text, cause in [
+        ("x1 +", "incomplete expression"),
+        ("x1 + banana", "unknown name 'banana'"),
+        ("x3", "x3 on a 2D domain"),
+    ]
+    for field in ("params.data", "params.oracle.expr", "params.solve.data")
+]
+
+
 @pytest.mark.parametrize(
-    "doc, field",
-    [
-        (scenario_doc(params={"data": "x1 +"}), "params.data"),
-        (scenario_doc(params={"data": "x1", "oracle": {"expr": "x1 +"}}), "params.oracle.expr"),
-        (
-            {
-                **instrument_doc("bad-instrument"),
-                "params": {"solve": {"kind": "dirichlet", "data": "x1 +"}, "y": [0.0, 0.0]},
-            },
-            "params.solve.data",
-        ),
-    ],
+    "field, text, cause",
+    EXPRESSION_CASES,
+    ids=[f"doc{i}-{field}" for i, (field, _, _) in enumerate(EXPRESSION_CASES)],
 )
-def test_malformed_expression_exits_two_before_any_solve(tmp_path, monkeypatch, doc, field):
-    # An expression that does not parse is a config error naming its field,
-    # found before any solve runs, and no report is written for it.
+def test_malformed_expression_exits_two_before_any_solve(tmp_path, monkeypatch, field, text, cause):
+    # An expression that does not parse, names an unknown name or reads a
+    # coordinate the domain lacks is a config error naming its field, found
+    # before any solve runs, and no report is written for it.
     def no_solve(*args, **kwargs):
         raise AssertionError("solve started before the expressions were parsed")
 
     monkeypatch.setattr("artifact.cli.solve_dirichlet", no_solve)
-    code, row = run_scenario(write_doc(tmp_path, doc), out_root=tmp_path / "out")
+    code, row = run_scenario(write_doc(tmp_path, expression_doc(field, text)), tmp_path / "out")
     assert code == 2
     assert row["result"] == "config-error"
-    assert row["key_metric"].startswith(field + ":")
-    assert "unexpected token 'end'" in row["key_metric"]
+    assert row["key_metric"].startswith(f"{field}: invalid expression {text!r}: {cause}")
     assert not (tmp_path / "out").exists()
 
 

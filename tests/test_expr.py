@@ -1,7 +1,11 @@
 """The small boundary-data expression language."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artifact._expr import Expression
 
@@ -16,6 +20,19 @@ def test_arithmetic_precedence():
     assert ev("2^3^2", 0.0, 0.0) == 512.0  # right associative
     assert ev("-2^2", 0.0, 0.0) == -4.0
     assert ev("6/4/2", 0.0, 0.0) == 0.75
+    assert ev("2^-1", 0.0, 0.0) == 0.5
+    assert ev("--x1", 3.0, 0.0) == 3.0
+    assert ev("x1*-x2", 3.0, 2.0) == -6.0
+
+
+def test_number_forms_and_whitespace():
+    # Every literal is read as a float; tabs and newlines are whitespace.
+    assert ev(".5", 0.0, 0.0) == 0.5
+    assert ev("5.", 0.0, 0.0) == 5.0
+    assert ev("1e-3", 0.0, 0.0) == 0.001
+    assert ev("1E+3", 0.0, 0.0) == 1000.0
+    assert ev("\tx1\n*\n2 ", 3.0, 0.0) == 6.0
+    assert ev(" (x1 +\n x2)\t", 3.0, 2.0) == 5.0
 
 
 def test_coordinates_and_radius():
@@ -28,6 +45,7 @@ def test_constants_and_functions():
     assert ev("log(e)", 0.0, 0.0) == pytest.approx(1.0)
     assert ev("sqrt(abs(-9))", 0.0, 0.0) == 3.0
     assert ev("min(x1, x2) + max(x1, x2)", 2.0, -5.0) == -3.0
+    assert ev("max(min(x1, sqrt(abs(x2))), exp(log(2)))", 9.0, -16.0) == 4.0
 
 
 def test_vectorized_evaluation():
@@ -37,16 +55,86 @@ def test_vectorized_evaluation():
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(ValueError):
-        Expression("x1 + banana")(np.zeros((1, 2)))
+    # Names and functions are resolved when the expression is built.
+    for bad in ("x1 + banana", "banana", "sqrt", "x4", "foo(x1)", "x1(2)"):
+        with pytest.raises(ValueError):
+            Expression(bad)
 
 
 def test_malformed_text_rejected():
-    for bad in ("1 +", "sin()", "(1", "x1 x2", "2 ** 3"):
+    # Each is refused when the expression is built, before any evaluation:
+    # text outside the grammar, literals other than decimal numbers, and
+    # every other Python construct.
+    for bad in (
+        "1 +", "", "sin()", "max(x1)", "sin(x1, x2)", "sin(x1,)", "(sin)(x1)", "(1", "x1 x2",
+        "2 ** 3", "+x1", "0x10", "1_0", "1j", "x1 < 2", "x1 if x2 else 1", "x1.real",
+        "sin(x=1)", "sin(*x1)", "(1, 2)", "[1]", '"a"', "True", "lambda: 1",
+        "__import__('os')", "x1 # comment", "1 // 2", "not x1", "\uff581", "\uff53in(x1)",
+    ):
         with pytest.raises(ValueError):
-            Expression(bad)(np.zeros((1, 2)))
+            Expression(bad)
 
 
 def test_dimension_checked():
+    assert Expression("x1 + x3").dim == 3
+    assert Expression("r + pi").dim == 0
     with pytest.raises(ValueError):
         Expression("x3")(np.zeros((1, 2)))
+
+
+_FUNCTIONS = {"abs": np.abs, "sqrt": np.sqrt, "log": np.log, "exp": np.exp, "sin": np.sin,
+              "cos": np.cos, "min": np.minimum, "max": np.maximum}
+
+
+def _grammar(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(["abs", "sqrt", "log", "exp", "sin", "cos"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+        st.tuples(st.sampled_from(["min", "max"]), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]}, {t[2]})"
+        ),
+    )
+
+
+# Expressions of the documented grammar, every literal written as a float.
+EXPRESSIONS = st.recursive(
+    st.one_of(
+        st.floats(0.0, 1e3).map(repr),
+        st.sampled_from(["x1", "x2", "r", "pi", "e"]),
+    ),
+    _grammar,
+    max_leaves=12,
+)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate().tobytes()
+    except (ArithmeticError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS)
+@example("-x1")  # -0.0 at the origin
+@example("1.0 / (2.0 - 2.0)")  # ZeroDivisionError
+@example("10.0 ^ 400.0")  # OverflowError
+@example("-8.0 ^ (1.0 / 3.0) + (0.0 - 8.0) ^ (1.0 / 3.0)")  # a complex power: TypeError
+def test_values_are_python_arithmetic_bit_for_bit(text):
+    # Each expression evaluates to the bits Python's own arithmetic gives
+    # the same text (^ as **) over the numpy functions, or fails as it does:
+    # constants stay Python floats, so their errors are Python's.
+    pts = np.array([[0.0, 0.0], [0.5, -1.25], [-2.0, 3.0]])
+    env = {"x1": pts[:, 0], "x2": pts[:, 1], "r": np.linalg.norm(pts, axis=1),
+           "pi": math.pi, "e": math.e, "__builtins__": {}, **_FUNCTIONS}
+
+    def reference():
+        out = eval(text.replace("^", "**"), env)  # noqa: S307 - generated text only
+        return np.broadcast_to(np.asarray(out, dtype=float), (len(pts),)).copy()
+
+    with np.errstate(all="ignore"):
+        assert _outcome(lambda: Expression(text)(pts)) == _outcome(reference)

@@ -192,16 +192,16 @@ def _every_shape_class(dim):
     return shapes
 
 
-@pytest.mark.parametrize("block", [lattice._CLASSIFY_BLOCK, 1000], ids=["shipped", "small"])
+@pytest.mark.parametrize("block", [lattice._SLAB_NODES, 1000], ids=["shipped", "small"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_classification_by_blocks_is_one_full_call(dim, block, monkeypatch):
     # Blocks of whole leading-axis slabs must label every node as one
     # inside_open call over the full points array does, on a grid of more
     # nodes than one block (259^2 and 43^3 against 2^16; and, with a
     # 1000-node block, one slab a call in 3D and a short last block in 2D).
-    monkeypatch.setattr(lattice, "_CLASSIFY_BLOCK", block)
+    monkeypatch.setattr(lattice, "_SLAB_NODES", block)
     grid = build_grid(Box([-0.5] * dim, [0.5] * dim), 1.0 / 256.0 if dim == 2 else 1.0 / 40.0)
-    assert grid.node_count() > lattice._CLASSIFY_BLOCK
+    assert grid.node_count() > lattice._SLAB_NODES
     shapes = _every_shape_class(dim)
     every = {cls for cls in Shape.__subclasses__() if dim == 3 or cls is not TwistedCone}
     assert {type(shape) for shape in shapes} == every

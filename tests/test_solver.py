@@ -37,6 +37,7 @@ from artifact import (
     weak_residual,
 )
 from artifact import monotone, solver
+from artifact.domain import lattice
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
 from artifact.monotone import offset_slices
 from artifact.solver import (
@@ -167,28 +168,11 @@ def test_nonfinite_boundary_data_rejected(small_disk):
 def test_boundary_data_sources():
     pts = np.array([[0.0, 0.0], [1.0, 2.0]])
     assert BoundaryData(2.5).evaluate(pts) == pytest.approx([2.5, 2.5])
+    assert BoundaryData(np.array(2.5)).evaluate(pts) == pytest.approx([2.5, 2.5])
     assert BoundaryData("x1 + x2").evaluate(pts) == pytest.approx([0.0, 3.0])
     assert BoundaryData(lambda p: p[:, 0]).evaluate(pts) == pytest.approx([0.0, 1.0])
     wrapped = BoundaryData(BoundaryData("x1"))
     assert wrapped.evaluate(pts) == pytest.approx([0.0, 1.0])
-
-
-def test_boundary_data_at_boundary_nodes(small_disk):
-    grid = small_disk
-    spec = OperatorSpec(kind="p_laplace", t=2.0)
-    bpts = grid.points()[(grid.labels == BOUNDARY).ravel()]
-    vals = BoundaryData("x1 - 0.5*x2").evaluate(bpts)
-    # A 1-D array holds the values at the boundary nodes in grid order.
-    assert np.array_equal(BoundaryData(vals).evaluate(bpts), vals)
-    from_array, _ = solve_dirichlet(grid, spec, vals)
-    from_expr, _ = solve_dirichlet(grid, spec, "x1 - 0.5*x2")
-    assert np.array_equal(from_array.values, from_expr.values)
-    # A 0-d array stays a constant.
-    assert BoundaryData(np.array(2.5)).evaluate(bpts[:2]) == pytest.approx([2.5, 2.5])
-    with pytest.raises(ValueError, match="boundary nodes"):
-        BoundaryData(vals[:-1]).evaluate(bpts)
-    with pytest.raises(ValueError, match="boundary nodes"):
-        solve_dirichlet(grid, spec, np.append(vals, 0.0))
 
 
 def test_obstacle_constraint_validation(small_disk):
@@ -965,8 +949,8 @@ def test_edge_curvature_is_the_operator_curvature(box, h, monkeypatch):
     for level in multigrid.levels:
         c = np.where(level.free, rng.standard_normal(level.free.shape), 0.0)
         want = inner(c, level.apply(c))
-        for slab in (1, 3 * plane - 1, solver._SLAB_NODES):
-            monkeypatch.setattr(solver, "_SLAB_NODES", slab)
+        for slab in (1, 3 * plane - 1, lattice._SLAB_NODES):
+            monkeypatch.setattr(lattice, "_SLAB_NODES", slab)
             assert level.curvature(c) == pytest.approx(want, rel=1e-12, abs=0.0)
         monkeypatch.undo()
     # The edge sum itself, against every edge difference squared and summed
@@ -1027,8 +1011,8 @@ def test_streamed_cycle_is_the_full_size_cycle(box, h, with_rhs, monkeypatch):
     free = multigrid.levels[0].free
     rhs = np.where(free, rng.standard_normal(grid.dims), 0.0).ravel() if with_rhs else None
     plane = math.prod(grid.dims[1:])
-    for slab in (plane, 3 * plane - 1, solver._SLAB_NODES):
-        monkeypatch.setattr(solver, "_SLAB_NODES", slab)
+    for slab in (plane, 3 * plane - 1, lattice._SLAB_NODES):
+        monkeypatch.setattr(lattice, "_SLAB_NODES", slab)
         want, got = values.copy(), values.copy()
         for _ in range(2):
             full_size_cycle(multigrid, 0, want, rhs, slab)
@@ -1084,8 +1068,8 @@ def test_masked_checks_are_the_gather_checks(dim, t, case, monkeypatch):
             res = weak_residual(spec, Field(grid, field)).values.ravel() / grid.h ** (dim - 2)
         want = gather_residual_split(res, interior, field, constraint)
         plane = math.prod(grid.dims[1:])
-        for slab in (plane, 3 * plane - 1, solver._SLAB_NODES):
-            monkeypatch.setattr(solver, "_SLAB_NODES", slab)
+        for slab in (plane, 3 * plane - 1, lattice._SLAB_NODES):
+            monkeypatch.setattr(lattice, "_SLAB_NODES", slab)
             got = residual_breakdown(spec, grid, field, constraint)
             assert got["pinned_count"] == want["pinned_count"] == at.size
             for key in ("free_max", "pinned_violation", "combined"):
@@ -1200,7 +1184,7 @@ def test_memory_above_entry_is_pinned_at_83(ball_83, check, fields, slabs):
     run()
     _, peak = peak_above_entry(run)
     plane = math.prod(grid.dims[1:])
-    slab = 8 * plane * (solver._SLAB_NODES // plane)
+    slab = 8 * plane * (lattice._SLAB_NODES // plane)
     assert peak <= fields * field.nbytes + slabs * slab, peak / field.nbytes
 
 
