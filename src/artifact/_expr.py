@@ -8,7 +8,9 @@ so ``-2^2`` is -4; ``**`` is no operator) and parentheses; and the functions
 abs, sqrt, log, exp, sin, cos of one argument and min, max of two.
 
 Python's parser reads the text (``^`` as ``**``); every node is checked, and every
-name resolved, when the ``Expression`` is built.  Nothing goes to ``eval``.
+name resolved, when the ``Expression`` is built.  Nothing goes to ``eval``.  Each
+part that reads no coordinate is evaluated then too, once, so ``1/0`` or ``10^400``
+is refused before any point is evaluated.
 """
 
 import ast
@@ -26,7 +28,8 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
 _NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Call, ast.Name, ast.Load,
           ast.Constant, *_BINARY)
-_NAMES = ("x1", "x2", "x3", "r", "pi", "e")
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_NAMES = ("x1", "x2", "x3", "r", *_CONSTANTS)
 _NUMBER = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
 
 
@@ -68,7 +71,36 @@ def _parse(text):
                 raise ValueError(f"unknown name {node.id!r} in expression")
             if node.id[0] == "x":
                 dim = max(dim, int(node.id[1]))
-    return tree.body, dim
+    return _fold(tree.body, source), dim
+
+
+def _fold(node, source):
+    """``node`` with each part that reads no coordinate evaluated into a
+    constant, children first and left to right, as a call evaluates them:
+    the same Python float and numpy operations, so the same bits.  An
+    arithmetic error there (``1/0``, ``10^400``) is a ValueError naming the
+    part."""
+    if isinstance(node, ast.Name):
+        return ast.Constant(_CONSTANTS[node.id]) if node.id in _CONSTANTS else node
+    if isinstance(node, ast.UnaryOp):
+        node.operand = _fold(node.operand, source)
+        parts = [node.operand]
+    elif isinstance(node, ast.BinOp):
+        node.left = _fold(node.left, source)
+        node.right = _fold(node.right, source)
+        parts = [node.left, node.right]
+    elif isinstance(node, ast.Call):
+        node.args = [_fold(arg, source) for arg in node.args]
+        parts = node.args
+    else:
+        return node
+    if not all(isinstance(part, ast.Constant) for part in parts):
+        return node
+    try:
+        return ast.Constant(_evaluate(node, {}))
+    except ArithmeticError as exc:
+        text = ast.get_source_segment(source, node).replace("**", "^")
+        raise ValueError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
 def _evaluate(node, env):
@@ -95,6 +127,6 @@ class Expression:
         if points.shape[1] < self.dim:
             raise ValueError(f"{self.text!r} reads x{self.dim} of {points.shape[1]}D points")
         env = {f"x{k + 1}": points[:, k] for k in range(points.shape[1])}
-        env.update(r=np.linalg.norm(points, axis=1), pi=math.pi, e=math.e)
+        env["r"] = np.linalg.norm(points, axis=1)
         out = _evaluate(self._tree, env)
         return np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()

@@ -237,12 +237,29 @@ def _finite(x):
 
 
 def _probe_level(config, region_shape, spec, h, tol):
-    """One grid level: solve the cap potential and read the ladders."""
+    """One grid level: solve the cap potential and read the ladders.
+
+    The region-interior nodes of every ball the level reads (each radius
+    of the ladder, ``near_radius_cells`` h and ``deficit_radius()``) are
+    picked before the solve, so the region's labels and their interior
+    mask are freed before it and never sit beside the solver's arrays."""
     sigma = sigma_grid_for(region_shape, h)
     region_labels = sigma.classify(region_shape)
     cap = complement_cap(
         sigma, config.y, config.cap_radius, labels=region_labels, shape=region_shape
     )
+    inside = (region_labels == INTERIOR).ravel()
+
+    def region_nodes(radius):
+        nodes = sigma.nodes_within(config.y, radius)
+        return nodes[inside[nodes]]
+
+    ladder = [region_nodes(r) for r in config.radii]
+    near_r = config.near_radius_cells * h
+    near = region_nodes(near_r)
+    rdef = config.deficit_radius()
+    at_fixed = region_nodes(rdef)
+    del region_labels, inside
     # Reflection symmetry: the negative-sign potential is minus the
     # positive-sign potential of the reflected operator, and both kinds are
     # odd, so the reflection is the operator itself.  So one solve at sign
@@ -252,7 +269,6 @@ def _probe_level(config, region_shape, spec, h, tol):
     )
     if config.sign < 0:
         cap_report["derived_by_reflection"] = True
-    inside = (region_labels == INTERIOR).ravel()
     w = fld.values.ravel()
     solve = cap_report["solve"]
     level = {
@@ -273,9 +289,7 @@ def _probe_level(config, region_shape, spec, h, tol):
         "counts": [],
         "representable": [],
     }
-    for r in config.radii:
-        nodes = sigma.nodes_within(config.y, r)
-        nodes = nodes[inside[nodes]]
+    for nodes in ladder:
         level["counts"].append(int(nodes.size))
         if nodes.size == 0:
             level["omega"].append(math.nan)
@@ -284,17 +298,11 @@ def _probe_level(config, region_shape, spec, h, tol):
             vals = w[nodes]
             level["omega"].append(float(vals.max() - vals.min()))
             level["representable"].append(True)
-    near_r = config.near_radius_cells * h
-    near = sigma.nodes_within(config.y, near_r)
-    near = near[inside[near]]
     level["near_radius"] = near_r
     level["near_count"] = int(near.size)
     level["deficit_near"] = (
         float(config.height - w[near].max()) if near.size else math.nan
     )
-    rdef = config.deficit_radius()
-    at_fixed = sigma.nodes_within(config.y, rdef)
-    at_fixed = at_fixed[inside[at_fixed]]
     level["fixed_radius"] = rdef
     level["deficit_fixed"] = (
         float(config.height - w[at_fixed].max()) if at_fixed.size else math.nan

@@ -765,13 +765,16 @@ def run_scenario(path, out_root=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2, {"scenario": scn["name"], "task": scn["task"],
                    "result": "config-error", "key_metric": str(exc), "wall_time_s": 0.0}
-    except (ValueError, RuntimeError) as exc:
+    except Exception as exc:  # noqa: BLE001 - one failed task must not end a suite
         wall = time.perf_counter() - t0
+        message = str(exc)
+        if not isinstance(exc, (ValueError, RuntimeError)):
+            message = f"{type(exc).__name__}: {message}"
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "report.json", {"task": scn["task"], "error": str(exc)})
-        print(f"scenario {scn['name']} failed: {exc}", file=sys.stderr)
+        _write_json(out_dir / "report.json", {"task": scn["task"], "error": message})
+        print(f"scenario {scn['name']} failed: {message}", file=sys.stderr)
         return 1, {"scenario": scn["name"], "task": scn["task"], "result": "error",
-                   "key_metric": str(exc), "wall_time_s": wall}
+                   "key_metric": message, "wall_time_s": wall}
     wall = time.perf_counter() - t0
     report["scenario"] = scn["name"]
     assertion_rows, asserts_ok = _check_assertions(report, scn["assertions"])

@@ -335,8 +335,13 @@ def _face_offsets(dims):
 
 
 def _parity_classes(mask):
-    """Flat indices of the nodes of ``mask``, one array per lattice parity
-    (nodes of one parity share no cell), empty classes left out."""
+    """Flat indices of the nodes of ``mask``, one int32 array per lattice
+    parity (nodes of one parity share no cell), empty classes left out.
+    A level keeps its classes for the whole solve, and int32 halves them;
+    a lattice of 2^31 nodes or more, which no int32 index reaches, is
+    refused."""
+    if mask.size >= 2**31:
+        raise ValueError(f"a lattice of {mask.size} nodes is past int32 indices")
     parity = np.zeros(mask.shape, dtype=np.int8)
     for coord in np.ogrid[tuple(slice(d) for d in mask.shape)]:
         parity = parity * 2 + (coord % 2).astype(np.int8)
@@ -344,7 +349,7 @@ def _parity_classes(mask):
     for c in range(2 ** mask.ndim):
         idx = np.flatnonzero((mask & (parity == c)).ravel())
         if idx.size:
-            classes.append(idx)
+            classes.append(idx.astype(np.int32))
     return classes
 
 
@@ -381,13 +386,30 @@ class _Level:
     has stored one, a 3^N-point stencil {o: F_o} over every o in {-1, 0,
     1}^N with F_o[i] = A[i, i + o] (``monotone.hessian``'s layout).  Either
     way A couples no two nodes of one parity, so a parity class relaxes in
-    one vectorized step."""
+    one vectorized step.
 
-    def __init__(self, free):
+    What the walkers read on every call is fixed at construction: the
+    level's ``_slabs`` with the free-node count of each, and, below the
+    finest level (``fine_shape`` the shape of the level above), the
+    ``axes`` it halves and the slabs of its planes that a restriction
+    walks, each with the fine planes it reads.  So ``lattice._SLAB_NODES``
+    counts when a level is built.  Besides the mask, the level keeps for
+    the whole solve only its classes (4 bytes a free node), its stencil
+    and its coarsest inverse; a walker takes ~free of the planes it
+    touches when it needs the non-free nodes."""
+
+    def __init__(self, free, fine_shape=None):
         self.free = free
-        self.nonfree = ~free
         self.classes = _parity_classes(free)
         self.offsets = _face_offsets(free.shape)
+        self.slabs = [(a, b, int(np.count_nonzero(free[a:b]))) for a, b in _slabs(free.shape)]
+        self.free_count = sum(count for _, _, count in self.slabs)
+        if fine_shape is not None:
+            self.axes = _halved_axes(fine_shape, free.shape)
+            step = 2 if self.axes[0] == 0 else 1
+            plane = step * math.prod(fine_shape[1:])
+            self.restriction = [(a, b, step * a, min(step * b, fine_shape[0]))
+                                for a, b in _slabs(free.shape, plane)]
         self.stencil = None
         # Per parity class of a stencil operator: the node indices, the
         # coefficient of each off-diagonal offset and the inverse diagonal.
@@ -426,18 +448,22 @@ class _Level:
         """The flat indices of the free nodes of positive diagonal and A^-1
         on them as a product of matrices, applied in turn, built once per
         operator: M then M^T for M = L^-1, L the Cholesky factor of A
-        (``_inverse_cholesky``).  A block that is not positive definite, a
+        (``_inverse_cholesky``, which writes M over the block, so the build
+        holds one n x n array).  A block that is not positive definite, a
         free island that no coupling ties to a fixed node, gets its
-        pseudo-inverse."""
+        pseudo-inverse, of the block built again: the failed factor has
+        written over part of the first one."""
         if self._inverse is None:
             kept, dense = self._dense_block()
+            size = dense.shape[0]
             factor = _inverse_cholesky(dense)
+            del dense
             if factor is None:
-                inverse = (np.linalg.pinv(dense, hermitian=True),)
+                inverse = (np.linalg.pinv(self._dense_block()[1], hermitian=True),)
             else:
                 inverse = (factor, factor.T)
             self._inverse = (np.flatnonzero(kept), inverse)
-            self.dense_nodes = max(self.dense_nodes, dense.shape[0])
+            self.dense_nodes = max(self.dense_nodes, size)
         return self._inverse
 
     def _dense_block(self):
@@ -475,9 +501,11 @@ class _Level:
         Under K a class adds one gathered face neighbour at a time, in the
         order of ``offsets``: the sum is the same, bit for bit, as summing
         a stacked gather over its rows, with no (2N, n) index array.  Each
-        gather reads a shifted view of ``flat`` at one index array per
-        class, idx - reach (reach the largest stride), which no free node
-        makes negative as none lies on the box rim."""
+        gather, the rhs gather and the scatter of the result read a
+        shifted view (of ``flat`` or rhs) at one intp index array per
+        class, made once a sweep from the int32 class: idx - reach (reach
+        the largest stride), which no free node makes negative as none
+        lies on the box rim.  So no take converts an int32 index."""
         if self.stencil is not None:
             offsets, rows = self._stencil_rows()
             for idx, coef, inv_diag in rows:
@@ -493,13 +521,14 @@ class _Level:
         reach = int(self.offsets[0])
         first, *rest = self.offsets + reach
         for idx in self.classes:
-            base = idx - reach
+            base = np.subtract(idx, reach, dtype=np.intp)
             total = flat[first:].take(base)
             for start in rest:
                 total += flat[start:].take(base)
             if rhs is not None:
-                total += rhs[idx]
-            flat[idx] = total / denom
+                total += rhs[reach:].take(base)
+            total /= denom
+            flat[reach:][base] = total
 
     def _stencil_rows(self):
         """Flat offsets (a column) and per-class rows of the stencil.  A
@@ -547,7 +576,7 @@ class _Level:
                         entries[(slice(r0, r1), *lo)] * x[(slice(r0 + d, r1 + d), *hi)])
         else:
             out = _laplacian(x, out, (a, b))
-        np.copyto(out, 0.0, where=self.nonfree[a:b])
+        np.copyto(out, 0.0, where=~self.free[a:b])
         return out
 
     def residual(self, x, rhs, a, b):
@@ -559,30 +588,28 @@ class _Level:
             rho += rhs.reshape(x.shape)[a:b]
         return rho
 
-    def correction(self, e):
-        """(c on the free nodes in flat order, <c, A c>), c = Z P e.  Under
-        K, c is made and summed over its edges slab by slab, with the bits
-        of ``_edge_square_sum``; a stencil level prolongs e whole."""
+    def correction(self, e, axes):
+        """(c on the free nodes in flat order, <c, A c>), c = Z P e, e on
+        the coarser level that halves ``axes``.  Under K, c is made and
+        summed over its edges slab by slab, with the bits of
+        ``_edge_square_sum``; a stencil level prolongs e whole."""
         if self.stencil is not None:
-            c = _prolong(e, self)
+            c = _prolong(e, self, axes)
             return c[self.free], self.curvature(c)
-        values = np.empty(np.count_nonzero(self.free))
+        values = np.empty(self.free_count)
         total, at = 0.0, 0
-        for a, b, window in _prolong_slabs(e, self):
+        for a, b, count, window in _prolong_slabs(e, self, axes):
             total = _add_edge_squares(total, window, b - a)
-            part = window[: b - a][self.free[a:b]]
-            values[at : at + part.size] = part
-            at += part.size
-            del window, part  # before the next window is made
+            values[at : at + count] = window[: b - a][self.free[a:b]]
+            at += count
+            del window  # before the next window is made
         return values, total
 
     def add_free(self, x, values):
         """x += values on the free nodes (in flat order), slab by slab."""
         at = 0
-        for a, b in _slabs(x.shape):
-            free = self.free[a:b]
-            count = int(np.count_nonzero(free))
-            x[a:b][free] += values[at : at + count]
+        for a, b, count in self.slabs:
+            x[a:b][self.free[a:b]] += values[at : at + count]
             at += count
 
 
@@ -644,11 +671,12 @@ def _edge_square_sum(x):
 
 def _inverse_cholesky(a):
     """M = L^-1 for the Cholesky factor L of a symmetric positive definite
-    ``a`` (a = L L^T, so a^-1 = M^T M), or None at a pivot that is not
-    positive.  Built column by column with ``np.einsum``, without BLAS or
-    LAPACK, so its bits do not depend on the BLAS thread count;
-    ``np.linalg.inv``'s do from 100 nodes up (OpenBLAS, 2 threads against
-    1).
+    ``a`` (a = L L^T, so a^-1 = M^T M), built in place: it consumes ``a``
+    and returns it as M, or None at a pivot that is not positive, with
+    ``a`` then partly written over.  Built column by column with
+    ``np.einsum``, without BLAS or LAPACK, so its bits do not depend on the
+    BLAS thread count; ``np.linalg.inv``'s do from 100 nodes up (OpenBLAS,
+    2 threads against 1).
 
     Each product reads only the envelope of ``a`` (George & Liu, Computer
     Solution of Large Sparse Positive Definite Systems, 1981): with
@@ -659,9 +687,17 @@ def _inverse_cholesky(a):
     sums moves, by rounding.  On a lattice block in flat order the
     envelope is about one plane of the box (one row in 2D) wide, so a
     729-node 3D block takes about a fifth of the full-column work; small
-    blocks gain little, as they pay about 10 us a column in calls.  M is
-    written over L, row by row, in the one n x n array it allocates: row i
-    reads only L[i, first[i]:i] and rows first[i] to i - 1 of M.
+    blocks gain little, as they pay about 10 us a column in calls.
+
+    L goes over the lower triangle of ``a``, column by column: column j
+    reads a[j:, j] before writing it and L left of it, the strict lower
+    triangle.  Entries of the envelope's rows that no column writes stay
+    a's zeros.  Then M goes over L, row by row: row i reads only L[i,
+    first[i]:i] and rows first[i] to i - 1 of M, and its entries right of
+    the diagonal, a's upper triangle, are zeroed as it is written.  So
+    every product has the operands and the order of building L and M in
+    arrays of their own, and the same bits, while the build holds one n x
+    n array.
     """
     n = a.shape[0]
     rows = np.arange(n)
@@ -669,20 +705,20 @@ def _inverse_cholesky(a):
     reach = np.full(n, -1)
     np.maximum.at(reach, first, rows)
     last = np.maximum.accumulate(reach) + 1
-    low = np.zeros((n, n))
     for j in range(n):
         f, e = first[j], last[j]
-        col = a[j:e, j] - np.einsum("ik,k->i", low[j:e, f:j], low[j, f:j])
+        col = a[j:e, j] - np.einsum("ik,k->i", a[j:e, f:j], a[j, f:j])
         if not col[0] > 0.0:
             return None
-        low[j:e, j] = col / math.sqrt(col[0])
+        a[j:e, j] = col / math.sqrt(col[0])
     for i in range(n):
-        f, row = first[i], low[i]
+        f, row = first[i], a[i]
         diagonal = row[i]
-        row[:i] = np.einsum("k,kj->j", row[f:i], low[f:i, :i])
+        row[:i] = np.einsum("k,kj->j", row[f:i], a[f:i, :i])
         row[:i] /= -diagonal
         row[i] = 1.0 / diagonal
-    return low
+        row[i + 1 :] = 0.0
+    return a
 
 
 def _coarse_free(free, axes):
@@ -750,17 +786,16 @@ def _interpolate_transpose(fine, axis, below=None, out=None):
     return coarse
 
 
-def _prolong_slabs(coarse, fine_level, out=None):
-    """(a, b, planes a to b of c) over the slabs of ``_slabs``, c = Z P e:
-    multilinear interpolation of e = ``coarse``, zero off its free nodes,
-    the identity along an axis it does not halve, Z zeroing the fine
-    level's non-free nodes; the planes are views of ``out`` if given.
-    The other halved axes go last axis first, so the strided pass runs on
-    the smallest intermediate, then axis 0."""
+def _prolong_slabs(coarse, fine_level, axes, out=None):
+    """(a, b, the free count of [a, b), planes a to b of c) over the fine
+    level's slabs, c = Z P e: multilinear interpolation of e = ``coarse``,
+    zero off its free nodes, along the halved ``axes``, the identity along
+    the others, Z zeroing the fine level's non-free nodes; the planes are
+    views of ``out`` if given.  The other halved axes go last axis first,
+    so the strided pass runs on the smallest intermediate, then axis 0."""
     shape = fine_level.free.shape
-    axes = _halved_axes(shape, coarse.shape)
     n = shape[0]
-    for a, b in _slabs(shape):
+    for a, b, count in fine_level.slabs:
         stop = min(b + 1, n)
         window = coarse[a // 2 : stop // 2 + 1] if axes[0] == 0 else coarse[a:stop]
         for axis in reversed(axes):
@@ -769,40 +804,40 @@ def _prolong_slabs(coarse, fine_level, out=None):
                 window = _interpolate(window, axis, shape[axis], out=target)
             else:
                 window = _interpolate(window, 0, n, a, stop, target)
-        np.copyto(window, 0.0, where=fine_level.nonfree[a:stop])
-        yield a, b, window
+        np.copyto(window, 0.0, where=~fine_level.free[a:stop])
+        yield a, b, count, window
 
 
-def _prolong(coarse, fine_level):
+def _prolong(coarse, fine_level, axes):
     """Z P e as one array (``_prolong_slabs``)."""
     fine = np.empty(fine_level.free.shape)
-    for _ in _prolong_slabs(coarse, fine_level, fine):
+    for _ in _prolong_slabs(coarse, fine_level, axes, fine):
         pass
     return fine
 
 
-def _restrict_slabs(source, fine_shape, coarse_level):
+def _restrict_slabs(source, coarse_level):
     """P^T r for a fine field r, zero off its free nodes, whose planes [a, b)
-    are ``source(a, b)``, slab by slab of fine planes.  Axis 0 goes
-    first, fine plane 2J - 1 carried from the slab before, then the other
-    halved axes in ascending order."""
+    are ``source(a, b)``, over the coarse level's ``restriction`` slabs.
+    Axis 0 goes first, fine plane 2J - 1 carried from the slab before,
+    then the other halved axes in ascending order; each slab of P^T r is
+    whole once made, and its non-free nodes are zeroed then."""
     coarse = np.empty(coarse_level.free.shape)
-    axes = _halved_axes(fine_shape, coarse.shape)
-    step = 2 if axes[0] == 0 else 1
+    axes = coarse_level.axes
     below = None
-    for a, b in _slabs(coarse.shape, step * math.prod(fine_shape[1:])):
-        slab = window = source(step * a, min(step * b, fine_shape[0]))
+    for a, b, fine_a, fine_b in coarse_level.restriction:
+        slab = window = source(fine_a, fine_b)
         for axis in axes:
             target = coarse[a:b] if axis == axes[-1] else None
             slab = _interpolate_transpose(slab, axis, below if axis == 0 else None, target)
         below = window[-1].copy()
-    np.copyto(coarse, 0.0, where=coarse_level.nonfree)
+        np.copyto(coarse[a:b], 0.0, where=~coarse_level.free[a:b])
     return coarse
 
 
 def _restrict(fine, coarse_level):
     """P^T r for a whole fine field r that is zero off its free nodes."""
-    return _restrict_slabs(lambda a, b: fine[a:b], fine.shape, coarse_level)
+    return _restrict_slabs(lambda a, b: fine[a:b], coarse_level)
 
 
 def _coarsen_axis(stencil, axis):
@@ -928,10 +963,11 @@ class _Multigrid:
             axes = [k for k, n in enumerate(free.shape) if (n + 1) // 2 >= _MIN_COARSE_DIM]
             if not axes:
                 break
-            free = coarsen(free, axes)
-            if free.sum() < _MIN_COARSE_NODES:
+            coarse = coarsen(free, axes)
+            if coarse.sum() < _MIN_COARSE_NODES:
                 break
-            self.levels.append(_Level(free))
+            self.levels.append(_Level(coarse, free.shape))
+            free = coarse
 
     def linearize(self, newton, values):
         """Make J(u) at ``values`` (from ``newton``, a _NewtonLevel) the
@@ -942,8 +978,7 @@ class _Multigrid:
             level.set_stencil(None)
         self.levels[0].set_stencil(newton.jacobian(values))
         for fine, coarse in zip(self.levels, self.levels[1:]):
-            axes = _halved_axes(fine.free.shape, coarse.free.shape)
-            coarse.set_stencil(_galerkin_product(fine.stencil, axes))
+            coarse.set_stencil(_galerkin_product(fine.stencil, coarse.axes))
 
     def cycle(self, values, newton=None):
         """One V-cycle on ``values`` in place; returns the max update.  With
@@ -978,7 +1013,7 @@ class _Multigrid:
     def _correction(self, k, rc):
         """(c, <rc, e>), c = Z P e for e and the slope of ``_coarse_cycle``."""
         e, slope = self._coarse_cycle(k, rc)
-        return _prolong(e, self.levels[k]), slope
+        return _prolong(e, self.levels[k], self.levels[k + 1].axes), slope
 
     def _coarse_cycle(self, k, rc):
         """(e, <rc, e>): e one cycle from zero on level k + 1 for A e = rc,
@@ -997,10 +1032,11 @@ class _Multigrid:
             level.solve(x, rhs)
             return
         level.sweep(flat, rhs)
-        rc = _restrict_slabs(partial(level.residual, x, rhs), x.shape, self.levels[k + 1])
+        coarse = self.levels[k + 1]
+        rc = _restrict_slabs(partial(level.residual, x, rhs), coarse)
         e, slope = self._coarse_cycle(k, rc)
         del rc
-        c, curvature = level.correction(e)
+        c, curvature = level.correction(e, coarse.axes)
         if curvature > 0.0:
             c *= slope / curvature
             level.add_free(x, c)
@@ -1056,7 +1092,7 @@ class _NewtonLevel:
         """dE/du / h^{N-2}, zero off the free nodes."""
         grad = weak_residual(self.spec, Field(self.grid, values)).values
         grad /= self.scale
-        np.copyto(grad, 0.0, where=self.level.nonfree)
+        np.copyto(grad, 0.0, where=~self.level.free)
         return grad
 
     def residual(self, values):

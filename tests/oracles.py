@@ -475,6 +475,33 @@ def full_column_inverse_cholesky(a):
     return inverse
 
 
+def envelope_inverse_cholesky(a):
+    """M = L^-1 over the envelope of ``a``, L and M each in an n x n array
+    of its own, ``a`` left as it is, or None at a pivot that is not
+    positive: the coarsest factor as it was built before it was written
+    over its argument, with the same einsum products in the same order."""
+    n = a.shape[0]
+    rows = np.arange(n)
+    first = np.minimum(np.argmax(a != 0.0, axis=1), rows)
+    reach = np.full(n, -1)
+    np.maximum.at(reach, first, rows)
+    last = np.maximum.accumulate(reach) + 1
+    low = np.zeros((n, n))
+    for j in range(n):
+        f, e = first[j], last[j]
+        col = a[j:e, j] - np.einsum("ik,k->i", low[j:e, f:j], low[j, f:j])
+        if not col[0] > 0.0:
+            return None
+        low[j:e, j] = col / math.sqrt(col[0])
+    for i in range(n):
+        f, row = first[i], low[i]
+        diagonal = row[i]
+        row[:i] = np.einsum("k,kj->j", row[f:i], low[f:i, :i])
+        row[:i] /= -diagonal
+        row[i] = 1.0 / diagonal
+    return low
+
+
 def gather_residual_split(res, interior, values, constraint):
     """The free/pinned split of a flat normalized residual ``res`` with
     boolean gathers: the free-node max over ``np.abs(res[free])`` and the
@@ -551,6 +578,33 @@ def peak_above_entry(fn):
         if not tracing:
             tracemalloc.stop()
     return result, peak - entry
+
+
+def held_nbytes(obj):
+    """The bytes of the numpy arrays reachable from ``obj`` through object
+    attributes, dicts, lists and tuples, each buffer counted once: a view
+    counts as the array that owns its memory."""
+    seen, owners, total = set(), set(), 0
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            if id(item) not in owners:
+                owners.add(id(item))
+                total += item.nbytes
+        elif isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,56 @@ def test_malformed_expression_exits_two_before_any_solve(tmp_path, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, part", [("1/0", "1/0"), ("x1 + 10^400", "10^400")])
+def test_failing_constant_exits_two_and_the_suite_goes_on(tmp_path, text, part):
+    # A part of an expression that reads no coordinate and fails in Python
+    # arithmetic is a config error naming the field, found when the
+    # expression is read; the next scenario still runs and the summary is
+    # written.
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    write_doc(sdir, scenario_doc(name="s03-bad", params={"data": text}))
+    write_doc(sdir, scenario_doc(name="s04-good"))
+    assert run_suite(sdir, out_root=tmp_path / "out") == 2
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+    assert rows["s03-bad"]["result"] == "config-error"
+    assert rows["s03-bad"]["key_metric"].startswith(
+        f"params.data: invalid expression {text!r}: cannot evaluate {part!r}"
+    )
+    assert rows["s04-good"]["result"] == "pass"
+    assert not (tmp_path / "out" / "s03-bad").exists()
+
+
+def test_any_task_exception_is_an_error_row(tmp_path, monkeypatch):
+    # An exception other than ValueError or RuntimeError from a task is
+    # reported as an error with its type, exit 1 and report.json written,
+    # and the suite runs the next scenario.
+    import artifact.cli as cli
+
+    solve = cli.solve_dirichlet
+
+    def failing(grid, spec, data, tol):
+        if grid.h == 0.25:
+            raise ZeroDivisionError("float division by zero")
+        return solve(grid, spec, data, tol)
+
+    monkeypatch.setattr(cli, "solve_dirichlet", failing)
+    sdir = tmp_path / "suite"
+    sdir.mkdir()
+    write_doc(sdir, scenario_doc(name="s03-bad", h=0.25))
+    write_doc(sdir, scenario_doc(name="s04-good"))
+    assert run_suite(sdir, out_root=tmp_path / "out") == 1
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = {r["scenario"]: r for r in csv.DictReader(fh)}
+    assert rows["s03-bad"]["result"] == "error"
+    assert rows["s04-good"]["result"] == "pass"
+    report = json.loads((tmp_path / "out" / "s03-bad" / "report.json").read_text())
+    assert report == {"task": "dirichlet", "error": "ZeroDivisionError: float division by zero"}
+    code, row = run_scenario(sdir / "s03-bad.json", out_root=tmp_path / "alone")
+    assert (code, row["result"]) == (1, "error")
+
+
 # ---------------------------------------------------------------------------
 # Suite.
 # ---------------------------------------------------------------------------

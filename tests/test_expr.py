@@ -1,6 +1,8 @@
 """The small boundary-data expression language."""
 
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +77,29 @@ def test_malformed_text_rejected():
             Expression(bad)
 
 
+def test_constant_parts_are_folded_when_built():
+    # A part that reads no coordinate is evaluated once, when the expression
+    # is built: an arithmetic error there is a ValueError naming the part,
+    # before any point is evaluated, and a folded part keeps the bits of
+    # evaluating it per call.
+    for text, part, cause in [
+        ("1/0", "1/0", ZeroDivisionError),
+        ("x1 + 10^400", "10^400", OverflowError),
+        ("sin(x1) + (2 - 2^1) / (1 - 1)", "(2 - 2^1) / (1 - 1)", ZeroDivisionError),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"cannot evaluate '{part}'")) as err:
+            Expression(text)
+        assert type(err.value.__cause__) is cause
+    tree = Expression("2*pi*x1 + sqrt(2)/e")._tree
+    assert isinstance(tree.right, ast.Constant) and isinstance(tree.left.left, ast.Constant)
+    assert tree.left.left.value == 2.0 * math.pi
+    assert tree.right.value == np.sqrt(2.0) / math.e
+    pts = np.array([[0.3, -0.7], [1.5, 2.0]])
+    want = 2.0 * math.pi * pts[:, 0] + np.sqrt(2.0) / math.e
+    assert Expression("2*pi*x1 + sqrt(2)/e")(pts).tobytes() == want.tobytes()
+    assert Expression("-2^2")(pts).tobytes() == np.full(2, -4.0).tobytes()
+
+
 def test_dimension_checked():
     assert Expression("x1 + x3").dim == 3
     assert Expression("r + pi").dim == 0
@@ -116,6 +141,8 @@ def _outcome(evaluate):
         return evaluate().tobytes()
     except (ArithmeticError, TypeError) as exc:
         return type(exc)
+    except ValueError as exc:  # a part refused when the expression was built
+        return type(exc.__cause__)
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +154,9 @@ def _outcome(evaluate):
 def test_values_are_python_arithmetic_bit_for_bit(text):
     # Each expression evaluates to the bits Python's own arithmetic gives
     # the same text (^ as **) over the numpy functions, or fails as it does:
-    # constants stay Python floats, so their errors are Python's.
+    # constants stay Python floats, so their errors are Python's, raised
+    # when a part that reads no coordinate is folded at build as the cause
+    # of a ValueError.
     pts = np.array([[0.0, 0.0], [0.5, -1.25], [-2.0, 3.0]])
     env = {"x1": pts[:, 0], "x2": pts[:, 1], "r": np.linalg.norm(pts, axis=1),
            "pi": math.pi, "e": math.e, "__builtins__": {}, **_FUNCTIONS}

@@ -65,7 +65,9 @@ from artifact.solver import (
 
 from oracles import (
     damped_newton_minimizer,
+    envelope_inverse_cholesky,
     full_column_inverse_cholesky,
+    held_nbytes,
     full_size_cycle,
     gather_obstacle_extremes,
     gather_residual_split,
@@ -696,19 +698,19 @@ def test_galerkin_stencil_is_the_product_it_probes(dim, t):
     for fine, coarse in zip(multigrid.levels, multigrid.levels[1:]):
         assert np.array_equal(coarse.free, _coarse_columns(fine.free, range(dim)))
         v = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
-        want = _restrict(fine.apply(_prolong(v, fine)), coarse)
+        want = _restrict(fine.apply(_prolong(v, fine, coarse.axes)), coarse)
         got = coarse.apply(v)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.all(coarse.stencil[(0,) * dim][coarse.free] > 0.0)
     # The product of the plain K, written out as a 2N + 1 point stencil, is
     # P^T K P too.
     free = multigrid.levels[0].free
-    plain, coarse = _Level(free), _Level(multigrid.levels[1].free)
+    plain, coarse = _Level(free), _Level(multigrid.levels[1].free, free.shape)
     written = _Level(free)
     written.set_stencil(_plain_stencil(free.shape))
     coarse.set_stencil(_galerkin_product(written.stencil, range(dim)))
     v = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
-    want = _restrict(plain.apply(_prolong(v, plain)), coarse)
+    want = _restrict(plain.apply(_prolong(v, plain, coarse.axes)), coarse)
     assert np.max(np.abs(coarse.apply(v) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -754,11 +756,13 @@ def test_galerkin_product_matches_the_dense_product(dims):
     fine.set_stencil({o: rng.standard_normal(dims) for o in _all_offsets(len(dims))})
     every_axis = range(len(dims))
     for _ in range(2):
-        coarse = _Level(_coarse_columns(fine.free, every_axis))
+        coarse = _Level(_coarse_columns(fine.free, every_axis), fine.free.shape)
         assert coarse.free[tuple(slice(1, -1) for _ in dims)].sum() < coarse.free.sum()
         coarse.set_stencil(_galerkin_product(fine.stencil, every_axis))
         shape = coarse.free.shape
-        prolong = _dense(shape, lambda e: _prolong(np.where(coarse.free, e, 0.0), fine))
+        prolong = _dense(
+            shape, lambda e: _prolong(np.where(coarse.free, e, 0.0), fine, coarse.axes)
+        )
         want = prolong.T @ _dense(fine.free.shape, fine.apply) @ prolong
         got = _dense(shape, coarse.apply)
         scale = np.max(np.abs(want))
@@ -823,10 +827,10 @@ def test_restriction_is_the_transpose_of_prolongation(dims):
     fine_free &= rng.uniform(size=dims) < 0.9
     fine = _Level(fine_free)
     for coarsen in (_coarse_free, _coarse_columns):
-        coarse = _Level(coarsen(fine_free, range(len(dims))))
+        coarse = _Level(coarsen(fine_free, range(len(dims))), dims)
         e = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
         r = np.where(fine.free, rng.standard_normal(dims), 0.0)
-        pe = _prolong(e, fine)
+        pe = _prolong(e, fine, coarse.axes)
         ptr = _restrict(r, coarse)
         assert pe.shape == dims and ptr.shape == coarse.free.shape
         assert np.all(pe[~fine.free] == 0.0) and np.all(ptr[~coarse.free] == 0.0)
@@ -1000,7 +1004,9 @@ def test_streamed_cycle_is_the_full_size_cycle(box, h, with_rhs, monkeypatch):
     # prolongation and the curvature slab by slab, and adds the correction
     # on the free nodes only, leaves the same bits as the step over whole
     # arrays, whether a slab is one plane, a few planes that do not divide
-    # the box, or the box; +-inf at exterior nodes stays where it is.
+    # the box, or the box; +-inf at exterior nodes stays where it is.  A
+    # level fixes its slabs when it is built, so each slab size builds the
+    # hierarchy again.
     grid, cons, values, rng = _holed_box(box, h, 73)
     exterior = grid.labels == EXTERIOR
     values[exterior] = rng.choice([np.inf, -np.inf], np.count_nonzero(exterior))
@@ -1013,6 +1019,7 @@ def test_streamed_cycle_is_the_full_size_cycle(box, h, with_rhs, monkeypatch):
     plane = math.prod(grid.dims[1:])
     for slab in (plane, 3 * plane - 1, lattice._SLAB_NODES):
         monkeypatch.setattr(lattice, "_SLAB_NODES", slab)
+        multigrid = _Multigrid(grid, cons)
         want, got = values.copy(), values.copy()
         for _ in range(2):
             full_size_cycle(multigrid, 0, want, rhs, slab)
@@ -1188,6 +1195,37 @@ def test_memory_above_entry_is_pinned_at_83(ball_83, check, fields, slabs):
     assert peak <= fields * field.nbytes + slabs * slab, peak / field.nbytes
 
 
+def test_multigrid_keeps_int32_classes_and_no_non_free_masks(ball_83):
+    # What the 83^3 ball's hierarchy keeps for the whole solve: each level's
+    # free mask, its parity classes at 4 bytes a free node, its face
+    # offsets, and the coarsest level's inverse with its node indices.  No
+    # level keeps a second, non-free mask.
+    _, _, _, multigrid = ball_83
+    levels = multigrid.levels
+    free_nodes = sum(int(np.count_nonzero(level.free)) for level in levels)
+    classes = [idx for level in levels for idx in level.classes]
+    assert all(idx.dtype == np.int32 for idx in classes)
+    assert sum(idx.nbytes for idx in classes) == 4 * free_nodes
+    assert not any(hasattr(level, "nonfree") for level in levels)
+    masks = sum(level.free.nbytes for level in levels)
+    n = levels[-1].dense_nodes
+    inverse = 8 * n * n + 8 * n
+    assert held_nbytes(multigrid) <= masks + 4 * free_nodes + inverse + 4096
+
+
+def test_dense_inverse_holds_one_block():
+    # The coarsest build of a 729-node 3D block holds one n x n array: the
+    # block, written over by its factor and then its inverse, plus the
+    # envelope's nonzero mask (an eighth of it) and per-node vectors.
+    free = np.zeros((11, 11, 11), dtype=bool)
+    free[1:-1, 1:-1, 1:-1] = True
+    level = _Level(free)
+    _, peak = peak_above_entry(level._dense_inverse)
+    block = 8 * 729 * 729
+    assert level.dense_nodes == 729
+    assert peak <= 1.2 * block, peak / block
+
+
 def _cold_t3_coarsest():
     """The coarsest Galerkin level of the h = 1/32 t = 3 disk obstacle,
     linearized at the cold +-m start, where J(u) has zero rows."""
@@ -1302,11 +1340,57 @@ def test_inverse_cholesky_matches_the_full_column_reference(operator):
                 couplings += np.count_nonzero(kept[lo] & kept[hi])
         assert np.count_nonzero(dense) - dense.shape[0] < couplings
     want = full_column_inverse_cholesky(dense)
-    got = _inverse_cholesky(dense)
+    got = _inverse_cholesky(dense.copy())
     assert want is not None and got is not None
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     identity = got @ dense @ got.T
     assert np.max(np.abs(identity - np.eye(dense.shape[0]))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "operator", ["plain-2d", "plain-3d", "galerkin-2d", "galerkin-3d", "cold-galerkin"]
+)
+def test_inverse_cholesky_in_place_is_the_separate_array_build(operator):
+    # Written over its argument, M = L^-1 has the bits of the build that
+    # keeps L and M in arrays of their own, and it is the argument.
+    _, _, dense = _coarsest_block(operator)
+    want = envelope_inverse_cholesky(dense)
+    block = dense.copy()
+    got = _inverse_cholesky(block)
+    assert got is block
+    assert got.tobytes() == want.tobytes()
+
+
+def test_singular_block_reaches_the_pseudo_inverse_whole(monkeypatch):
+    # A free pair coupled only to each other, with zero row sums, is a
+    # singular block.  Its factor fails on the second pivot after writing
+    # its first column over the block, so the pseudo-inverse gets the
+    # block built again, whole, and the solve is exact on the block's range.
+    free = np.zeros((7, 7), dtype=bool)
+    free[2, 2] = free[2, 3] = True
+    stencil = {o: np.zeros(free.shape) for o in _all_offsets(2)}
+    stencil[(0, 0)][2, 2] = stencil[(0, 0)][2, 3] = 4.0
+    stencil[(0, 1)][2, 2] = stencil[(0, -1)][2, 3] = -4.0
+    level = _Level(free)
+    level.set_stencil(stencil)
+    _, block = level._dense_block()
+    spoiled = block.copy()
+    assert _inverse_cholesky(spoiled) is None
+    assert not np.array_equal(spoiled, block)
+    pinv = np.linalg.pinv
+    seen = []
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a.copy())
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
+    x = np.zeros(free.shape)
+    rhs = np.zeros(free.shape)
+    rhs[2, 2], rhs[2, 3] = 0.5, -0.5
+    level.solve(x, rhs.ravel())
+    assert len(seen) == 1 and seen[0].tobytes() == block.tobytes()
+    assert np.max(np.abs(rhs - level.apply(x))) <= 1e-12
 
 
 def test_inverse_cholesky_rejects_blocks_that_are_not_positive_definite():
