@@ -1276,30 +1276,36 @@ def test_coarsest_solve_is_exact(operator):
 def test_coarsest_solve_survives_a_singular_block(monkeypatch):
     # A free pair coupled only to each other, with zero row sums, is a
     # singular block (no coupling ties it to a fixed node): the solve takes
-    # the pseudo-inverse, raises nothing and stays finite.  With the pair's
-    # rhs in the block's range it still solves exactly, and a node tied to
-    # fixed ones beside it is solved exactly too.
+    # the pseudo-inverse, raises nothing and stays finite.  The factor fails
+    # at the pair's second pivot after writing its first column over the
+    # block, so the pseudo-inverse gets the block built again, whole.  With
+    # the pair's rhs in the block's range it still solves exactly, and a
+    # node tied to fixed ones beside it is solved exactly too.
     free = np.zeros((7, 7), dtype=bool)
     free[1, 1] = free[1, 2] = free[4, 4] = True
     stencil = {o: np.zeros(free.shape) for o in _all_offsets(2)}
-    stencil[(0, 0)][1, 1] = stencil[(0, 0)][1, 2] = 1.0
-    stencil[(0, 1)][1, 1] = stencil[(0, -1)][1, 2] = -1.0
+    stencil[(0, 0)][1, 1] = stencil[(0, 0)][1, 2] = 4.0
+    stencil[(0, 1)][1, 1] = stencil[(0, -1)][1, 2] = -4.0
     stencil[(0, 0)][4, 4] = 4.0
     level = _Level(free)
     level.set_stencil(stencil)
+    _, block = level._dense_block()
+    spoiled = block.copy()
+    assert _inverse_cholesky(spoiled) is None
+    assert not np.array_equal(spoiled, block)
     pinv = np.linalg.pinv
-    calls = []
+    seen = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return pinv(*args, **kwargs)
+    def recorded(a, *args, **kwargs):
+        seen.append(a.copy())
+        return pinv(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "pinv", counted)
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
     x = np.zeros(free.shape)
     rhs = np.zeros(free.shape)
     rhs[1, 1], rhs[1, 2], rhs[4, 4] = 0.5, -0.5, 2.0
     level.solve(x, rhs.ravel())
-    assert calls == [(3, 3)]
+    assert len(seen) == 1 and seen[0].tobytes() == block.tobytes()
     assert np.all(np.isfinite(x))
     assert np.max(np.abs(rhs - level.apply(x))) <= 1e-12
     assert x[4, 4] == 0.5
@@ -1359,38 +1365,6 @@ def test_inverse_cholesky_in_place_is_the_separate_array_build(operator):
     got = _inverse_cholesky(block)
     assert got is block
     assert got.tobytes() == want.tobytes()
-
-
-def test_singular_block_reaches_the_pseudo_inverse_whole(monkeypatch):
-    # A free pair coupled only to each other, with zero row sums, is a
-    # singular block.  Its factor fails on the second pivot after writing
-    # its first column over the block, so the pseudo-inverse gets the
-    # block built again, whole, and the solve is exact on the block's range.
-    free = np.zeros((7, 7), dtype=bool)
-    free[2, 2] = free[2, 3] = True
-    stencil = {o: np.zeros(free.shape) for o in _all_offsets(2)}
-    stencil[(0, 0)][2, 2] = stencil[(0, 0)][2, 3] = 4.0
-    stencil[(0, 1)][2, 2] = stencil[(0, -1)][2, 3] = -4.0
-    level = _Level(free)
-    level.set_stencil(stencil)
-    _, block = level._dense_block()
-    spoiled = block.copy()
-    assert _inverse_cholesky(spoiled) is None
-    assert not np.array_equal(spoiled, block)
-    pinv = np.linalg.pinv
-    seen = []
-
-    def recorded(a, *args, **kwargs):
-        seen.append(a.copy())
-        return pinv(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", recorded)
-    x = np.zeros(free.shape)
-    rhs = np.zeros(free.shape)
-    rhs[2, 2], rhs[2, 3] = 0.5, -0.5
-    level.solve(x, rhs.ravel())
-    assert len(seen) == 1 and seen[0].tobytes() == block.tobytes()
-    assert np.max(np.abs(rhs - level.apply(x))) <= 1e-12
 
 
 def test_inverse_cholesky_rejects_blocks_that_are_not_positive_definite():
