@@ -67,11 +67,11 @@ from oracles import (
     damped_newton_minimizer,
     envelope_inverse_cholesky,
     full_column_inverse_cholesky,
-    held_nbytes,
     full_size_cycle,
     gather_obstacle_extremes,
     gather_residual_split,
     gather_sum_sweep,
+    held_nbytes,
     peak_above_entry,
     quadratic_minimizer,
     seven_point_solution,
