@@ -78,8 +78,10 @@ def _fold(node, source):
     """``node`` with each part that reads no coordinate evaluated into a
     constant, children first and left to right, as a call evaluates them:
     the same Python float and numpy operations, so the same bits.  An
-    arithmetic error there (``1/0``, ``10^400``) is a ValueError naming the
-    part."""
+    arithmetic error there (``1/0``, ``10^400``) or a complex result (a
+    negative number to a fractional power, ``(0-8)^(1/3)``) is a ValueError
+    naming the part; its cause is Python's error, or for a complex result
+    the TypeError that evaluating it as a float raises."""
     if isinstance(node, ast.Name):
         return ast.Constant(_CONSTANTS[node.id]) if node.id in _CONSTANTS else node
     if isinstance(node, ast.UnaryOp):
@@ -96,11 +98,15 @@ def _fold(node, source):
         return node
     if not all(isinstance(part, ast.Constant) for part in parts):
         return node
+    text = ast.get_source_segment(source, node).replace("**", "^")
     try:
-        return ast.Constant(_evaluate(node, {}))
+        value = _evaluate(node, {})
     except ArithmeticError as exc:
-        text = ast.get_source_segment(source, node).replace("**", "^")
         raise ValueError(f"cannot evaluate {text!r}: {exc}") from exc
+    if isinstance(value, complex):
+        raise ValueError(f"cannot evaluate {text!r}: complex result") from TypeError(
+            f"{value!r} is not a real number")
+    return ast.Constant(value)
 
 
 def _evaluate(node, env):

@@ -129,14 +129,31 @@ def _numbers(params, field, default=None, where="params"):
 
 def _shape(params, field, where="params"):
     """A shape param rebuilt by ``shape_from_dict``; a missing key or a bad
-    value anywhere inside it is a ScenarioError naming the field."""
+    value anywhere inside it is a ScenarioError naming the field.  Every
+    number in it must be finite (``_finite_numbers``)."""
     data = _require(params, field, dict, where=where)
+    _finite_numbers(data, f"{where}.{field}")
     try:
         return shape_from_dict(data)
     except KeyError as exc:
         raise ScenarioError(f"{where}.{field}", f"missing key {exc}") from exc
     except (ValueError, TypeError, IndexError) as exc:
         raise ScenarioError(f"{where}.{field}", str(exc)) from exc
+
+
+def _finite_numbers(value, field):
+    """Read every number in the objects and lists of ``value`` by
+    ``_as_number``, naming its place (``scenario.shape.lo[0]``): a null,
+    which numpy would read as NaN, a bool, NaN or an infinity is a
+    ScenarioError.  Strings are left to the caller."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _finite_numbers(item, f"{field}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _finite_numbers(item, f"{field}[{i}]")
+    elif not isinstance(value, str):
+        _as_number(value, field)
 
 
 def _expression(text, field, dim):
@@ -384,11 +401,11 @@ def _radial_oracle_block(oracle, t, grid, fld, m, sign):
 
 def _run_obstacle(scn):
     params = scn["params"]
-    grid = build_grid(scn["shape"], _scenario_h(scn))
     obstacle_shape = _shape(params, "obstacle")
     m = _number(params, "m", 1.0)
     sign = _number(params, "sign", 1, integer=True)
-    oracle = _radial_oracle(params, grid.dim) if "radial_oracle" in params else None
+    oracle = _radial_oracle(params, scn["shape"].dim) if "radial_oracle" in params else None
+    grid = build_grid(scn["shape"], _scenario_h(scn))
     con = ObstacleConstraint.from_shape(grid, obstacle_shape, m, sign)
     fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
     ver = obstacle_verification(scn["spec"], grid, fld.values, con, scn["tol"])

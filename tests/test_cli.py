@@ -158,6 +158,29 @@ MALFORMED = [
     ),
 ]
 
+# Shape numbers that are null (read as NaN by numpy), NaN or infinite, in
+# the scenario's shape and in an obstacle, named down to the number.
+NON_FINITE_SHAPES = [
+    ({"shape": {"type": "box", "lo": [None, 0.0], "hi": [1.0, 1.0]}}, "scenario.shape.lo[0]"),
+    ({"shape": {"type": "ball", "center": [0.0, math.nan], "radius": 0.5}},
+     "scenario.shape.center[1]"),
+    ({"shape": {"type": "ball", "center": [0.0, 0.0], "radius": math.inf}},
+     "scenario.shape.radius"),
+    ({"task": "obstacle", "params": {"obstacle": {**OBSTACLE, "center": [None, 0.0]}}},
+     "params.obstacle.center[0]"),
+    (
+        {
+            "task": "obstacle",
+            "params": {
+                "obstacle": {"type": "difference", "a": OBSTACLE,
+                             "b": {**OBSTACLE, "radius": math.nan}},
+            },
+        },
+        "params.obstacle.b.radius",
+    ),
+]
+MALFORMED += NON_FINITE_SHAPES
+
 
 def malformed_doc(patch):
     doc = scenario_doc(name="malformed")
@@ -175,6 +198,17 @@ def test_malformed_top_level_field_exits_two(tmp_path, patch, field):
     assert row["result"] == "config-error"
     assert row["key_metric"].startswith(field + ":")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch,field", NON_FINITE_SHAPES)
+def test_non_finite_shape_number_exits_two_before_any_grid(tmp_path, monkeypatch, patch, field):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before the shape numbers were read")
+
+    monkeypatch.setattr("artifact.cli.build_grid", no_grid)
+    code, row = run_scenario(write_doc(tmp_path, malformed_doc(patch)), tmp_path / "out")
+    assert code == 2
+    assert row["key_metric"].startswith(field + ":")
 
 
 @pytest.mark.parametrize("patch,field", MALFORMED)
@@ -482,7 +516,10 @@ def test_malformed_expression_exits_two_before_any_solve(tmp_path, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text, part", [("1/0", "1/0"), ("x1 + 10^400", "10^400")])
+@pytest.mark.parametrize(
+    "text, part",
+    [("1/0", "1/0"), ("x1 + 10^400", "10^400"), ("(0-8)^(1/3) + x1", "(0-8)^(1/3)")],
+)
 def test_failing_constant_exits_two_and_the_suite_goes_on(tmp_path, text, part):
     # A part of an expression that reads no coordinate and fails in Python
     # arithmetic is a config error naming the field, found when the

@@ -86,10 +86,14 @@ def test_constant_parts_are_folded_when_built():
         ("1/0", "1/0", ZeroDivisionError),
         ("x1 + 10^400", "10^400", OverflowError),
         ("sin(x1) + (2 - 2^1) / (1 - 1)", "(2 - 2^1) / (1 - 1)", ZeroDivisionError),
+        # A negative number to a fractional power: a complex result.
+        ("(0-8)^(1/3) + x1", "(0-8)^(1/3)", TypeError),
+        ("(0-8)^(1/3)", "(0-8)^(1/3)", TypeError),
     ]:
         with pytest.raises(ValueError, match=re.escape(f"cannot evaluate '{part}'")) as err:
             Expression(text)
         assert type(err.value.__cause__) is cause
+        assert (cause is TypeError) == str(err.value).endswith(": complex result")
     tree = Expression("2*pi*x1 + sqrt(2)/e")._tree
     assert isinstance(tree.right, ast.Constant) and isinstance(tree.left.left, ast.Constant)
     assert tree.left.left.value == 2.0 * math.pi
@@ -141,6 +145,8 @@ def _outcome(evaluate):
         return evaluate().tobytes()
     except (ArithmeticError, TypeError) as exc:
         return type(exc)
+    except np.exceptions.ComplexWarning:  # a complex array cast to float
+        return TypeError
     except ValueError as exc:  # a part refused when the expression was built
         return type(exc.__cause__)
 
@@ -151,6 +157,7 @@ def _outcome(evaluate):
 @example("1.0 / (2.0 - 2.0)")  # ZeroDivisionError
 @example("10.0 ^ 400.0")  # OverflowError
 @example("-8.0 ^ (1.0 / 3.0) + (0.0 - 8.0) ^ (1.0 / 3.0)")  # a complex power: TypeError
+@example("(0.0 - 8.0) ^ 0.5 + x1")  # a complex power beside a coordinate
 def test_values_are_python_arithmetic_bit_for_bit(text):
     # Each expression evaluates to the bits Python's own arithmetic gives
     # the same text (^ as **) over the numpy functions, or fails as it does:

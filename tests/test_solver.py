@@ -39,27 +39,30 @@ from artifact import (
 from artifact import monotone, solver
 from artifact.domain import lattice
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
-from artifact.monotone import offset_slices
-from artifact.solver import (
-    _MAX_CYCLES,
-    _SECANT_STEPS,
-    _SECANT_STOP,
+from artifact.monotone import inner, offset_slices
+from artifact.multigrid import (
+    _MIN_COARSE_DIM,
     _coarse_columns,
     _coarse_free,
-    _ColorWorkspace,
     _edge_square_sum,
     _galerkin_product,
     _halved_axes,
     _inverse_cholesky,
     _laplacian,
-    _Level,
     _Multigrid,
-    _NewtonLevel,
     _parity_classes,
+    _PlainLevel,
     _prolong,
-    _relax,
     _restrict,
-    inner,
+    _StencilLevel,
+)
+from artifact.solver import (
+    _MAX_CYCLES,
+    _SECANT_STEPS,
+    _SECANT_STOP,
+    _ColorWorkspace,
+    _NewtonLevel,
+    _relax,
     obstacle_verification,
 )
 
@@ -133,11 +136,9 @@ def test_parity_batch_is_exactly_sequential_relaxation(small_disk, monkeypatch, 
     # batches are the parity classes of each level's free nodes.
     spec = OperatorSpec(kind="p_laplace", t=t)
     batched, rep_b = solve_dirichlet(small_disk, spec, "x1*x2", tol=1e-9)
-    parity_classes = solver._parity_classes
     monkeypatch.setattr(
-        solver,
-        "_parity_classes",
-        lambda mask: [idx[i : i + 1] for idx in parity_classes(mask) for i in range(idx.size)],
+        "artifact.multigrid._parity_classes",
+        lambda mask: [idx[i : i + 1] for idx in _parity_classes(mask) for i in range(idx.size)],
     )
     single, rep_s = solve_dirichlet(small_disk, spec, "x1*x2", tol=1e-9)
     assert rep_b.converged and rep_b.notes["colors"] == 4
@@ -655,7 +656,7 @@ def test_multilevel_stencil_is_the_weak_residual(kind, dim):
             scale = np.max(np.abs(want[free]))
             assert np.max(np.abs(k_u - want)[free]) <= 1e-12 * scale
             assert np.all(k_u[~free] == 0.0)
-        level = _Level(free)
+        level = _StencilLevel(free)
         jacobian = _NewtonLevel(grid, spec, level).jacobian(values)
         assert sorted(jacobian) == _all_offsets(dim)
         for offset, entries in jacobian.items():
@@ -705,8 +706,8 @@ def test_galerkin_stencil_is_the_product_it_probes(dim, t):
     # The product of the plain K, written out as a 2N + 1 point stencil, is
     # P^T K P too.
     free = multigrid.levels[0].free
-    plain, coarse = _Level(free), _Level(multigrid.levels[1].free, free.shape)
-    written = _Level(free)
+    plain, coarse = _PlainLevel(free), _StencilLevel(multigrid.levels[1].free, free.shape)
+    written = _StencilLevel(free)
     written.set_stencil(_plain_stencil(free.shape))
     coarse.set_stencil(_galerkin_product(written.stencil, range(dim)))
     v = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
@@ -752,11 +753,11 @@ def test_galerkin_product_matches_the_dense_product(dims):
     free = np.zeros(dims, dtype=bool)
     free[tuple(slice(1, -1) for _ in dims)] = True
     free &= rng.uniform(size=dims) < 0.85
-    fine = _Level(free)
+    fine = _StencilLevel(free)
     fine.set_stencil({o: rng.standard_normal(dims) for o in _all_offsets(len(dims))})
     every_axis = range(len(dims))
     for _ in range(2):
-        coarse = _Level(_coarse_columns(fine.free, every_axis), fine.free.shape)
+        coarse = _StencilLevel(_coarse_columns(fine.free, every_axis), fine.free.shape)
         assert coarse.free[tuple(slice(1, -1) for _ in dims)].sum() < coarse.free.sum()
         coarse.set_stencil(_galerkin_product(fine.stencil, every_axis))
         shape = coarse.free.shape
@@ -783,10 +784,7 @@ def test_no_two_nodes_of_one_parity_couple(dim):
     galerkin, _ = _galerkin_hierarchy(dim, 3.0)
     grid, cons, _, _ = _junk_exterior_problem(dim, 23)
     for level in galerkin.levels + _Multigrid(grid, cons).levels:
-        if level.stencil is None:
-            diag = np.full(level.free.size, 2.0 * dim)
-        else:
-            diag = level.stencil[(0,) * dim].ravel()
+        diag = level.diagonal().ravel()
         for idx in level.classes:
             x = np.zeros(level.free.shape)
             x.ravel()[idx] = 1.0
@@ -800,13 +798,19 @@ def test_galerkin_levels_serve_2d_t_not_2_only(dim, t, monkeypatch):
     # t != 2 solve runs its Newton sweeps over the plain K levels and keeps
     # the same invariants.
     builds = []
-    galerkin_product = solver._galerkin_product
 
     def counted(stencil, axes):
         builds.append(len(stencil))
-        return galerkin_product(stencil, axes)
+        return _galerkin_product(stencil, axes)
 
-    monkeypatch.setattr(solver, "_galerkin_product", counted)
+    hierarchies = []
+
+    def recorded(*args, **kwargs):
+        hierarchies.append(_Multigrid(*args, **kwargs))
+        return hierarchies[-1]
+
+    monkeypatch.setattr("artifact.multigrid._galerkin_product", counted)
+    monkeypatch.setattr(solver, "_Multigrid", recorded)
     grid = build_grid(Ball([0.0] * dim, 1.0), 1.0 / 8.0 if dim == 3 else 1.0 / 16.0)
     spec = OperatorSpec(kind="p_laplace", t=t)
     cons = ObstacleConstraint.from_shape(grid, Ball([0.0] * dim, 0.3), 1.0)
@@ -815,6 +819,13 @@ def test_galerkin_levels_serve_2d_t_not_2_only(dim, t, monkeypatch):
     assert rep.notes["grid_levels"] >= 2
     assert np.all(fld.values.ravel()[cons.indices] == 1.0)
     assert bool(builds) == (dim == 2 and t != 2.0)
+    # Every level of a hierarchy has the one class its solve chose: the
+    # stencil class for the 2D t != 2 solve, the plain K for its t = 2
+    # presolve and for every other solve.
+    galerkin = [False] + ([dim == 2] if t != 2.0 else [])
+    assert [{type(level) for level in h.levels} for h in hierarchies] == [
+        {_StencilLevel if g else _PlainLevel} for g in galerkin
+    ]
 
 
 @pytest.mark.parametrize("dims", [(22, 17), (9, 10, 11), (12, 12, 7)])
@@ -825,9 +836,9 @@ def test_restriction_is_the_transpose_of_prolongation(dims):
     fine_free = np.zeros(dims, dtype=bool)
     fine_free[tuple(slice(1, -1) for _ in dims)] = True
     fine_free &= rng.uniform(size=dims) < 0.9
-    fine = _Level(fine_free)
-    for coarsen in (_coarse_free, _coarse_columns):
-        coarse = _Level(coarsen(fine_free, range(len(dims))), dims)
+    for kind, coarsen in ((_PlainLevel, _coarse_free), (_StencilLevel, _coarse_columns)):
+        fine = kind(fine_free)
+        coarse = kind(coarsen(fine_free, range(len(dims))), dims)
         e = np.where(coarse.free, rng.standard_normal(coarse.free.shape), 0.0)
         r = np.where(fine.free, rng.standard_normal(dims), 0.0)
         pe = _prolong(e, fine, coarse.axes)
@@ -893,7 +904,7 @@ def test_plain_sweep_is_the_gather_sum_sweep(dims, with_rhs):
     x = rng.standard_normal(dims)
     rhs = rng.standard_normal(dims) if with_rhs else None
     want = gather_sum_sweep(x, free, rhs)
-    _Level(free).sweep(x.ravel(), None if rhs is None else rhs.ravel())
+    _PlainLevel(free).sweep(x.ravel(), None if rhs is None else rhs.ravel())
     assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
 
 
@@ -965,7 +976,7 @@ def test_edge_curvature_is_the_operator_curvature(box, h, monkeypatch):
         lo, hi = offset_slices(tuple(int(k == axis) for k in range(x.ndim)))
         squares += ((x[hi] - x[lo]) ** 2).ravel().tolist()
     assert _edge_square_sum(x) == pytest.approx(math.fsum(squares), rel=1e-12, abs=0.0)
-    stencil_level = _Level(multigrid.levels[0].free)
+    stencil_level = _StencilLevel(multigrid.levels[0].free)
     stencil_level.set_stencil(_plain_stencil(grid.dims))
     c = np.where(stencil_level.free, rng.standard_normal(grid.dims), 0.0)
     assert stencil_level.curvature(c) == inner(c, stencil_level.apply(c))
@@ -980,7 +991,7 @@ def test_apply_on_planes_is_the_whole_apply(box, h):
     multigrid = _Multigrid(grid, cons, galerkin=True)
     spec = OperatorSpec(kind="p_laplace", t=3.0)
     multigrid.linearize(_NewtonLevel(grid, spec, multigrid.levels[0]), values)
-    for level in (_Level(multigrid.levels[0].free), *multigrid.levels):
+    for level in (_PlainLevel(multigrid.levels[0].free), *multigrid.levels):
         x = rng.standard_normal(level.free.shape)
         whole = level.apply(x)
         m = x.shape[0]
@@ -1219,7 +1230,7 @@ def test_dense_inverse_holds_one_block():
     # envelope's nonzero mask (an eighth of it) and per-node vectors.
     free = np.zeros((11, 11, 11), dtype=bool)
     free[1:-1, 1:-1, 1:-1] = True
-    level = _Level(free)
+    level = _PlainLevel(free)
     _, peak = peak_above_entry(level._dense_inverse)
     block = 8 * 729 * 729
     assert level.dense_nodes == 729
@@ -1254,11 +1265,7 @@ def test_coarsest_solve_is_exact(operator):
     else:
         level = _cold_t3_coarsest()
     free = level.free
-    diag = (
-        np.full(free.shape, 2.0 * free.ndim)
-        if level.stencil is None
-        else level.stencil[(0,) * free.ndim]
-    )
+    diag = level.diagonal()
     kept = free & (diag > 0)
     zero = free & ~kept
     assert (operator == "cold-galerkin") == bool(zero.any())
@@ -1287,7 +1294,7 @@ def test_coarsest_solve_survives_a_singular_block(monkeypatch):
     stencil[(0, 0)][1, 1] = stencil[(0, 0)][1, 2] = 4.0
     stencil[(0, 1)][1, 1] = stencil[(0, -1)][1, 2] = -4.0
     stencil[(0, 0)][4, 4] = 4.0
-    level = _Level(free)
+    level = _StencilLevel(free)
     level.set_stencil(stencil)
     _, block = level._dense_block()
     spoiled = block.copy()
@@ -1321,7 +1328,7 @@ def _coarsest_block(operator):
     elif operator == "plain-3d":
         free = np.zeros((11, 11, 11), dtype=bool)
         free[1:-1, 1:-1, 1:-1] = True
-        level = _Level(free)
+        level = _PlainLevel(free)
     elif operator == "cold-galerkin":
         level = _cold_t3_coarsest()
     else:
@@ -1422,7 +1429,7 @@ def test_thin_boxes_coarsen_their_long_axes(box, h):
     kept_axes = 0
     for fine, coarse in zip(levels, levels[1:]):
         for n, m in zip(fine.free.shape, coarse.free.shape):
-            assert m == n or m == (n + 1) // 2 >= solver._MIN_COARSE_DIM
+            assert m == n or m == (n + 1) // 2 >= _MIN_COARSE_DIM
             kept_axes += m == n
     assert kept_axes > 0
     coarsest = int(levels[-1].free.sum())
@@ -1558,7 +1565,8 @@ def test_coarsest_inverse_benchmark(benchmark):
     free = np.zeros((11, 11, 11), dtype=bool)
     free[1:-1, 1:-1, 1:-1] = True
     idx, inverse = benchmark.pedantic(
-        _Level._dense_inverse, setup=lambda: ((_Level(free),), {}), rounds=5, iterations=1
+        _PlainLevel._dense_inverse, setup=lambda: ((_PlainLevel(free),), {}), rounds=5,
+        iterations=1,
     )
     assert idx.size == 729 and len(inverse) == 2
 
