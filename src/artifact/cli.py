@@ -59,18 +59,12 @@ from .solver import (
     solve_obstacle,
 )
 
-TASKS = {
-    "dirichlet": "boundary-value solve; params: data (expression/number), optional oracle",
-    "obstacle": "constrained solve; params: obstacle (shape), m, sign, optional radial_oracle",
-    "wiener-probe": "boundary-point regularity probe; params: y, cap_radius, r0, K, h_levels, thresholds",
-    "barrier": "barrier pair at a boundary node; params: y, rho, m, jj_factor",
-    "degiorgi-instrument": "level-set instrumentation of a solve; params: solve, y, blocks",
-    "locality": "probe the same point in two regions; params: shape_b, y, window_radius, probe",
-}
-
 
 class ScenarioError(Exception):
-    """Configuration problem; names the offending field."""
+    """Configuration problem; names the offending field.  ``scenario`` and
+    ``task`` hold the scenario's name and task when both were valid."""
+
+    scenario = task = None
 
     def __init__(self, field, message):
         self.field = field
@@ -82,63 +76,89 @@ class ScenarioError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _require(params, field, kind=None, where="params"):
-    if field not in params:
-        raise ScenarioError(f"{where}.{field}", "required field is missing")
-    value = params[field]
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{where}.{field}", f"expected {kind}")
-    return value
-
-
-def _as_number(value, field, integer=False):
-    """``value`` as a float, or with ``integer`` an int.  A bool, a string,
-    a list or any other non-number, NaN and +-Infinity (JSON tokens that
-    ``json.loads`` accepts), and a non-integral value where an int is
-    wanted, is a ScenarioError naming ``field``."""
+def _as_number(value, field, dim=None):
+    """``value`` as a float.  A bool, a string, a list or any other
+    non-number, and NaN and +-Infinity (JSON tokens that ``json.loads``
+    accepts), is a ScenarioError naming ``field``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(field, f"expected a number, got {value!r}")
     if not math.isfinite(value):
         raise ScenarioError(field, f"expected a finite number, got {value!r}")
-    if not integer:
-        return float(value)
-    if not float(value).is_integer():
-        raise ScenarioError(field, f"expected an integer, got {value!r}")
+    return float(value)
+
+
+def _positive_number(value, field, dim=None):
+    """``value`` read by ``_as_number``, which must be positive."""
+    value = _as_number(value, field)
+    if not value > 0:
+        raise ScenarioError(field, "must be positive")
+    return value
+
+
+def _fraction(value, field, dim=None):
+    """``value`` read by ``_as_number``, which must lie in (0, 1)."""
+    value = _as_number(value, field)
+    if not 0 < value < 1:
+        raise ScenarioError(field, "must lie in (0, 1)")
+    return value
+
+
+def _count(value, field, dim=None):
+    """``value`` as an int of at least 1."""
+    number = _as_number(value, field)
+    if not number.is_integer() or number < 1:
+        raise ScenarioError(field, f"expected an integer of at least 1, got {value!r}")
+    return int(number)
+
+
+def _sign(value, field, dim=None):
+    """``value`` as the int 1 or -1."""
+    if _as_number(value, field) not in (1.0, -1.0):
+        raise ScenarioError(field, f"expected 1 or -1, got {value!r}")
     return int(value)
 
 
-def _number(params, field, default=None, where="params", integer=False):
-    """A numeric param through ``_as_number``; ``default`` when it is absent
-    and a default is given."""
-    if default is not None and field not in params:
-        value = default
-    else:
-        value = _require(params, field, where=where)
-    return _as_number(value, f"{where}.{field}", integer)
+def _bool(value, field, dim=None):
+    if not isinstance(value, bool):
+        raise ScenarioError(field, f"expected true or false, got {value!r}")
+    return value
 
 
-def _numbers(params, field, default=None, where="params"):
-    """A list param of numbers as a list of floats, each element read by
-    ``_as_number`` and named by its index (``params.y[0]``); ``default``
-    when it is absent and a default is given."""
-    if default is not None and field not in params:
-        return default
-    values = _require(params, field, list, where=where)
-    return [_as_number(v, f"{where}.{field}[{i}]") for i, v in enumerate(values)]
+def _positive_or_auto(value, field, dim=None):
+    """The string ``"auto"``, or a positive number."""
+    return value if value == "auto" else _positive_number(value, field)
 
 
-def _shape(params, field, where="params"):
-    """A shape param rebuilt by ``shape_from_dict``; a missing key or a bad
-    value anywhere inside it is a ScenarioError naming the field.  Every
-    number in it must be finite (``_finite_numbers``)."""
-    data = _require(params, field, dict, where=where)
-    _finite_numbers(data, f"{where}.{field}")
+def _point(value, field, dim):
+    """A list of ``dim`` numbers, each named by its index (``params.y[0]``)."""
+    point = _read([_as_number], value, field, dim)
+    if len(point) != dim:
+        raise ScenarioError(field, f"expected {dim} coordinates, got {len(point)}")
+    return point
+
+
+def _band(value, field, dim=None):
+    """A list [lo, hi] of two numbers."""
+    return _point(value, field, 2)
+
+
+def _shape(value, field, dim=None):
+    """A shape object rebuilt by ``shape_from_dict``, of dimension ``dim``
+    when one is given; a missing key or a bad value anywhere inside it is a
+    ScenarioError naming the field.  Every number in it must be finite
+    (``_finite_numbers``)."""
+    if not isinstance(value, dict):
+        raise ScenarioError(field, f"expected an object, got {value!r}")
+    _finite_numbers(value, field)
     try:
-        return shape_from_dict(data)
+        shape = shape_from_dict(value)
     except KeyError as exc:
-        raise ScenarioError(f"{where}.{field}", f"missing key {exc}") from exc
+        raise ScenarioError(field, f"missing key {exc}") from exc
     except (ValueError, TypeError, IndexError) as exc:
-        raise ScenarioError(f"{where}.{field}", str(exc)) from exc
+        raise ScenarioError(field, str(exc)) from exc
+    if dim is not None and shape.dim != dim:
+        raise ScenarioError(field, f"expected a {dim}D shape, got a {shape.dim}D one")
+    return shape
 
 
 def _finite_numbers(value, field):
@@ -158,8 +178,10 @@ def _finite_numbers(value, field):
 
 def _expression(text, field, dim):
     """``text`` parsed into an ``Expression`` of at most ``dim`` coordinates;
-    a parse error or a coordinate above ``dim`` is a ScenarioError naming
-    ``field``."""
+    a non-string, a parse error or a coordinate above ``dim`` is a
+    ScenarioError naming ``field``."""
+    if not isinstance(text, str):
+        raise ScenarioError(field, f"expected an expression, got {text!r}")
     try:
         expr = Expression(text)
     except ValueError as exc:
@@ -169,23 +191,106 @@ def _expression(text, field, dim):
     return expr
 
 
-def _boundary_data(params, dim, where="params"):
-    """The ``data`` param: a number, or an expression string in ``dim``
-    coordinates, parsed."""
-    data = _require(params, "data", where=where)
-    if isinstance(data, str):
-        return _expression(data, f"{where}.data", dim)
-    if isinstance(data, bool) or not isinstance(data, (int, float)):
-        raise ScenarioError(f"{where}.data", f"expected an expression or number, got {data!r}")
-    return data
+def _number_or_expression(value, field, dim):
+    """Boundary data: an expression string, parsed, or a number."""
+    if isinstance(value, str):
+        return _expression(value, field, dim)
+    if not isinstance(value, (int, float)):
+        raise ScenarioError(field, f"expected an expression or number, got {value!r}")
+    return _as_number(value, field)
 
 
-def _positive_number(value, field):
-    """``value`` read by ``_as_number`` as a float, which must be positive."""
-    value = _as_number(value, field)
-    if not value > 0:
-        raise ScenarioError(field, "must be positive")
-    return value
+class _Kinds(dict):
+    """A param table picked by the object's ``kind``: kind -> table."""
+
+
+# Each task's params: field -> (spec, default).  A spec is a reader, called
+# as reader(value, field, dim) with the field's dotted name and the
+# domain's dimension, which returns the read value or raises a
+# ScenarioError naming the field; a nested table, for an object; a
+# one-element list [spec], for a list of what spec reads; or a _Kinds.  A
+# field whose default is ... must be given; every other field is in the
+# read params, as its default when it is absent.
+_OBSTACLE = {"obstacle": (_shape, ...), "m": (_positive_number, 1.0), "sign": (_sign, 1)}
+_DIRICHLET = {"data": (_number_or_expression, ...)}
+# The keys are WienerProbeConfig's fields, with m for its height.
+_PROBE = {
+    "y": (_point, ...),
+    "cap_radius": (_positive_number, ...),
+    "r0": (_positive_number, ...),
+    "K": (_count, ...),
+    "m": (_positive_number, 1.0),
+    "sign": (_sign, 1),
+    "decay_factor": (_fraction, 0.1),
+    "stagnation_floor": (_fraction, 0.25),
+    "shrink_ratio": (_fraction, 0.7),
+    "stagnation_ratio": (_fraction, 0.9),
+    "near_radius_cells": (_positive_number, 4.0),
+    "fixed_radius": (_positive_number, None),
+}
+# A radial oracle's band defaults to [inner, outer] and its center to the origin.
+_RADIAL_ORACLE = {
+    "inner": (_positive_number, ...),
+    "outer": (_positive_number, ...),
+    "band": (_band, None),
+    "center": (_point, None),
+    "value_at": ([_as_number], ()),
+}
+_PARAMS = {
+    "dirichlet": {**_DIRICHLET, "oracle": ({"expr": (_expression, ...)}, None)},
+    "obstacle": {**_OBSTACLE, "radial_oracle": (_RADIAL_ORACLE, None)},
+    "wiener-probe": _PROBE,
+    "barrier": {
+        "y": (_point, ...),
+        "rho": (_positive_number, ...),
+        "m": (_positive_number, 1.0),
+        "jj_factor": (_as_number, 0.5),
+    },
+    "degiorgi-instrument": {
+        "solve": (_Kinds(obstacle=_OBSTACLE, dirichlet=_DIRICHLET), ...),
+        "y": (_point, ...),
+        "level_sets": ([{"level": (_as_number, ...), "radius": (_positive_number, ...)}], ()),
+        "caccioppoli": ([{"level": (_as_number, ...), "rho": (_positive_number, ...),
+                          "R": (_positive_number, ...)}], ()),
+        "psi_recursion": ({"r0": (_positive_number, ...), "k0": (_as_number, ...),
+                           "d": (_positive_or_auto, "auto"), "n_levels": (_count, 8)}, None),
+        "oscillation": ({"r0": (_positive_number, ...), "K": (_count, ...)}, None),
+        "envelope": ({"C1": (_as_number, 1.0), "lower_order": (_bool, False)}, None),
+    },
+    "locality": {
+        "shape_b": (_shape, ...),
+        "probe": (_PROBE, ...),
+        "y": (_point, ...),
+        "window_radius": (_positive_number, ...),
+    },
+}
+
+
+def _read(spec, value, field, dim):
+    """``value`` read through ``spec`` (see ``_PARAMS``), fields in table
+    order, each named by its dotted place (``params.caccioppoli[0].R``)."""
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ScenarioError(field, f"expected a list, got {value!r}")
+        return [_read(spec[0], item, f"{field}[{i}]", dim) for i, item in enumerate(value)]
+    if not isinstance(spec, dict):
+        return spec(value, field, dim)
+    if not isinstance(value, dict):
+        raise ScenarioError(field, f"expected an object, got {value!r}")
+    if isinstance(spec, _Kinds):
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in spec:
+            raise ScenarioError(f"{field}.kind", f"unknown kind {kind!r}; known: {sorted(spec)}")
+        return {"kind": kind, **_read(spec[kind], value, field, dim)}
+    read = {}
+    for key, (sub, default) in spec.items():
+        if key in value:
+            read[key] = _read(sub, value[key], f"{field}.{key}", dim)
+        elif default is ...:
+            raise ScenarioError(f"{field}.{key}", "required field is missing")
+        else:
+            read[key] = default
+    return read
 
 
 def load_scenario(path):
@@ -204,13 +309,25 @@ def load_scenario(path):
 
 
 def validate_scenario(raw):
-    name = _require(raw, "name", str, where="scenario")
-    if not name or any(c not in "abcdefghijklmnopqrstuvwxyz0123456789-_." for c in name.lower()):
-        raise ScenarioError("scenario.name", "use letters, digits, '-', '_', '.'")
-    task = _require(raw, "task", str, where="scenario")
-    if task not in TASKS:
-        raise ScenarioError("scenario.task", f"unknown task {task!r}; known: {sorted(TASKS)}")
-    shape = _shape(raw, "shape", where="scenario")
+    """The scenario ``raw`` with every field read, its params through
+    ``_PARAMS``; the first bad field is a ScenarioError naming it."""
+    name, task = raw.get("name"), raw.get("task")
+    if not isinstance(name, str) or not name or any(
+        c not in "abcdefghijklmnopqrstuvwxyz0123456789-_." for c in name.lower()
+    ):
+        raise ScenarioError("scenario.name", f"use letters, digits, '-', '_', '.', got {name!r}")
+    if not isinstance(task, str) or task not in _PARAMS:
+        raise ScenarioError("scenario.task", f"unknown task {task!r}; known: {sorted(_PARAMS)}")
+    try:
+        return {"name": name, "task": task, **_read_fields(raw, task)}
+    except ScenarioError as exc:
+        exc.scenario, exc.task = name, task
+        raise
+
+
+def _read_fields(raw, task):
+    """Every field of the scenario ``raw`` but its name and task."""
+    shape = _shape(raw.get("shape"), "scenario.shape")
     op = raw.get("operator", {"kind": "p_laplace", "t": 2.0})
     if not isinstance(op, dict):
         raise ScenarioError("scenario.operator", "expected an object")
@@ -224,19 +341,15 @@ def validate_scenario(raw):
         spec = OperatorSpec(**op)
     except ValueError as exc:
         raise ScenarioError("scenario.operator", str(exc)) from exc
-    h = raw.get("h")
-    h_levels = raw.get("h_levels")
+    h, h_levels = raw.get("h"), raw.get("h_levels")
     if h is None and h_levels is None:
         raise ScenarioError("scenario.h", "need h or h_levels")
     if h is not None:
         _positive_number(h, "scenario.h")
     if h_levels is not None:
-        if not isinstance(h_levels, list) or not h_levels:
-            raise ScenarioError("scenario.h_levels", "expected a nonempty list")
-        for i, level in enumerate(h_levels):
-            _positive_number(level, f"scenario.h_levels[{i}]")
-        if any(b >= a for a, b in zip(h_levels, h_levels[1:])):
-            raise ScenarioError("scenario.h_levels", "must be strictly decreasing")
+        levels = _read([_positive_number], h_levels, "scenario.h_levels", None)
+        if not levels or any(b >= a for a, b in zip(levels, levels[1:])):
+            raise ScenarioError("scenario.h_levels", "must be nonempty and strictly decreasing")
     tol = _positive_number(raw.get("tolerance", 1e-8), "scenario.tolerance")
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -254,14 +367,12 @@ def validate_scenario(raw):
         if a["op"] not in ("<=", ">=", "==", "!=", "<", ">"):
             raise ScenarioError(f"scenario.assertions[{i}].op", f"unknown op {a['op']!r}")
     return {
-        "name": name,
-        "task": task,
         "shape": shape,
         "spec": spec,
         "h": h,
         "h_levels": h_levels,
         "tol": tol,
-        "params": params,
+        "params": _read(_PARAMS[task], params, "params", shape.dim),
         "assertions": assertions,
     }
 
@@ -288,13 +399,7 @@ def _field_stats(grid, values):
 
 
 def _run_dirichlet(scn):
-    params = scn["params"]
-    dim = scn["shape"].dim
-    data = _boundary_data(params, dim)
-    oracle = None
-    if "oracle" in params:
-        text = _require(_require(params, "oracle", dict), "expr", str, where="params.oracle")
-        oracle = _expression(text, "params.oracle.expr", dim)
+    data, oracle = scn["params"]["data"], scn["params"]["oracle"]
     grid = build_grid(scn["shape"], _scenario_h(scn))
     fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
     report = {
@@ -308,9 +413,9 @@ def _run_dirichlet(scn):
     if isinstance(data, (int, float)):
         report["constant_data_gap"] = float(np.max(np.abs(fld.values[inside] - data)))
     if oracle is not None:
-        exact = oracle(grid.points()).reshape(grid.dims)
+        exact = oracle["expr"](grid.points()).reshape(grid.dims)
         err = float(np.max(np.abs(fld.values - exact)[inside]))
-        report["oracle"] = {"expr": oracle.text, "max_error": err}
+        report["oracle"] = {"expr": oracle["expr"].text, "max_error": err}
     rows = [
         {
             "metric": "energy", "value": rep.energy,
@@ -328,29 +433,12 @@ def _run_dirichlet(scn):
     return report, {"metrics": rows}, key, rep.converged
 
 
-def _radial_oracle(params, ndim):
-    """The numbers of the ``radial_oracle`` param, read before the solve."""
-    where = "params.radial_oracle"
-    oracle = _require(params, "radial_oracle", dict)
-    inner = _number(oracle, "inner", where=where)
-    outer = _number(oracle, "outer", where=where)
-    band = _numbers(oracle, "band", [inner, outer], where=where)
-    if len(band) != 2:
-        raise ScenarioError(f"{where}.band", f"expected [lo, hi], got {band!r}")
-    return {
-        "inner": inner,
-        "outer": outer,
-        "center": _numbers(oracle, "center", [0.0] * ndim, where=where),
-        "band": band,
-        "value_at": _numbers(oracle, "value_at", [], where=where),
-    }
-
-
 def _radial_oracle_block(oracle, t, grid, fld, m, sign):
     inner, outer = oracle["inner"], oracle["outer"]
-    lo, hi = oracle["band"]
+    lo, hi = oracle["band"] or (inner, outer)
+    center = oracle["center"] or [0.0] * grid.dim
     pts = grid.points()
-    r = np.sqrt(np.sum((pts - np.asarray(oracle["center"])) ** 2, axis=1))
+    r = np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=1))
     inside = (grid.labels == INTERIOR).ravel()
     band = inside & (r >= lo) & (r <= hi)
     exact = radial_profile(t, grid.dim, inner, outer, m, r[band])
@@ -401,12 +489,9 @@ def _radial_oracle_block(oracle, t, grid, fld, m, sign):
 
 def _run_obstacle(scn):
     params = scn["params"]
-    obstacle_shape = _shape(params, "obstacle")
-    m = _number(params, "m", 1.0)
-    sign = _number(params, "sign", 1, integer=True)
-    oracle = _radial_oracle(params, scn["shape"].dim) if "radial_oracle" in params else None
+    m, sign, oracle = params["m"], params["sign"], params["radial_oracle"]
     grid = build_grid(scn["shape"], _scenario_h(scn))
-    con = ObstacleConstraint.from_shape(grid, obstacle_shape, m, sign)
+    con = ObstacleConstraint.from_shape(grid, params["obstacle"], m, sign)
     fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
     ver = obstacle_verification(scn["spec"], grid, fld.values, con, scn["tol"])
     ver["passed"] = ver["bounds_ok"] and ver["residual_ok"] and ver["equals_m_on_obstacle"]
@@ -432,27 +517,12 @@ def _run_obstacle(scn):
     return report, tables, key, rep.converged and ver["passed"]
 
 
-def _probe_config(scn, params, where="params"):
-    fixed_radius = params.get("fixed_radius")
-    if fixed_radius is not None:
-        fixed_radius = _positive_number(fixed_radius, f"{where}.fixed_radius")
-    return WienerProbeConfig(
-        y=_numbers(params, "y", where=where),
-        cap_radius=_number(params, "cap_radius", where=where),
-        r0=_number(params, "r0", where=where),
-        K=_number(params, "K", where=where, integer=True),
-        h_levels=scn["h_levels"] or [scn["h"]],
-        height=_number(params, "m", 1.0, where=where),
-        sign=_number(params, "sign", 1, where=where, integer=True),
-        decay_factor=_number(params, "decay_factor", 0.1, where=where),
-        stagnation_floor=_number(params, "stagnation_floor", 0.25, where=where),
-        shrink_ratio=_number(params, "shrink_ratio", 0.7, where=where),
-        stagnation_ratio=_number(params, "stagnation_ratio", 0.9, where=where),
-        near_radius_cells=_positive_number(
-            params.get("near_radius_cells", 4.0), f"{where}.near_radius_cells"
-        ),
-        fixed_radius=fixed_radius,
-    )
+def _probe_config(scn, probe):
+    """The WienerProbeConfig of read probe params at the scenario's
+    spacings, built here so that its warnings name this line."""
+    fields = dict(probe)
+    height = fields.pop("m")
+    return WienerProbeConfig(height=height, h_levels=scn["h_levels"] or [scn["h"]], **fields)
 
 
 def _run_wiener(scn):
@@ -472,13 +542,8 @@ def _run_barrier(scn):
     params = scn["params"]
     grid = build_grid(scn["shape"], _scenario_h(scn))
     V, U, rep = barrier_build(
-        grid,
-        scn["spec"],
-        _numbers(params, "y"),
-        _number(params, "rho"),
-        _number(params, "m", 1.0),
-        tol=scn["tol"],
-        jj_factor=_number(params, "jj_factor", 0.5),
+        grid, scn["spec"], params["y"], params["rho"], params["m"],
+        tol=scn["tol"], jj_factor=params["jj_factor"],
     )
     report = {"task": "barrier", "h": grid.h, "barrier": rep}
     rows = [
@@ -495,16 +560,10 @@ def _run_barrier(scn):
 
 def _run_locality(scn):
     params = scn["params"]
-    shape_b = _shape(params, "shape_b")
-    config = _probe_config(scn, _require(params, "probe", dict), where="params.probe")
+    config = _probe_config(scn, params["probe"])
     rep = locality_check(
-        scn["shape"],
-        shape_b,
-        _numbers(params, "y"),
-        _number(params, "window_radius"),
-        config,
-        scn["spec"],
-        tol=scn["tol"],
+        scn["shape"], params["shape_b"], params["y"], params["window_radius"], config,
+        scn["spec"], tol=scn["tol"],
     )
     report = {"task": "locality", "locality": rep}
     rows = [
@@ -515,65 +574,17 @@ def _run_locality(scn):
 
 
 def _instrument_solve(scn, grid):
-    params = scn["params"]
-    solve = _require(params, "solve", dict)
-    kind = _require(solve, "kind", str, where="params.solve")
-    if kind == "obstacle":
-        shape = _shape(solve, "obstacle", where="params.solve")
-        m = _number(solve, "m", 1.0, where="params.solve")
-        sign = _number(solve, "sign", 1, where="params.solve", integer=True)
-        con = ObstacleConstraint.from_shape(grid, shape, m, sign)
-        fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
-    elif kind == "dirichlet":
-        data = _boundary_data(solve, grid.dim, where="params.solve")
-        fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
-    else:
-        raise ScenarioError("params.solve.kind", f"unknown solve kind {kind!r}")
-    return fld, rep
-
-
-# Instrumentation blocks of a degiorgi-instrument scenario: the container
-# type and the keys each block needs.
-_DEGIORGI_BLOCKS = {
-    "level_sets": (list, ("level", "radius")),
-    "caccioppoli": (list, ("level", "rho", "R")),
-    "psi_recursion": (dict, ("r0", "k0")),
-    "oscillation": (dict, ("r0", "K")),
-}
-
-
-def _check_degiorgi_blocks(params):
-    """Name a missing or non-numeric block key before any solve starts."""
-    for name, (kind, keys) in _DEGIORGI_BLOCKS.items():
-        if name not in params:
-            continue
-        value = _require(params, name, kind)
-        blocks = enumerate(value) if kind is list else [(None, value)]
-        for i, block in blocks:
-            where = f"params.{name}" if i is None else f"params.{name}[{i}]"
-            if not isinstance(block, dict):
-                raise ScenarioError(where, "expected an object")
-            for key in keys:
-                _number(block, key, where=where, integer=key == "K")
+    solve = scn["params"]["solve"]
+    if solve["kind"] == "obstacle":
+        con = ObstacleConstraint.from_shape(grid, solve["obstacle"], solve["m"], solve["sign"])
+        return solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
+    return solve_dirichlet(grid, scn["spec"], solve["data"], tol=scn["tol"])
 
 
 def _run_degiorgi(scn):
     params = scn["params"]
-    y = _numbers(params, "y")
-    _check_degiorgi_blocks(params)
-    # The optional numbers, read before any solve starts.
-    psi = params.get("psi_recursion", {})
-    n_levels = _number(psi, "n_levels", 8, where="params.psi_recursion", integer=True)
-    gap = psi.get("d", "auto")
-    if gap != "auto":
-        gap = _number(psi, "d", where="params.psi_recursion")
-    envelope = _require(params, "envelope", dict) if "envelope" in params else {}
-    c1 = _number(envelope, "C1", 1.0, where="params.envelope")
-    lower_order = envelope.get("lower_order", False)
-    if not isinstance(lower_order, bool):
-        raise ScenarioError(
-            "params.envelope.lower_order", f"expected true or false, got {lower_order!r}"
-        )
+    y, psi = params["y"], params["psi_recursion"]
+    osc, envelope = params["oscillation"], params["envelope"]
     t = scn["spec"].t
     h_levels = scn["h_levels"] or [scn["h"]]
     report = {"task": "degiorgi-instrument", "levels": []}
@@ -584,59 +595,46 @@ def _run_degiorgi(scn):
         fld, rep = _instrument_solve(scn, grid)
         ok = ok and rep.converged
         level_report = {"h": float(h), "solve": rep.to_dict()}
-        for block in params.get("level_sets", []):
+        for block in params["level_sets"]:
             st = level_stats(fld, y, block["level"], block["radius"], t)
             row = {"h": float(h), **st.to_dict()}
             tables["level_sets"].append(row)
             level_report.setdefault("level_sets", []).append(st.to_dict())
-        for block in params.get("caccioppoli", []):
+        for block in params["caccioppoli"]:
             rep_c = check_caccioppoli(
                 fld, y, block["level"], block["rho"], block["R"], t
             )
             tables["caccioppoli"].append({"h": float(h), **rep_c})
             level_report.setdefault("caccioppoli", []).append(rep_c)
             ok = ok and not rep_c["violation"]
-        if "psi_recursion" in params:
-            blk = params["psi_recursion"]
-            d = gap
+        if psi is not None:
+            r0, k0, n_levels, d = psi["r0"], psi["k0"], psi["n_levels"], psi["d"]
             if d == "auto":
-                probe_sched = IterationSchedule(
-                    y=y, r0=blk["r0"], k0=blk["k0"], d=blk["k0"] / 4.0, n_levels=n_levels
-                )
+                probe_sched = IterationSchedule(y=y, r0=r0, k0=k0, d=k0 / 4.0, n_levels=n_levels)
                 fit = check_psi_recursion(fld, probe_sched, t)
-                d = threshold_level_gap(
-                    fit["c_hat"], t, grid.dim, blk["r0"], fit["psi"][0]
-                )
+                d = threshold_level_gap(fit["c_hat"], t, grid.dim, r0, fit["psi"][0])
                 level_report["fitted_gap"] = d
-            sched = IterationSchedule(
-                y=y, r0=blk["r0"], k0=blk["k0"], d=float(d), n_levels=n_levels
-            )
+            sched = IterationSchedule(y=y, r0=r0, k0=k0, d=float(d), n_levels=n_levels)
             rec = check_psi_recursion(fld, sched, t)
-            final = level_stats(fld, y, blk["k0"] - float(d), blk["r0"] / 2.0, t)
+            final = level_stats(fld, y, k0 - float(d), r0 / 2.0, t)
             rec["final_sublevel_volume"] = final.volume
             rec["final_sublevel_empty"] = final.node_count == 0
             level_report["psi_recursion"] = rec
-        if "oscillation" in params:
-            blk = params["oscillation"]
-            rows = oscillation_sequence(fld, y, float(blk["r0"]), int(blk["K"]))
+        if osc is not None:
+            rows = oscillation_sequence(fld, y, osc["r0"], osc["K"])
             for row in rows:
                 tables["oscillation"].append({"h": float(h), **row})
             level_report["oscillation"] = rows
-            if "envelope" in params:
+            if envelope is not None:
                 sigmas = []
                 for row in rows[1:]:
                     cap = complement_cap(grid, y, 2.0 * row["r"])
                     sigmas.append(density(cap))
-                dec = n0_and_decay(
-                    sigmas,
-                    c1,
-                    float(blk["r0"]),
-                    int(blk["K"]),
-                    [row["omega"] for row in rows],
-                    t,
-                    lower_order=lower_order,
+                omega = [row["omega"] for row in rows]
+                level_report["envelope"] = n0_and_decay(
+                    sigmas, envelope["C1"], osc["r0"], osc["K"], omega, t,
+                    lower_order=envelope["lower_order"],
                 )
-                level_report["envelope"] = dec
         report["levels"].append(level_report)
     # Cross-level stability of the Caccioppoli constant.
     by_block = {}
@@ -770,18 +768,14 @@ def run_scenario(path, out_root=None):
         scn, text = load_scenario(path)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2, {"scenario": str(path), "task": "?", "result": "config-error",
-                   "key_metric": str(exc), "wall_time_s": 0.0}
+        return 2, {"scenario": exc.scenario or str(path), "task": exc.task or "?",
+                   "result": "config-error", "key_metric": str(exc), "wall_time_s": 0.0}
     out_root = Path(out_root) if out_root else Path("out")
     out_dir = out_root / scn["name"]
     t0 = time.perf_counter()
     try:
         with _solve_counts() as solve_memo:
             report, tables, key_metric, ok = _EXECUTORS[scn["task"]](scn)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2, {"scenario": scn["name"], "task": scn["task"],
-                   "result": "config-error", "key_metric": str(exc), "wall_time_s": 0.0}
     except Exception as exc:  # noqa: BLE001 - one failed task must not end a suite
         wall = time.perf_counter() - t0
         message = str(exc)
@@ -891,7 +885,9 @@ def main(argv=None):
         prog="potbench",
         description="Scenario runner for the nonlinear potential workbench.",
     )
-    parser.add_argument("--list-tasks", action="store_true", help="list tasks and exit")
+    parser.add_argument(
+        "--list-tasks", action="store_true", help="list tasks and their params (* required)"
+    )
     sub = parser.add_subparsers(dest="command")
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("file")
@@ -902,8 +898,9 @@ def main(argv=None):
     p_suite.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     if args.list_tasks:
-        for name in sorted(TASKS):
-            print(f"{name:22s} {TASKS[name]}")
+        for name, table in _PARAMS.items():
+            fields = (key + "*" * (default is ...) for key, (_, default) in table.items())
+            print(f"{name:22s} {', '.join(fields)}")
         return 0
     if args.command == "run":
         code, row = run_scenario(args.file, args.out)

@@ -182,6 +182,78 @@ NON_FINITE_SHAPES = [
 MALFORMED += NON_FINITE_SHAPES
 
 
+def instrument_params(**blocks):
+    """Valid degiorgi-instrument params, a Dirichlet solve, with ``blocks``."""
+    return {"solve": {"kind": "dirichlet", "data": "x1"}, "y": [0.0, 0.0], **blocks}
+
+
+def locality_params(**over):
+    """Valid locality params, with ``over`` set."""
+    return {"shape_b": OBSTACLE, "probe": probe_params(), "y": [0.5, 0.0],
+            "window_radius": 0.2, **over}
+
+
+# Range rules that the library's classes also check, read with the params:
+# a sign other than +-1, a height, radius or ladder length out of range, a
+# threshold outside (0, 1), and a point or a shape whose dimension is not
+# the domain's.
+RANGE_RULES = [
+    ({"task": "obstacle", "params": {"obstacle": OBSTACLE, "sign": 2}}, "params.sign"),
+    ({"task": "obstacle", "params": {"obstacle": OBSTACLE, "m": -1.0}}, "params.m"),
+    (
+        {
+            "task": "degiorgi-instrument",
+            "params": instrument_params(
+                solve={"kind": "obstacle", "obstacle": OBSTACLE, "sign": 2}
+            ),
+        },
+        "params.solve.sign",
+    ),
+    (
+        {
+            "task": "degiorgi-instrument",
+            "params": instrument_params(
+                solve={"kind": "obstacle", "obstacle": OBSTACLE, "m": -1.0}
+            ),
+        },
+        "params.solve.m",
+    ),
+    ({"task": "barrier", "params": {"y": [0.5, 0.0], "rho": -1.0}}, "params.rho"),
+    ({"task": "barrier", "params": {"y": [0.5], "rho": 0.25}}, "params.y"),
+    ({"task": "wiener-probe", "params": probe_params(K=0)}, "params.K"),
+    ({"task": "wiener-probe", "params": probe_params(y=[0.5])}, "params.y"),
+    *[
+        ({"task": "wiener-probe", "params": probe_params(**{name: 2.0})}, f"params.{name}")
+        for name in ("decay_factor", "stagnation_floor", "shrink_ratio", "stagnation_ratio")
+    ],
+    (
+        {
+            "task": "degiorgi-instrument",
+            "params": instrument_params(psi_recursion={"r0": 0.25, "k0": 0.5, "d": 0.0}),
+        },
+        "params.psi_recursion.d",
+    ),
+    (
+        {
+            "task": "degiorgi-instrument",
+            "params": instrument_params(level_sets=[{"level": 0.5, "radius": -1.0}]),
+        },
+        "params.level_sets[0].radius",
+    ),
+    ({"task": "locality", "params": locality_params(window_radius=-1.0)}, "params.window_radius"),
+    # Shapes of another dimension than the domain's.
+    (
+        {"task": "obstacle", "params": {"obstacle": {**OBSTACLE, "center": [0.0, 0.0, 0.0]}}},
+        "params.obstacle",
+    ),
+    (
+        {"task": "locality", "params": locality_params(shape_b={**OBSTACLE, "center": [0.0]})},
+        "params.shape_b",
+    ),
+]
+MALFORMED += RANGE_RULES
+
+
 def malformed_doc(patch):
     doc = scenario_doc(name="malformed")
     doc.update(patch)
@@ -198,17 +270,6 @@ def test_malformed_top_level_field_exits_two(tmp_path, patch, field):
     assert row["result"] == "config-error"
     assert row["key_metric"].startswith(field + ":")
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("patch,field", NON_FINITE_SHAPES)
-def test_non_finite_shape_number_exits_two_before_any_grid(tmp_path, monkeypatch, patch, field):
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was built before the shape numbers were read")
-
-    monkeypatch.setattr("artifact.cli.build_grid", no_grid)
-    code, row = run_scenario(write_doc(tmp_path, malformed_doc(patch)), tmp_path / "out")
-    assert code == 2
-    assert row["key_metric"].startswith(field + ":")
 
 
 @pytest.mark.parametrize("patch,field", MALFORMED)
@@ -445,20 +506,20 @@ def instrument_doc(name, **blocks):
         "shape": {"type": "ball", "center": [0.0, 0.0], "radius": 0.5},
         "operator": {"kind": "p_laplace", "t": 2.0},
         "h": 1.0 / 8.0,
-        "params": {"solve": {"kind": "dirichlet", "data": "x1"}, "y": [0.0, 0.0], **blocks},
+        "params": instrument_params(**blocks),
     }
 
 
-@pytest.mark.parametrize(
-    "blocks, field",
-    [
-        ({"level_sets": [{"radius": 0.2}]}, "params.level_sets[0].level"),
-        ({"caccioppoli": [{"level": 0.5, "rho": 0.1}]}, "params.caccioppoli[0].R"),
-        ({"psi_recursion": {"r0": 0.25}}, "params.psi_recursion.k0"),
-        ({"oscillation": {"r0": 0.25}}, "params.oscillation.K"),
-        ({"level_sets": {"level": 0.5, "radius": 0.2}}, "params.level_sets"),
-    ],
-)
+BLOCK_KEY_CASES = [
+    ({"level_sets": [{"radius": 0.2}]}, "params.level_sets[0].level"),
+    ({"caccioppoli": [{"level": 0.5, "rho": 0.1}]}, "params.caccioppoli[0].R"),
+    ({"psi_recursion": {"r0": 0.25}}, "params.psi_recursion.k0"),
+    ({"oscillation": {"r0": 0.25}}, "params.oscillation.K"),
+    ({"level_sets": {"level": 0.5, "radius": 0.2}}, "params.level_sets"),
+]
+
+
+@pytest.mark.parametrize("blocks, field", BLOCK_KEY_CASES)
 def test_degiorgi_block_keys_checked_before_any_solve(tmp_path, monkeypatch, blocks, field):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve started before the block keys were checked")
@@ -589,39 +650,39 @@ def test_suite_survives_a_missing_degiorgi_key(tmp_path):
     assert rows["good"]["result"] == "pass"
 
 
-@pytest.mark.parametrize(
-    "task, params, field",
-    [
-        ("barrier", {"y": [0.0, 0.0], "rho": [0.1]}, "params.rho"),
-        ("dirichlet", {"data": {"a": 1}}, "params.data"),
-        (
-            "wiener-probe",
-            {"y": [0.5, 0.0], "cap_radius": 0.1, "r0": 0.2, "K": "two"},
-            "params.K",
-        ),
-        ("obstacle", {"obstacle": {"type": "ball", "radius": 0.25}}, "params.obstacle"),
-        (
-            "locality",
-            {"shape_b": {"type": "ball", "center": "x", "radius": 1.0}},
-            "params.shape_b",
-        ),
-        (
-            "degiorgi-instrument",
-            {"y": [0.0, 0.0], "solve": {"kind": "obstacle", "obstacle": {"type": "blob"}}},
-            "params.solve.obstacle",
-        ),
-        ("barrier", {"y": ["a", 0.0], "rho": 0.1}, "params.y[0]"),
-        (
-            "obstacle",
-            {
-                "obstacle": {"type": "ball", "center": [0.0, 0.0], "radius": 0.25},
-                "radial_oracle": {"inner": 0.25, "outer": 0.5, "band": [0.25, "x"]},
-            },
-            "params.radial_oracle.band[1]",
-        ),
-        ("dirichlet", {"data": "x1", "oracle": 3}, "params.oracle"),
-    ],
-)
+RETYPED = [
+    ("barrier", {"y": [0.0, 0.0], "rho": [0.1]}, "params.rho"),
+    ("dirichlet", {"data": {"a": 1}}, "params.data"),
+    (
+        "wiener-probe",
+        {"y": [0.5, 0.0], "cap_radius": 0.1, "r0": 0.2, "K": "two"},
+        "params.K",
+    ),
+    ("obstacle", {"obstacle": {"type": "ball", "radius": 0.25}}, "params.obstacle"),
+    (
+        "locality",
+        {"shape_b": {"type": "ball", "center": "x", "radius": 1.0}},
+        "params.shape_b",
+    ),
+    (
+        "degiorgi-instrument",
+        {"y": [0.0, 0.0], "solve": {"kind": "obstacle", "obstacle": {"type": "blob"}}},
+        "params.solve.obstacle",
+    ),
+    ("barrier", {"y": ["a", 0.0], "rho": 0.1}, "params.y[0]"),
+    (
+        "obstacle",
+        {
+            "obstacle": {"type": "ball", "center": [0.0, 0.0], "radius": 0.25},
+            "radial_oracle": {"inner": 0.25, "outer": 0.5, "band": [0.25, "x"]},
+        },
+        "params.radial_oracle.band[1]",
+    ),
+    ("dirichlet", {"data": "x1", "oracle": 3}, "params.oracle"),
+]
+
+
+@pytest.mark.parametrize("task, params, field", RETYPED)
 def test_suite_runs_the_neighbour_of_a_retyped_param(tmp_path, task, params, field):
     # A param of the wrong type, a list element or a nested shape among
     # them, is a config error that names it, not a traceback that ends the
@@ -637,6 +698,80 @@ def test_suite_runs_the_neighbour_of_a_retyped_param(tmp_path, task, params, fie
     assert rows["bad"]["key_metric"].startswith(field + ":")
     assert rows["good"]["result"] == "pass"
     assert not (tmp_path / "out" / "bad").exists()
+
+
+# Every config error above, each a patch over ``malformed_doc``: found while
+# the scenario loads, so no grid is ever built.  The shape cases come first.
+BEFORE_ANY_GRID = [
+    *NON_FINITE_SHAPES,
+    *[row for row in MALFORMED if row not in NON_FINITE_SHAPES],
+    *[(instrument_doc("malformed", **blocks), field) for blocks, field in BLOCK_KEY_CASES],
+    *[({"task": task, "params": params}, field) for task, params, field in RETYPED],
+    *[(expression_doc(field, text), field) for field, text, _ in EXPRESSION_CASES],
+]
+
+
+@pytest.mark.parametrize("patch,field", BEFORE_ANY_GRID)
+def test_non_finite_shape_number_exits_two_before_any_grid(tmp_path, monkeypatch, patch, field):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before every field was read")
+
+    monkeypatch.setattr("artifact.cli.build_grid", no_grid)
+    monkeypatch.setattr("artifact.capacity.build_grid", no_grid)
+    code, row = run_scenario(write_doc(tmp_path, malformed_doc(patch)), tmp_path / "out")
+    assert code == 2
+    assert row["result"] == "config-error"
+    assert row["key_metric"].startswith(field + ":")
+    assert not (tmp_path / "out").exists()
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+DELETE = object()
+
+
+def value_paths(node, path=()):
+    """The path of every value inside a JSON document, objects and lists
+    and the leaves within them alike."""
+    items = ()
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    for key, item in items:
+        yield path + (key,)
+        yield from value_paths(item, path + (key,))
+
+
+def mutant(doc, path, value):
+    """``doc`` with the leaf at ``path`` set to ``value``, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_every_mutation_validates_or_names_its_field(path):
+    # Each value of a shipped scenario, leaf or not, deleted or replaced.
+    # Validation alone builds no lattice, so no mutant can ask for more
+    # memory than the machine holds; the mutants are not run.
+    doc = json.loads(path.read_text())
+    validate_scenario(doc)
+    places = list(value_paths(doc))
+    assert len(places) > 10
+    for place in places:
+        for value in (DELETE, "x", -1.0, 0.0, None, [1.0], {}, True):
+            try:
+                validate_scenario(mutant(doc, place, value))
+            except ScenarioError as exc:
+                assert exc.field.startswith(("scenario.", "params.")), (place, value, str(exc))
+            except Exception as exc:  # noqa: BLE001 - name the mutant that escaped
+                pytest.fail(f"{'.'.join(map(str, place))} = {value!r}: {exc!r}")
 
 
 @pytest.mark.parametrize(
@@ -824,11 +959,18 @@ def test_suite_memo_under_threads_runs_each_shared_solve_once(tmp_path):
 
 
 def test_main_list_tasks(capsys):
+    # Each task's line names its params, the required ones starred.
     assert main(["--list-tasks"]) == 0
-    out = capsys.readouterr().out
-    for task in ("dirichlet", "obstacle", "wiener-probe", "barrier",
-                 "degiorgi-instrument", "locality"):
-        assert task in out
+    lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    for task, param in [
+        ("dirichlet", "data*"),
+        ("obstacle", "radial_oracle"),
+        ("wiener-probe", "fixed_radius"),
+        ("barrier", "rho*"),
+        ("degiorgi-instrument", "psi_recursion"),
+        ("locality", "window_radius*"),
+    ]:
+        assert param in lines[task].split(", ")
 
 
 def test_main_run_and_help(tmp_path, capsys):

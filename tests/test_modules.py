@@ -3,7 +3,9 @@
 ``multigrid`` sits below the solve API: it may import the lattice and
 ``monotone``, nothing above them.  ``solver`` imports from ``multigrid``
 only the names it reads, so a test that patches a multigrid name on
-``solver`` fails with AttributeError instead of patching nothing.
+``solver`` fails with AttributeError instead of patching nothing.  In
+``cli`` every param is read when the scenario loads, through the table
+``_PARAMS``; a task executor only computes.
 """
 
 import ast
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import multigrid, solver
+from artifact import cli, multigrid, solver
 
 
 def _tree(module):
@@ -55,3 +57,40 @@ def test_solver_reads_every_multigrid_name_it_imports(monkeypatch):
     for name in ("_galerkin_product", "_parity_classes", "_PlainLevel", "_StencilLevel"):
         with pytest.raises(AttributeError):
             monkeypatch.setattr(solver, name, None)
+
+
+def _readers(spec):
+    """The name of every reader in a param table of ``cli``."""
+    if isinstance(spec, list):
+        yield from _readers(spec[0])
+    elif isinstance(spec, dict):
+        for entry in spec.values():
+            yield from _readers(entry[0] if isinstance(entry, tuple) else entry)
+    else:
+        yield spec.__name__
+
+
+def test_task_executors_read_no_param():
+    readers = {"_read", "_finite_numbers"}
+    for table in cli._PARAMS.values():
+        readers.update(_readers(table))
+    assert {"_as_number", "_shape", "_expression", "_point", "_count"} <= readers
+    functions = {
+        node.name: node for node in _tree(cli).body if isinstance(node, ast.FunctionDef)
+    }
+    executors = [name for name in functions if name.startswith("_run_")]
+    assert sorted(executors) == sorted(fn.__name__ for fn in cli._EXECUTORS.values())
+    # Each executor and every function of cli it reaches.
+    for executor in executors:
+        reached, todo = set(), [executor]
+        while todo:
+            name = todo.pop()
+            if name in reached:
+                continue
+            reached.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Name):
+                    assert node.id not in readers, f"{executor} reaches {node.id} in {name}"
+                    assert node.id != "ScenarioError", f"{executor} names ScenarioError in {name}"
+                    if node.id in functions:
+                        todo.append(node.id)
