@@ -39,6 +39,7 @@ from .solver import (
 
 __all__ = [
     "radial_profile",
+    "radial_oracle_report",
     "sigma_ball",
     "sigma_grid_for",
     "capacitary_potential",
@@ -69,6 +70,65 @@ def radial_profile(t, dim, inner, outer, height, r):
     else:
         vals = height * (rc**q - outer**q) / (inner**q - outer**q)
     return vals if vals.shape else float(vals)
+
+
+def radial_oracle_report(oracle, t, grid, fld, m, sign):
+    """The solved field ``fld`` (sign times it) against ``radial_profile``
+    on the interior nodes of the oracle's band of radii: the report block
+    of errors, ``value_at`` means, and the profile rows by radius.
+    ``oracle`` is a scenario's read ``radial_oracle`` (0 < inner < outer,
+    its band lo <= hi, both checked when the scenario loads)."""
+    inner, outer = oracle["inner"], oracle["outer"]
+    lo, hi = oracle["band"] or (inner, outer)
+    center = oracle["center"] or [0.0] * grid.dim
+    pts = grid.points()
+    r = np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=1))
+    inside = (grid.labels == INTERIOR).ravel()
+    band = inside & (r >= lo) & (r <= hi)
+    exact = radial_profile(t, grid.dim, inner, outer, m, r[band])
+    got = sign * fld.values.ravel()[band]
+    abs_err = np.abs(got - exact)
+    block = {
+        "inner": inner,
+        "outer": outer,
+        "band": [lo, hi],
+        "nodes": int(band.sum()),
+        "max_rel_error_pointwise": float(np.max(abs_err / exact)),
+        "max_rel_error_supnorm": float(np.max(abs_err) / np.max(np.abs(exact))),
+        "max_abs_error": float(np.max(abs_err)),
+    }
+    for v in oracle["value_at"]:
+        at = inside & (np.abs(r - v) < 1e-9)
+        if at.any():
+            mean = float(np.mean(sign * fld.values.ravel()[at]))
+            ex = float(radial_profile(t, grid.dim, inner, outer, m, v))
+            # Report keys must stay dot-free so assertion paths can address
+            # them; spell the radius with underscores ("value_at_0_5").
+            key = "value_at_" + repr(float(v)).replace(".", "_").replace("-", "m")
+            block[key] = {
+                "nodes": int(at.sum()),
+                "mean": mean,
+                "exact": ex,
+                "rel_error": abs(mean - ex) / abs(ex) if ex else math.nan,
+            }
+    # Radial profile table: nodes grouped by radius.
+    rr = np.round(r[band], 12)
+    order = np.argsort(rr, kind="stable")
+    rows = []
+    uniq, start = np.unique(rr[order], return_index=True)
+    gvals = got[order]
+    for i, rv in enumerate(uniq):
+        stop = start[i + 1] if i + 1 < len(start) else len(gvals)
+        seg = gvals[start[i] : stop]
+        rows.append(
+            {
+                "r": float(rv),
+                "computed_mean": float(seg.mean()),
+                "exact": float(radial_profile(t, grid.dim, inner, outer, m, rv)),
+                "count": int(stop - start[i]),
+            }
+        )
+    return block, rows
 
 
 def sigma_ball(region_shape):

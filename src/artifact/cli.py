@@ -34,7 +34,7 @@ from .capacity import (
     WienerProbeConfig,
     barrier_build,
     locality_check,
-    radial_profile,
+    radial_oracle_report,
     wiener_probe,
 )
 from .domain.lattice import INTERIOR, build_grid, complement_cap, density
@@ -236,9 +236,23 @@ _RADIAL_ORACLE = {
     "center": (_point, None),
     "value_at": ([_as_number], ()),
 }
+
+
+def _radial_oracle(value, field, dim):
+    """A radial oracle read through ``_RADIAL_ORACLE``, with 0 < inner <
+    outer and a band [lo, hi] of lo <= hi."""
+    oracle = _read(_RADIAL_ORACLE, value, field, dim)
+    if not oracle["inner"] < oracle["outer"]:
+        raise ScenarioError(f"{field}.inner", "need 0 < inner < outer")
+    band = oracle["band"]
+    if band is not None and not band[0] <= band[1]:
+        raise ScenarioError(f"{field}.band", f"need lo <= hi, got {band}")
+    return oracle
+
+
 _PARAMS = {
     "dirichlet": {**_DIRICHLET, "oracle": ({"expr": (_expression, ...)}, None)},
-    "obstacle": {**_OBSTACLE, "radial_oracle": (_RADIAL_ORACLE, None)},
+    "obstacle": {**_OBSTACLE, "radial_oracle": (_radial_oracle, None)},
     "wiener-probe": _PROBE,
     "barrier": {
         "y": (_point, ...),
@@ -281,7 +295,8 @@ def _read(spec, value, field, dim):
         kind = value.get("kind")
         if not isinstance(kind, str) or kind not in spec:
             raise ScenarioError(f"{field}.kind", f"unknown kind {kind!r}; known: {sorted(spec)}")
-        return {"kind": kind, **_read(spec[kind], value, field, dim)}
+        rest = {key: item for key, item in value.items() if key != "kind"}
+        return {"kind": kind, **_read(spec[kind], rest, field, dim)}
     read = {}
     for key, (sub, default) in spec.items():
         if key in value:
@@ -290,22 +305,39 @@ def _read(spec, value, field, dim):
             raise ScenarioError(f"{field}.{key}", "required field is missing")
         else:
             read[key] = default
+    for key in value:
+        if key not in spec:
+            raise ScenarioError(f"{field}.{key}", f"unknown key; known: {', '.join(spec)}")
     return read
 
 
 def load_scenario(path):
+    """(the scenario read by ``validate_scenario``, the file's text).  The
+    JSON tokens NaN, Infinity and -Infinity are refused naming the file,
+    unless a field that reads one names itself first."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(str(path), f"cannot read file ({exc})") from exc
+    constants = []
+
+    def constant(token):
+        constants.append(token)
+        return float(token)
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=constant)
     except json.JSONDecodeError as exc:
         raise ScenarioError(str(path), f"invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(str(path), "scenario must be a JSON object")
-    return validate_scenario(raw), text
+    scn = validate_scenario(raw)
+    if constants:
+        exc = ScenarioError(str(path), f"{constants[0]} is not a finite JSON number")
+        exc.scenario, exc.task = scn["name"], scn["task"]
+        raise exc
+    return scn, text
 
 
 def validate_scenario(raw):
@@ -433,60 +465,6 @@ def _run_dirichlet(scn):
     return report, {"metrics": rows}, key, rep.converged
 
 
-def _radial_oracle_block(oracle, t, grid, fld, m, sign):
-    inner, outer = oracle["inner"], oracle["outer"]
-    lo, hi = oracle["band"] or (inner, outer)
-    center = oracle["center"] or [0.0] * grid.dim
-    pts = grid.points()
-    r = np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=1))
-    inside = (grid.labels == INTERIOR).ravel()
-    band = inside & (r >= lo) & (r <= hi)
-    exact = radial_profile(t, grid.dim, inner, outer, m, r[band])
-    got = sign * fld.values.ravel()[band]
-    abs_err = np.abs(got - exact)
-    block = {
-        "inner": inner,
-        "outer": outer,
-        "band": [lo, hi],
-        "nodes": int(band.sum()),
-        "max_rel_error_pointwise": float(np.max(abs_err / exact)),
-        "max_rel_error_supnorm": float(np.max(abs_err) / np.max(np.abs(exact))),
-        "max_abs_error": float(np.max(abs_err)),
-    }
-    for v in oracle["value_at"]:
-        at = inside & (np.abs(r - v) < 1e-9)
-        if at.any():
-            mean = float(np.mean(sign * fld.values.ravel()[at]))
-            ex = float(radial_profile(t, grid.dim, inner, outer, m, v))
-            # Report keys must stay dot-free so assertion paths can address
-            # them; spell the radius with underscores ("value_at_0_5").
-            key = "value_at_" + repr(float(v)).replace(".", "_").replace("-", "m")
-            block[key] = {
-                "nodes": int(at.sum()),
-                "mean": mean,
-                "exact": ex,
-                "rel_error": abs(mean - ex) / abs(ex) if ex else math.nan,
-            }
-    # Radial profile table: nodes grouped by radius.
-    rr = np.round(r[band], 12)
-    order = np.argsort(rr, kind="stable")
-    rows = []
-    uniq, start = np.unique(rr[order], return_index=True)
-    gvals = got[order]
-    for i, rv in enumerate(uniq):
-        stop = start[i + 1] if i + 1 < len(start) else len(gvals)
-        seg = gvals[start[i] : stop]
-        rows.append(
-            {
-                "r": float(rv),
-                "computed_mean": float(seg.mean()),
-                "exact": float(radial_profile(t, grid.dim, inner, outer, m, rv)),
-                "count": int(stop - start[i]),
-            }
-        )
-    return block, rows
-
-
 def _run_obstacle(scn):
     params = scn["params"]
     m, sign, oracle = params["m"], params["sign"], params["radial_oracle"]
@@ -508,7 +486,7 @@ def _run_obstacle(scn):
     }
     tables = {}
     if oracle is not None:
-        block, rows = _radial_oracle_block(oracle, scn["spec"].t, grid, fld, m, sign)
+        block, rows = radial_oracle_report(oracle, scn["spec"].t, grid, fld, m, sign)
         report["oracle"] = block
         tables["profile"] = rows
         key = f"rel_err={block['max_rel_error_pointwise']:.3%}"

@@ -2,8 +2,9 @@
 
 A solve's V-cycle (``_Multigrid``) runs on a hierarchy of lattices: the
 solve's own, then coarser ones that halve every axis still long enough,
-down to a coarsest level solved exactly, with a dense inverse of its
-operator (``_inverse_cholesky``).  A correction from a coarser lattice
+down to a coarsest level solved exactly, by block elimination over runs
+of its planes, each block's Schur complement inverted densely
+(``_inverse_cholesky``).  A correction from a coarser lattice
 moves the field along multilinear hat functions (``_prolong``), and the
 coarse right-hand side is the restricted residual (``_restrict``).  The
 prolongations, restrictions, residuals and K's edge sums walk the lattice
@@ -77,6 +78,27 @@ def _parity_classes(mask):
 # axis can be halved.  That bounds the coarsest level's dense system.
 _MIN_COARSE_NODES = 64
 _MIN_COARSE_DIM = 5
+# The coarsest solve factors blocks of whole leading-axis planes of at
+# most _BLOCK_NODES nodes (more only when one plane holds more).  Four
+# times _MIN_COARSE_NODES keeps every 2D coarsest system of the shipped
+# scenarios and the benchmark workloads (225 nodes at most) one block,
+# factored as before, and splits the 501- and 504-node 3D probe systems
+# into 3 blocks; 128 split the 2D ones too, moving their bits.
+_BLOCK_NODES = 4 * _MIN_COARSE_NODES
+
+
+def _plane_blocks(counts):
+    """Consecutive runs [a, b) of the leading-axis planes, plane p holding
+    counts[p] nodes: a run ends before a plane of nodes that would take it
+    past _BLOCK_NODES, so each holds at least one plane, and a run of
+    nodes starts each but the first."""
+    runs, a, total = [], 0, 0
+    for p, count in enumerate(counts):
+        if count and total and total + count > _BLOCK_NODES:
+            runs.append((a, p))
+            a, total = p, 0
+        total += count
+    return runs + [(a, len(counts))]
 
 
 def _along(axis, ndim, sl):
@@ -109,7 +131,7 @@ class _Level:
     walks, each with the fine planes it reads.  So ``lattice._SLAB_NODES``
     counts when a level is built.  Besides the mask, the level keeps for
     the whole solve only its classes (4 bytes a free node), its stencil
-    and its coarsest inverse; a walker takes ~free of the planes it
+    and its coarsest block factor; a walker takes ~free of the planes it
     touches when it needs the non-free nodes."""
 
     def __init__(self, free, fine_shape=None):
@@ -124,60 +146,97 @@ class _Level:
             plane = step * math.prod(fine_shape[1:])
             self.restriction = [(a, b, step * a, min(step * b, fine_shape[0]))
                                 for a, b in _slabs(free.shape, plane)]
-        # The nodes and dense inverse of ``solve``, and the size of the
-        # largest dense system built on this level so far.
-        self._inverse = None
+        # The nodes and block factor of ``solve``, and the size of the
+        # largest system factored on this level so far.
+        self._blocks = None
         self.dense_nodes = 0
 
     def solve(self, x, rhs=None):
         """x += A^-1 (rhs - A x) on the free nodes of positive diagonal, in
-        place (rhs None: zero), A^-1 the dense inverse of A on those nodes.
-        The residual is ``residual``'s, so it sees the values of x at non-free
-        nodes; free nodes of zero diagonal keep their values, as a sweep
-        leaves them."""
-        idx, inverse = self._dense_inverse()
+        place (rhs None: zero), by block forward and back substitution on
+        ``_block_factor``: forward u_k = M_k (r_k - G_k u_{k-1}[L]), back
+        x_k = M_k^T (u_k - G_{k+1}^T x_{k+1}[F]), G's terms on the planes
+        it couples; one block is M^T M r.  The residual is ``residual``'s,
+        so it sees x at non-free nodes; free nodes of zero diagonal keep
+        their values, as a sweep leaves them."""
+        idx, blocks = self._block_factor()
         residual = self.residual(x, rhs, 0, len(x)).ravel()[idx]
-        for matrix in inverse:
-            residual = np.einsum("ij,j->i", matrix, residual)
-        x.ravel()[idx] += residual
+        halves, at = [], 0
+        for matrices, g in blocks:
+            w = residual[at : at + len(matrices[0])]
+            at += len(w)
+            if g is not None:
+                before = halves[-1]
+                w[: len(g)] -= np.einsum("ij,j->i", g, before[len(before) - g.shape[1] :])
+            halves.append(np.einsum("ij,j->i", matrices[0], w))
+        for k in reversed(range(len(blocks))):
+            u = halves[k]
+            if k + 1 < len(blocks) and blocks[k + 1][1] is not None:
+                g, after = blocks[k + 1][1], halves[k + 1]
+                u[len(u) - g.shape[1] :] -= np.einsum("ij,i->j", g, after[: len(g)])
+            for matrix in blocks[k][0][1:]:
+                u = np.einsum("ij,j->i", matrix, u)
+            halves[k] = u
+        x.ravel()[idx] += np.concatenate(halves)
 
-    def _dense_inverse(self):
-        """The flat indices of the free nodes of positive diagonal and A^-1
-        on them as a product of matrices, applied in turn, built once per
-        operator: M then M^T for M = L^-1, L the Cholesky factor of A
-        (``_inverse_cholesky``, which writes M over the block, so the build
-        holds one n x n array).  A block that is not positive definite, a
-        free island that no coupling ties to a fixed node, gets its
-        pseudo-inverse, of the block built again: the failed factor has
-        written over part of the first one."""
-        if self._inverse is None:
-            kept, dense = self._dense_block()
-            size = dense.shape[0]
-            factor = _inverse_cholesky(dense)
-            del dense
-            if factor is None:
-                inverse = (np.linalg.pinv(self._dense_block()[1], hermitian=True),)
-            else:
-                inverse = (factor, factor.T)
-            self._inverse = (np.flatnonzero(kept), inverse)
-            self.dense_nodes = max(self.dense_nodes, size)
-        return self._inverse
+    def _block_factor(self):
+        """The flat indices of the free nodes of positive diagonal and, per
+        block of planes (``_plane_blocks``), (M_k and M_k^T, G_k), built
+        once per operator by block elimination (Golub & Van Loan, Matrix
+        Computations, 4.5).  A_k,k-1 is C_k from block k's first plane F
+        to the last plane L of block k - 1, so S_k = A_kk - C_k S_{k-1}^-1
+        C_k^T = A_kk - G_k G_k^T on [F, F], G_k = C_k M_{k-1}[L, L]^T: M is
+        lower triangular, so S^-1 = M^T M is M[L, L]^T M[L, L] on [L, L].
+        Each S_k is assembled on its own planes and written over by M_k =
+        ``_inverse_cholesky``, so no n x n array is built.  A block that is
+        not positive definite, a free island that no coupling ties to a
+        fixed node, gives one block for all: (its pseudo-inverse,)."""
+        if self._blocks is None:
+            kept = self.free & (self.diagonal() > 0)
+            counts = np.count_nonzero(kept.reshape(len(kept), -1), axis=1)
+            blocks = []
+            for a, b in _plane_blocks(counts):
+                _, schur = self._dense_block((a, b))
+                g = None
+                if blocks and counts[a - 1]:
+                    _, c = self._dense_block((a, a + 1), (a - 1, a))
+                    m = blocks[-1][0][0]
+                    corner = m[len(m) - c.shape[1] :, len(m) - c.shape[1] :]
+                    g = np.einsum("il,jl->ij", c, corner)
+                    schur[: len(g), : len(g)] -= np.einsum("ik,jk->ij", g, g)
+                factor = _inverse_cholesky(schur)
+                del schur
+                if factor is None:
+                    pinv = np.linalg.pinv(self._dense_block()[1], hermitian=True)
+                    blocks = [((pinv,), None)]
+                    break
+                blocks.append(((factor, factor.T), g))
+            self._blocks = (np.flatnonzero(kept), blocks)
+            self.dense_nodes = max(self.dense_nodes, int(counts.sum()))
+        return self._blocks
 
-    def _dense_block(self):
-        """The mask of the free nodes of positive diagonal and A on them as
-        a dense matrix, the nodes in flat order."""
+    def _dense_block(self, rows=None, cols=None):
+        """The mask of the free nodes of positive diagonal and A from those
+        on the leading-axis planes [a, b) = ``rows`` (default all) to those
+        on the planes ``cols`` (default ``rows``) as a dense matrix, the
+        nodes in flat order."""
         diag = self.diagonal()
         kept = self.free & (diag > 0)
-        n = int(np.count_nonzero(kept))
-        position = np.full(self.free.shape, -1)
-        position[kept] = np.arange(n)
-        dense = np.zeros((n, n))
-        np.fill_diagonal(dense, diag[kept])
+        rows = rows or (0, len(kept))
+        cols = cols or rows
+        position = []
+        for a, b in (rows, cols):
+            at = np.full(kept.shape, -1)
+            at[a:b][kept[a:b]] = np.arange(np.count_nonzero(kept[a:b]))
+            position.append(at)
+        dense = np.zeros((position[0].max() + 1, position[1].max() + 1))
+        if rows == cols:
+            np.fill_diagonal(dense, diag[rows[0] : rows[1]][kept[rows[0] : rows[1]]])
         for offset, entries in self.couplings().items():
             lo, hi = offset_slices(offset)
-            rows, cols = position[lo], position[hi]
-            both = (rows >= 0) & (cols >= 0)
-            dense[rows[both], cols[both]] = entries[lo][both]
+            r, c = position[0][lo], position[1][hi]
+            both = (r >= 0) & (c >= 0)
+            dense[r[both], c[both]] = entries[lo][both]
         return kept, dense
 
     def residual(self, x, rhs, a, b):
@@ -275,7 +334,7 @@ class _StencilLevel(_Level):
 
     def drop_stencil(self):
         """Forget A and everything built from it."""
-        self.stencil = self._rows = self._inverse = None
+        self.stencil = self._rows = self._blocks = None
 
     def set_stencil(self, stencil):
         """Make ``stencil`` A, its couplings of non-free nodes and its
@@ -658,10 +717,13 @@ class _Multigrid:
     taken as <P^T rho, e> on level k + 1 (``_coarse_cycle``); rho, P^T rho,
     c and <c, K c> are made slab by slab.  The coarsest level is solved
     exactly instead, x += A^-1 (rhs - A x) on its free nodes
-    (``_Level.solve``), with a dense inverse built once per operator: once
-    per solve on K levels, once per ``linearize`` on Galerkin ones.  It
-    replaced 30 parity sweeps, which cut the error by only about 0.96 a
-    sweep on a 17 x 17 level.  A lattice too small to coarsen is its own
+    (``_Level.solve``), with a factor built once per operator: once per
+    solve on K levels, once per ``linearize`` on Galerkin ones.  Blocks of
+    whole planes of at most ``_BLOCK_NODES`` nodes are eliminated in turn,
+    so a 2D system of the shipped scenarios is one dense inverse and a 3D
+    one of 504 nodes keeps three blocks, 0.8 MB against 2.0.  The exact
+    solve replaced 30 parity sweeps, which cut the error by only about
+    0.96 a sweep on a 17 x 17 level.  A lattice too small to coarsen is its own
     coarsest level.  A level halves only the axes that stay at least
     ``_MIN_COARSE_DIM`` nodes long, P being the identity along the others,
     and coarsening stops before a level of fewer than ``_MIN_COARSE_NODES``

@@ -502,6 +502,20 @@ def envelope_inverse_cholesky(a):
     return low
 
 
+def dense_inverse_solve(level, x, rhs=None):
+    """x += A^-1 (rhs - A x) in place on the free nodes of positive diagonal
+    of a coarsest ``level``, A^-1 = M^T M from one dense inverse of the
+    whole system (``envelope_inverse_cholesky``): the coarsest solve as it
+    was before its plane-block factor."""
+    kept, dense = level._dense_block()
+    inverse = envelope_inverse_cholesky(dense)
+    idx = np.flatnonzero(kept)
+    residual = level.residual(x, rhs, 0, len(x)).ravel()[idx]
+    for matrix in (inverse, inverse.T):
+        residual = np.einsum("ij,j->i", matrix, residual)
+    x.ravel()[idx] += residual
+
+
 def gather_residual_split(res, interior, values, constraint):
     """The free/pinned split of a flat normalized residual ``res`` with
     boolean gathers: the free-node max over ``np.abs(res[free])`` and the

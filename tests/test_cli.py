@@ -711,17 +711,92 @@ BEFORE_ANY_GRID = [
 ]
 
 
-@pytest.mark.parametrize("patch,field", BEFORE_ANY_GRID)
-def test_non_finite_shape_number_exits_two_before_any_grid(tmp_path, monkeypatch, patch, field):
+def no_grid_run(tmp_path, monkeypatch, doc):
+    """run_scenario on ``doc`` with every grid build refused."""
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built before every field was read")
 
     monkeypatch.setattr("artifact.cli.build_grid", no_grid)
     monkeypatch.setattr("artifact.capacity.build_grid", no_grid)
-    code, row = run_scenario(write_doc(tmp_path, malformed_doc(patch)), tmp_path / "out")
+    return run_scenario(write_doc(tmp_path, doc), tmp_path / "out")
+
+
+@pytest.mark.parametrize("patch,field", BEFORE_ANY_GRID)
+def test_non_finite_shape_number_exits_two_before_any_grid(tmp_path, monkeypatch, patch, field):
+    code, row = no_grid_run(tmp_path, monkeypatch, malformed_doc(patch))
     assert code == 2
     assert row["result"] == "config-error"
     assert row["key_metric"].startswith(field + ":")
+    assert not (tmp_path / "out").exists()
+
+
+RADIAL = {"inner": 0.2, "outer": 0.5}
+# A param key that no table names, at the top, nested, in a list item and
+# beside a kind; and the radial oracle's cross-field rules.  Each used to
+# run: the keys with their defaults, the oracle to an exit-1 error row
+# after a full solve.
+LOAD_REFUSALS = [
+    ({"task": "wiener-probe", "params": probe_params(fixd_radius=0.05)}, "params.fixd_radius"),
+    ({"task": "locality", "params": locality_params(probe=probe_params(Kk=2))},
+     "params.probe.Kk"),
+    (
+        {"task": "degiorgi-instrument",
+         "params": instrument_params(level_sets=[{"level": 0.5, "radius": 0.1, "rho": 1.0}])},
+        "params.level_sets[0].rho",
+    ),
+    (
+        {"task": "degiorgi-instrument",
+         "params": instrument_params(solve={"kind": "obstacle", "obstacle": OBSTACLE,
+                                            "heigth": 1.0})},
+        "params.solve.heigth",
+    ),
+    ({"task": "obstacle",
+      "params": {"obstacle": OBSTACLE, "radial_oracle": {**RADIAL, "centre": [0.0, 0.0]}}},
+     "params.radial_oracle.centre"),
+    ({"task": "obstacle",
+      "params": {"obstacle": OBSTACLE, "radial_oracle": {"inner": 0.5, "outer": 0.2}}},
+     "params.radial_oracle.inner"),
+    ({"task": "obstacle",
+      "params": {"obstacle": OBSTACLE, "radial_oracle": {"inner": 0.3, "outer": 0.3}}},
+     "params.radial_oracle.inner"),
+    ({"task": "obstacle",
+      "params": {"obstacle": OBSTACLE, "radial_oracle": {**RADIAL, "band": [0.4, 0.3]}}},
+     "params.radial_oracle.band"),
+]
+
+
+@pytest.mark.parametrize("patch,field", LOAD_REFUSALS)
+def test_malformed_param_exits_two_before_any_grid(tmp_path, monkeypatch, patch, field):
+    code, row = no_grid_run(tmp_path, monkeypatch, malformed_doc(patch))
+    assert code == 2
+    assert row["result"] == "config-error"
+    assert row["key_metric"].startswith(field + ":")
+    assert not (tmp_path / "out").exists()
+
+
+def test_radial_oracle_band_of_one_radius_loads():
+    # lo == hi is a band, of the nodes at that one radius.
+    doc = malformed_doc({"task": "obstacle", "params": {
+        "obstacle": OBSTACLE, "radial_oracle": {**RADIAL, "band": [0.3, 0.3]}}})
+    assert validate_scenario(doc)["params"]["radial_oracle"]["band"] == [0.3, 0.3]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", ["assertion", "top-level key"])
+def test_malformed_json_constant_exits_two_naming_the_file(tmp_path, monkeypatch, value, place):
+    # NaN, Infinity and -Infinity where no param reads them: the file is
+    # named, with the scenario's name and task.
+    doc = scenario_doc(name="constant")
+    if place == "assertion":
+        doc["assertions"][0]["value"] = value
+    else:
+        doc["comment"] = value
+    code, row = no_grid_run(tmp_path, monkeypatch, doc)
+    assert code == 2
+    assert row["result"] == "config-error"
+    assert row["key_metric"].startswith(str(tmp_path / "constant.json") + ":")
+    assert json.dumps(value) in row["key_metric"]
+    assert (row["scenario"], row["task"]) == ("constant", "dirichlet")
     assert not (tmp_path / "out").exists()
 
 

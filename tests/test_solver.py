@@ -41,6 +41,7 @@ from artifact.domain import lattice
 from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
 from artifact.monotone import inner, offset_slices
 from artifact.multigrid import (
+    _BLOCK_NODES,
     _MIN_COARSE_DIM,
     _coarse_columns,
     _coarse_free,
@@ -68,6 +69,7 @@ from artifact.solver import (
 
 from oracles import (
     damped_newton_minimizer,
+    dense_inverse_solve,
     envelope_inverse_cholesky,
     full_column_inverse_cholesky,
     full_size_cycle,
@@ -1206,11 +1208,20 @@ def test_memory_above_entry_is_pinned_at_83(ball_83, check, fields, slabs):
     assert peak <= fields * field.nbytes + slabs * slab, peak / field.nbytes
 
 
+def _factor_nbytes(level):
+    """The bytes of a coarsest level's block factor: its node indices, each
+    block's M (M^T is a view of it) and each G."""
+    idx, blocks = level._block_factor()
+    return idx.nbytes + sum(
+        matrices[0].nbytes + (0 if g is None else g.nbytes) for matrices, g in blocks)
+
+
 def test_multigrid_keeps_int32_classes_and_no_non_free_masks(ball_83):
     # What the 83^3 ball's hierarchy keeps for the whole solve: each level's
     # free mask, its parity classes at 4 bytes a free node, its face
-    # offsets, and the coarsest level's inverse with its node indices.  No
-    # level keeps a second, non-free mask.
+    # offsets, and the coarsest level's block factor with its node indices,
+    # under half the 8 n^2 bytes of one dense inverse.  No level keeps a
+    # second, non-free mask.
     _, _, _, multigrid = ball_83
     levels = multigrid.levels
     free_nodes = sum(int(np.count_nonzero(level.free)) for level in levels)
@@ -1220,21 +1231,28 @@ def test_multigrid_keeps_int32_classes_and_no_non_free_masks(ball_83):
     assert not any(hasattr(level, "nonfree") for level in levels)
     masks = sum(level.free.nbytes for level in levels)
     n = levels[-1].dense_nodes
-    inverse = 8 * n * n + 8 * n
-    assert held_nbytes(multigrid) <= masks + 4 * free_nodes + inverse + 4096
+    factor = _factor_nbytes(levels[-1])
+    assert factor < 4 * n * n
+    assert held_nbytes(multigrid) <= masks + 4 * free_nodes + factor + 4096
 
 
 def test_dense_inverse_holds_one_block():
-    # The coarsest build of a 729-node 3D block holds one n x n array: the
-    # block, written over by its factor and then its inverse, plus the
-    # envelope's nonzero mask (an eighth of it) and per-node vectors.
+    # The coarsest build of the 729-node 3D cube holds no n x n array: its
+    # three 243-node blocks (of three 81-node planes each), each written
+    # over by its factor and kept, plus the envelope's nonzero mask of the
+    # block being built (an eighth of it), its coupling to the block
+    # before and per-node vectors.  Measured: 0.46 of a block above the
+    # factor, 0.41 of the one n x n inverse it replaced.
     free = np.zeros((11, 11, 11), dtype=bool)
     free[1:-1, 1:-1, 1:-1] = True
     level = _PlainLevel(free)
-    _, peak = peak_above_entry(level._dense_inverse)
-    block = 8 * 729 * 729
+    _, peak = peak_above_entry(level._block_factor)
+    _, blocks = level._blocks
     assert level.dense_nodes == 729
-    assert peak <= 1.2 * block, peak / block
+    assert [len(matrices[0]) for matrices, _ in blocks] == [243] * 3
+    block = 8 * 243 * 243
+    assert peak <= _factor_nbytes(level) + 0.6 * block, peak / block
+    assert peak < 8 * 729 * 729 / 2
 
 
 def _cold_t3_coarsest():
@@ -1250,20 +1268,25 @@ def _cold_t3_coarsest():
     return multigrid.levels[-1]
 
 
-@pytest.mark.parametrize("operator", ["plain", "galerkin", "cold-galerkin"])
+@pytest.mark.parametrize(
+    "operator", ["plain", "galerkin", "cold-galerkin", "plain-3d", "plain-3d-ball"])
 def test_coarsest_solve_is_exact(operator):
     # One solve leaves rhs - A x at rounding level on every free node of
-    # positive diagonal, on a plain-K level and on Galerkin stencil levels;
-    # a free node of zero diagonal (the cold t = 3 start has them) keeps
-    # its value.  Values at non-free nodes enter through A x.
+    # positive diagonal, on a plain-K level and on Galerkin stencil levels,
+    # and on 3D plain-K levels of several plane blocks; a free node of zero
+    # diagonal (the cold t = 3 start has them) keeps its value.  Values at
+    # non-free nodes enter through A x.
     if operator == "plain":
         grid = build_grid(Ball([0.0, 0.0], 1.0), 1.0 / 32.0)
         cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0], 0.25), 1.0)
         level = _Multigrid(grid, cons).levels[-1]
     elif operator == "galerkin":
         level = _galerkin_hierarchy(2, 3.0)[0].levels[-1]
-    else:
+    elif operator == "cold-galerkin":
         level = _cold_t3_coarsest()
+    else:
+        level = _coarsest_block(operator)[0]
+        assert len(level._block_factor()[1]) == 3
     free = level.free
     diag = level.diagonal()
     kept = free & (diag > 0)
@@ -1278,6 +1301,33 @@ def test_coarsest_solve_is_exact(operator):
     assert np.linalg.norm(residual[kept]) <= 1e-12 * np.linalg.norm(rhs)
     assert np.array_equal(x[~kept], start[~kept])
     assert level.dense_nodes == np.count_nonzero(kept)
+
+
+@pytest.mark.parametrize("operator", ["plain-2d", "galerkin-2d", "cold-galerkin"])
+def test_one_block_coarsest_solve_is_the_dense_inverse_solve(operator):
+    # A system of at most _BLOCK_NODES nodes is one block, and its solve
+    # has the bits of the one dense inverse M^T M it replaced.
+    level = _coarsest_block(operator)[0]
+    assert len(level._block_factor()[1]) == 1
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal(level.free.shape)
+    rhs = np.where(level.free, rng.standard_normal(level.free.shape), 0.0).ravel()
+    want = x.copy()
+    dense_inverse_solve(level, want, rhs)
+    level.solve(x, rhs)
+    assert x.tobytes() == want.tobytes()
+
+
+def test_shipped_2d_coarsest_systems_are_one_block():
+    # The coarsest system of every shipped 2D grid, on plain-K and Galerkin
+    # levels, is at most _BLOCK_NODES nodes, so one block: its solve keeps
+    # the bits of one dense inverse.  (The reports' largest is 225.)
+    sizes = []
+    for grid in _shipped_grids():
+        if grid.dim == 2:
+            for galerkin in (False, True):
+                sizes.append(int(_Multigrid(grid, None, galerkin).levels[-1].free.sum()))
+    assert len(sizes) > 10 and max(sizes) <= _BLOCK_NODES
 
 
 def test_coarsest_solve_survives_a_singular_block(monkeypatch):
@@ -1318,6 +1368,43 @@ def test_coarsest_solve_survives_a_singular_block(monkeypatch):
     assert x[4, 4] == 0.5
 
 
+def test_coarsest_solve_of_several_blocks_survives_a_singular_one(monkeypatch):
+    # K on the 9^3 cube, but for a free pair on its last plane coupled only
+    # to each other with zero row sums.  Its third plane block fails after
+    # two were factored, and the whole system, built again, takes the
+    # pseudo-inverse: one block, solved exactly with the pair's rhs in the
+    # range.
+    free = np.zeros((11, 11, 11), dtype=bool)
+    free[1:-1, 1:-1, 1:-1] = True
+    stencil = _plain_stencil(free.shape)
+    pair = [(9, 5, 5), (9, 5, 6)]
+    for node in pair:
+        for offset, entries in stencil.items():
+            if any(offset):
+                entries[node] = 0.0
+                entries[tuple(n - o for n, o in zip(node, offset))] = 0.0
+    for node, step in zip(pair, (1, -1)):
+        stencil[(0, 0, 0)][node] = 4.0
+        stencil[(0, 0, step)][node] = -4.0
+    level = _StencilLevel(free)
+    level.set_stencil(stencil)
+    pinv = np.linalg.pinv
+    seen = []
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a.copy())
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
+    rhs = np.where(free, np.random.default_rng(47).standard_normal(free.shape), 0.0)
+    rhs[pair[0]], rhs[pair[1]] = 0.5, -0.5
+    x = np.zeros(free.shape)
+    level.solve(x, rhs.ravel())
+    assert len(level._blocks[1]) == 1
+    assert len(seen) == 1 and seen[0].tobytes() == level._dense_block()[1].tobytes()
+    assert np.max(np.abs(rhs - level.apply(x))) <= 1e-10 * np.max(np.abs(rhs))
+
+
 def _coarsest_block(operator):
     """A coarsest level of each kind, the mask of its block's nodes and
     the dense block."""
@@ -1329,6 +1416,11 @@ def _coarsest_block(operator):
         free = np.zeros((11, 11, 11), dtype=bool)
         free[1:-1, 1:-1, 1:-1] = True
         level = _PlainLevel(free)
+    elif operator == "plain-3d-ball":
+        # Probe-like: the h = 1/20 3D ball's coarsest level, 497 nodes.
+        grid = build_grid(Ball([0.0, 0.0, 0.0], 1.0), 1.0 / 20.0)
+        cons = ObstacleConstraint.from_shape(grid, Ball([0.0, 0.0, 0.0], 0.25), 1.0)
+        level = _Multigrid(grid, cons).levels[-1]
     elif operator == "cold-galerkin":
         level = _cold_t3_coarsest()
     else:
@@ -1559,16 +1651,16 @@ def test_one_cycle_benchmark(benchmark):
 
 
 def test_coarsest_inverse_benchmark(benchmark):
-    # The dense inverse of a plain-K coarsest level on an 11^3 box, 729
+    # The block factor of a plain-K coarsest level on an 11^3 box, 729
     # free nodes, about the size of probe-3d-t2's 501- and 504-node
-    # coarsest blocks; a fresh level each round, as the inverse is cached.
+    # coarsest systems; a fresh level each round, as the factor is cached.
     free = np.zeros((11, 11, 11), dtype=bool)
     free[1:-1, 1:-1, 1:-1] = True
-    idx, inverse = benchmark.pedantic(
-        _PlainLevel._dense_inverse, setup=lambda: ((_PlainLevel(free),), {}), rounds=5,
+    idx, blocks = benchmark.pedantic(
+        _PlainLevel._block_factor, setup=lambda: ((_PlainLevel(free),), {}), rounds=5,
         iterations=1,
     )
-    assert idx.size == 729 and len(inverse) == 2
+    assert idx.size == 729 and len(blocks) == 3
 
 
 def test_probe_region_classification_benchmark(benchmark):
