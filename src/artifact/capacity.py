@@ -77,7 +77,8 @@ def radial_oracle_report(oracle, t, grid, fld, m, sign):
     on the interior nodes of the oracle's band of radii: the report block
     of errors, ``value_at`` means, and the profile rows by radius.
     ``oracle`` is a scenario's read ``radial_oracle`` (0 < inner < outer,
-    its band lo <= hi, both checked when the scenario loads)."""
+    its band lo <= hi, both checked when the scenario loads).  A band that
+    holds no interior node at the grid's h is a ValueError naming both."""
     inner, outer = oracle["inner"], oracle["outer"]
     lo, hi = oracle["band"] or (inner, outer)
     center = oracle["center"] or [0.0] * grid.dim
@@ -85,6 +86,9 @@ def radial_oracle_report(oracle, t, grid, fld, m, sign):
     r = np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=1))
     inside = (grid.labels == INTERIOR).ravel()
     band = inside & (r >= lo) & (r <= hi)
+    if not band.any():
+        raise ValueError(
+            f"radial_oracle band [{lo}, {hi}] holds no interior node at h = {grid.h}")
     exact = radial_profile(t, grid.dim, inner, outer, m, r[band])
     got = sign * fld.values.ravel()[band]
     abs_err = np.abs(got - exact)
@@ -487,7 +491,7 @@ def barrier_build(grid, spec, y, rho, height, tol=1e-8, jj_factor=0.5):
 
     V, rep_v = solve_dirichlet(grid, spec, data_plus, tol=tol)
     U, rep_u = solve_dirichlet(grid, spec, data_minus, tol=tol)
-    boundary = (grid.labels == 1).ravel()
+    boundary = (grid.labels == BOUNDARY).ravel()
     bpts = grid.points()[boundary]
     bdist = np.sqrt(np.sum((bpts - yarr) ** 2, axis=1))
     bdata = data_plus(bpts)

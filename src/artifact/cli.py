@@ -358,7 +358,13 @@ def validate_scenario(raw):
 
 
 def _read_fields(raw, task):
-    """Every field of the scenario ``raw`` but its name and task."""
+    """Every field of the scenario ``raw`` but its name and task; a key it
+    does not read is refused first, as ``_read`` refuses one."""
+    keys = ("name", "task", "shape", "operator", "h", "h_levels", "tolerance", "params",
+            "assertions")
+    for key in raw:
+        if key not in keys:
+            raise ScenarioError(f"scenario.{key}", f"unknown key; known: {', '.join(keys)}")
     shape = _shape(raw.get("shape"), "scenario.shape")
     op = raw.get("operator", {"kind": "p_laplace", "t": 2.0})
     if not isinstance(op, dict):

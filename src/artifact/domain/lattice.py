@@ -168,18 +168,15 @@ class GridDomain:
             self._active = any_int
         return self._active
 
-    def edge_cell_counts(self, k=None):
+    def edge_cell_counts(self, k):
         """The number of active cells that share each axis-k edge, 0 to
         2^(N-1), as int8 over the edges (node (i_0, ..., i_N-1) to its +1
-        neighbour along k: ``dims`` with axis k one shorter); every axis's,
-        in a list, when k is None.
+        neighbour along k: ``dims`` with axis k one shorter).
 
         An edge with a nonzero count has no exterior end, by the invariant
         of ``active_cell_mask``.  Built afresh on every call: kept for the
         grid's life, the three arrays of an 83^3 grid held 1.7 MB.
         """
-        if k is None:
-            return [self.edge_cell_counts(j) for j in range(self.dim)]
         active = self.active_cell_mask().view(np.int8)
         count = np.zeros(tuple(d - (j == k) for j, d in enumerate(self.dims)), dtype=np.int8)
         # Cell j holds the axis-k edges at nodes j + c over the corners c

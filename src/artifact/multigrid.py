@@ -369,10 +369,10 @@ class _StencilLevel(_Level):
 
     def _stencil_rows(self):
         """Flat offsets (a column) and per parity class its indices as intp,
-        as the solver's ``_ColorWorkspace`` keeps them, the coefficient of
-        each coupling and the inverse diagonal.  A neighbour past the box
-        edge has coefficient 0; its clipped index reads some finite value of
-        the level's field."""
+        converted once per operator, the coefficient of each coupling and
+        the inverse diagonal.  A neighbour past the box edge has
+        coefficient 0; its clipped index reads some finite value of the
+        level's field."""
         if self._rows is None:
             couplings = {o: e.ravel() for o, e in self.couplings().items()}
             strides = _strides(self.free.shape)

@@ -31,13 +31,13 @@ that start.  By convexity the slice there is no higher than at the current
 value, since the minimizer lies in [lo, hi].
 
 At t != 2 the finest level of the cycle (``_NewtonLevel``) smooths with
-these guarded Newton sweeps, one parity class at a time, restricts the
-nonlinear residual to the coarse levels and, in 2D, supplies J(u) for
-their Galerkin operators.  It scales the correction by a bracketed secant
-on the slope of the energy along it (``line_search_slopes`` slope
-evaluations; ``corrections_skipped`` where no step is certified).
-Obstacle nodes stay fixed at +-m at every t, which is exact (see
-``multigrid._Multigrid``).
+these guarded Newton sweeps, one parity class of its ``multigrid`` level
+at a time, restricts the nonlinear residual to the coarse levels and, in
+2D, supplies J(u) for their Galerkin operators.  It scales the correction
+by a bracketed secant on the slope of the energy along it
+(``line_search_slopes`` slope evaluations; ``corrections_skipped`` where no
+step is certified).  Obstacle nodes stay fixed at +-m at every t, which is
+exact (see ``multigrid._Multigrid``).
 
 So the energy is non-increasing by construction for every t, cycle by cycle.
 Every smoothing update stays inside its face-neighbor range.  A coarse
@@ -176,30 +176,52 @@ def _row_sum(arr, rows):
     return total
 
 
-class _ColorWorkspace:
-    """Per-parity gather indices and the local slice of the parity's nodes.
+# The line search of a t != 2 coarse correction: at most this many slope
+# evaluations, stopping at a certified step whose slope is down to this
+# share of the slope at 0.
+_SECANT_STEPS = 8
+_SECANT_STOP = 0.01
 
-    The slice terms of a node are its own 2^N corner gradients, one per
-    orthant, each built from N face differences s - nb; and, for each face
-    neighbour, the 2^{N-1} corner gradients at that neighbour inside the
-    shared cells, each one face difference plus fixed edges that do not
-    involve s.  The face values of a batch are the rows of one (2N, n)
-    array, row 2d + j holding the neighbour at offset (+1, -1)[j] along axis
-    d; the fixed parts are the rows of one array too, one per neighbour term.
-    The batch's indices are kept as intp, converted once from the int32
-    parity class: each sweep indexes with them, and every use of an int32
-    index array converts it again (with the conversions batch-repeat's
-    peak RSS read 0.3-0.4 MB higher, its traced peak lower).
+
+class _NewtonLevel:
+    """The finest level of a t != 2 cycle.
+
+    It smooths with guarded one-step Newton sweeps over the parity classes
+    of the free nodes (``sweep``, ``update``), supplies J(u) for Galerkin
+    levels below it (``jacobian``), and scales each coarse correction c by
+    a step alpha that lowers the convex phi(alpha) = E(u + alpha c).  The
+    step comes from a bracketed secant (Illinois) on phi'(alpha) = <dE(u +
+    alpha c), c>, started just short of <rho, c> / <c, A c>, A the level's
+    operator: the Newton estimate under A = J(u), about 3x too long at t =
+    3 under the plain K.  It is the largest evaluated alpha whose computed
+    phi' is <= 0, so phi cannot have risen there (phi' is nondecreasing),
+    and no step at all when no evaluated alpha > 0 has phi' <= 0.  The
+    Newton estimate itself lands within rounding of the minimizer late in a
+    solve, on its right as often as not, where the secant then spent up to
+    7 slopes to certify a step.  On a lattice too small to coarsen a cycle
+    is the two sweeps alone.
+
+    A sweep takes the parity classes of ``level`` (its int32 ``classes``),
+    one batch of nodes each.  The slice terms of a node are its own 2^N
+    corner gradients, one per orthant, each built from N face differences
+    s - nb; and, for each face neighbour, the 2^{N-1} corner gradients at
+    that neighbour inside the shared cells, each one face difference plus
+    fixed edges that do not involve s.  The face values of a batch are the
+    rows of one (2N, n) array, row 2d + j holding the neighbour at offset
+    (+1, -1)[j] along axis d; the fixed parts are the rows of one array
+    too, one per neighbour term.  That geometry is the same for every
+    class, so the level builds it once.
     """
 
-    def __init__(self, grid, idx):
-        self.idx = idx.astype(np.intp)
-        dims = grid.dims
+    def __init__(self, grid, spec, level):
+        self.grid = grid
+        self.spec = spec
+        self.scale = grid.h ** (grid.dim - 2)
+        self.level = level
         ndim = grid.dim
-        strides = _strides(dims)
-        self.ndim = ndim
+        strides = _strides(grid.dims)
         self.inv_h2 = 1.0 / (grid.h * grid.h)
-        self.face_offsets = _face_offsets(dims)
+        self.face_offsets = _face_offsets(grid.dims)
         # Face rows of each own term.
         self.orthants = [
             [2 * d + j for d, j in enumerate(orth)]
@@ -214,13 +236,26 @@ class _ColorWorkspace:
                 for corner in np.ndindex(*([2] * (ndim - 1))):
                     offs = [(1, -1)[c] * strides[k] for c, k in zip(corner, others)]
                     self.partners.append((2 * d + j, offs))
-        # Node updates where the guard rejected the one-step update.
+        # Node updates where the guard rejected the one-step update; slope
+        # evaluations of the line search, and corrections skipped.
         self.guard_fallbacks = 0
+        self.slope_evaluations = 0
+        self.skipped = 0
 
-    def gather(self, uflat):
-        """Fresh neighbour values: the face rows and, per neighbour term, the
-        fixed part of its g2 = |G|^2."""
-        idx = self.idx
+    def sweep(self, values):
+        """One guarded Newton sweep over the free nodes, in place.  Each
+        class is indexed through one intp array made from the int32 class,
+        so no gather converts an int32 index; the sweep makes them all up
+        front (made one at a time, between the gathers' temporaries, they
+        raised batch-repeat's peak RSS by 0.2 MB: heap layout)."""
+        uflat = values.ravel()
+        for idx in [idx.astype(np.intp) for idx in self.level.classes]:
+            faces, fixed = self.gather(uflat, idx)
+            uflat[idx] = self.update(uflat[idx], faces, fixed)
+
+    def gather(self, uflat, idx):
+        """Fresh neighbour values of the nodes ``idx`` (intp): the face rows
+        and, per neighbour term, the fixed part of its g2 = |G|^2."""
         faces = np.take(uflat, idx + self.face_offsets[:, None])
         fixed = np.zeros((len(self.partners), idx.size))
         for m, (k, offs) in enumerate(self.partners):
@@ -247,7 +282,7 @@ class _ColorWorkspace:
         for m, (k, _) in enumerate(self.partners):
             yield k, g2_face[k] + fixed[m]
 
-    def derivatives(self, spec, s, faces, fixed):
+    def derivatives(self, s, faces, fixed):
         """f'(s), f''(s) and f(s) of the local energy slice.
 
         With g2 = |G|^2 of a term and s1 the sum of its face differences,
@@ -256,6 +291,7 @@ class _ColorWorkspace:
         curvature floor of ``curvature_pair`` applies to phi and phi'/g
         only, so the value is the same, bit for bit, as ``slice_value(s)``.
         """
+        spec = self.spec
         e, e2, g2_face = self._face_slopes(s, faces)
         fp = np.zeros_like(s)
         own_phi = np.zeros_like(s)
@@ -276,21 +312,21 @@ class _ColorWorkspace:
             curv += dphi * e2[k]
             fv += integrand(spec, g2)
         inv_h2 = self.inv_h2
-        fpp = (self.ndim * own_phi + nb_phi) * inv_h2 + curv * (inv_h2 * inv_h2)
+        fpp = (self.grid.dim * own_phi + nb_phi) * inv_h2 + curv * (inv_h2 * inv_h2)
         return fp * inv_h2, fpp, fv
 
-    def slice_value(self, spec, s, faces, fixed):
+    def slice_value(self, s, faces, fixed):
         """Local energy slice f(s): W summed over the terms touching s."""
         _, _, g2_face = self._face_slopes(s, faces)
         fv = np.zeros_like(s)
         for _, g2 in self._own_terms(g2_face):
-            fv += integrand(spec, g2)
+            fv += integrand(self.spec, g2)
         for _, g2 in self._neighbour_terms(g2_face, fixed):
-            fv += integrand(spec, g2)
+            fv += integrand(self.spec, g2)
         return fv
 
-    def update(self, spec, s_old, faces, fixed):
-        """New values of the batch's nodes, from their current values s_old.
+    def update(self, s_old, faces, fixed):
+        """New values of a batch's nodes, from their current values s_old.
 
         The proposal is one bracketed Newton-or-bisection step from start =
         clip(s_old, lo, hi): the Newton iterate where it falls inside the
@@ -303,7 +339,7 @@ class _ColorWorkspace:
         lo = faces.min(axis=0)
         hi = faces.max(axis=0)
         start = np.clip(s_old, lo, hi)
-        fp, fpp, f_start = self.derivatives(spec, start, faces, fixed)
+        fp, fpp, f_start = self.derivatives(start, faces, fixed)
         np.copyto(hi, start, where=fp > 0)
         np.copyto(lo, start, where=fp < 0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -312,53 +348,9 @@ class _ColorWorkspace:
         inside = (newton >= lo) & (newton <= hi)
         cand = np.where(inside, newton, 0.5 * (lo + hi))
         # A NaN slice value fails the test too and keeps start.
-        reject = ~(self.slice_value(spec, cand, faces, fixed) <= f_start)
+        reject = ~(self.slice_value(cand, faces, fixed) <= f_start)
         self.guard_fallbacks += int(np.count_nonzero(reject))
         return np.where(reject, start, cand)
-
-
-# The line search of a t != 2 coarse correction: at most this many slope
-# evaluations, stopping at a certified step whose slope is down to this
-# share of the slope at 0.
-_SECANT_STEPS = 8
-_SECANT_STOP = 0.01
-
-
-class _NewtonLevel:
-    """The finest level of a t != 2 cycle.
-
-    It smooths with guarded one-step Newton sweeps over the parity classes
-    of the free nodes (``_ColorWorkspace.update``), supplies J(u) for
-    Galerkin levels below it (``jacobian``), and scales each coarse
-    correction c by a step alpha that lowers the convex phi(alpha) =
-    E(u + alpha c).  The step comes from a bracketed secant (Illinois) on
-    phi'(alpha) = <dE(u + alpha c), c>, started just short of <rho, c> /
-    <c, A c>, A the level's operator: the Newton estimate under A = J(u),
-    about 3x too long at t = 3 under the plain K.  It is the largest
-    evaluated alpha whose computed phi' is <= 0, so phi cannot have risen
-    there (phi' is nondecreasing), and no step at all when no evaluated
-    alpha > 0 has phi' <= 0.  The Newton estimate itself lands within
-    rounding of the minimizer late in a solve, on its right as often as
-    not, where the secant then spent up to 7 slopes to certify a step.  On
-    a lattice too small to coarsen a cycle is the two sweeps alone.
-    """
-
-    def __init__(self, grid, spec, level):
-        self.grid = grid
-        self.spec = spec
-        self.scale = grid.h ** (grid.dim - 2)
-        self.level = level
-        self.workspaces = [_ColorWorkspace(grid, idx) for idx in level.classes]
-        # Slope evaluations of the line search, and corrections skipped.
-        self.slope_evaluations = 0
-        self.skipped = 0
-
-    def sweep(self, values):
-        """One guarded Newton sweep over the free nodes, in place."""
-        uflat = values.ravel()
-        for ws in self.workspaces:
-            faces, fixed = ws.gather(uflat)
-            uflat[ws.idx] = ws.update(self.spec, uflat[ws.idx], faces, fixed)
 
     def _gradient(self, values):
         """dE/du / h^{N-2}, zero off the free nodes."""
@@ -562,7 +554,6 @@ def _relax(grid, spec, values, constraint, tol, max_cycles, check_energy=True):
     # A checked last cycle (always so when converged: max update <= tol
     # forces the check) already holds the energy of the final field.
     final_energy = energy_hist[-1] if checked else energy_of(spec, fld)
-    workspaces = [] if newton is None else newton.workspaces
     notes.update(
         {
             "energy_monotone": worst_uptick <= 1e-14 * (1.0 + abs(energy_hist[0])),
@@ -570,7 +561,7 @@ def _relax(grid, spec, values, constraint, tol, max_cycles, check_energy=True):
             "energy_first": energy_hist[0],
             "energy_last": final_energy,
             "energy_checks": len(energy_hist),
-            "guard_fallbacks": sum(ws.guard_fallbacks for ws in workspaces),
+            "guard_fallbacks": 0 if newton is None else newton.guard_fallbacks,
             "coarsest_nodes": multigrid.levels[-1].dense_nodes,
         }
     )

@@ -420,6 +420,22 @@ def test_runtime_error_exits_one_with_error_report(tmp_path):
     assert "boundary node" in report["error"]
 
 
+def test_empty_radial_band_exits_one_naming_the_band(tmp_path):
+    # s02 at h = 1/8: no interior node lies at a radius in [0.31, 0.32].
+    # The band loads (lo <= hi); its report refuses it after the solve.
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "s02-radial-obstacle-t2.json"
+    doc = json.loads(scenario.read_text())
+    doc.update(name="empty-band", h=0.125)
+    doc["params"]["radial_oracle"]["band"] = [0.31, 0.32]
+    code, row = run_scenario(write_doc(tmp_path, doc), out_root=tmp_path / "out")
+    assert code == 1
+    assert row["result"] == "error"
+    want = "radial_oracle band [0.31, 0.32] holds no interior node at h = 0.125"
+    assert row["key_metric"] == want
+    report = json.loads((tmp_path / "out" / "empty-band" / "report.json").read_text())
+    assert report == {"task": "obstacle", "error": want}
+
+
 # ---------------------------------------------------------------------------
 # Task coverage through the runner.
 # ---------------------------------------------------------------------------
@@ -762,6 +778,7 @@ LOAD_REFUSALS = [
     ({"task": "obstacle",
       "params": {"obstacle": OBSTACLE, "radial_oracle": {**RADIAL, "band": [0.4, 0.3]}}},
      "params.radial_oracle.band"),
+    ({"tolerence": 1e-3}, "scenario.tolerence"),
 ]
 
 
@@ -784,8 +801,9 @@ def test_radial_oracle_band_of_one_radius_loads():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("place", ["assertion", "top-level key"])
 def test_malformed_json_constant_exits_two_naming_the_file(tmp_path, monkeypatch, value, place):
-    # NaN, Infinity and -Infinity where no param reads them: the file is
-    # named, with the scenario's name and task.
+    # NaN, Infinity and -Infinity where no field reads them: the file is
+    # named, with the scenario's name and task.  Under a top-level key that
+    # no field reads, that key names itself first, as an unknown key.
     doc = scenario_doc(name="constant")
     if place == "assertion":
         doc["assertions"][0]["value"] = value
@@ -794,8 +812,11 @@ def test_malformed_json_constant_exits_two_naming_the_file(tmp_path, monkeypatch
     code, row = no_grid_run(tmp_path, monkeypatch, doc)
     assert code == 2
     assert row["result"] == "config-error"
-    assert row["key_metric"].startswith(str(tmp_path / "constant.json") + ":")
-    assert json.dumps(value) in row["key_metric"]
+    if place == "assertion":
+        assert row["key_metric"].startswith(str(tmp_path / "constant.json") + ":")
+        assert json.dumps(value) in row["key_metric"]
+    else:
+        assert row["key_metric"].startswith("scenario.comment: unknown key")
     assert (row["scenario"], row["task"]) == ("constant", "dirichlet")
     assert not (tmp_path / "out").exists()
 

@@ -5,7 +5,8 @@
 only the names it reads, so a test that patches a multigrid name on
 ``solver`` fails with AttributeError instead of patching nothing.  In
 ``cli`` every param is read when the scenario loads, through the table
-``_PARAMS``; a task executor only computes.
+``_PARAMS``; a task executor only computes.  No module compares a
+lattice's ``labels`` with a bare integer: it names the label.
 """
 
 import ast
@@ -94,3 +95,33 @@ def test_task_executors_read_no_param():
                     assert node.id != "ScenarioError", f"{executor} names ScenarioError in {name}"
                     if node.id in functions:
                         todo.append(node.id)
+
+
+def _is_labels(node):
+    """Whether ``node`` reads ``labels`` or an attribute ``labels``,
+    through any subscripts."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Name) and node.id == "labels") or (
+        isinstance(node, ast.Attribute) and node.attr == "labels")
+
+
+def _is_int_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, int)
+            and not isinstance(node.value, bool))
+
+
+def test_no_module_compares_labels_with_an_integer_literal():
+    package = Path(cli.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert package / "capacity.py" in modules and package / "domain" / "lattice.py" in modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_labels, operands)) and any(map(_is_int_literal, operands)):
+                    found.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert found == [], "compare labels with BOUNDARY, INTERIOR or EXTERIOR"

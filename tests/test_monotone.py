@@ -172,7 +172,7 @@ def test_t2_edge_sum_energy_is_the_corner_form(dim):
     spec = OperatorSpec(kind="p_laplace", t=2.0)
     grid = build_grid(Ball([0.1] * dim, 0.9), 1.0 / 24.0 if dim == 2 else 1.0 / 9.0)
     exterior = grid.labels == EXTERIOR
-    counts = grid.edge_cell_counts()
+    counts = [grid.edge_cell_counts(k) for k in range(dim)]
     assert [c.dtype for c in counts] == [np.int8] * dim
     assert max(int(c.max()) for c in counts) == 2 ** (dim - 1)
     for seed in range(8):

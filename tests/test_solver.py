@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,7 +62,6 @@ from artifact.solver import (
     _MAX_CYCLES,
     _SECANT_STEPS,
     _SECANT_STOP,
-    _ColorWorkspace,
     _NewtonLevel,
     _relax,
     obstacle_verification,
@@ -302,17 +302,18 @@ def test_comparison_contraction_without_order(small_disk):
 SLICE_LAWS = [("p_laplace", 1.5), ("p_laplace", 3.0), ("regularized", 3.0)]
 
 
-def _color_slices(grid, values):
-    """(workspace, faces, fixed) of every parity class for a field."""
+def _color_slices(grid, spec, values):
+    """(newton, faces, fixed) of every parity class for a field, newton one
+    ``_NewtonLevel`` on a plain level of the interior nodes."""
     uflat = values.ravel()
-    for idx in _parity_classes(grid.labels == INTERIOR):
-        ws = _ColorWorkspace(grid, idx)
-        faces, fixed = ws.gather(uflat)
-        yield ws, faces, fixed
+    newton = _NewtonLevel(grid, spec, _PlainLevel(grid.labels == INTERIOR))
+    for idx in newton.level.classes:
+        faces, fixed = newton.gather(uflat, idx.astype(np.intp))
+        yield newton, faces, fixed
 
 
-def _central_differences(ws, spec, s, faces, fixed, step):
-    f = lambda x: ws.slice_value(spec, x, faces, fixed)  # noqa: E731
+def _central_differences(newton, s, faces, fixed, step):
+    f = lambda x: newton.slice_value(x, faces, fixed)  # noqa: E731
     up, mid, down = f(s + step), f(s), f(s - step)
     return (up - down) / (2 * step), (up - 2 * mid + down) / step**2
 
@@ -322,14 +323,14 @@ def test_slice_derivatives_match_central_differences(small_disk, kind, t):
     spec = OperatorSpec(kind=kind, t=t)
     rng = np.random.default_rng(11)
     values = rng.uniform(-1.0, 1.0, small_disk.dims)
-    for ws, faces, fixed in _color_slices(small_disk, values):
+    for newton, faces, fixed in _color_slices(small_disk, spec, values):
         lo, hi = faces.min(axis=0), faces.max(axis=0)
         inner = lo + rng.uniform(0.1, 0.9, lo.size) * (hi - lo)
         # A zero face difference: s sits exactly on a neighbour value.
         on_face = faces[rng.integers(0, faces.shape[0])]
         for s in (inner, on_face):
-            fp, fpp, _ = ws.derivatives(spec, s, faces, fixed)
-            d1, d2 = _central_differences(ws, spec, s, faces, fixed, 1e-4)
+            fp, fpp, _ = newton.derivatives(s, faces, fixed)
+            d1, d2 = _central_differences(newton, s, faces, fixed, 1e-4)
             assert np.max(np.abs(fp - d1)) <= 1e-6 * np.max(np.abs(d1))
             assert np.all(fpp > 0)
             assert np.max(np.abs(fpp - d2) / fpp) <= 1e-5
@@ -342,18 +343,18 @@ def test_slice_curvature_is_floored_on_flat_data(small_disk):
     spec = OperatorSpec(kind="p_laplace", t=1.5)
     values = np.full(small_disk.dims, 0.3)
     h = small_disk.h
-    for ws, faces, fixed in _color_slices(small_disk, values):
+    for newton, faces, fixed in _color_slices(small_disk, spec, values):
         s = np.full(faces.shape[1], 0.3)
-        fp, fpp, fv = ws.derivatives(spec, s, faces, fixed)
+        fp, fpp, fv = newton.derivatives(s, faces, fixed)
         assert np.all(fp == 0.0)
         assert np.all(fv == 0.0)
         want = 16 * monotone._EPS_FLOOR ** (spec.t - 2.0) / h**2
         assert fpp == pytest.approx(np.full_like(fpp, want), rel=1e-12)
 
 
-def _one_newton_step(ws, spec, start, faces, fixed):
+def _one_newton_step(newton, start, faces, fixed):
     """The bracketed Newton-or-bisection step from ``start``, and f(start)."""
-    fp, fpp, f_start = ws.derivatives(spec, start, faces, fixed)
+    fp, fpp, f_start = newton.derivatives(start, faces, fixed)
     lo = np.where(fp < 0, start, faces.min(axis=0))
     hi = np.where(fp > 0, start, faces.max(axis=0))
     newton = start - fp / fpp
@@ -368,31 +369,31 @@ def test_first_newton_pass_gives_the_guard_value(small_disk, kind, t):
     spec = OperatorSpec(kind=kind, t=t)
     rng = np.random.default_rng(12)
     values = rng.uniform(-1.0, 1.0, small_disk.dims)
-    for ws, faces, fixed in _color_slices(small_disk, values):
+    for newton, faces, fixed in _color_slices(small_disk, spec, values):
         lo, hi = faces.min(axis=0), faces.max(axis=0)
         s_old = rng.uniform(lo - 0.2, hi + 0.2)
         start = np.clip(s_old, lo, hi)
         moved = start != s_old
         assert moved.any() and not moved.all()
-        step, f_start = _one_newton_step(ws, spec, start, faces, fixed)
-        assert np.array_equal(f_start, ws.slice_value(spec, start, faces, fixed))
-        assert np.all(f_start[moved] <= ws.slice_value(spec, s_old, faces, fixed)[moved])
-        keep = ws.slice_value(spec, step, faces, fixed) <= f_start
-        out = ws.update(spec, s_old, faces, fixed)
+        step, f_start = _one_newton_step(newton, start, faces, fixed)
+        assert np.array_equal(f_start, newton.slice_value(start, faces, fixed))
+        assert np.all(f_start[moved] <= newton.slice_value(s_old, faces, fixed)[moved])
+        keep = newton.slice_value(step, faces, fixed) <= f_start
+        out = newton.update(s_old, faces, fixed)
         assert np.array_equal(out, np.where(keep, step, start))
         # Random data almost never rejects a step from a clipped start, but
         # a NaN slice does: every other node keeps its clipped start.
         fixed[:, ::2] = np.nan
-        out = ws.update(spec, s_old, faces, fixed)
+        out = newton.update(s_old, faces, fixed)
         assert np.array_equal(out[::2], start[::2])
         assert np.array_equal(out[1::2], np.where(keep, step, start)[1::2])
 
 
-def _bisection_minimizer(ws, spec, faces, fixed):
+def _bisection_minimizer(newton, faces, fixed):
     lo, hi = faces.min(axis=0), faces.max(axis=0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fp, _, _ = ws.derivatives(spec, mid, faces, fixed)
+        fp, _, _ = newton.derivatives(mid, faces, fixed)
         hi = np.where(fp > 0, mid, hi)
         lo = np.where(fp > 0, lo, mid)
     return 0.5 * (lo + hi)
@@ -409,7 +410,8 @@ def test_guarded_single_newton_step(small_disk, kind, t, sign):
     # of their minimizer, where the slice is flat to rounding and the guard
     # rejects some steps.  With an obstacle (sign +-1) the batches are the
     # parity classes of the free nodes, and the obstacle nodes among their
-    # neighbours keep +-m.
+    # neighbours keep +-m.  The level's one counter grows, class by class,
+    # by the rejected nodes of that class.
     spec = OperatorSpec(kind=kind, t=t)
     rng = np.random.default_rng(14)
     free = small_disk.labels == INTERIOR
@@ -417,36 +419,60 @@ def test_guarded_single_newton_step(small_disk, kind, t, sign):
     if sign:
         cons = ObstacleConstraint.from_shape(small_disk, Ball([0.0, 0.0], 0.15), 0.3, sign)
         free.ravel()[cons.indices] = False
+    newton = _NewtonLevel(small_disk, spec, _PlainLevel(free))
     rejected = updated = 0
     for _ in range(4):
         uflat = rng.uniform(-1.0, 1.0, small_disk.dims).ravel()
         if sign:
             uflat[cons.indices] = sign * 0.3
-        for idx in _parity_classes(free):
-            ws = _ColorWorkspace(small_disk, idx)
-            faces, fixed = ws.gather(uflat)
+        for idx in newton.level.classes:
+            idx = idx.astype(np.intp)
+            faces, fixed = newton.gather(uflat, idx)
             lo, hi = faces.min(axis=0), faces.max(axis=0)
-            near = _bisection_minimizer(ws, spec, faces, fixed)
+            near = _bisection_minimizer(newton, faces, fixed)
             near += 1e-9 * (hi - lo) * rng.uniform(-1.0, 1.0, idx.size)
             s_old = np.where(
                 rng.uniform(size=idx.size) < 0.5, rng.uniform(lo - 0.2, hi + 0.2), near
             )
             start = np.clip(s_old, lo, hi)
-            step, f_start = _one_newton_step(ws, spec, start, faces, fixed)
-            reject = ~(ws.slice_value(spec, step, faces, fixed) <= f_start)
-            out = ws.update(spec, s_old, faces, fixed)
+            step, f_start = _one_newton_step(newton, start, faces, fixed)
+            reject = ~(newton.slice_value(step, faces, fixed) <= f_start)
+            before = newton.guard_fallbacks
+            out = newton.update(s_old, faces, fixed)
             assert np.all((lo <= out) & (out <= hi))
-            f_out = ws.slice_value(spec, out, faces, fixed)
-            assert np.all(f_out <= ws.slice_value(spec, s_old, faces, fixed))
+            f_out = newton.slice_value(out, faces, fixed)
+            assert np.all(f_out <= newton.slice_value(s_old, faces, fixed))
             assert np.array_equal(out[~reject], step[~reject])
             assert np.array_equal(out[reject], start[reject])
-            assert ws.guard_fallbacks == np.count_nonzero(reject)
+            assert newton.guard_fallbacks - before == np.count_nonzero(reject)
             uflat[idx] = out
-            rejected += ws.guard_fallbacks
+            rejected += newton.guard_fallbacks - before
             updated += idx.size
         if sign:
             assert np.all(uflat[cons.indices] == sign * 0.3)
     assert 0 < rejected < updated
+
+
+@pytest.mark.parametrize("center,h", [([0.0, 0.0], 1.0 / 64.0), ([0.0, 0.0, 0.0], 1.0 / 20.0)])
+def test_newton_level_keeps_no_class_copy(center, h):
+    # The Newton sweep reads the level's own int32 classes, through one
+    # intp array a class made per sweep, so building the level keeps only
+    # its slice geometry: less than the bytes of the smallest class.
+    grid = build_grid(Ball(center, 1.0), h)
+    level = _PlainLevel(grid.labels == INTERIOR)
+    spec = OperatorSpec(kind="p_laplace", t=3.0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        newton = _NewtonLevel(grid, spec, level)
+        kept = tracemalloc.get_traced_memory()[0] - entry
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert newton.level is level and newton.guard_fallbacks == 0
+    assert kept < min(idx.nbytes for idx in level.classes), kept
 
 
 @pytest.fixture(scope="module")
