@@ -144,9 +144,9 @@ def _band(value, field, dim=None):
 
 def _shape(value, field, dim=None):
     """A shape object rebuilt by ``shape_from_dict``, of dimension ``dim``
-    when one is given; a missing key or a bad value anywhere inside it is a
-    ScenarioError naming the field.  Every number in it must be finite
-    (``_finite_numbers``)."""
+    when one is given; a missing or unknown key or a bad value anywhere
+    inside it is a ScenarioError naming the field.  Every number in it
+    must be finite (``_finite_numbers``)."""
     if not isinstance(value, dict):
         raise ScenarioError(field, f"expected an object, got {value!r}")
     _finite_numbers(value, field)
@@ -250,6 +250,29 @@ def _radial_oracle(value, field, dim):
     return oracle
 
 
+_CACCIOPPOLI = {"level": (_as_number, ...), "rho": (_positive_number, ...),
+                "R": (_positive_number, ...)}
+_PSI_RECURSION = {"r0": (_positive_number, ...), "k0": (_as_number, ...),
+                  "d": (_positive_or_auto, "auto"), "n_levels": (_count, 8)}
+
+
+def _caccioppoli(value, field, dim):
+    """A Caccioppoli block read through ``_CACCIOPPOLI``, with rho < R."""
+    block = _read(_CACCIOPPOLI, value, field, dim)
+    if not block["rho"] < block["R"]:
+        raise ScenarioError(f"{field}.rho", "need 0 < rho < R")
+    return block
+
+
+def _psi_recursion(value, field, dim):
+    """A psi recursion read through ``_PSI_RECURSION``, with k0 > 0 when d
+    is "auto", which first fits a schedule of gap k0/4."""
+    psi = _read(_PSI_RECURSION, value, field, dim)
+    if psi["d"] == "auto" and not psi["k0"] > 0:
+        raise ScenarioError(f"{field}.k0", 'must be positive when d is "auto"')
+    return psi
+
+
 _PARAMS = {
     "dirichlet": {**_DIRICHLET, "oracle": ({"expr": (_expression, ...)}, None)},
     "obstacle": {**_OBSTACLE, "radial_oracle": (_radial_oracle, None)},
@@ -264,10 +287,8 @@ _PARAMS = {
         "solve": (_Kinds(obstacle=_OBSTACLE, dirichlet=_DIRICHLET), ...),
         "y": (_point, ...),
         "level_sets": ([{"level": (_as_number, ...), "radius": (_positive_number, ...)}], ()),
-        "caccioppoli": ([{"level": (_as_number, ...), "rho": (_positive_number, ...),
-                          "R": (_positive_number, ...)}], ()),
-        "psi_recursion": ({"r0": (_positive_number, ...), "k0": (_as_number, ...),
-                           "d": (_positive_or_auto, "auto"), "n_levels": (_count, 8)}, None),
+        "caccioppoli": ([_caccioppoli], ()),
+        "psi_recursion": (_psi_recursion, None),
         "oscillation": ({"r0": (_positive_number, ...), "K": (_count, ...)}, None),
         "envelope": ({"C1": (_as_number, 1.0), "lower_order": (_bool, False)}, None),
     },

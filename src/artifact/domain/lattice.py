@@ -225,7 +225,8 @@ def _slabs(shape, plane=None):
 def _classify(shape, grid):
     """Labels of ``shape`` on ``grid``'s lattice.
 
-    ``inside_open`` runs on the ``_slabs`` of the lattice, built from
+    ``shape.inside(block, False)``, the open region, runs on the ``_slabs``
+    of the lattice (a node on a surface is not interior), built from
     ``axis_coords``, so no full coordinate array is ever held: an 83^3 grid
     takes 10 calls, and a 2D grid of up to 2^16 nodes one.
     """
@@ -235,7 +236,7 @@ def _classify(shape, grid):
     interior = np.empty(dims, dtype=bool)
     for a, b in _slabs(dims):
         block = _mesh_points([lead[a:b]] + rest)
-        interior[a:b] = shape.inside_open(block).reshape((-1,) + dims[1:])
+        interior[a:b] = shape.inside(block, False).reshape((-1,) + dims[1:])
     labels = np.full(dims, EXTERIOR, dtype=np.int8)
     labels[dilate(interior, range(grid.dim))] = BOUNDARY
     labels[interior] = INTERIOR

@@ -2,20 +2,22 @@
 
 Shapes are closed-form regions of R^N (N = 2 or 3 in practice) built from a
 small set of primitives plus union / intersection / complement / difference.
-Every shape answers three questions:
+Every shape answers two questions:
 
-* ``inside_open(points)``  -- strictly interior points of the region,
-* ``inside_closed(points)`` -- points of the closure,
+* ``inside(points, closed)`` -- the points of the closure when ``closed``,
+  else the strictly interior points,
 * ``bbox()`` -- an axis-aligned bounding box, or None when unbounded.
 
 Membership is vectorized over numpy point arrays.  The open/closed split
 matters: lattice classification treats points *on* a surface as outside the
-open region, while obstacles and caps use the closure.  Zero-thickness sheets
-(a slit, a folded cone) have an empty interior, and their closure holds the
-points within ``SHEET_TOL`` of the sheet.
+open region, while obstacles and caps use the closure.  ``_below`` holds the
+open/closed rule; a complement swaps the two.  Zero-thickness sheets (a slit,
+a folded cone) have an empty interior, and their closure holds the points
+within ``SHEET_TOL`` of the sheet.
 
-Shapes serialize to plain dicts (``to_dict`` / ``shape_from_dict``) so
-scenario files can describe geometry in JSON.
+Shapes serialize to plain dicts (``to_dict`` / ``shape_from_dict``), read
+from each type's ``TYPE`` and ``KEYS``, so scenario files can describe
+geometry in JSON.
 """
 
 import math
@@ -73,15 +75,37 @@ def _as_points(points, dim):
     return pts
 
 
+def _below(a, b, closed):
+    """``a <= b`` when ``closed``, else ``a < b``: the open/closed rule."""
+    return a <= b if closed else a < b
+
+
+def _plain(value):
+    """``value`` as ``to_dict`` writes it: shapes as dicts, arrays as lists."""
+    if isinstance(value, Shape):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return list(value)
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 class Shape:
-    """Base class: a region of R^N with open/closed membership."""
+    """Base class: a region of R^N with open/closed membership.
+
+    A subclass declares ``TYPE``, its JSON name, and ``KEYS``, the
+    constructor arguments it keeps as attributes of the same names, in
+    constructor order; ``OPTIONAL`` names the keys a dict may leave out.
+    """
 
     dim = None
+    TYPE = None
+    KEYS = ()
+    OPTIONAL = ()
 
-    def inside_open(self, points):
-        raise NotImplementedError
-
-    def inside_closed(self, points):
+    def inside(self, points, closed):
+        """Membership of each point in the closure if ``closed``, else in the interior."""
         raise NotImplementedError
 
     def bbox(self):
@@ -89,11 +113,13 @@ class Shape:
         raise NotImplementedError
 
     def to_dict(self):
-        raise NotImplementedError
+        return {"type": self.TYPE, **{key: _plain(getattr(self, key)) for key in self.KEYS}}
 
 
 class Ball(Shape):
     """Euclidean ball {|x - center| < radius} (closure: <=)."""
+
+    TYPE, KEYS = "ball", ("center", "radius")
 
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
@@ -102,25 +128,18 @@ class Ball(Shape):
             raise ValueError("ball radius must be positive")
         self.dim = self.center.shape[0]
 
-    def inside_open(self, points):
+    def inside(self, points, closed):
         pts = _as_points(points, self.dim)
-        d2 = squared_norm((pts - self.center).T)
-        return d2 < self.radius**2
-
-    def inside_closed(self, points):
-        pts = _as_points(points, self.dim)
-        d2 = squared_norm((pts - self.center).T)
-        return d2 <= self.radius**2
+        return _below(squared_norm((pts - self.center).T), self.radius**2, closed)
 
     def bbox(self):
         return self.center - self.radius, self.center + self.radius
 
-    def to_dict(self):
-        return {"type": "ball", "center": list(self.center), "radius": self.radius}
-
 
 class Box(Shape):
     """Axis-aligned box {lo < x < hi} (closure: <=)."""
+
+    TYPE, KEYS = "box", ("lo", "hi")
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
@@ -129,129 +148,106 @@ class Box(Shape):
             raise ValueError("box needs lo < hi componentwise")
         self.dim = self.lo.shape[0]
 
-    def inside_open(self, points):
+    def inside(self, points, closed):
         pts = _as_points(points, self.dim)
-        return np.all((pts > self.lo) & (pts < self.hi), axis=1)
-
-    def inside_closed(self, points):
-        pts = _as_points(points, self.dim)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
+        return np.all(_below(self.lo, pts, closed) & _below(pts, self.hi, closed), axis=1)
 
     def bbox(self):
         return self.lo.copy(), self.hi.copy()
 
-    def to_dict(self):
-        return {"type": "box", "lo": list(self.lo), "hi": list(self.hi)}
-
 
 class Halfspace(Shape):
-    """Halfspace {normal . x < offset} (closure: <=).  Unbounded."""
+    """Halfspace {normal . x < offset} (closure: <=).  Unbounded.  The normal
+    and offset are kept as given, so a dict round trip keeps every side."""
+
+    TYPE, KEYS = "halfspace", ("normal", "offset")
 
     def __init__(self, normal, offset):
         self.normal = np.asarray(normal, dtype=float)
-        norm = np.linalg.norm(self.normal)
-        if norm == 0:
+        if not np.any(self.normal):
             raise ValueError("halfspace normal must be nonzero")
-        self.normal = self.normal / norm
-        self.offset = float(offset) / norm
+        self.offset = float(offset)
         self.dim = self.normal.shape[0]
 
-    def inside_open(self, points):
-        pts = _as_points(points, self.dim)
-        return pts @ self.normal < self.offset
-
-    def inside_closed(self, points):
-        pts = _as_points(points, self.dim)
-        return pts @ self.normal <= self.offset
+    def inside(self, points, closed):
+        return _below(_as_points(points, self.dim) @ self.normal, self.offset, closed)
 
     def bbox(self):
         return None
 
-    def to_dict(self):
-        return {"type": "halfspace", "normal": list(self.normal), "offset": self.offset}
-
 
 class SolidCone(Shape):
-    """Truncated solid cone with vertex, unit axis, opening parameter, radius.
+    """Truncated solid cone with vertex, axis, opening parameter, radius.
 
-    The closed set is {q = x - vertex : q.axis >= 0, |q| <= radius,
-    |q|^2 <= (1 + opening) * (q.axis)^2}.  Larger opening means a wider cone;
-    the aperture half-angle is arctan(sqrt(opening)).
+    With a the unit axis, the closed set is {q = x - vertex : q.a >= 0,
+    |q| <= radius, |q|^2 <= (1 + opening) * (q.a)^2}.  Larger opening means
+    a wider cone; the aperture half-angle is arctan(sqrt(opening)).  The
+    axis is kept as given, so a dict round trip keeps every side.
     """
+
+    TYPE, KEYS = "solid_cone", ("vertex", "axis", "opening", "radius")
 
     def __init__(self, vertex, axis, opening, radius):
         self.vertex = np.asarray(vertex, dtype=float)
-        axis = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(axis)
+        self.axis = np.asarray(axis, dtype=float)
+        norm = np.linalg.norm(self.axis)
         if norm == 0:
             raise ValueError("cone axis must be nonzero")
-        self.axis = axis / norm
+        self._unit = self.axis / norm
         self.opening = float(opening)
         self.radius = float(radius)
         if self.opening <= 0 or self.radius <= 0:
             raise ValueError("cone needs positive opening and radius")
         self.dim = self.vertex.shape[0]
 
-    def _conditions(self, points):
+    def inside(self, points, closed):
         q = _as_points(points, self.dim) - self.vertex
-        s = q @ self.axis
+        s = q @ self._unit
         q2 = squared_norm(q.T)
-        return s, q2
-
-    def inside_open(self, points):
-        s, q2 = self._conditions(points)
-        return (s > 0) & (q2 < self.radius**2) & (q2 < (1.0 + self.opening) * s * s)
-
-    def inside_closed(self, points):
-        s, q2 = self._conditions(points)
-        return (s >= 0) & (q2 <= self.radius**2) & (q2 <= (1.0 + self.opening) * s * s)
+        return (
+            _below(0, s, closed)
+            & _below(q2, self.radius**2, closed)
+            & _below(q2, (1.0 + self.opening) * s * s, closed)
+        )
 
     def bbox(self):
         return self.vertex - self.radius, self.vertex + self.radius
-
-    def to_dict(self):
-        return {
-            "type": "solid_cone",
-            "vertex": list(self.vertex),
-            "axis": list(self.axis),
-            "opening": self.opening,
-            "radius": self.radius,
-        }
 
 
 class FlatCone(Shape):
     """Zero-thickness cone sheet inside the hyperplane {x_N = vertex_N}.
 
     The sheet is {q = x - vertex : q_N = 0, q.axis >= 0, |q| <= radius,
-    |q|^2 <= (1 + opening) (q.axis)^2}, with ``axis`` a unit vector orthogonal
-    to e_N.  In R^2 with opening >= 0 this degenerates to the segment from the
-    vertex of length ``radius`` along ``axis`` (a slit).  The open interior is
-    empty.
+    |q|^2 <= (1 + opening) (q.axis)^2}, with ``axis`` orthogonal to e_N and
+    taken as a unit vector (kept as given, as ``SolidCone`` keeps it).  In
+    R^2 with opening >= 0 this degenerates to the segment from the vertex of
+    length ``radius`` along ``axis`` (a slit).  The open interior is empty.
     """
+
+    TYPE, KEYS = "flat_cone", ("vertex", "axis", "opening", "radius")
 
     def __init__(self, vertex, axis, opening, radius):
         self.vertex = np.asarray(vertex, dtype=float)
-        axis = np.asarray(axis, dtype=float)
+        self.axis = np.asarray(axis, dtype=float)
         self.dim = self.vertex.shape[0]
-        if abs(axis[self.dim - 1]) > 1e-14:
+        if abs(self.axis[self.dim - 1]) > 1e-14:
             raise ValueError("flat cone axis must be orthogonal to the sheet normal e_N")
-        norm = np.linalg.norm(axis)
+        norm = np.linalg.norm(self.axis)
         if norm == 0:
             raise ValueError("flat cone axis must be nonzero")
-        self.axis = axis / norm
+        self._unit = self.axis / norm
         self.opening = float(opening)
         self.radius = float(radius)
         if self.opening < 0 or self.radius <= 0:
             raise ValueError("flat cone needs opening >= 0 and positive radius")
 
-    def inside_open(self, points):
-        pts = _as_points(points, self.dim)
-        return np.zeros(pts.shape[0], dtype=bool)
-
-    def inside_closed(self, points):
-        q = _as_points(points, self.dim) - self.vertex
+    def inside(self, points, closed):
+        q = _as_points(points, self.dim)
+        if not closed:
+            return np.zeros(q.shape[0], dtype=bool)
+        q = q - self.vertex
         on_sheet = np.abs(q[:, -1]) <= SHEET_TOL
-        s = q @ self.axis
+        s = q @ self._unit
         q2 = squared_norm(q.T)
         return (
             on_sheet
@@ -262,15 +258,6 @@ class FlatCone(Shape):
 
     def bbox(self):
         return self.vertex - self.radius, self.vertex + self.radius
-
-    def to_dict(self):
-        return {
-            "type": "flat_cone",
-            "vertex": list(self.vertex),
-            "axis": list(self.axis),
-            "opening": self.opening,
-            "radius": self.radius,
-        }
 
 
 class TwistedCone(Shape):
@@ -284,8 +271,12 @@ class TwistedCone(Shape):
     the piecewise isometry is continuous, hence a non-expansive image of the
     flat cone.  The pieces are orthogonal to e3 (floor, s <= c1), e1 (wall),
     and e2 (side flap); near the vertex the shape coincides with the flat
-    cone.  Canonical orientation; translate via ``vertex``.
+    cone.  Canonical orientation; translate via ``vertex``.  The open
+    interior is empty.
     """
+
+    TYPE, KEYS = "twisted_cone", ("vertex", "opening", "radius", "fold_fraction")
+    OPTIONAL = ("fold_fraction",)
 
     def __init__(self, vertex, opening, radius, fold_fraction=1.0 / 3.0):
         self.vertex = np.asarray(vertex, dtype=float)
@@ -302,9 +293,8 @@ class TwistedCone(Shape):
         self.c1 = self.fold_fraction * self.radius
         self.w0 = math.sqrt(self.opening) * self.c1
 
-    def _unfolded(self, points):
-        """Map ambient points to (plane residual, s, w) per piece."""
-        q = _as_points(points, self.dim) - self.vertex
+    def _unfolded(self, q):
+        """Map vertex-relative points to (plane residual, s, w) per piece."""
         pieces = []
         # Floor: x3 = 0, (s, w) = (x1, x2), s <= c1.
         pieces.append((np.abs(q[:, 2]), q[:, 0], q[:, 1], q[:, 0] <= self.c1 + SHEET_TOL))
@@ -337,13 +327,12 @@ class TwistedCone(Shape):
             & (w * w <= self.opening * s * s + SHEET_TOL)
         )
 
-    def inside_open(self, points):
-        pts = _as_points(points, self.dim)
-        return np.zeros(pts.shape[0], dtype=bool)
-
-    def inside_closed(self, points):
+    def inside(self, points, closed):
+        q = _as_points(points, self.dim)
+        if not closed:
+            return np.zeros(q.shape[0], dtype=bool)
         hit = None
-        for resid, s, w, extra in self._unfolded(points):
+        for resid, s, w, extra in self._unfolded(q - self.vertex):
             mask = (resid <= SHEET_TOL) & extra & self._in_base(s, w)
             hit = mask if hit is None else (hit | mask)
         return hit
@@ -358,15 +347,6 @@ class TwistedCone(Shape):
         hi = self.vertex + np.array([self.c1, self.w0, self.radius - self.c1])
         return lo, hi
 
-    def to_dict(self):
-        return {
-            "type": "twisted_cone",
-            "vertex": list(self.vertex),
-            "opening": self.opening,
-            "radius": self.radius,
-            "fold_fraction": self.fold_fraction,
-        }
-
 
 class PowerCusp(Shape):
     """Solid cusp {0 <= s <= length, |x_perp| <= s^exponent} along an axis.
@@ -375,6 +355,8 @@ class PowerCusp(Shape):
     opens along +x1).  With exponent > 1 the tip at the vertex is sharper
     than every cone, the classic thin-complement counterexample geometry.
     """
+
+    TYPE, KEYS = "power_cusp", ("vertex", "axis", "exponent", "length")
 
     def __init__(self, vertex, axis, exponent, length):
         self.vertex = np.asarray(vertex, dtype=float)
@@ -389,25 +371,14 @@ class PowerCusp(Shape):
         if self.length <= 0:
             raise ValueError("cusp length must be positive")
 
-    def _profile(self, points):
+    def inside(self, points, closed):
         q = _as_points(points, self.dim) - self.vertex
         k = abs(self.axis) - 1
         s = q[:, k] * (1.0 if self.axis > 0 else -1.0)
         perp2 = squared_norm(q.T) - q[:, k] ** 2
-        return s, perp2
-
-    def inside_open(self, points):
-        s, perp2 = self._profile(points)
-        ok = (s > 0) & (s < self.length)
+        ok = _below(0, s, closed) & _below(s, self.length, closed)
         with np.errstate(invalid="ignore"):
-            ok &= perp2 < np.where(s > 0, s, 0.0) ** (2.0 * self.exponent)
-        return ok
-
-    def inside_closed(self, points):
-        s, perp2 = self._profile(points)
-        ok = (s >= 0) & (s <= self.length)
-        with np.errstate(invalid="ignore"):
-            ok &= perp2 <= np.where(s > 0, s, 0.0) ** (2.0 * self.exponent)
+            ok &= _below(perp2, np.where(s > 0, s, 0.0) ** (2.0 * self.exponent), closed)
         return ok
 
     def bbox(self):
@@ -423,15 +394,6 @@ class PowerCusp(Shape):
             hi[k] = self.vertex[k]
         return lo, hi
 
-    def to_dict(self):
-        return {
-            "type": "power_cusp",
-            "vertex": list(self.vertex),
-            "axis": self.axis,
-            "exponent": self.exponent,
-            "length": self.length,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Combinators.
@@ -439,24 +401,20 @@ class PowerCusp(Shape):
 
 
 class Union(Shape):
+    TYPE, KEYS = "union", ("parts",)
+
     def __init__(self, parts):
         self.parts = list(parts)
         if not self.parts:
-            raise ValueError("union needs at least one part")
+            raise ValueError(f"{self.TYPE} needs at least one part")
         self.dim = self.parts[0].dim
         if any(p.dim != self.dim for p in self.parts):
-            raise ValueError("union parts must share a dimension")
+            raise ValueError(f"{self.TYPE} parts must share a dimension")
 
-    def inside_open(self, points):
-        out = self.parts[0].inside_open(points)
+    def inside(self, points, closed):
+        out = self.parts[0].inside(points, closed)
         for p in self.parts[1:]:
-            out = out | p.inside_open(points)
-        return out
-
-    def inside_closed(self, points):
-        out = self.parts[0].inside_closed(points)
-        for p in self.parts[1:]:
-            out = out | p.inside_closed(points)
+            out = out | p.inside(points, closed)
         return out
 
     def bbox(self):
@@ -467,29 +425,15 @@ class Union(Shape):
         hi = np.max([b[1] for b in boxes], axis=0)
         return lo, hi
 
-    def to_dict(self):
-        return {"type": "union", "parts": [p.to_dict() for p in self.parts]}
-
 
 class Intersection(Shape):
-    def __init__(self, parts):
-        self.parts = list(parts)
-        if not self.parts:
-            raise ValueError("intersection needs at least one part")
-        self.dim = self.parts[0].dim
-        if any(p.dim != self.dim for p in self.parts):
-            raise ValueError("intersection parts must share a dimension")
+    TYPE, KEYS = "intersection", ("parts",)
+    __init__ = Union.__init__
 
-    def inside_open(self, points):
-        out = self.parts[0].inside_open(points)
+    def inside(self, points, closed):
+        out = self.parts[0].inside(points, closed)
         for p in self.parts[1:]:
-            out = out & p.inside_open(points)
-        return out
-
-    def inside_closed(self, points):
-        out = self.parts[0].inside_closed(points)
-        for p in self.parts[1:]:
-            out = out & p.inside_closed(points)
+            out = out & p.inside(points, closed)
         return out
 
     def bbox(self):
@@ -505,30 +449,27 @@ class Intersection(Shape):
             return None
         return lo, hi
 
-    def to_dict(self):
-        return {"type": "intersection", "parts": [p.to_dict() for p in self.parts]}
-
 
 class Complement(Shape):
+    """Complement: open is outside the part's closure, closed outside its interior."""
+
+    TYPE, KEYS = "complement", ("part",)
+
     def __init__(self, part):
         self.part = part
         self.dim = part.dim
 
-    def inside_open(self, points):
-        return ~self.part.inside_closed(points)
-
-    def inside_closed(self, points):
-        return ~self.part.inside_open(points)
+    def inside(self, points, closed):
+        return ~self.part.inside(points, not closed)
 
     def bbox(self):
         return None
 
-    def to_dict(self):
-        return {"type": "complement", "part": self.part.to_dict()}
-
 
 class Difference(Shape):
     """Set difference a minus b (open: strictly inside a, outside closure b)."""
+
+    TYPE, KEYS = "difference", ("a", "b")
 
     def __init__(self, a, b):
         if a.dim != b.dim:
@@ -537,52 +478,40 @@ class Difference(Shape):
         self.b = b
         self.dim = a.dim
 
-    def inside_open(self, points):
-        return self.a.inside_open(points) & ~self.b.inside_closed(points)
-
-    def inside_closed(self, points):
-        return self.a.inside_closed(points) & ~self.b.inside_open(points)
+    def inside(self, points, closed):
+        return self.a.inside(points, closed) & ~self.b.inside(points, not closed)
 
     def bbox(self):
         return self.a.bbox()
-
-    def to_dict(self):
-        return {"type": "difference", "a": self.a.to_dict(), "b": self.b.to_dict()}
 
 
 # ---------------------------------------------------------------------------
 # Serialization.
 # ---------------------------------------------------------------------------
 
+_TYPES = {
+    cls.TYPE: cls
+    for cls in (Ball, Box, Halfspace, SolidCone, FlatCone, TwistedCone, PowerCusp,
+                Union, Intersection, Complement, Difference)
+}
+
 
 def shape_from_dict(data):
-    """Rebuild a shape from its ``to_dict`` representation."""
+    """Rebuild a shape from its ``to_dict`` representation: the class
+    ``_TYPES[data["type"]]`` called with its ``KEYS``, ``parts``, ``part``,
+    ``a`` and ``b`` built as shapes.  A missing key not ``OPTIONAL`` is a
+    KeyError, a key the class does not read a ValueError."""
     kind = data["type"]
-    if kind == "ball":
-        return Ball(data["center"], data["radius"])
-    if kind == "box":
-        return Box(data["lo"], data["hi"])
-    if kind == "halfspace":
-        return Halfspace(data["normal"], data["offset"])
-    if kind == "solid_cone":
-        return SolidCone(data["vertex"], data["axis"], data["opening"], data["radius"])
-    if kind == "flat_cone":
-        return FlatCone(data["vertex"], data["axis"], data["opening"], data["radius"])
-    if kind == "twisted_cone":
-        return TwistedCone(
-            data["vertex"],
-            data["opening"],
-            data["radius"],
-            data.get("fold_fraction", 1.0 / 3.0),
-        )
-    if kind == "power_cusp":
-        return PowerCusp(data["vertex"], data["axis"], data["exponent"], data["length"])
-    if kind == "union":
-        return Union([shape_from_dict(p) for p in data["parts"]])
-    if kind == "intersection":
-        return Intersection([shape_from_dict(p) for p in data["parts"]])
-    if kind == "complement":
-        return Complement(shape_from_dict(data["part"]))
-    if kind == "difference":
-        return Difference(shape_from_dict(data["a"]), shape_from_dict(data["b"]))
-    raise ValueError(f"unknown shape type: {kind!r}")
+    cls = _TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown shape type: {kind!r}")
+    for key in data:
+        if key != "type" and key not in cls.KEYS:
+            raise ValueError(f"unknown key {key!r} in a {kind}; known: {', '.join(cls.KEYS)}")
+    args = {key: data[key] for key in cls.KEYS if key in data or key not in cls.OPTIONAL}
+    if "parts" in args:
+        args["parts"] = [shape_from_dict(p) for p in args["parts"]]
+    for key in ("part", "a", "b"):
+        if key in args:
+            args[key] = shape_from_dict(args[key])
+    return cls(**args)

@@ -134,7 +134,7 @@ class ObstacleConstraint:
 
     @classmethod
     def from_shape(cls, grid, shape, height, sign=1):
-        inside = shape.inside_closed(grid.points())
+        inside = shape.inside(grid.points(), True)
         interior = (grid.labels == INTERIOR).ravel()
         return cls(np.flatnonzero(inside & interior), height, sign)
 

@@ -92,7 +92,7 @@ def test_sigma_ball_covers_region():
     assert sig.radius == pytest.approx(2.0 * radius)
     lo, hi = region.bbox()
     corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-    assert np.all(sig.inside_closed(corners))
+    assert np.all(sig.inside(corners, True))
 
 
 @pytest.fixture(scope="module")

@@ -253,6 +253,19 @@ RANGE_RULES = [
 ]
 MALFORMED += RANGE_RULES
 
+# A shape key that its type does not read, at the top and inside a
+# difference's subtrahend: each used to be dropped, the shape built
+# without it.
+UNKNOWN_SHAPE_KEYS = [
+    ({"shape": {"type": "ball", "center": [0.0, 0.0], "radius": 0.5, "radius2": 0.25}},
+     "scenario.shape"),
+    ({"task": "obstacle",
+      "params": {"obstacle": {"type": "difference", "a": OBSTACLE,
+                              "b": {**OBSTACLE, "radius2": 0.1}}}},
+     "params.obstacle"),
+]
+MALFORMED += UNKNOWN_SHAPE_KEYS
+
 
 def malformed_doc(patch):
     doc = scenario_doc(name="malformed")
@@ -717,13 +730,15 @@ def test_suite_runs_the_neighbour_of_a_retyped_param(tmp_path, task, params, fie
 
 
 # Every config error above, each a patch over ``malformed_doc``: found while
-# the scenario loads, so no grid is ever built.  The shape cases come first.
+# the scenario loads, so no grid is ever built.  The non-finite shape cases
+# come first.
 BEFORE_ANY_GRID = [
     *NON_FINITE_SHAPES,
-    *[row for row in MALFORMED if row not in NON_FINITE_SHAPES],
+    *[row for row in MALFORMED if row not in NON_FINITE_SHAPES + UNKNOWN_SHAPE_KEYS],
     *[(instrument_doc("malformed", **blocks), field) for blocks, field in BLOCK_KEY_CASES],
     *[({"task": task, "params": params}, field) for task, params, field in RETYPED],
     *[(expression_doc(field, text), field) for field, text, _ in EXPRESSION_CASES],
+    *UNKNOWN_SHAPE_KEYS,
 ]
 
 
@@ -779,6 +794,21 @@ LOAD_REFUSALS = [
       "params": {"obstacle": OBSTACLE, "radial_oracle": {**RADIAL, "band": [0.4, 0.3]}}},
      "params.radial_oracle.band"),
     ({"tolerence": 1e-3}, "scenario.tolerence"),
+    # A Caccioppoli block with rho >= R, and an "auto" psi gap from k0 <= 0:
+    # each ran to an exit-1 error row after the full solve.
+    ({"task": "degiorgi-instrument",
+      "params": instrument_params(caccioppoli=[{"level": 0.5, "rho": 0.8, "R": 0.5}])},
+     "params.caccioppoli[0].rho"),
+    ({"task": "degiorgi-instrument",
+      "params": instrument_params(caccioppoli=[{"level": 0.5, "rho": 0.25, "R": 0.5},
+                                               {"level": 0.5, "rho": 0.5, "R": 0.5}])},
+     "params.caccioppoli[1].rho"),
+    ({"task": "degiorgi-instrument",
+      "params": instrument_params(psi_recursion={"r0": 0.25, "k0": -1.0})},
+     "params.psi_recursion.k0"),
+    ({"task": "degiorgi-instrument",
+      "params": instrument_params(psi_recursion={"r0": 0.25, "k0": 0.0, "d": "auto"})},
+     "params.psi_recursion.k0"),
 ]
 
 
@@ -789,6 +819,24 @@ def test_malformed_param_exits_two_before_any_grid(tmp_path, monkeypatch, patch,
     assert row["result"] == "config-error"
     assert row["key_metric"].startswith(field + ":")
     assert not (tmp_path / "out").exists()
+
+
+def test_psi_recursion_with_a_given_gap_loads_at_any_k0():
+    # Only the "auto" gap is fitted from k0; a given positive d stands alone.
+    doc = malformed_doc({"task": "degiorgi-instrument", "params": instrument_params(
+        psi_recursion={"r0": 0.25, "k0": -1.0, "d": 0.5})})
+    assert validate_scenario(doc)["params"]["psi_recursion"]["k0"] == -1.0
+
+
+def test_misspelt_twisted_cone_key_names_the_shape_and_the_key():
+    doc = json.loads(next(p for p in SHIPPED if p.stem == "s12-twisted-cone").read_text())
+    assert doc["shape"]["b"]["type"] == "twisted_cone"
+    doc["shape"]["b"]["fold_fracton"] = 0.5
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(doc)
+    assert err.value.field == "scenario.shape"
+    assert "'fold_fracton'" in str(err.value)
+    assert "known: vertex, opening, radius, fold_fraction" in str(err.value)
 
 
 def test_radial_oracle_band_of_one_radius_loads():

@@ -43,7 +43,7 @@ from artifact.domain.shapes import (
 def brute_force_labels(shape, grid):
     """Recompute the three-way labeling with plain loops."""
     pts = grid.points()
-    strictly_inside = shape.inside_open(pts).reshape(grid.dims)
+    strictly_inside = shape.inside(pts, False).reshape(grid.dims)
     labels = np.full(grid.dims, EXTERIOR, dtype=np.int8)
     labels[strictly_inside] = INTERIOR
     offsets = [
@@ -196,7 +196,7 @@ def _every_shape_class(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_classification_by_blocks_is_one_full_call(dim, block, monkeypatch):
     # Blocks of whole leading-axis slabs must label every node as one
-    # inside_open call over the full points array does, on a grid of more
+    # open inside call over the full points array does, on a grid of more
     # nodes than one block (259^2 and 43^3 against 2^16; and, with a
     # 1000-node block, one slab a call in 3D and a short last block in 2D).
     monkeypatch.setattr(lattice, "_SLAB_NODES", block)
@@ -208,7 +208,7 @@ def test_classification_by_blocks_is_one_full_call(dim, block, monkeypatch):
     pts = grid.points()
     for shape in shapes:
         labels = grid.classify(shape)
-        want = shape.inside_open(pts).reshape(grid.dims)
+        want = shape.inside(pts, False).reshape(grid.dims)
         assert np.array_equal(labels == INTERIOR, want), type(shape).__name__
 
 
@@ -266,7 +266,7 @@ def test_enclosing_radius_covers_shape():
     center, radius = enclosing_center_radius(shape)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.1, 1.1, size=(500, 2))
-    inside = shape.inside_closed(pts)
+    inside = shape.inside(pts, True)
     dist = np.sqrt(((pts[inside] - center) ** 2).sum(axis=1))
     assert np.all(dist <= radius + 1e-12)
 
