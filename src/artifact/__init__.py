@@ -37,7 +37,6 @@ from .domain.shapes import (
 )
 from .capacity import (
     RegularityReport,
-    WienerProbeConfig,
     barrier_build,
     capacitary_potential,
     locality_check,
@@ -48,7 +47,6 @@ from .capacity import (
 )
 from .levelsets import (
     DeGiorgiConstants,
-    IterationSchedule,
     LevelSetStats,
     check_caccioppoli,
     check_psi_recursion,
@@ -60,6 +58,7 @@ from .levelsets import (
     threshold_level_gap,
 )
 from .monotone import Field, OperatorSpec, energy, weak_residual
+from .scenario import IterationSchedule, WienerProbeConfig
 from .solver import (
     BoundaryData,
     ObstacleConstraint,

@@ -16,7 +16,6 @@ sequences they judged.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .domain.lattice import (
     enclosing_center_radius,
 )
 from .domain.shapes import Ball
+from .scenario import _JJ_FACTOR
 from .solver import (
     ObstacleConstraint,
     obstacle_verification,
@@ -43,7 +43,6 @@ __all__ = [
     "sigma_ball",
     "sigma_grid_for",
     "capacitary_potential",
-    "WienerProbeConfig",
     "RegularityReport",
     "wiener_probe",
     "barrier_build",
@@ -176,88 +175,6 @@ def capacitary_potential(sigma_grid, cap, spec, sign=1, height=1.0, tol=1e-8):
     ver["equals_height_on_cap"] = ver.pop("equals_m_on_obstacle")
     report["verification"] = ver
     return fld, report
-
-
-@dataclass
-class WienerProbeConfig:
-    """Probe geometry and verdict thresholds for one boundary point.
-
-    Observation radii follow the fixed quarter ladder r_k = r0 / 4^k for
-    k = 0..K.  Desk-scale grids often cannot represent the full ladder
-    (r_K can drop below the spacing while the solve region must still fit
-    the node budget), so short ladders and unrepresentable radii are
-    warnings and per-level notes, not errors; the verdict then uses the
-    smallest radius that still holds nodes.
-    """
-
-    y: tuple
-    cap_radius: float
-    r0: float
-    K: int
-    h_levels: tuple
-    height: float = 1.0
-    sign: int = 1
-    decay_factor: float = 0.1
-    stagnation_floor: float = 0.25
-    shrink_ratio: float = 0.7
-    stagnation_ratio: float = 0.9
-    near_radius_cells: float = 4.0
-    fixed_radius: float = None
-
-    def __post_init__(self):
-        self.y = tuple(float(c) for c in self.y)
-        self.h_levels = tuple(sorted(set(float(h) for h in self.h_levels), reverse=True))
-        if not self.h_levels:
-            raise ValueError("need at least one grid spacing")
-        if self.r0 <= 0 or self.cap_radius <= 0:
-            raise ValueError("radii must be positive")
-        if self.K < 1:
-            raise ValueError("need at least one ladder step (K >= 1)")
-        if self.height <= 0:
-            raise ValueError("obstacle level m must be positive")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        for name in ("decay_factor", "stagnation_floor", "shrink_ratio", "stagnation_ratio"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        # stacklevel 3: the caller of the dataclass's generated __init__.
-        if self.K < 3:
-            warnings.warn(
-                "probe ladder has fewer than three steps; trend verdicts "
-                "rest on little data",
-                stacklevel=3,
-            )
-        if self.r0 > self.cap_radius / 2:
-            warnings.warn(
-                "largest observation radius exceeds half the cap radius; "
-                "the outer oscillation window sees past the clamped set",
-                stacklevel=3,
-            )
-
-    @property
-    def radii(self):
-        return [self.r0 * 4.0**-k for k in range(self.K + 1)]
-
-    def deficit_radius(self):
-        return self.fixed_radius if self.fixed_radius is not None else self.r0 / 4.0
-
-    def to_dict(self):
-        return {
-            "y": list(self.y),
-            "cap_radius": self.cap_radius,
-            "r0": self.r0,
-            "K": self.K,
-            "h_levels": list(self.h_levels),
-            "height": self.height,
-            "sign": self.sign,
-            "decay_factor": self.decay_factor,
-            "stagnation_floor": self.stagnation_floor,
-            "shrink_ratio": self.shrink_ratio,
-            "stagnation_ratio": self.stagnation_ratio,
-            "near_radius_cells": self.near_radius_cells,
-            "fixed_radius": self.fixed_radius,
-        }
 
 
 @dataclass
@@ -460,7 +377,7 @@ def wiener_probe(config, region_shape, spec, tol=1e-8):
     return report
 
 
-def barrier_build(grid, spec, y, rho, height, tol=1e-8, jj_factor=0.5):
+def barrier_build(grid, spec, y, rho, height, tol=1e-8, jj_factor=_JJ_FACTOR):
     """Barrier pair at a boundary node: solves with data +-height*|x-y|^2/rho^2.
 
     The upper barrier V uses the paraboloid data, which is at least

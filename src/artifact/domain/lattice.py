@@ -282,14 +282,6 @@ class ComplementCap:
     def is_empty(self):
         return self.count == 0
 
-    def meta(self):
-        return {
-            "center": list(self.center),
-            "radius": self.radius,
-            "count": self.count,
-            "volume": self.volume,
-        }
-
 
 def enclosing_center_radius(shape):
     """Center of the shape's bbox and the smallest R with bbox in ball(c, R)."""

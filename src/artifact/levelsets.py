@@ -31,7 +31,6 @@ __all__ = [
     "LevelSetStats",
     "level_stats",
     "check_caccioppoli",
-    "IterationSchedule",
     "check_psi_recursion",
     "threshold_level_gap",
     "oscillation_sequence",
@@ -189,34 +188,6 @@ def check_caccioppoli(field, y, level, rho, R, t):
     else:
         report["c_emp"] = lhs * (R - rho) ** t / rhs
     return report
-
-
-@dataclass
-class IterationSchedule:
-    """Shrinking radii and levels: r_m halves down onto r0/2, k_m drops by d.
-
-    r_m = r0/2 + r0/2^{m+1} and k_m = k0 - d + d/2^m, both strictly
-    decreasing toward their limits, as the truncation iteration requires.
-    """
-
-    y: tuple
-    r0: float
-    k0: float
-    d: float
-    n_levels: int = 8
-
-    def __post_init__(self):
-        self.y = tuple(float(c) for c in self.y)
-        if self.r0 <= 0 or self.d <= 0:
-            raise ValueError("r0 and d must be positive")
-        if self.n_levels < 1:
-            raise ValueError("need at least one schedule step")
-
-    def radii(self):
-        return [self.r0 / 2 + self.r0 / 2 ** (m + 1) for m in range(self.n_levels + 1)]
-
-    def levels(self):
-        return [self.k0 - self.d + self.d / 2**m for m in range(self.n_levels + 1)]
 
 
 def check_psi_recursion(field, schedule, t):

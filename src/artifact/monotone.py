@@ -180,13 +180,6 @@ class Field:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.dims))
-
-    def copy(self):
-        return Field(self.grid, self.values.copy())
-
     def validate_finite(self):
         live = self.grid.labels != EXTERIOR
         if not np.all(np.isfinite(self.values[live])):

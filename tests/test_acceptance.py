@@ -14,8 +14,10 @@ tends to zero, but at r0 = 1/8 a million factors still leave 0.5464, and
 the product first drops below 1e-2 near K = 10^44.5.
 """
 
+import hashlib
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from artifact.levelsets import constants, decay_partial_product, n0_and_decay
 from oracles import partial_product_closed_form
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 
 
 @pytest.fixture(scope="session")
@@ -204,6 +207,31 @@ def test_criterion_16_deterministic_report(suite):
     # A single run has no solve memo: the rerun solved every level afresh.
     rerun = json.loads((rerun_root / "s09-probe-regular" / "manifest.json").read_text())
     assert rerun["solve_memo"]["hits"] == 0 and rerun["solve_memo"]["misses"] > 0
+
+
+def test_suite_artifacts_match_their_golden_digests(suite):
+    # Every report.json and per-scenario CSV of the shipped suite, byte for
+    # byte, against digests made at an earlier commit: a change to what the
+    # program computes shows here even where every bound above still holds.
+    golden = json.loads(GOLDEN.read_text())
+    out = suite["out"]
+    paths = sorted(out.glob("*/report.json")) + sorted(out.glob("*/*.csv"))
+    got = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in paths
+    }
+    moved = sorted(
+        name for name in golden["files"].keys() | got.keys()
+        if golden["files"].get(name) != got.get(name)
+    )
+    versions = {"numpy": np.__version__, "python": platform.python_version()}
+    same = versions == golden["versions"]
+    assert not moved, (
+        f"{len(moved)} of {len(golden['files'])} artifacts differ from their golden digests "
+        f"({', '.join(moved)}); made under numpy {versions['numpy']} and Python "
+        f"{versions['python']}, "
+        + ("the digests' versions" if same else f"not the digests' {golden['versions']}")
+    )
 
 
 def _refuse_constant(token):

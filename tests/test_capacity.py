@@ -169,6 +169,13 @@ def test_probe_config_validation():
         dict(good, sign=0),
         dict(good, decay_factor=1.5),
         dict(good, shrink_ratio=0.0),
+        # Each of these used to be accepted: K=2.5 then failed in ``radii``.
+        dict(good, K=2.5),
+        dict(good, K=True),
+        dict(good, r0=math.nan),
+        dict(good, height=math.inf),
+        dict(good, near_radius_cells=-1),
+        dict(good, fixed_radius=-0.1),
     ):
         with pytest.raises(ValueError):
             WienerProbeConfig(**bad)

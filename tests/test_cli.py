@@ -19,7 +19,15 @@ import numpy as np
 import pytest
 
 import artifact
-from artifact import Ball, ObstacleConstraint, build_grid, solve_obstacle, solver
+from artifact import (
+    Ball,
+    IterationSchedule,
+    ObstacleConstraint,
+    WienerProbeConfig,
+    build_grid,
+    solve_obstacle,
+    solver,
+)
 from artifact.cli import (
     ScenarioError,
     _write_json,
@@ -826,6 +834,63 @@ def test_psi_recursion_with_a_given_gap_loads_at_any_k0():
     doc = malformed_doc({"task": "degiorgi-instrument", "params": instrument_params(
         psi_recursion={"r0": 0.25, "k0": -1.0, "d": 0.5})})
     assert validate_scenario(doc)["params"]["psi_recursion"]["k0"] == -1.0
+
+
+# One bad value for each rule of the probe and the psi schedule: (the
+# class's field, the scenario's param key, the value).
+PROBE_RULES = [
+    ("y", "y", [0.5, "x"]),
+    ("cap_radius", "cap_radius", -1.0),
+    ("r0", "r0", math.nan),
+    ("K", "K", 2.5),
+    ("K", "K", True),
+    ("height", "m", math.inf),
+    ("sign", "sign", 0),
+    *[(name, name, 1.0) for name in
+      ("decay_factor", "stagnation_floor", "shrink_ratio", "stagnation_ratio")],
+    ("near_radius_cells", "near_radius_cells", -1),
+    ("fixed_radius", "fixed_radius", -0.1),
+]
+SCHEDULE_RULES = [
+    ("r0", "r0", 0.0),
+    ("k0", "k0", "x"),
+    ("d", "d", math.inf),
+    ("n_levels", "n_levels", 2.5),
+]
+
+
+def refusal(build):
+    """(field, message) of the ScenarioError that ``build()`` raises."""
+    with pytest.raises(ScenarioError) as err:
+        build()
+    field, message = str(err.value).split(": ", 1)
+    assert field == err.value.field
+    return field, message
+
+
+@pytest.mark.parametrize(
+    "config,name,key,value",
+    [("probe", *rule) for rule in PROBE_RULES]
+    + [("schedule", *rule) for rule in SCHEDULE_RULES],
+)
+def test_the_api_refuses_by_the_scenario_rule(config, name, key, value):
+    # The class and the scenario read the field through one declaration,
+    # so their messages differ in the field's name only.
+    if config == "probe":
+        good = dict(y=(0.5, 0.0), cap_radius=0.1, r0=0.2, K=2, h_levels=(0.25,))
+        api = refusal(lambda: WienerProbeConfig(**{**good, name: value}))
+        doc = malformed_doc({"task": "wiener-probe", "params": probe_params(**{key: value})})
+        prefix = "params."
+    else:
+        good = dict(y=(0.0, 0.0), r0=0.25, k0=0.5, d=0.1)
+        api = refusal(lambda: IterationSchedule(**{**good, name: value}))
+        psi = {"r0": 0.25, "k0": 0.5, "d": 0.1, key: value}
+        doc = malformed_doc({"task": "degiorgi-instrument",
+                             "params": instrument_params(psi_recursion=psi)})
+        prefix = "params.psi_recursion."
+    scenario = refusal(lambda: validate_scenario(doc))
+    assert scenario[0] == prefix + api[0].replace(name, key, 1)
+    assert api[1] == scenario[1]
 
 
 def test_misspelt_twisted_cone_key_names_the_shape_and_the_key():

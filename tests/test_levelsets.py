@@ -190,6 +190,10 @@ def test_iteration_schedule_limits():
         IterationSchedule(y=(0.0, 0.0), r0=0.0, k0=0.3, d=0.1)
     with pytest.raises(ValueError):
         IterationSchedule(y=(0.0, 0.0), r0=0.4, k0=0.3, d=0.1, n_levels=0)
+    # Each of these used to be accepted.
+    for bad in (dict(n_levels=2.5), dict(r0=math.nan), dict(d=math.inf), dict(k0=math.nan)):
+        with pytest.raises(ValueError):
+            IterationSchedule(**{**dict(y=(0.0, 0.0), r0=0.4, k0=0.3, d=0.1), **bad})
 
 
 def test_psi_recursion_on_cone_field(cone_field):

@@ -3,10 +3,11 @@
 ``multigrid`` sits below the solve API: it may import the lattice and
 ``monotone``, nothing above them.  ``solver`` imports from ``multigrid``
 only the names it reads, so a test that patches a multigrid name on
-``solver`` fails with AttributeError instead of patching nothing.  In
-``cli`` every param is read when the scenario loads, through the table
-``_PARAMS``; a task executor only computes.  No module compares a
-lattice's ``labels`` with a bare integer: it names the label.
+``solver`` fails with AttributeError instead of patching nothing.
+``scenario`` reads every param when the scenario loads, through the table
+``_PARAMS``; it imports nothing that builds a grid or solves, and a task
+executor in ``cli`` only computes.  No module compares a lattice's
+``labels`` with a bare integer: it names the label.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import cli, multigrid, solver
+from artifact import cli, multigrid, scenario, solver
 
 
 def _tree(module):
@@ -46,6 +47,12 @@ def test_multigrid_imports_nothing_above_the_lattice_and_monotone():
     assert sources <= {"artifact.domain.lattice", "artifact.monotone"}, sources
     for above in ("solver", "cli", "capacity", "levelsets"):
         assert f"artifact.{above}" not in sources
+
+
+def test_scenario_imports_nothing_that_builds_a_grid_or_solves():
+    sources = {source for source, _ in _imports(scenario) if source.startswith("artifact")}
+    assert sources, "no package import found: the reader is broken"
+    assert sources <= {"artifact._expr", "artifact.domain.shapes", "artifact.monotone"}, sources
 
 
 def test_solver_reads_every_multigrid_name_it_imports(monkeypatch):

@@ -180,7 +180,7 @@ def test_t2_edge_sum_energy_is_the_corner_form(dim):
         clean = Field(grid, np.where(exterior, 0.0, rng.standard_normal(grid.dims)))
         want = stacked_energy(spec, clean)
         assert energy(spec, clean) == pytest.approx(want, rel=1e-14, abs=0.0), seed
-        dirty = clean.copy()
+        dirty = Field(grid, clean.values.copy())
         dirty.values[exterior] = rng.choice([np.inf, -np.inf], np.count_nonzero(exterior))
         assert energy(spec, dirty) == energy(spec, clean), seed
 
@@ -188,7 +188,7 @@ def test_t2_edge_sum_energy_is_the_corner_form(dim):
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_IDS)
 def test_exterior_junk_leaves_energy_and_residual_unchanged(ball_field, spec):
     grid = ball_field.grid
-    dirty = ball_field.copy()
+    dirty = Field(grid, ball_field.values.copy())
     exterior = np.flatnonzero(grid.labels.ravel() == EXTERIOR)
     junk = np.array([math.nan, math.inf, -math.inf])
     dirty.values.ravel()[exterior] = junk[np.arange(exterior.size) % 3]
@@ -252,7 +252,7 @@ def test_field_validation():
     # Non-finite junk at exterior nodes is tolerated (those values are dead
     # storage); a NaN at a live node must be rejected.
     grid = build_grid(Ball([0.0, 0.0], 0.4), 1.0 / 8.0)
-    fld = Field.zeros(grid)
+    fld = Field(grid, np.zeros(grid.dims))
     fld.values[0, 0] = math.nan  # corner of the bounding box: exterior
     fld.validate_finite()
     fld.values[2, 4] = math.nan  # interior node
