@@ -16,7 +16,7 @@ sequences they judged.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -81,8 +81,7 @@ def radial_oracle_report(oracle, t, grid, fld, m, sign):
     inner, outer = oracle["inner"], oracle["outer"]
     lo, hi = oracle["band"] or (inner, outer)
     center = oracle["center"] or [0.0] * grid.dim
-    pts = grid.points()
-    r = np.sqrt(np.sum((pts - np.asarray(center)) ** 2, axis=1))
+    r = np.sqrt(grid.distance_squared(center)).ravel()
     inside = (grid.labels == INTERIOR).ravel()
     band = inside & (r >= lo) & (r <= hi)
     if not band.any():
@@ -186,13 +185,7 @@ class RegularityReport:
     notes: list = dc_field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "levels": self.levels,
-            "thresholds": self.thresholds,
-            "criteria": self.criteria,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def rows(self):
         """Flat table (h, k, r_k, omega, deficit_near_y) for CSV emission."""

@@ -43,6 +43,7 @@ from .levelsets import (
 )
 # The loading names stay bound here too, for callers that import them from cli.
 from .scenario import (
+    _OPS,
     _PARAMS,
     IterationSchedule,
     ScenarioError,
@@ -59,12 +60,6 @@ from .solver import (
     solve_dirichlet,
     solve_obstacle,
 )
-
-
-def _scenario_h(scn):
-    if scn["h"] is not None:
-        return float(scn["h"])
-    return float(scn["h_levels"][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +79,7 @@ def _field_stats(grid, values):
 
 def _run_dirichlet(scn):
     data, oracle = scn["params"]["data"], scn["params"]["oracle"]
-    grid = build_grid(scn["shape"], _scenario_h(scn))
+    grid = build_grid(scn["shape"], scn["h"])
     fld, rep = solve_dirichlet(grid, scn["spec"], data, tol=scn["tol"])
     report = {
         "task": "dirichlet",
@@ -120,7 +115,7 @@ def _run_dirichlet(scn):
 def _run_obstacle(scn):
     params = scn["params"]
     m, sign, oracle = params["m"], params["sign"], params["radial_oracle"]
-    grid = build_grid(scn["shape"], _scenario_h(scn))
+    grid = build_grid(scn["shape"], scn["h"])
     con = ObstacleConstraint.from_shape(grid, params["obstacle"], m, sign)
     fld, rep = solve_obstacle(grid, scn["spec"], con, tol=scn["tol"])
     ver = obstacle_verification(scn["spec"], grid, fld.values, con, scn["tol"])
@@ -152,7 +147,7 @@ def _probe_config(scn, probe):
     spacings, built here so that its warnings name this line."""
     fields = dict(probe)
     height = fields.pop("m")
-    return WienerProbeConfig(height=height, h_levels=scn["h_levels"] or [scn["h"]], **fields)
+    return WienerProbeConfig(height=height, h_levels=scn["h_levels"], **fields)
 
 
 def _run_wiener(scn):
@@ -170,7 +165,7 @@ def _run_wiener(scn):
 
 def _run_barrier(scn):
     params = scn["params"]
-    grid = build_grid(scn["shape"], _scenario_h(scn))
+    grid = build_grid(scn["shape"], scn["h"])
     V, U, rep = barrier_build(
         grid, scn["spec"], params["y"], params["rho"], params["m"],
         tol=scn["tol"], jj_factor=params["jj_factor"],
@@ -216,25 +211,24 @@ def _run_degiorgi(scn):
     y, psi = params["y"], params["psi_recursion"]
     osc, envelope = params["oscillation"], params["envelope"]
     t = scn["spec"].t
-    h_levels = scn["h_levels"] or [scn["h"]]
     report = {"task": "degiorgi-instrument", "levels": []}
     tables = {"level_sets": [], "caccioppoli": [], "oscillation": []}
     ok = True
-    for h in h_levels:
-        grid = build_grid(scn["shape"], float(h))
+    for h in scn["h_levels"]:
+        grid = build_grid(scn["shape"], h)
         fld, rep = _instrument_solve(scn, grid)
         ok = ok and rep.converged
-        level_report = {"h": float(h), "solve": rep.to_dict()}
+        level_report = {"h": h, "solve": rep.to_dict()}
         for block in params["level_sets"]:
             st = level_stats(fld, y, block["level"], block["radius"], t)
-            row = {"h": float(h), **st.to_dict()}
+            row = {"h": h, **st.to_dict()}
             tables["level_sets"].append(row)
             level_report.setdefault("level_sets", []).append(st.to_dict())
         for block in params["caccioppoli"]:
             rep_c = check_caccioppoli(
                 fld, y, block["level"], block["rho"], block["R"], t
             )
-            tables["caccioppoli"].append({"h": float(h), **rep_c})
+            tables["caccioppoli"].append({"h": h, **rep_c})
             level_report.setdefault("caccioppoli", []).append(rep_c)
             ok = ok and not rep_c["violation"]
         if psi is not None:
@@ -243,17 +237,20 @@ def _run_degiorgi(scn):
                 fit = check_psi_recursion(
                     fld, IterationSchedule(y, **dict(psi, d=psi["k0"] / 4.0)), t)
                 d = threshold_level_gap(fit["c_hat"], t, grid.dim, psi["r0"], fit["psi"][0])
-                level_report["fitted_gap"] = d
-            sched = IterationSchedule(y, **dict(psi, d=d))
-            rec = check_psi_recursion(fld, sched, t)
-            final = level_stats(fld, y, sched.k0 - sched.d, sched.r0 / 2.0, t)
-            rec["final_sublevel_volume"] = final.volume
-            rec["final_sublevel_empty"] = final.node_count == 0
-            level_report["psi_recursion"] = rec
+                # An empty first sublevel set fits no gap: the level keeps
+                # its other blocks and gets no psi_recursion.
+                level_report["fitted_gap"] = d if d > 0 else None
+            if d > 0:
+                sched = IterationSchedule(y, **dict(psi, d=d))
+                rec = check_psi_recursion(fld, sched, t)
+                final = level_stats(fld, y, sched.k0 - sched.d, sched.r0 / 2.0, t)
+                rec["final_sublevel_volume"] = final.volume
+                rec["final_sublevel_empty"] = final.node_count == 0
+                level_report["psi_recursion"] = rec
         if osc is not None:
             rows = oscillation_sequence(fld, y, osc["r0"], osc["K"])
             for row in rows:
-                tables["oscillation"].append({"h": float(h), **row})
+                tables["oscillation"].append({"h": h, **row})
             level_report["oscillation"] = rows
             if envelope is not None:
                 sigmas = []
@@ -313,16 +310,6 @@ def _dig(report, path):
         else:
             raise KeyError(path)
     return node
-
-
-_OPS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
 
 
 def _check_assertions(report, assertions):
@@ -453,9 +440,7 @@ def _memo_tags(path):
         scn, _ = load_scenario(path)
     except ScenarioError:
         return set()
-    spacings = [scn["h"]] if scn["h"] is not None else []
-    spacings += scn["h_levels"] or []
-    return {_memo_tag(scn["spec"], scn["tol"], h) for h in spacings}
+    return {_memo_tag(scn["spec"], scn["tol"], h) for h in scn["h_levels"]}
 
 
 def run_suite(directory, out_root=None, threads=1):

@@ -1,4 +1,6 @@
-"""Lattice classification of shapes: interior/boundary/exterior node labeling.
+"""Lattice classification of shapes: interior/boundary/exterior node labeling,
+and the lattice's one set of index rules (cell corners, neighbour shifts)
+and node distances, which every other module reads.
 
 A grid is a uniform lattice of spacing ``h`` whose nodes sit at absolute
 multiples of ``h`` (shifted by a common origin that is itself a multiple of
@@ -48,16 +50,47 @@ def unit_ball_volume(dim):
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
+def unit(ndim, axis):
+    """The offset of one step along ``axis``."""
+    return tuple(int(k == axis) for k in range(ndim))
+
+
+def offset_slices(offset):
+    """(lo, hi) index tuples with x[hi] the values at offset from the nodes
+    of x[lo], over every node whose neighbour at that offset exists."""
+    head, tail, every = slice(1, None), slice(None, -1), slice(None)
+    lo = tuple(head if d < 0 else tail if d > 0 else every for d in offset)
+    hi = tuple(tail if d < 0 else head if d > 0 else every for d in offset)
+    return lo, hi
+
+
+def cell_view(dims, corner):
+    """Index tuple of the node at ``corner`` (0 or 1 per axis) of every
+    cell of a lattice of ``dims`` nodes; on an axis one node shorter,
+    corner 0 takes that axis whole."""
+    return tuple(slice(c, c + n - 1) for c, n in zip(corner, dims))
+
+
+def distance_squared(axes, center):
+    """|x - center|^2 over the lattice spanned by per-axis coordinates,
+    summed axis by axis, ((d0^2 + d1^2) + d2^2): the bits of
+    ``np.sum((points - center) ** 2, axis=1)``."""
+    total = 0.0
+    for k, coords in enumerate(axes):
+        delta = coords - center[k]
+        total = total + (delta * delta).reshape([-1 if j == k else 1 for j in range(len(axes))])
+    return total
+
+
 def dilate(mask, axes):
     """``mask`` grown by one node along each of ``axes`` in turn.  Over all
     N axes, a node ends up in it when its 3^N Moore neighbourhood meets
     ``mask``."""
     for axis in axes:
-        head = tuple(slice(1, None) if k == axis else slice(None) for k in range(mask.ndim))
-        tail = tuple(slice(None, -1) if k == axis else slice(None) for k in range(mask.ndim))
+        lo, hi = offset_slices(unit(mask.ndim, axis))
         grown = mask.copy()
-        grown[head] |= mask[tail]
-        grown[tail] |= mask[head]
+        grown[hi] |= mask[lo]
+        grown[lo] |= mask[hi]
         mask = grown
     return mask
 
@@ -87,9 +120,9 @@ class GridDomain:
     def points(self):
         """All node coordinates, flattened C-order, shape (n_nodes, dim).
 
-        Built afresh on every call, for callers that need coordinates (n x N
-        floats, 13.7 MB on an 83^3 grid); classification and ``nodes_within``
-        read ``axis_coords`` instead.
+        Built afresh on every call, for callers that evaluate user data at
+        the nodes (n x N floats, 13.7 MB on an 83^3 grid); ``inside`` and
+        ``distance_squared`` read ``axis_coords`` instead.
         """
         return _mesh_points([self.axis_coords(k) for k in range(self.dim)])
 
@@ -117,13 +150,31 @@ class GridDomain:
         """Labels of another shape on this grid's lattice (same node set)."""
         return _classify(other_shape, self)
 
+    def inside(self, shape, closed):
+        """``shape.inside`` at every node, as a bool array over ``dims``.
+
+        It runs on the ``_slabs`` of the lattice, built from ``axis_coords``,
+        so no full coordinate array is ever held: an 83^3 grid takes 10
+        calls, and a 2D grid of up to 2^16 nodes one.
+        """
+        lead = self.axis_coords(0)
+        rest = [self.axis_coords(k) for k in range(1, self.dim)]
+        out = np.empty(self.dims, dtype=bool)
+        for a, b in _slabs(self.dims):
+            block = _mesh_points([lead[a:b]] + rest)
+            out[a:b] = shape.inside(block, closed).reshape((-1,) + self.dims[1:])
+        return out
+
+    def distance_squared(self, center):
+        """``distance_squared`` from ``center`` at every node, over ``dims``."""
+        return distance_squared([self.axis_coords(k) for k in range(self.dim)], center)
+
     def nodes_within(self, center, radius):
         """Flat indices of nodes with |x - center| <= radius, ascending.
 
-        Distances are measured only on the box of node indices around the
-        ball, clipped to the grid (an empty index array when the box misses
-        it), and summed axis by axis, d0^2 + d1^2 (+ d2^2), from
-        ``axis_coords``: the same bits as over the whole ``points()`` array.
+        Distances (``distance_squared``) are measured only on the box of
+        node indices around the ball, clipped to the grid (an empty index
+        array when the box misses it).
         """
         center = np.asarray(center, dtype=float)
         box = []
@@ -134,11 +185,7 @@ class GridDomain:
             if lo > hi:
                 return np.empty(0, dtype=np.intp)
             box.append(np.arange(lo, hi + 1))
-        dist2 = 0.0
-        for k, idx in enumerate(box):
-            delta = self.axis_coords(k)[idx] - center[k]
-            dist2 = dist2 + (delta * delta).reshape([-1 if j == k else 1
-                                                     for j in range(self.dim)])
+        dist2 = distance_squared([self.axis_coords(k)[idx] for k, idx in enumerate(box)], center)
         close = np.nonzero(dist2 <= radius * radius * (1 + 1e-12))
         return np.ravel_multi_index(
             tuple(idx[hit] for idx, hit in zip(box, close)), self.dims
@@ -158,9 +205,8 @@ class GridDomain:
             any_int = np.zeros(tuple(d - 1 for d in self.dims), dtype=bool)
             all_ok = np.ones_like(any_int)
             for corner in np.ndindex(*([2] * self.dim)):
-                sl = tuple(slice(c, c + d - 1) for c, d in zip(corner, self.dims))
-                any_int |= interior[sl]
-                all_ok &= non_ext[sl]
+                any_int |= interior[cell_view(self.dims, corner)]
+                all_ok &= non_ext[cell_view(self.dims, corner)]
             if np.any(any_int & ~all_ok):
                 raise ValueError("grid invariant violated: interior corner in a cell "
                                  "with an exterior corner")
@@ -183,7 +229,7 @@ class GridDomain:
         # with c_k = 0.
         for rest in itertools.product((0, 1), repeat=self.dim - 1):
             corner = rest[:k] + (0,) + rest[k:]
-            count[tuple(slice(c, c + d - 1) for c, d in zip(corner, self.dims))] += active
+            count[cell_view(self.dims, corner)] += active
         return count
 
     # -- serialization helpers ------------------------------------------------
@@ -208,8 +254,8 @@ def _mesh_points(axes):
     return points.reshape(-1, ndim)
 
 
-# The most nodes of one slab: a block of the classification below, and of
-# the solver's walkers over a field.
+# The most nodes of one slab: a block of ``GridDomain.inside``, and of the
+# solver's walkers over a field.
 _SLAB_NODES = 1 << 16
 
 
@@ -223,21 +269,10 @@ def _slabs(shape, plane=None):
 
 
 def _classify(shape, grid):
-    """Labels of ``shape`` on ``grid``'s lattice.
-
-    ``shape.inside(block, False)``, the open region, runs on the ``_slabs``
-    of the lattice (a node on a surface is not interior), built from
-    ``axis_coords``, so no full coordinate array is ever held: an 83^3 grid
-    takes 10 calls, and a 2D grid of up to 2^16 nodes one.
-    """
-    dims = grid.dims
-    lead = grid.axis_coords(0)
-    rest = [grid.axis_coords(k) for k in range(1, grid.dim)]
-    interior = np.empty(dims, dtype=bool)
-    for a, b in _slabs(dims):
-        block = _mesh_points([lead[a:b]] + rest)
-        interior[a:b] = shape.inside(block, False).reshape((-1,) + dims[1:])
-    labels = np.full(dims, EXTERIOR, dtype=np.int8)
+    """Labels of ``shape`` on ``grid``'s lattice: its interior nodes are
+    those inside the open region (a node on a surface is not interior)."""
+    interior = grid.inside(shape, False)
+    labels = np.full(grid.dims, EXTERIOR, dtype=np.int8)
     labels[dilate(interior, range(grid.dim))] = BOUNDARY
     labels[interior] = INTERIOR
     return labels

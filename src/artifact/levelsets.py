@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain.lattice import EXTERIOR
+from .domain.lattice import EXTERIOR, cell_view, distance_squared
+from .domain.shapes import squared_norm
 from .monotone import corner_gradients
 
 __all__ = [
@@ -145,30 +146,16 @@ def check_caccioppoli(field, y, level, rho, R, t):
     yarr = np.asarray(y, dtype=float)
     w = field.values
     member = grid.labels != EXTERIOR
-    pts = grid.points().reshape(dims + (grid.dim,))
-    dist = np.sqrt(np.sum((pts - yarr) ** 2, axis=-1))
-    member &= dist <= R * (1 + 1e-12)
+    member &= np.sqrt(grid.distance_squared(yarr)) <= R * (1 + 1e-12)
     member &= w <= level
     # Cutoff at cell centers.
-    centers_dist_sq = 0.0
-    for k in range(grid.dim):
-        c = grid.axis_coords(k)
-        mid = 0.5 * (c[:-1] + c[1:]) - yarr[k]
-        shape = [1] * grid.dim
-        shape[k] = mid.size
-        centers_dist_sq = centers_dist_sq + (mid.reshape(shape)) ** 2
-    phi = np.clip((R - np.sqrt(centers_dist_sq)) / (R - rho), 0.0, 1.0)
+    mids = [0.5 * (c[:-1] + c[1:]) for c in map(grid.axis_coords, range(grid.dim))]
+    phi = np.clip((R - np.sqrt(distance_squared(mids, yarr))) / (R - rho), 0.0, 1.0)
     phit = phi**t
     lhs = 0.0
     for corner, diffs in corner_gradients(field.values, h, dims):
-        mag_sq = 0.0
-        for d in diffs:
-            mag_sq = mag_sq + d * d
-        magt = mag_sq ** (t / 2.0)
-        sl = tuple(
-            slice(c, c + dims[k] - 1) for k, c in enumerate(corner)
-        )
-        lhs += float(np.sum(phit * member[sl] * magt))
+        magt = squared_norm(diffs) ** (t / 2.0)
+        lhs += float(np.sum(phit * member[cell_view(dims, corner)] * magt))
     lhs *= h**grid.dim / 2.0**grid.dim
     rhs = float(h**grid.dim * np.sum((level - w[member]) ** t))
     report = {

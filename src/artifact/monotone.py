@@ -36,11 +36,11 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .domain.lattice import EXTERIOR, INTERIOR
+from .domain.lattice import EXTERIOR, INTERIOR, cell_view, offset_slices, unit
 from .domain.shapes import squared_norm
 
 __all__ = [
@@ -70,7 +70,7 @@ class OperatorSpec:
             raise ValueError("exponent t must exceed 1")
 
     def to_dict(self):
-        return {"kind": self.kind, "t": self.t}
+        return asdict(self)
 
 
 # Smallest positive double: lifts g2 = 0 off the pole of phi at t < 2, so
@@ -189,37 +189,23 @@ def edge_differences(values, h):
     """Forward differences along each axis: D[k] = (shift_k(u) - u) / h."""
     diffs = []
     for k in range(values.ndim):
-        lead = tuple(
-            slice(1, None) if j == k else slice(None) for j in range(values.ndim)
-        )
-        lag = tuple(
-            slice(0, -1) if j == k else slice(None) for j in range(values.ndim)
-        )
-        diffs.append((values[lead] - values[lag]) / h)
+        lo, hi = offset_slices(unit(values.ndim, k))
+        diffs.append((values[hi] - values[lo]) / h)
     return diffs
 
 
-def _corner_slices(dims, corner):
-    """Slices extracting, per axis, the cell-indexed view of D for a corner."""
-    out = []
-    ndim = len(dims)
-    for d in range(ndim):
-        sl = []
-        for k in range(ndim):
-            if k == d:
-                sl.append(slice(0, dims[k] - 1))
-            else:
-                sl.append(slice(corner[k], corner[k] + dims[k] - 1))
-        out.append(tuple(sl))
-    return out
+def _with_axis(corner, d, c):
+    """``corner`` with its axis-``d`` entry set to ``c``."""
+    return corner[:d] + (c,) + corner[d + 1:]
 
 
 def _corner_views(diffs, dims):
-    """Iterate (corner, [cell-indexed views of diffs]) for all 2^N corners."""
+    """Iterate (corner, [cell-indexed views of diffs]) for all 2^N corners:
+    D_d's edge of a cell at a corner starts at the corner's node with
+    c_d = 0."""
     ndim = len(dims)
     for corner in np.ndindex(*([2] * ndim)):
-        slices = _corner_slices(dims, corner)
-        yield corner, [diffs[d][slices[d]] for d in range(ndim)]
+        yield corner, [diffs[d][cell_view(dims, _with_axis(corner, d, 0))] for d in range(ndim)]
 
 
 def corner_gradients(values, h, dims):
@@ -274,7 +260,7 @@ def _edge_sum_energy(fld):
     total = 0.0
     for k in range(values.ndim):
         count = fld.grid.edge_cell_counts(k)
-        lo, hi = offset_slices(tuple(int(j == k) for j in range(values.ndim)))
+        lo, hi = offset_slices(unit(values.ndim, k))
         diff = np.zeros(count.shape)
         np.subtract(values[hi], values[lo], out=diff, where=count > 0)
         diff /= fld.grid.h
@@ -310,28 +296,10 @@ def weak_residual(spec, fld):
         for d in range(ndim):
             contrib = np.where(active, a_comps[d], 0.0)
             contrib *= coeff
-            head = []
-            tail = []
-            for k in range(ndim):
-                if k == d:
-                    head.append(slice(1, grid.dims[k]))
-                    tail.append(slice(0, grid.dims[k] - 1))
-                else:
-                    head.append(slice(corner[k], corner[k] + grid.dims[k] - 1))
-                    tail.append(head[-1])
-            res[tuple(head)] += contrib
-            res[tuple(tail)] -= contrib
+            res[cell_view(grid.dims, _with_axis(corner, d, 1))] += contrib
+            res[cell_view(grid.dims, _with_axis(corner, d, 0))] -= contrib
     res[grid.labels != INTERIOR] = 0.0
     return Field(grid, res)
-
-
-def offset_slices(offset):
-    """(lo, hi) index tuples with x[hi] the values at offset from the nodes
-    of x[lo], over every node whose neighbour at that offset exists."""
-    head, tail, every = slice(1, None), slice(None, -1), slice(None)
-    lo = tuple(head if d < 0 else tail if d > 0 else every for d in offset)
-    hi = tuple(tail if d < 0 else head if d > 0 else every for d in offset)
-    return lo, hi
 
 
 @np.errstate(invalid="ignore")
@@ -363,9 +331,7 @@ def hessian(spec, fld):
         slope *= weight
         # The corner, then its neighbour across each axis: cell positions
         # and G.s.
-        nodes = [corner] + [
-            tuple(1 - c if k == d else c for k, c in enumerate(corner)) for d in range(ndim)
-        ]
+        nodes = [corner] + [_with_axis(corner, d, 1 - corner[d]) for d in range(ndim)]
         for d in range(ndim):
             if corner[d]:
                 np.negative(comps[d], out=comps[d])
@@ -385,6 +351,5 @@ def hessian(spec, fld):
                 # H[a, b] and, off the diagonal, H[b, a].
                 for row, col in {(a, b), (b, a)}:
                     offset = tuple(nc - nr for nr, nc in zip(nodes[row], nodes[col]))
-                    cells = tuple(slice(c, c + n - 1) for c, n in zip(nodes[row], dims))
-                    stencil[offset][cells] += value
+                    stencil[offset][cell_view(dims, nodes[row])] += value
     return stencil

@@ -39,8 +39,8 @@ from functools import partial
 
 import numpy as np
 
-from .domain.lattice import INTERIOR, _slabs, dilate
-from .monotone import inner, offset_slices
+from .domain.lattice import INTERIOR, _slabs, dilate, offset_slices, unit
+from .monotone import inner
 
 
 def _strides(dims):
@@ -448,7 +448,7 @@ def _add_edge_squares(total, window, count):
     buffer = np.empty(slab.size)
     pairs = [(window[1:], window[: len(window) - 1])]
     for axis in range(1, window.ndim):
-        lo, hi = offset_slices(tuple(int(k == axis) for k in range(window.ndim)))
+        lo, hi = offset_slices(unit(window.ndim, axis))
         pairs.append((slab[hi], slab[lo]))
     for hi, lo in pairs:
         diff = np.subtract(hi, lo, out=buffer[: hi.size].reshape(hi.shape))

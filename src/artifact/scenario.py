@@ -12,6 +12,7 @@ API and a scenario refuse a value by one rule.  Nothing here builds a grid.
 import dataclasses
 import json
 import math
+import operator
 import warnings
 from pathlib import Path
 
@@ -368,6 +369,14 @@ def _psi_recursion(value, field, dim):
 # ``capacity.barrier_build``.
 _JJ_FACTOR = 0.5
 
+# The tasks that run on the one grid of spacing h; the others run on each
+# spacing of h_levels, or on h alone.
+_ONE_GRID = ("dirichlet", "obstacle", "barrier")
+
+# An assertion's op: the comparison it names.
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+        "==": operator.eq, "!=": operator.ne}
+
 _PARAMS = {
     "dirichlet": {**_DIRICHLET, "oracle": ({"expr": (_expression, ...)}, None)},
     "obstacle": {**_OBSTACLE, "radial_oracle": (_radial_oracle, None)},
@@ -444,7 +453,8 @@ def validate_scenario(raw):
 
 def _read_fields(raw, task):
     """Every field of the scenario ``raw`` but its name and task; a key it
-    does not read is refused first, as ``_read`` refuses one."""
+    does not read is refused first, as ``_read`` refuses one.  ``h_levels``
+    comes back as the spacings the task runs at, [h] when h is given."""
     keys = ("name", "task", "shape", "operator", "h", "h_levels", "tolerance", "params",
             "assertions")
     for key in raw:
@@ -468,11 +478,17 @@ def _read_fields(raw, task):
     if h is None and h_levels is None:
         raise ScenarioError("scenario.h", "need h or h_levels")
     if h is not None:
-        _positive_number(h, "scenario.h")
-    if h_levels is not None:
-        levels = _read([_positive_number], h_levels, "scenario.h_levels", None)
-        if not levels or any(b >= a for a, b in zip(levels, levels[1:])):
+        h = _positive_number(h, "scenario.h")
+    if h_levels is None:
+        h_levels = [h]
+    else:
+        h_levels = _read([_positive_number], h_levels, "scenario.h_levels", None)
+        if not h_levels or any(b >= a for a, b in zip(h_levels, h_levels[1:])):
             raise ScenarioError("scenario.h_levels", "must be nonempty and strictly decreasing")
+        if h is not None:
+            raise ScenarioError("scenario.h_levels", "give h or h_levels, not both")
+        if task in _ONE_GRID:
+            raise ScenarioError("scenario.h_levels", f"{task} runs on one grid: give h")
     tol = _positive_number(raw.get("tolerance", 1e-8), "scenario.tolerance")
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -487,7 +503,7 @@ def _read_fields(raw, task):
             )
         if not isinstance(a["path"], str):
             raise ScenarioError(f"scenario.assertions[{i}].path", "expected a string")
-        if a["op"] not in ("<=", ">=", "==", "!=", "<", ">"):
+        if not isinstance(a["op"], str) or a["op"] not in _OPS:
             raise ScenarioError(f"scenario.assertions[{i}].op", f"unknown op {a['op']!r}")
     return {
         "shape": shape,

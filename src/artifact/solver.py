@@ -69,7 +69,7 @@ import json
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import partial
 
 import numpy as np
@@ -134,9 +134,8 @@ class ObstacleConstraint:
 
     @classmethod
     def from_shape(cls, grid, shape, height, sign=1):
-        inside = shape.inside(grid.points(), True)
-        interior = (grid.labels == INTERIOR).ravel()
-        return cls(np.flatnonzero(inside & interior), height, sign)
+        inside = grid.inside(shape, True) & (grid.labels == INTERIOR)
+        return cls(np.flatnonzero(inside), height, sign)
 
     def validate_on(self, grid):
         interior = (grid.labels == INTERIOR).ravel()
@@ -154,14 +153,7 @@ class SolveReport:
     notes: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "energy": self.energy,
-            "max_update": self.max_update,
-            "max_residual": self.max_residual,
-            "converged": self.converged,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,7 @@ def test_validate_scenario_happy_path():
         ({"assertions": [{"path": "x", "op": "~", "value": 1}]}, "scenario.assertions[0].op"),
         ({"assertions": [{"path": "x"}]}, "scenario.assertions[0]"),
         ({"operator": {"kind": "p_laplace", "t": 2.0, "homogeneous": True}}, "scenario.operator"),
+        ({"assertions": [{"path": "x", "op": ["<="], "value": 1}]}, "scenario.assertions[0].op"),
     ],
 )
 def test_validate_scenario_rejects(patch, field):
@@ -273,6 +274,15 @@ UNKNOWN_SHAPE_KEYS = [
      "params.obstacle"),
 ]
 MALFORMED += UNKNOWN_SHAPE_KEYS
+# Spacings that used to be dropped without a word: h_levels beside h (the
+# run took h_levels), and h_levels on a one-grid task (it ran at the
+# finest).
+SPACINGS = [
+    ({"task": "wiener-probe", "params": probe_params(), "h_levels": [0.25, 0.125]},
+     "scenario.h_levels"),
+    ({"h": None, "h_levels": [0.25, 0.125]}, "scenario.h_levels"),
+]
+MALFORMED += SPACINGS
 
 
 def malformed_doc(patch):
@@ -739,14 +749,16 @@ def test_suite_runs_the_neighbour_of_a_retyped_param(tmp_path, task, params, fie
 
 # Every config error above, each a patch over ``malformed_doc``: found while
 # the scenario loads, so no grid is ever built.  The non-finite shape cases
-# come first.
+# come first, and the spacing cases last, so that each earlier case keeps
+# its test id.
 BEFORE_ANY_GRID = [
     *NON_FINITE_SHAPES,
-    *[row for row in MALFORMED if row not in NON_FINITE_SHAPES + UNKNOWN_SHAPE_KEYS],
+    *[row for row in MALFORMED if row not in NON_FINITE_SHAPES + UNKNOWN_SHAPE_KEYS + SPACINGS],
     *[(instrument_doc("malformed", **blocks), field) for blocks, field in BLOCK_KEY_CASES],
     *[({"task": task, "params": params}, field) for task, params, field in RETYPED],
     *[(expression_doc(field, text), field) for field, text, _ in EXPRESSION_CASES],
     *UNKNOWN_SHAPE_KEYS,
+    *SPACINGS,
 ]
 
 
@@ -834,6 +846,25 @@ def test_psi_recursion_with_a_given_gap_loads_at_any_k0():
     doc = malformed_doc({"task": "degiorgi-instrument", "params": instrument_params(
         psi_recursion={"r0": 0.25, "k0": -1.0, "d": 0.5})})
     assert validate_scenario(doc)["params"]["psi_recursion"]["k0"] == -1.0
+
+
+def test_auto_gap_over_an_empty_first_sublevel_set_keeps_the_other_blocks(tmp_path):
+    # u = 1 everywhere, so the sublevel set {u <= k0} is empty, psi_0 = 0
+    # and the fitted gap is 0: that level gets no psi_recursion block, and
+    # the run keeps its level-set and Caccioppoli blocks.  It used to end as
+    # an exit-1 error row, "d: must be positive".
+    doc = instrument_doc("empty-sublevel", solve={"kind": "dirichlet", "data": 1.0},
+                         level_sets=[{"level": 0.5, "radius": 0.2}],
+                         caccioppoli=[{"level": 0.5, "rho": 0.1, "R": 0.3}],
+                         psi_recursion={"r0": 0.25, "k0": 0.5})
+    code, row = run_scenario(write_doc(tmp_path, doc), tmp_path / "out")
+    assert (code, row["result"]) == (0, "pass")
+    level = json.loads((tmp_path / "out" / "empty-sublevel" / "report.json").read_text())[
+        "levels"][0]
+    assert level["fitted_gap"] is None
+    assert "psi_recursion" not in level
+    assert level["level_sets"][0]["nodes"] == 0
+    assert level["caccioppoli"][0]["c_emp"] == 0.0
 
 
 # One bad value for each rule of the probe and the psi schedule: (the

@@ -198,9 +198,11 @@ def test_classification_by_blocks_is_one_full_call(dim, block, monkeypatch):
     # Blocks of whole leading-axis slabs must label every node as one
     # open inside call over the full points array does, on a grid of more
     # nodes than one block (259^2 and 43^3 against 2^16; and, with a
-    # 1000-node block, one slab a call in 3D and a short last block in 2D).
+    # 1000-node block, one slab a call in 3D and a short last block in 2D),
+    # and ``GridDomain.inside`` must give that call's answer for both
+    # closures.
     monkeypatch.setattr(lattice, "_SLAB_NODES", block)
-    grid = build_grid(Box([-0.5] * dim, [0.5] * dim), 1.0 / 256.0 if dim == 2 else 1.0 / 40.0)
+    grid = _slab_grid(dim)
     assert grid.node_count() > lattice._SLAB_NODES
     shapes = _every_shape_class(dim)
     every = {cls for cls in Shape.__subclasses__() if dim == 3 or cls is not TwistedCone}
@@ -210,6 +212,29 @@ def test_classification_by_blocks_is_one_full_call(dim, block, monkeypatch):
         labels = grid.classify(shape)
         want = shape.inside(pts, False).reshape(grid.dims)
         assert np.array_equal(labels == INTERIOR, want), type(shape).__name__
+        assert np.array_equal(grid.inside(shape, False), want), type(shape).__name__
+        want = shape.inside(pts, True).reshape(grid.dims)
+        assert np.array_equal(grid.inside(shape, True), want), type(shape).__name__
+
+
+def _slab_grid(dim):
+    """A box grid of more nodes than one slab: 259^2 or 43^3."""
+    return build_grid(Box([-0.5] * dim, [0.5] * dim), 1.0 / 256.0 if dim == 2 else 1.0 / 40.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_distance_squared_keeps_the_point_array_bits(dim):
+    # Axis by axis, over the lattice's axis coordinates, the squared
+    # distances must be those summed over the full points array, bit for
+    # bit, from a node and from a point off the lattice.
+    grid = _slab_grid(dim)
+    assert grid.node_count() > lattice._SLAB_NODES
+    pts = grid.points()
+    for center in ([0.0] * dim, [0.3, -1 / 3, 0.1][:dim]):
+        want = np.sum((pts - np.asarray(center)) ** 2, axis=1)
+        got = grid.distance_squared(center)
+        assert got.shape == grid.dims
+        assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
 
 
 def test_label_counts_sum_to_node_count():

@@ -7,7 +7,9 @@ only the names it reads, so a test that patches a multigrid name on
 ``scenario`` reads every param when the scenario loads, through the table
 ``_PARAMS``; it imports nothing that builds a grid or solves, and a task
 executor in ``cli`` only computes.  No module compares a lattice's
-``labels`` with a bare integer: it names the label.
+``labels`` with a bare integer: it names the label.  The lattice's index
+and distance rules live in ``domain/lattice.py`` alone, and a full
+coordinate array is built only where user data is evaluated at nodes.
 """
 
 import ast
@@ -132,3 +134,55 @@ def test_no_module_compares_labels_with_an_integer_literal():
                 if any(map(_is_labels, operands)) and any(map(_is_int_literal, operands)):
                     found.append(f"{path.relative_to(package)}:{node.lineno}")
     assert found == [], "compare labels with BOUNDARY, INTERIOR or EXTERIOR"
+
+
+def _package_trees():
+    """(path relative to the package, parsed module) of every module."""
+    package = Path(cli.__file__).parent
+    return [(path.relative_to(package).as_posix(), ast.parse(path.read_text()))
+            for path in sorted(package.rglob("*.py"))]
+
+
+def _top_level_functions(tree):
+    """(name, node) of each function of a module and each method of its
+    classes, as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_lattice_geometry_has_one_owner():
+    trees = _package_trees()
+    assert "domain/lattice.py" in dict(trees), "no lattice module found: the reader is broken"
+    # The cell-corner and shift rules are lattice's, so these modules slice
+    # nothing by hand.
+    for path, tree in trees:
+        if path in ("monotone.py", "levelsets.py", "capacity.py"):
+            calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id == "slice"]
+            assert calls == [], f"{path} calls slice( at lines {calls}"
+    defined = {}
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("offset_slices", "cell_view"):
+                defined.setdefault(node.name, []).append(path)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "distance_squared":
+                defined.setdefault(node.name, []).append(path)
+    assert defined == {name: ["domain/lattice.py"]
+                       for name in ("offset_slices", "cell_view", "distance_squared")}
+    # A full coordinate array, only where user data is evaluated at nodes.
+    callers = set()
+    for path, tree in trees:
+        for name, function in _top_level_functions(tree):
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "points"):
+                    callers.add(f"{path[:-3]}.{name}")
+    assert callers == {"solver.solve_dirichlet", "solver.verify_comparison",
+                       "capacity.barrier_build", "capacity.locality_check",
+                       "cli._run_dirichlet"}

@@ -39,8 +39,8 @@ from artifact import (
 )
 from artifact import monotone, solver
 from artifact.domain import lattice
-from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR
-from artifact.monotone import inner, offset_slices
+from artifact.domain.lattice import BOUNDARY, EXTERIOR, INTERIOR, offset_slices
+from artifact.monotone import inner
 from artifact.multigrid import (
     _BLOCK_NODES,
     _MIN_COARSE_DIM,
